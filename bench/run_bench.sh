@@ -73,7 +73,7 @@ OUT="$OUT" LABEL="$LABEL" REPS="$REPS" GIT_SHA="$GIT_SHA" COMPILER="$COMPILER" \
 FIG_DATA="$FIG_DATA" SWEEP_DATA="$SWEEP_DATA" \
 ELASTIC_SWEEP_DATA="$ELASTIC_SWEEP_DATA" \
 python3 - <<'EOF'
-import json, os, resource, subprocess, sys
+import json, os, resource, statistics, subprocess, sys
 
 bin_path = os.environ["BIN"]
 raw_path = os.environ["RAW"]
@@ -89,7 +89,9 @@ cmd = [
     "|BM_WorkloadZipfChurn|BM_WorkloadTraced|BM_WorkloadChurn"
     "|BM_WorkloadReconfig|BM_WorkloadOpenLoop",
     f"--benchmark_repetitions={reps}",
-    "--benchmark_report_aggregates_only=true",
+    # Keep every repetition in the output file (the console shows only the
+    # aggregates): the spread below is computed from them.
+    "--benchmark_display_aggregates_only=true",
     f"--benchmark_out={raw_path}",
     "--benchmark_out_format=json",
 ]
@@ -107,7 +109,15 @@ def bench(name):
                 return b
     raise SystemExit(f"benchmark {name} missing from output")
 
+# Spread of every rate recorded below, by benchmark name: the median and
+# min/max items/s over the repetitions, beside the mean the entry keeps.
+spread = {}
+
 def rate(name):
+    runs = sorted(b["items_per_second"] for b in raw["benchmarks"]
+                  if b["name"] == name and b.get("run_type") == "iteration")
+    spread[name] = {"median": round(statistics.median(runs)),
+                    "min": round(runs[0]), "max": round(runs[-1])}
     return bench(name)["items_per_second"]
 
 figures = {}
@@ -189,6 +199,7 @@ entry = {
         "ring_push_share": round(mesh["ring_push_share"], 4),
         "overflow_push_share": round(mesh["overflow_push_share"], 6),
     },
+    "spread": spread,
     "peak_rss_kb": peak_rss_kb,
     "repetitions": int(reps),
     "topology": {

@@ -1,7 +1,10 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
 #include "mesh/link_stats.hpp"
@@ -50,6 +53,19 @@ class Stats {
     std::uint64_t migrationMessages = 0;  ///< messages attributable to migration
     std::uint64_t migrationBytes = 0;     ///< payload bytes moved by migration
     std::uint64_t forwardedOps = 0;       ///< ops forwarded during handoff windows
+
+    /// Field-wise `*this - before`: what accrued since `before` was taken
+    /// (a workload phase's share of the run). Every field is a uint64_t
+    /// count, so the set subtracts as one flat array.
+    Counters operator-(const Counters& before) const {
+      static_assert(std::has_unique_object_representations_v<Counters> &&
+                    sizeof(Counters) % sizeof(std::uint64_t) == 0);
+      using Flat = std::array<std::uint64_t, sizeof(Counters) / sizeof(std::uint64_t)>;
+      Flat d = std::bit_cast<Flat>(*this);
+      const Flat b = std::bit_cast<Flat>(before);
+      for (std::size_t i = 0; i < d.size(); ++i) d[i] -= b[i];
+      return std::bit_cast<Counters>(d);
+    }
   } ops;
 
   void setPhase(int p, sim::Time now) {

@@ -14,7 +14,7 @@ namespace diva::obs {
 /// its category bit is enabled, so the trace volume of a long run is
 /// bounded by construction, not by post-filtering.
 using Cat = std::uint32_t;
-inline constexpr Cat kCatTxn = 1u << 0;        ///< closed-loop transactions (read / lock-write-unlock)
+inline constexpr Cat kCatTxn = 1u << 0;        ///< transactions (read / lock-write-unlock)
 inline constexpr Cat kCatServe = 1u << 1;      ///< open-loop request queue→serve
 inline constexpr Cat kCatMigration = 1u << 2;  ///< epoch migration / fixed-home re-homing handoffs
 inline constexpr Cat kCatRepair = 1u << 3;     ///< crash-repair salvage & scrub traffic

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 
 #include "obs/metrics.hpp"
 #include "obs/sampler.hpp"
@@ -342,79 +343,113 @@ ShapeTimeline simulateShape(const WorkloadSpec& spec, const Machine& m) {
   return tl;
 }
 
-/// One processor's accesses for one phase. The RNG is the per-(phase,
-/// processor) split stream; everything else is shared driver state that
-/// outlives the phase's engine drain.
+/// Driver state every issued access reads; it outlives each phase's
+/// engine drain.
+struct Driver {
+  Machine& m;
+  Runtime& rt;
+  const std::vector<VarId>& objects;
+  std::uint64_t objectBytes;
+  sim::Time runStart;     ///< capture timestamps are relative to it
+  serve::Trace* capture;  ///< null unless the run records its issued stream
+};
+
+/// One access: an object index into the population, read or write.
+struct Access {
+  int idx;
+  bool isRead;
+};
+
+/// How one issued access ended.
+enum class Outcome { Served, Failed, Retired };
+
+/// The one op-issue path of both drivers: issue access `a` from `self`
+/// — a read, or a lock→write→unlock transaction — inside `txn`
+/// spans on the processor's track (obs/tracer.hpp). An open-loop caller
+/// passes the request's scheduled instant `due`, and the access is then
+/// wrapped in a `serve` span from pickup to completion whose argument is
+/// the queueing delay already accrued at pickup.
 ///
-/// Crash handling: every RNG draw happens unconditionally BEFORE the
-/// liveness check, so a faulted run consumes the access stream exactly
-/// like a healthy one — crash timing can never shift which objects later
-/// rounds touch, and the fault-free path is untouched.
-sim::Task<> nodePhase(Machine& m, Runtime& rt, NodeId self, const PhaseSpec& ph,
-                      const ZipfSampler& zipf, const std::vector<VarId>& objects,
-                      std::uint64_t objectBytes, support::SplitMix64 rng,
-                      sim::Time runStart, serve::Trace* capture) {
-  const int n = static_cast<int>(objects.size());
-  // Transaction spans on this processor's track (obs/tracer.hpp). The
-  // category gate is hoisted: tracing off (or txn filtered out) costs
-  // one null test per guarded site and records nothing.
-  obs::Tracer* tr = m.net.tracer();
-  if (tr != nullptr && !tr->on(obs::kCatTxn)) tr = nullptr;
+/// An issuer that is down backs off and retries, then fails (counted in
+/// failedOps). An issuer that has left the machine (reconfig
+/// remove-node) issues nothing and counts nothing: what its remaining
+/// load means is the caller's rule (nodePhase, nodeServePhase).
+sim::Task<Outcome> issueOp(const Driver& d, NodeId self, Access a,
+                           std::optional<sim::Time> due) {
+  Machine& m = d.m;
+  if (!m.net.nodeMember(self)) [[unlikely]] co_return Outcome::Retired;
+  for (int r = 0; r < kMaxOpRetries && !m.net.nodeUp(self); ++r) {
+    ++m.stats.ops.retriedOps;
+    co_await m.engine.delay(kRetryBackoffUs);
+  }
+  if (!m.net.nodeUp(self)) [[unlikely]] {
+    ++m.stats.ops.failedOps;
+    co_return Outcome::Failed;
+  }
+  if (d.capture != nullptr) [[unlikely]]
+    d.capture->requests.push_back({m.engine.now() - d.runStart, self, a.isRead, a.idx});
+  // Null when the run is untraced; a filtered-out category costs one
+  // mask test per record call.
+  obs::Tracer* const tr = m.net.tracer();
+  if (tr && due)
+    tr->begin(obs::kCatServe, self, "serve",
+              static_cast<std::int64_t>(m.engine.now() - *due));
+  const VarId x = d.objects[static_cast<std::size_t>(a.idx)];
+  if (a.isRead) {
+    if (tr) tr->begin(obs::kCatTxn, self, "read", a.idx);
+    (void)co_await d.rt.read(self, x);
+    if (tr) tr->end(obs::kCatTxn, self);
+  } else {
+    // Writers serialize through the object's lock: concurrent
+    // unsynchronized writes to one variable are outside the coherence
+    // contract, and lock traffic is part of what a contended
+    // write-heavy workload measures. The outer span is the whole
+    // transaction issue→commit; lock / write / unlock nest inside it.
+    if (tr) tr->begin(obs::kCatTxn, self, "write-txn", a.idx);
+    if (tr) tr->begin(obs::kCatTxn, self, "lock");
+    co_await d.rt.lock(self, x);
+    if (tr) tr->end(obs::kCatTxn, self);
+    if (tr) tr->begin(obs::kCatTxn, self, "write");
+    co_await d.rt.write(self, x, makeRawValue(d.objectBytes));
+    if (tr) tr->end(obs::kCatTxn, self);
+    if (tr) tr->begin(obs::kCatTxn, self, "unlock");
+    co_await d.rt.unlock(self, x);
+    if (tr) tr->end(obs::kCatTxn, self);
+    if (tr) tr->end(obs::kCatTxn, self);
+  }
+  if (tr && due) tr->end(obs::kCatServe, self);
+  co_return Outcome::Served;
+}
+
+/// One generated access from the per-(phase, processor) split stream: an
+/// object by Zipf rank rotated by the phase's hot shift, then read or
+/// write. Both drivers draw BEFORE any liveness, shed or retirement
+/// decision, so a faulted, shedding or shrinking run consumes the stream
+/// exactly like a healthy one — none of them can shift which objects
+/// later accesses touch.
+Access drawAccess(const PhaseSpec& ph, const ZipfSampler& zipf, support::SplitMix64& rng) {
+  const int rank = zipf(rng);
+  const int idx = (rank + ph.hotShift) % zipf.numRanks();
+  return {idx, rng.uniform() < ph.readFraction};
+}
+
+/// One processor's closed-loop accesses for one phase: think, draw,
+/// issue, for `rounds` rounds, then the phase-end barrier.
+///
+/// Retirement rule: a processor that left the machine stops issuing. Its
+/// program ends, and its remaining rounds were never offered, so they
+/// count neither as served nor as failed. It still reports to the
+/// phase-end barrier — the aggregation tree spans the phase-START
+/// membership until the epoch commits at the boundary.
+sim::Task<> nodePhase(const Driver& d, NodeId self, const PhaseSpec& ph,
+                      const ZipfSampler& zipf, support::SplitMix64 rng) {
   for (int round = 0; round < ph.rounds; ++round) {
     if (ph.thinkMeanUs > 0.0)
-      co_await m.net.compute(self, rng.uniform(0.0, 2.0 * ph.thinkMeanUs));
-    const int rank = zipf(rng);
-    const int idx = (rank + ph.hotShift) % n;
-    const VarId x = objects[static_cast<std::size_t>(idx)];
-    const bool isRead = rng.uniform() < ph.readFraction;
-    // A processor that left the machine (reconfig remove-node) stops
-    // issuing: its program ends, but it still reports to the phase-end
-    // barrier — the aggregation tree spans the phase-START membership
-    // until the epoch commits at the boundary. Placed after the draws so
-    // retirement timing can never shift the access stream.
-    if (!m.net.nodeMember(self)) [[unlikely]] break;
-    if (!m.net.nodeUp(self)) [[unlikely]] {
-      bool recovered = false;
-      for (int r = 0; r < kMaxOpRetries; ++r) {
-        ++m.stats.ops.retriedOps;
-        co_await m.engine.delay(kRetryBackoffUs);
-        if (m.net.nodeUp(self)) {
-          recovered = true;
-          break;
-        }
-      }
-      if (!recovered) {
-        ++m.stats.ops.failedOps;
-        continue;
-      }
-    }
-    if (capture != nullptr) [[unlikely]]
-      capture->requests.push_back(
-          {m.engine.now() - runStart, self, isRead, idx});
-    if (isRead) {
-      if (tr) tr->begin(obs::kCatTxn, self, "read", idx);
-      (void)co_await rt.read(self, x);
-      if (tr) tr->end(obs::kCatTxn, self);
-    } else {
-      // Writers serialize through the object's lock: concurrent
-      // unsynchronized writes to one variable are outside the coherence
-      // contract, and lock traffic is part of what a contended
-      // write-heavy workload measures. The outer span is the whole
-      // transaction issue→commit; lock / write / unlock nest inside it.
-      if (tr) tr->begin(obs::kCatTxn, self, "write-txn", idx);
-      if (tr) tr->begin(obs::kCatTxn, self, "lock");
-      co_await rt.lock(self, x);
-      if (tr) tr->end(obs::kCatTxn, self);
-      if (tr) tr->begin(obs::kCatTxn, self, "write");
-      co_await rt.write(self, x, makeRawValue(objectBytes));
-      if (tr) tr->end(obs::kCatTxn, self);
-      if (tr) tr->begin(obs::kCatTxn, self, "unlock");
-      co_await rt.unlock(self, x);
-      if (tr) tr->end(obs::kCatTxn, self);
-      if (tr) tr->end(obs::kCatTxn, self);
-    }
+      co_await d.m.net.compute(self, rng.uniform(0.0, 2.0 * ph.thinkMeanUs));
+    const Access a = drawAccess(ph, zipf, rng);
+    if (co_await issueOp(d, self, a, std::nullopt) == Outcome::Retired) break;
   }
-  if (ph.barrier) co_await rt.barrier(self);
+  if (ph.barrier) co_await d.rt.barrier(self);
 }
 
 // ---------------------------------------------------------------------------
@@ -458,38 +493,29 @@ struct ServeState {
 
 /// One processor's open-loop serving of one phase: wait for each
 /// scheduled arrival (or pick it up immediately if already due), shed it
-/// if the backlog bound says so, then perform the access exactly like the
-/// closed-loop driver. RNG draws happen unconditionally before any
-/// shed/liveness decision, so drops can never shift which objects later
-/// requests touch — the same stream-stability rule nodePhase follows.
-sim::Task<> nodeServePhase(Machine& m, Runtime& rt, NodeId self, const PhaseSpec& ph,
-                           const ZipfSampler& zipf, const std::vector<VarId>& objects,
-                           std::uint64_t objectBytes, support::SplitMix64 rng,
+/// if the backlog bound says so, then issue it through the same issueOp
+/// as the closed loop and record its latency from the scheduled instant.
+///
+/// Retirement rule: a processor that left the machine mid-phase serves
+/// nothing more, but its scheduled arrivals were offered all the same,
+/// so each one is lost — a failure for availability accounting and a
+/// drop for serving accounting, like an outage that never heals.
+sim::Task<> nodeServePhase(const Driver& d, NodeId self, const PhaseSpec& ph,
+                           const ZipfSampler& zipf, support::SplitMix64 rng,
                            const NodeServePlan& plan, sim::Time phaseStart,
-                           ServeState& st, sim::Time runStart, serve::Trace* capture) {
-  const int n = static_cast<int>(objects.size());
+                           ServeState& st) {
+  Machine& m = d.m;
   const int count = static_cast<int>(plan.timesUs.size());
-  // Serve spans on this processor's track: pickup→completion, with the
-  // queueing delay already accrued at pickup as the span argument; shed
-  // and outage losses are drop instants.
-  obs::Tracer* tr = m.net.tracer();
-  if (tr != nullptr && !tr->on(obs::kCatServe)) tr = nullptr;
+  // Shed and lost requests are drop instants on this processor's track.
+  obs::Tracer* const tr = m.net.tracer();
   // Trace plans carry their content in the parallel arrays; generated
   // plans draw it from the access stream.
   const bool fromTrace = !plan.object.empty();
   for (int k = 0; k < count; ++k) {
-    int idx;
-    bool isRead;
-    if (fromTrace) {
-      idx = plan.object[static_cast<std::size_t>(k)];
-      isRead = plan.isRead[static_cast<std::size_t>(k)] != 0;
-    } else {
-      const int rank = zipf(rng);
-      idx = (rank + ph.hotShift) % n;
-      isRead = rng.uniform() < ph.readFraction;
-    }
-    const VarId x = objects[static_cast<std::size_t>(idx)];
-    const sim::Time due = phaseStart + plan.timesUs[static_cast<std::size_t>(k)];
+    const auto ki = static_cast<std::size_t>(k);
+    const Access a = fromTrace ? Access{plan.object[ki], plan.isRead[ki] != 0}
+                               : drawAccess(ph, zipf, rng);
+    const sim::Time due = phaseStart + plan.timesUs[ki];
     if (due > m.engine.now()) co_await m.engine.delayUntil(due);
     if (ph.queueLimit > 0) {
       // Shed the oldest when the backlog bound is exceeded: more than
@@ -501,63 +527,28 @@ sim::Task<> nodeServePhase(Machine& m, Runtime& rt, NodeId self, const PhaseSpec
       if (static_cast<int>(firstNotDue - begin) > ph.queueLimit) {
         ++st.dropped;
         --st.inFlight;
-        if (tr) tr->instant(obs::kCatServe, self, "drop-shed", idx);
+        if (tr) tr->instant(obs::kCatServe, self, "drop-shed", a.idx);
         continue;
       }
     }
-    if (!m.net.nodeMember(self)) [[unlikely]] {
-      // The processor has left the machine mid-phase (reconfig
-      // remove-node): the rest of its offered load is lost — a failure
-      // for availability accounting and a drop for serving accounting,
-      // like an outage that never heals.
-      ++m.stats.ops.failedOps;
-      ++st.dropped;
-      --st.inFlight;
-      if (tr) tr->instant(obs::kCatServe, self, "drop-retired", idx);
+    const Outcome o = co_await issueOp(d, self, a, due);
+    --st.inFlight;
+    if (o == Outcome::Served) {
+      const double latencyUs = m.engine.now() - due;
+      st.hist.record(latencyUs);
+      ++st.served;
+      if (ph.deadlineUs > 0.0 && latencyUs > ph.deadlineUs) ++st.late;
       continue;
     }
-    if (!m.net.nodeUp(self)) [[unlikely]] {
-      bool recovered = false;
-      for (int r = 0; r < kMaxOpRetries; ++r) {
-        ++m.stats.ops.retriedOps;
-        co_await m.engine.delay(kRetryBackoffUs);
-        if (m.net.nodeUp(self)) {
-          recovered = true;
-          break;
-        }
-      }
-      if (!recovered) {
-        // Lost to the outage: a failure for availability accounting AND
-        // a drop for serving accounting (the request was offered and
-        // never served).
-        ++m.stats.ops.failedOps;
-        ++st.dropped;
-        --st.inFlight;
-        if (tr) tr->instant(obs::kCatServe, self, "drop-outage", idx);
-        continue;
-      }
-    }
-    if (capture != nullptr) [[unlikely]]
-      capture->requests.push_back(
-          {m.engine.now() - runStart, self, isRead, idx});
+    // Offered and never served. issueOp already counted an outage as
+    // failed; a retirement fails here (see the rule above).
+    if (o == Outcome::Retired) ++m.stats.ops.failedOps;
+    ++st.dropped;
     if (tr)
-      tr->begin(obs::kCatServe, self, "serve",
-                static_cast<std::int64_t>(m.engine.now() - due));
-    if (isRead) {
-      (void)co_await rt.read(self, x);
-    } else {
-      co_await rt.lock(self, x);
-      co_await rt.write(self, x, makeRawValue(objectBytes));
-      co_await rt.unlock(self, x);
-    }
-    if (tr) tr->end(obs::kCatServe, self);
-    const double latencyUs = m.engine.now() - due;
-    st.hist.record(latencyUs);
-    ++st.served;
-    if (ph.deadlineUs > 0.0 && latencyUs > ph.deadlineUs) ++st.late;
-    --st.inFlight;
+      tr->instant(obs::kCatServe, self,
+                  o == Outcome::Retired ? "drop-retired" : "drop-outage", a.idx);
   }
-  if (ph.barrier) co_await rt.barrier(self);
+  if (ph.barrier) co_await d.rt.barrier(self);
 }
 
 /// Build the per-node offered-load plans for every open-loop phase of
@@ -655,6 +646,113 @@ void fillServeMetrics(ServeMetrics& sv, const ServeState& st, double offeredPerS
   sv.maxInFlight = st.maxInFlight;
 }
 
+/// Run phase `p` to quiescence and measure it: schedule its faults, start
+/// its drivers (open or closed loop), drain the engine, commit any
+/// reconfiguration epoch it delivered, and fold its serving measurements
+/// into the run totals `total`.
+WorkloadReport::Phase runPhase(const Driver& d, const WorkloadSpec& spec, int p,
+                               const PhaseServePlan& servePlan, obs::Tracer* tracer,
+                               obs::Sampler* sampler, ServeState& total) {
+  Machine& m = d.m;
+  const PhaseSpec& ph = spec.phases[static_cast<std::size_t>(p)];
+  if (p > 0) m.stats.setPhase(p, m.engine.now());
+  const Stats::Counters opsBefore = m.stats.ops;
+  const std::uint64_t sentBefore = m.net.messagesSent();
+
+  // Phase span on the machine track; phases never overlap, so plain
+  // sync begin/end nest trivially.
+  if (tracer != nullptr)
+    tracer->beginDyn(obs::kCatPhase, obs::Tracer::kMachineTrack, "phase:" + ph.name);
+
+  // Fault offsets are relative to the phase start; an empty plan
+  // schedules nothing, so fault-free runs are bit-identical.
+  net::scheduleFaultPlan(m.engine, m.net, ph.faults, m.engine.now());
+
+  ServeState st;
+  const ZipfSampler zipf(spec.numObjects, ph.zipfS);
+  if (servePlan.active) {
+    // Arrival markers: one zero-cost event per request at its scheduled
+    // instant, queued before the serving coroutines so that at equal
+    // timestamps (FIFO among equals) an arrival is counted before it
+    // can be picked up — `inFlight` is the machine-wide backlog.
+    const sim::Time phaseStart = m.engine.now();
+    const int pprocs = static_cast<int>(servePlan.nodes.size());
+    for (NodeId node = 0; node < pprocs; ++node) {
+      if (!m.net.nodeMember(node)) continue;
+      for (const double t : servePlan.nodes[static_cast<std::size_t>(node)].timesUs) {
+        m.engine.scheduleAt(phaseStart + t, [&st, tracer, node] {
+          ++st.arrived;
+          if (++st.inFlight > st.maxInFlight) st.maxInFlight = st.inFlight;
+          if (tracer != nullptr) tracer->instant(obs::kCatServe, node, "arrive");
+        });
+      }
+    }
+    for (NodeId node = 0; node < pprocs; ++node) {
+      if (!m.net.nodeMember(node)) continue;
+      sim::spawn(nodeServePhase(d, node, ph, zipf, accessStream(spec.seed, p, node),
+                                servePlan.nodes[static_cast<std::size_t>(node)],
+                                phaseStart, st));
+    }
+  } else {
+    // Member processors at the phase start drive this phase; nodes a
+    // reconfig added mid-phase join at the next boundary.
+    for (NodeId node = 0; node < m.net.numNodes(); ++node) {
+      if (!m.net.nodeMember(node)) continue;
+      sim::spawn(nodePhase(d, node, ph, zipf, accessStream(spec.seed, p, node)));
+    }
+  }
+  // Open-loop phases expose the live backlog to the sampler; the gauges
+  // borrow `st`, so they are truncated again before it dies.
+  std::size_t samplerMark = 0;
+  if (sampler != nullptr) {
+    samplerMark = sampler->registry().mark();
+    if (servePlan.active) {
+      sampler->registry().gauge("serve/in_flight",
+                                [&st] { return static_cast<double>(st.inFlight); });
+      sampler->registry().gauge("serve/arrived",
+                                [&st] { return static_cast<double>(st.arrived); });
+      sampler->registry().gauge("serve/served",
+                                [&st] { return static_cast<double>(st.served); });
+      sampler->registry().gauge("serve/dropped",
+                                [&st] { return static_cast<double>(st.dropped); });
+    }
+    sampler->phaseBegin(p);
+  }
+  // Drain to quiescence: the engine acts as the zero-cost outer clock,
+  // so phase boundaries in the stats are exact instants (the in-model
+  // barrier above is still part of the measured protocol traffic).
+  m.run();
+  if (sampler != nullptr) {
+    sampler->phaseEnd();
+    sampler->registry().truncate(samplerMark);
+  }
+  // Commit any structural epoch this phase delivered: sever retiring
+  // links and rebuild the lock/barrier trees over the new shape. A
+  // no-op on fixed-shape runs.
+  d.rt.completeReconfig();
+  if (tracer != nullptr) tracer->end(obs::kCatPhase, obs::Tracer::kMachineTrack);
+
+  WorkloadReport::Phase pr;
+  static_cast<Stats::Counters&>(pr) = m.stats.ops - opsBefore;
+  pr.name = ph.name;
+  pr.wallUs = m.stats.wallUs(p);
+  pr.injected = m.net.messagesSent() - sentBefore;
+  pr.linkMessages = m.stats.links.totalMessages(p);
+  pr.linkBytes = m.stats.links.totalBytes(p);
+  pr.congestionMessages = m.stats.links.congestionMessages(p);
+  pr.congestionBytes = m.stats.links.congestionBytes(p);
+  if (servePlan.active) {
+    fillServeMetrics(pr.serve, st, servePlan.offeredPerSec, pr.wallUs);
+    total.hist.merge(st.hist);
+    total.arrived += st.arrived;
+    total.served += st.served;
+    total.dropped += st.dropped;
+    total.late += st.late;
+    total.maxInFlight = std::max(total.maxInFlight, st.maxInFlight);
+  }
+  return pr;
+}
+
 }  // namespace
 
 WorkloadSpec openLoopAt(const WorkloadSpec& spec, double ratePerSec) {
@@ -749,139 +847,26 @@ WorkloadReport run(Machine& m, Runtime& rt, const WorkloadSpec& spec,
   const std::uint64_t parkedBefore = m.net.parkedFlights();
   const int epochsBefore = m.net.reconfigEpoch();
 
-  // Run-total open-loop accumulators (merged across open-loop phases).
-  serve::LatencyHistogram totalHist;
-  ServeState totalState;
-  double openWallUs = 0.0;
-  double offeredDotWall = 0.0;
-
+  const Driver d{m, rt, objects, spec.objectBytes, startTime, capture};
+  ServeState serveTotal;  // merged across open-loop phases
   for (int p = 0; p < numPhases; ++p) {
-    const PhaseSpec& ph = spec.phases[static_cast<std::size_t>(p)];
-    if (p > 0) m.stats.setPhase(p, m.engine.now());
-    const Stats::Counters opsBefore = m.stats.ops;
-    const std::uint64_t phaseSentBefore = m.net.messagesSent();
-
-    // Phase span on the machine track; phases never overlap, so plain
-    // sync begin/end nest trivially.
-    obs::Tracer* ptr = tracer;
-    if (ptr != nullptr && !ptr->on(obs::kCatPhase)) ptr = nullptr;
-    if (ptr != nullptr)
-      ptr->beginDyn(obs::kCatPhase, obs::Tracer::kMachineTrack, "phase:" + ph.name);
-
-    // Fault offsets are relative to the phase start; an empty plan
-    // schedules nothing, so fault-free runs are bit-identical.
-    net::scheduleFaultPlan(m.engine, m.net, ph.faults, m.engine.now());
-
-    const PhaseServePlan& servePlan = servePlans[static_cast<std::size_t>(p)];
-    ServeState serveState;
-    const ZipfSampler zipf(spec.numObjects, ph.zipfS);
-    if (servePlan.active) {
-      // Arrival markers: one zero-cost event per request at its scheduled
-      // instant, queued before the serving coroutines so that at equal
-      // timestamps (FIFO among equals) an arrival is counted before it
-      // can be picked up — `inFlight` is the machine-wide backlog.
-      const sim::Time phaseStart = m.engine.now();
-      const int pprocs = static_cast<int>(servePlan.nodes.size());
-      obs::Tracer* atr = tracer;
-      if (atr != nullptr && !atr->on(obs::kCatServe)) atr = nullptr;
-      for (NodeId node = 0; node < pprocs; ++node) {
-        if (!m.net.nodeMember(node)) continue;
-        for (const double t : servePlan.nodes[static_cast<std::size_t>(node)].timesUs) {
-          m.engine.scheduleAt(phaseStart + t, [&serveState, atr, node] {
-            ++serveState.arrived;
-            if (++serveState.inFlight > serveState.maxInFlight)
-              serveState.maxInFlight = serveState.inFlight;
-            if (atr != nullptr) atr->instant(obs::kCatServe, node, "arrive");
-          });
-        }
-      }
-      for (NodeId node = 0; node < pprocs; ++node) {
-        if (!m.net.nodeMember(node)) continue;
-        sim::spawn(nodeServePhase(m, rt, node, ph, zipf, objects, spec.objectBytes,
-                                  accessStream(spec.seed, p, node),
-                                  servePlan.nodes[static_cast<std::size_t>(node)],
-                                  phaseStart, serveState, startTime, capture));
-      }
-    } else {
-      // Member processors at the phase start drive this phase; nodes a
-      // reconfig added mid-phase join at the next boundary.
-      for (NodeId node = 0; node < m.net.numNodes(); ++node) {
-        if (!m.net.nodeMember(node)) continue;
-        sim::spawn(nodePhase(m, rt, node, ph, zipf, objects, spec.objectBytes,
-                             accessStream(spec.seed, p, node), startTime, capture));
-      }
-    }
-    // Open-loop phases expose the live backlog to the sampler; the gauges
-    // borrow `serveState`, so they are truncated again before it dies.
-    std::size_t samplerMark = 0;
-    if (sampler != nullptr) {
-      samplerMark = sampler->registry().mark();
-      if (servePlan.active) {
-        sampler->registry().gauge("serve/in_flight", [&serveState] {
-          return static_cast<double>(serveState.inFlight);
-        });
-        sampler->registry().gauge("serve/arrived", [&serveState] {
-          return static_cast<double>(serveState.arrived);
-        });
-        sampler->registry().gauge("serve/served", [&serveState] {
-          return static_cast<double>(serveState.served);
-        });
-        sampler->registry().gauge("serve/dropped", [&serveState] {
-          return static_cast<double>(serveState.dropped);
-        });
-      }
-      sampler->phaseBegin(p);
-    }
-    // Drain to quiescence: the engine acts as the zero-cost outer clock,
-    // so phase boundaries in the stats are exact instants (the in-model
-    // barrier above is still part of the measured protocol traffic).
-    m.run();
-    if (sampler != nullptr) {
-      sampler->phaseEnd();
-      sampler->registry().truncate(samplerMark);
-    }
-    // Commit any structural epoch this phase delivered: sever retiring
-    // links and rebuild the lock/barrier trees over the new shape. A
-    // no-op on fixed-shape runs.
-    rt.completeReconfig();
-    if (ptr != nullptr) ptr->end(obs::kCatPhase, obs::Tracer::kMachineTrack);
-
-    WorkloadReport::Phase pr;
-    pr.name = ph.name;
-    pr.wallUs = m.stats.wallUs(p);
-    pr.injected = m.net.messagesSent() - phaseSentBefore;
-    pr.linkMessages = m.stats.links.totalMessages(p);
-    pr.linkBytes = m.stats.links.totalBytes(p);
-    pr.congestionMessages = m.stats.links.congestionMessages(p);
-    pr.congestionBytes = m.stats.links.congestionBytes(p);
-    pr.reads = m.stats.ops.reads - opsBefore.reads;
-    pr.readHits = m.stats.ops.readHits - opsBefore.readHits;
-    pr.writes = m.stats.ops.writes - opsBefore.writes;
-    pr.invalidations = m.stats.ops.invalidations - opsBefore.invalidations;
-    pr.locks = m.stats.ops.locks - opsBefore.locks;
-    pr.failedOps = m.stats.ops.failedOps - opsBefore.failedOps;
-    pr.retriedOps = m.stats.ops.retriedOps - opsBefore.retriedOps;
-    pr.recoveryMessages = m.stats.ops.recoveryMessages - opsBefore.recoveryMessages;
-    pr.recoveryBytes = m.stats.ops.recoveryBytes - opsBefore.recoveryBytes;
-    if (servePlan.active) {
-      fillServeMetrics(pr.serve, serveState, servePlan.offeredPerSec, pr.wallUs);
-      totalHist.merge(serveState.hist);
-      totalState.arrived += serveState.arrived;
-      totalState.served += serveState.served;
-      totalState.dropped += serveState.dropped;
-      totalState.late += serveState.late;
-      totalState.maxInFlight = std::max(totalState.maxInFlight, serveState.maxInFlight);
-      openWallUs += pr.wallUs;
-      offeredDotWall += servePlan.offeredPerSec * pr.wallUs;
-    }
-    report.phases.push_back(std::move(pr));
+    report.phases.push_back(runPhase(d, spec, p, servePlans[static_cast<std::size_t>(p)],
+                                     tracer, sampler, serveTotal));
   }
 
   report.completionUs = m.engine.now() - startTime;
   report.injected = m.net.messagesSent() - sentBefore;
+  // Open-loop totals: offered rate time-weighted over the open-loop phases.
+  bool anyOpen = false;
+  double openWallUs = 0.0;
+  double offeredDotWall = 0.0;
   for (const WorkloadReport::Phase& pr : report.phases) {
     report.linkMessages += pr.linkMessages;
     report.linkBytes += pr.linkBytes;
+    if (!pr.serve.active) continue;
+    anyOpen = true;
+    openWallUs += pr.wallUs;
+    offeredDotWall += pr.serve.offeredPerSec * pr.wallUs;
   }
   // Overall congestion: max over links of the link's traffic summed over
   // this run's phases (not the sum of per-phase maxima — different links
@@ -889,31 +874,21 @@ WorkloadReport run(Machine& m, Runtime& rt, const WorkloadSpec& spec,
   report.congestionMessages = m.stats.links.congestionMessages();
   report.congestionBytes = m.stats.links.congestionBytes();
 
+  // The counters were reset at the run start, so they are the run's own.
+  static_cast<Stats::Counters&>(report) = m.stats.ops;
   report.faulted = faulted;
-  report.servedOps = m.stats.ops.reads + m.stats.ops.writes;
-  report.failedOps = m.stats.ops.failedOps;
-  report.retriedOps = m.stats.ops.retriedOps;
+  report.servedOps = report.reads + report.writes;
   const std::uint64_t attempted = report.servedOps + report.failedOps;
   report.availability =
       attempted ? static_cast<double>(report.servedOps) / static_cast<double>(attempted)
                 : 1.0;
-  report.recoveryMessages = m.stats.ops.recoveryMessages;
-  report.recoveryBytes = m.stats.ops.recoveryBytes;
-  report.repairedVars = m.stats.ops.repairedVars;
   report.reroutedFlights = m.net.reroutedFlights() - reroutedBefore;
   report.parkedFlights = m.net.parkedFlights() - parkedBefore;
   report.reconfigured = tl.reconfigured;
   report.reconfigEpochs =
       static_cast<std::uint64_t>(m.net.reconfigEpoch() - epochsBefore);
-  report.migratedVars = m.stats.ops.migratedVars;
-  report.migrationMessages = m.stats.ops.migrationMessages;
-  report.migrationBytes = m.stats.ops.migrationBytes;
-  report.forwardedOps = m.stats.ops.forwardedOps;
-
-  if (std::any_of(servePlans.begin(), servePlans.end(),
-                  [](const PhaseServePlan& pl) { return pl.active; })) {
-    totalState.hist = totalHist;
-    fillServeMetrics(report.serve, totalState,
+  if (anyOpen) {
+    fillServeMetrics(report.serve, serveTotal,
                      openWallUs > 0.0 ? offeredDotWall / openWallUs : 0.0, openWallUs);
   }
 
@@ -962,61 +937,50 @@ WorkloadReport runOn(const net::TopologySpec& topo, const RuntimeConfig& config,
 
 namespace {
 
-// Column descriptors shared by formatReport (text layout) and
-// registerReport (JSON keys): one source of truth, so adding a column
-// changes both renderings together. `runCell` is null for columns the
-// total row leaves blank.
+// Column table shared by formatReport (text cells and total row) and
+// registerReport (JSON keys): one row per column, naming a Tally field
+// and its formatter, so adding a column changes every rendering together.
+// The wall-time column has no field: a phase row shows its wall time, the
+// total row the run's completion time.
+enum class Fmt { Ms, Count, KB };
+
 struct PhaseCol {
-  const char* header;  ///< text-table column header
-  const char* key;     ///< registry key under phase/<i>/
-  double (*num)(const WorkloadReport::Phase& p);      ///< registry value
-  std::string (*cell)(const WorkloadReport::Phase& p);  ///< table cell
-  std::string (*runCell)(const WorkloadReport& r);    ///< total-row cell
+  const char* header;            ///< text-table column header
+  const char* key;               ///< registry key under phase/<i>/
+  std::uint64_t Tally::*field;   ///< null for the wall-time column
+  Fmt fmt;
+  bool inTotal;                  ///< the total row shows the run's value
 };
 
 const PhaseCol kPhaseCols[] = {
-    {"wall ms", "wall_us", [](const WorkloadReport::Phase& p) { return p.wallUs; },
-     [](const WorkloadReport::Phase& p) { return support::fmt(p.wallUs / 1e3, 2); },
-     [](const WorkloadReport& r) { return support::fmt(r.completionUs / 1e3, 2); }},
-    {"injected", "injected",
-     [](const WorkloadReport::Phase& p) { return static_cast<double>(p.injected); },
-     [](const WorkloadReport::Phase& p) { return std::to_string(p.injected); },
-     [](const WorkloadReport& r) { return std::to_string(r.injected); }},
-    {"link msgs", "link_messages",
-     [](const WorkloadReport::Phase& p) { return static_cast<double>(p.linkMessages); },
-     [](const WorkloadReport::Phase& p) { return std::to_string(p.linkMessages); },
-     [](const WorkloadReport& r) { return std::to_string(r.linkMessages); }},
-    {"link KB", "link_bytes",
-     [](const WorkloadReport::Phase& p) { return static_cast<double>(p.linkBytes); },
-     [](const WorkloadReport::Phase& p) { return kb(p.linkBytes); },
-     [](const WorkloadReport& r) { return kb(r.linkBytes); }},
-    {"cong msgs", "congestion_messages",
-     [](const WorkloadReport::Phase& p) {
-       return static_cast<double>(p.congestionMessages);
-     },
-     [](const WorkloadReport::Phase& p) { return std::to_string(p.congestionMessages); },
-     [](const WorkloadReport& r) { return std::to_string(r.congestionMessages); }},
-    {"cong KB", "congestion_bytes",
-     [](const WorkloadReport::Phase& p) { return static_cast<double>(p.congestionBytes); },
-     [](const WorkloadReport::Phase& p) { return kb(p.congestionBytes); },
-     [](const WorkloadReport& r) { return kb(r.congestionBytes); }},
-    {"reads", "reads",
-     [](const WorkloadReport::Phase& p) { return static_cast<double>(p.reads); },
-     [](const WorkloadReport::Phase& p) { return std::to_string(p.reads); }, nullptr},
-    {"hits", "read_hits",
-     [](const WorkloadReport::Phase& p) { return static_cast<double>(p.readHits); },
-     [](const WorkloadReport::Phase& p) { return std::to_string(p.readHits); }, nullptr},
-    {"writes", "writes",
-     [](const WorkloadReport::Phase& p) { return static_cast<double>(p.writes); },
-     [](const WorkloadReport::Phase& p) { return std::to_string(p.writes); }, nullptr},
-    {"invals", "invalidations",
-     [](const WorkloadReport::Phase& p) { return static_cast<double>(p.invalidations); },
-     [](const WorkloadReport::Phase& p) { return std::to_string(p.invalidations); },
-     nullptr},
-    {"locks", "locks",
-     [](const WorkloadReport::Phase& p) { return static_cast<double>(p.locks); },
-     [](const WorkloadReport::Phase& p) { return std::to_string(p.locks); }, nullptr},
+    {"wall ms", "wall_us", nullptr, Fmt::Ms, true},
+    {"injected", "injected", &Tally::injected, Fmt::Count, true},
+    {"link msgs", "link_messages", &Tally::linkMessages, Fmt::Count, true},
+    {"link KB", "link_bytes", &Tally::linkBytes, Fmt::KB, true},
+    {"cong msgs", "congestion_messages", &Tally::congestionMessages, Fmt::Count, true},
+    {"cong KB", "congestion_bytes", &Tally::congestionBytes, Fmt::KB, true},
+    {"reads", "reads", &Tally::reads, Fmt::Count, false},
+    {"hits", "read_hits", &Tally::readHits, Fmt::Count, false},
+    {"writes", "writes", &Tally::writes, Fmt::Count, false},
+    {"invals", "invalidations", &Tally::invalidations, Fmt::Count, false},
+    {"locks", "locks", &Tally::locks, Fmt::Count, false},
 };
+
+double colValue(const PhaseCol& c, const Tally& t, double wallUs) {
+  return c.field != nullptr ? static_cast<double>(t.*c.field) : wallUs;
+}
+
+std::string colCell(const PhaseCol& c, const Tally& t, double wallUs) {
+  switch (c.fmt) {
+    case Fmt::Ms:
+      return support::fmt(wallUs / 1e3, 2);
+    case Fmt::KB:
+      return kb(t.*c.field);
+    case Fmt::Count:
+      break;
+  }
+  return std::to_string(t.*c.field);
+}
 
 struct ServeCol {
   const char* header;  ///< text-table column header
@@ -1064,12 +1028,12 @@ std::string formatReport(const WorkloadReport& r) {
   support::Table t(headers);
   for (const WorkloadReport::Phase& p : r.phases) {
     std::vector<std::string> row{p.name};
-    for (const PhaseCol& c : kPhaseCols) row.push_back(c.cell(p));
+    for (const PhaseCol& c : kPhaseCols) row.push_back(colCell(c, p, p.wallUs));
     t.addRow(row);
   }
   std::vector<std::string> total{"total"};
   for (const PhaseCol& c : kPhaseCols)
-    total.push_back(c.runCell != nullptr ? c.runCell(r) : std::string());
+    total.push_back(c.inTotal ? colCell(c, r, r.completionUs) : std::string());
   t.addRow(total);
   t.print(out);
   // SLO table only when some phase ran open loop — closed-loop reports
@@ -1118,77 +1082,44 @@ std::string formatComparison(const WorkloadReport& a, const WorkloadReport& b) {
   out << "strategy A/B on " << a.topology << " · workload '" << a.workload << "'\n";
   support::Table t({"metric", a.strategy, b.strategy,
                     "ratio (" + a.strategy + " / " + b.strategy + ")"});
-  t.addRow({"completion ms", support::fmt(a.completionUs / 1e3, 2),
-            support::fmt(b.completionUs / 1e3, 2),
-            ratio(a.completionUs, b.completionUs)});
-  t.addRow({"injected messages", std::to_string(a.injected), std::to_string(b.injected),
-            ratio(static_cast<double>(a.injected), static_cast<double>(b.injected))});
-  t.addRow({"link crossings", std::to_string(a.linkMessages),
-            std::to_string(b.linkMessages),
-            ratio(static_cast<double>(a.linkMessages),
-                  static_cast<double>(b.linkMessages))});
-  t.addRow({"link traffic KB", kb(a.linkBytes), kb(b.linkBytes),
-            ratio(static_cast<double>(a.linkBytes), static_cast<double>(b.linkBytes))});
-  t.addRow({"max-link congestion msgs", std::to_string(a.congestionMessages),
-            std::to_string(b.congestionMessages),
-            ratio(static_cast<double>(a.congestionMessages),
-                  static_cast<double>(b.congestionMessages))});
-  t.addRow({"max-link congestion KB", kb(a.congestionBytes), kb(b.congestionBytes),
-            ratio(static_cast<double>(a.congestionBytes),
-                  static_cast<double>(b.congestionBytes))});
+  // Cells show `scale`d values at `digits`; the ratio uses the raw ones.
+  const auto real = [&](const char* label, double x, double y, double scale, int digits) {
+    t.addRow({label, support::fmt(x / scale, digits), support::fmt(y / scale, digits),
+              ratio(x, y)});
+  };
+  const auto count = [&](const char* label, std::uint64_t x, std::uint64_t y) {
+    t.addRow({label, std::to_string(x), std::to_string(y),
+              ratio(static_cast<double>(x), static_cast<double>(y))});
+  };
+  const auto bytes = [&](const char* label, std::uint64_t x, std::uint64_t y) {
+    t.addRow({label, kb(x), kb(y), ratio(static_cast<double>(x), static_cast<double>(y))});
+  };
+  real("completion ms", a.completionUs, b.completionUs, 1e3, 2);
+  count("injected messages", a.injected, b.injected);
+  count("link crossings", a.linkMessages, b.linkMessages);
+  bytes("link traffic KB", a.linkBytes, b.linkBytes);
+  count("max-link congestion msgs", a.congestionMessages, b.congestionMessages);
+  bytes("max-link congestion KB", a.congestionBytes, b.congestionBytes);
   if (a.serve.active || b.serve.active) {
-    t.addRow({"achieved req/s", support::fmt(a.serve.achievedPerSec, 0),
-              support::fmt(b.serve.achievedPerSec, 0),
-              ratio(a.serve.achievedPerSec, b.serve.achievedPerSec)});
-    t.addRow({"p50 latency µs", support::fmt(a.serve.p50Us, 2),
-              support::fmt(b.serve.p50Us, 2), ratio(a.serve.p50Us, b.serve.p50Us)});
-    t.addRow({"p99 latency µs", support::fmt(a.serve.p99Us, 2),
-              support::fmt(b.serve.p99Us, 2), ratio(a.serve.p99Us, b.serve.p99Us)});
-    t.addRow({"p999 latency µs", support::fmt(a.serve.p999Us, 2),
-              support::fmt(b.serve.p999Us, 2), ratio(a.serve.p999Us, b.serve.p999Us)});
-    t.addRow({"dropped requests", std::to_string(a.serve.dropped),
-              std::to_string(b.serve.dropped),
-              ratio(static_cast<double>(a.serve.dropped),
-                    static_cast<double>(b.serve.dropped))});
-    t.addRow({"late requests", std::to_string(a.serve.late),
-              std::to_string(b.serve.late),
-              ratio(static_cast<double>(a.serve.late),
-                    static_cast<double>(b.serve.late))});
+    real("achieved req/s", a.serve.achievedPerSec, b.serve.achievedPerSec, 1.0, 0);
+    real("p50 latency µs", a.serve.p50Us, b.serve.p50Us, 1.0, 2);
+    real("p99 latency µs", a.serve.p99Us, b.serve.p99Us, 1.0, 2);
+    real("p999 latency µs", a.serve.p999Us, b.serve.p999Us, 1.0, 2);
+    count("dropped requests", a.serve.dropped, b.serve.dropped);
+    count("late requests", a.serve.late, b.serve.late);
   }
   if (a.faulted || b.faulted || a.reconfigured || b.reconfigured) {
-    t.addRow({"availability", support::fmt(a.availability, 4),
-              support::fmt(b.availability, 4),
-              ratio(a.availability, b.availability)});
-    t.addRow({"failed ops", std::to_string(a.failedOps), std::to_string(b.failedOps),
-              ratio(static_cast<double>(a.failedOps), static_cast<double>(b.failedOps))});
-    t.addRow({"recovery messages", std::to_string(a.recoveryMessages),
-              std::to_string(b.recoveryMessages),
-              ratio(static_cast<double>(a.recoveryMessages),
-                    static_cast<double>(b.recoveryMessages))});
-    t.addRow({"recovery KB", kb(a.recoveryBytes), kb(b.recoveryBytes),
-              ratio(static_cast<double>(a.recoveryBytes),
-                    static_cast<double>(b.recoveryBytes))});
-    t.addRow({"vars repaired", std::to_string(a.repairedVars),
-              std::to_string(b.repairedVars),
-              ratio(static_cast<double>(a.repairedVars),
-                    static_cast<double>(b.repairedVars))});
+    real("availability", a.availability, b.availability, 1.0, 4);
+    count("failed ops", a.failedOps, b.failedOps);
+    count("recovery messages", a.recoveryMessages, b.recoveryMessages);
+    bytes("recovery KB", a.recoveryBytes, b.recoveryBytes);
+    count("vars repaired", a.repairedVars, b.repairedVars);
   }
   if (a.reconfigured || b.reconfigured) {
-    t.addRow({"vars migrated", std::to_string(a.migratedVars),
-              std::to_string(b.migratedVars),
-              ratio(static_cast<double>(a.migratedVars),
-                    static_cast<double>(b.migratedVars))});
-    t.addRow({"migration messages", std::to_string(a.migrationMessages),
-              std::to_string(b.migrationMessages),
-              ratio(static_cast<double>(a.migrationMessages),
-                    static_cast<double>(b.migrationMessages))});
-    t.addRow({"migration KB", kb(a.migrationBytes), kb(b.migrationBytes),
-              ratio(static_cast<double>(a.migrationBytes),
-                    static_cast<double>(b.migrationBytes))});
-    t.addRow({"forwarded ops", std::to_string(a.forwardedOps),
-              std::to_string(b.forwardedOps),
-              ratio(static_cast<double>(a.forwardedOps),
-                    static_cast<double>(b.forwardedOps))});
+    count("vars migrated", a.migratedVars, b.migratedVars);
+    count("migration messages", a.migrationMessages, b.migrationMessages);
+    bytes("migration KB", a.migrationBytes, b.migrationBytes);
+    count("forwarded ops", a.forwardedOps, b.forwardedOps);
   }
   t.print(out);
   return out.str();
@@ -1225,7 +1156,7 @@ void registerReport(obs::MetricsRegistry& reg, const WorkloadReport& r) {
     const WorkloadReport::Phase& p = r.phases[i];
     const std::string base = "phase/" + std::to_string(i) + "/";
     reg.text(base + "name", p.name);
-    for (const PhaseCol& c : kPhaseCols) reg.value(base + c.key, c.num(p));
+    for (const PhaseCol& c : kPhaseCols) reg.value(base + c.key, colValue(c, p, p.wallUs));
     reg.value(base + "failed_ops", static_cast<double>(p.failedOps));
     reg.value(base + "retried_ops", static_cast<double>(p.retriedOps));
     reg.value(base + "recovery_messages", static_cast<double>(p.recoveryMessages));

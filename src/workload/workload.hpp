@@ -45,9 +45,11 @@ struct PhaseSpec {
   /// processor stops issuing operations (retry, then fail — availability
   /// accounting) until it recovers. Structural events reshape the
   /// machine permanently: nodes added mid-phase start issuing at the
-  /// next phase boundary, retired nodes stop at their next access (their
-  /// remaining offered load is lost), and every event is validated
-  /// before the run starts against the shape it will actually meet.
+  /// next phase boundary, retired nodes stop at their next access (a
+  /// closed-loop node's remaining rounds are never offered; an open-loop
+  /// node's remaining arrivals count as failed and dropped), and every
+  /// event is validated before the run starts against the shape it will
+  /// actually meet.
   /// Phases with faults leave all RNG draws untouched, so the fault-free
   /// access stream is bit-identical.
   net::FaultPlan faults;
@@ -159,30 +161,26 @@ struct ServeMetrics {
   bool operator==(const ServeMetrics&) const = default;
 };
 
-/// Measurements of one workload run, per phase and in total. Congestion
-/// is the paper's metric: the maximum over directed links of that link's
-/// traffic. `injected` counts messages entering the network (including
-/// node-local ones); `linkMessages`/`linkBytes` count per-link crossings,
-/// so one multi-hop message contributes once per hop.
-struct WorkloadReport {
-  struct Phase {
+/// What a phase and the whole run both count: the machine's one
+/// operation-counter set (`Stats::Counters`, taken as a delta over the
+/// phase or the run) plus the traffic the network carried. `injected`
+/// counts messages entering the network (including node-local ones);
+/// `linkMessages`/`linkBytes` count per-link crossings, so one multi-hop
+/// message contributes once per hop. Congestion is the paper's metric:
+/// the maximum over directed links of that link's traffic.
+struct Tally : Stats::Counters {
+  std::uint64_t injected = 0;
+  std::uint64_t linkMessages = 0;
+  std::uint64_t linkBytes = 0;
+  std::uint64_t congestionMessages = 0;  ///< run: max over links, all phases summed
+  std::uint64_t congestionBytes = 0;
+};
+
+/// Measurements of one workload run, per phase and in total.
+struct WorkloadReport : Tally {
+  struct Phase : Tally {
     std::string name;
     double wallUs = 0;
-    std::uint64_t injected = 0;
-    std::uint64_t linkMessages = 0;
-    std::uint64_t linkBytes = 0;
-    std::uint64_t congestionMessages = 0;
-    std::uint64_t congestionBytes = 0;
-    std::uint64_t reads = 0;
-    std::uint64_t readHits = 0;
-    std::uint64_t writes = 0;
-    std::uint64_t invalidations = 0;
-    std::uint64_t locks = 0;
-    // Fault/repair accounting (phases without faults report zeros).
-    std::uint64_t failedOps = 0;
-    std::uint64_t retriedOps = 0;
-    std::uint64_t recoveryMessages = 0;
-    std::uint64_t recoveryBytes = 0;
     /// Open-loop serving measurements; `serve.active` is false (and the
     /// struct all zeros) for closed-loop phases.
     ServeMetrics serve;
@@ -194,34 +192,20 @@ struct WorkloadReport {
   int procs = 0;
   std::vector<Phase> phases;
   double completionUs = 0;
-  std::uint64_t injected = 0;
-  std::uint64_t linkMessages = 0;
-  std::uint64_t linkBytes = 0;
-  std::uint64_t congestionMessages = 0;  ///< max over links, all phases summed
-  std::uint64_t congestionBytes = 0;
   /// Availability & recovery (docs/faults.md). `faulted` is true iff the
   /// spec injected faults — reports of fault-free runs render exactly as
   /// before. availability = served / (served + failed), 1.0 when no op
   /// ever failed.
   bool faulted = false;
-  std::uint64_t servedOps = 0;
-  std::uint64_t failedOps = 0;
-  std::uint64_t retriedOps = 0;
+  std::uint64_t servedOps = 0;  ///< reads + writes
   double availability = 1.0;
-  std::uint64_t recoveryMessages = 0;
-  std::uint64_t recoveryBytes = 0;
-  std::uint64_t repairedVars = 0;
   std::uint64_t reroutedFlights = 0;
   std::uint64_t parkedFlights = 0;
   /// Structural reconfiguration (docs/faults.md "Reconfiguration").
   /// `reconfigured` is true iff the spec scripts `reconfig` events —
   /// fixed-shape reports render exactly as before.
   bool reconfigured = false;
-  std::uint64_t reconfigEpochs = 0;     ///< structural epochs delivered
-  std::uint64_t migratedVars = 0;       ///< variables re-homed across epochs
-  std::uint64_t migrationMessages = 0;  ///< handoff protocol messages
-  std::uint64_t migrationBytes = 0;     ///< payload bytes moved by migration
-  std::uint64_t forwardedOps = 0;       ///< ops forwarded during handoff windows
+  std::uint64_t reconfigEpochs = 0;  ///< structural epochs delivered
   /// Run-total open-loop metrics: per-phase latency histograms merged
   /// (element-wise bucket addition), counters summed, offered/achieved
   /// time-weighted over the open-loop phases. All zeros when every phase

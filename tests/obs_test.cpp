@@ -1,14 +1,17 @@
 // Observability subsystem (src/obs/): tracer determinism and category
 // filtering, the pure-observer contract (tracing ON leaves the golden
-// delivery-trace hash untouched), sampler interval accounting, and the
-// registry's JSON rendering that --report-json and registerReport share.
+// delivery-trace hash untouched), the serve⊃txn span taxonomy of the
+// open-loop driver, sampler interval accounting, and the registry's JSON
+// rendering that --report-json and registerReport share.
 
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cstdint>
+#include <map>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "diva/machine.hpp"
 #include "diva/runtime.hpp"
@@ -138,6 +141,69 @@ TEST(ObsTracer, TracingOnLeavesTheGoldenDeliveryHashUnchanged) {
   // observer, so the simulated model must be bit-identical.
   EXPECT_EQ(hash, 0x22c46d1f015b5bc6ull)
       << "tracing perturbed the simulated model: 0x" << std::hex << hash;
+}
+
+// --------------------------------------------------------------------------
+// Span taxonomy: both drivers issue through one path, so an open-loop
+// request's `serve` span wraps the same `txn` spans a closed-loop access
+// emits.
+// --------------------------------------------------------------------------
+
+/// Value of `key` in one Chrome trace-event line (the writer emits one
+/// event per line); "" when absent.
+std::string eventField(const std::string& line, const std::string& key) {
+  const std::string pat = "\"" + key + "\":";
+  const std::size_t at = line.find(pat);
+  if (at == std::string::npos) return "";
+  const std::size_t b = at + pat.size();
+  if (line[b] == '"') return line.substr(b + 1, line.find('"', b + 1) - b - 1);
+  return line.substr(b, line.find_first_of(",}", b) - b);
+}
+
+TEST(ObsTracer, OpenLoopTxnSpansNestInsideServeSpans) {
+  obs::Tracer tracer;
+  workload::RunOptions opts;
+  opts.tracer = &tracer;
+  (void)workload::runOn(
+      net::TopologySpec::mesh2d(8, 8), RuntimeConfig::accessTree(4),
+      workload::loadScenarioFile(std::string(DIVA_SCENARIO_DIR) + "/openloop.scenario"),
+      opts);
+  // Replay the sync spans per track, checking what each txn span opens in.
+  struct Open {
+    std::string cat;
+    int txns = 0;  ///< read / write-txn spans opened directly inside
+  };
+  std::map<std::string, std::vector<Open>> tracks;
+  int serves = 0, reads = 0, writes = 0;
+  std::istringstream in(tracer.toChromeJson());
+  for (std::string line; std::getline(in, line);) {
+    const std::string ph = eventField(line, "ph");
+    if (ph != "B" && ph != "E") continue;
+    std::vector<Open>& open = tracks[eventField(line, "tid")];
+    const std::string cat = eventField(line, "cat");
+    if (ph == "E") {
+      ASSERT_FALSE(open.empty()) << line;
+      ASSERT_EQ(open.back().cat, cat) << line;
+      if (cat == "serve") {
+        ++serves;
+        EXPECT_EQ(open.back().txns, 1) << "a serve span wraps exactly one transaction";
+      }
+      open.pop_back();
+      continue;
+    }
+    const std::string name = eventField(line, "name");
+    if (cat == "txn" && (name == "read" || name == "write-txn")) {
+      ASSERT_FALSE(open.empty()) << name << " span outside any serve span: " << line;
+      EXPECT_EQ(open.back().cat, "serve") << line;
+      ++open.back().txns;
+      ++(name == "read" ? reads : writes);
+    }
+    open.push_back({cat});
+  }
+  EXPECT_GT(serves, 0);
+  EXPECT_GT(reads, 0);
+  EXPECT_GT(writes, 0);
+  EXPECT_EQ(reads + writes, serves);
 }
 
 // --------------------------------------------------------------------------

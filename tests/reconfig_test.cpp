@@ -2,8 +2,8 @@
 // grow/rewire/shrink at the network layer, scenario `reconfig`
 // round-trips, run-time validation against the evolving shape,
 // strategy-state migration under randomized reconfiguration on several
-// topologies and routing modes, trace capture round-trips, and the
-// committed elastic scenario.
+// topologies and routing modes, the drivers' retirement rules, trace
+// capture round-trips, and the committed elastic scenario.
 
 #include <gtest/gtest.h>
 
@@ -370,6 +370,80 @@ TEST(ReconfigWorkload, ElasticScenarioRunsDeterministicallyWithFullAvailability)
   const workload::WorkloadReport r2 =
       workload::runOn(topo, RuntimeConfig::accessTree(4, 1), spec);
   EXPECT_EQ(text, workload::formatReport(r2));
+}
+
+// Retirement rules (docs/workloads.md): node 5 of a 16-node random-regular
+// machine leaves 600 µs into a 24-round phase, with rounds still to go.
+
+constexpr int kRetiringNode = 5;
+constexpr int kRetireRounds = 24;
+
+/// Runs the retiring phase closed loop (think time pacing) or open loop
+/// (Poisson arrivals) under `rc`, capturing the issued stream.
+workload::WorkloadReport runRetiring(bool openLoop, const RuntimeConfig& rc,
+                                     serve::Trace& captured) {
+  const workload::WorkloadSpec spec = workload::parseScenario(
+      std::string("scenario retire\nobjects 16\nphase p\nrounds ") +
+      std::to_string(kRetireRounds) + "\nreads 0.8\n" +
+      (openLoop ? "arrival poisson 40000\n" : "think 100\n") + "reconfig 600 remove-node " +
+      std::to_string(kRetiringNode) + "\n");
+  workload::RunOptions opts;
+  opts.captureTrace = &captured;
+  return workload::runOn(net::TopologySpec::graph(net::randomRegularGraph(16, 4, 1)), rc,
+                         spec, opts);
+}
+
+/// Issued (captured) accesses per node.
+std::vector<int> issuedPerNode(const serve::Trace& captured) {
+  std::vector<int> n(16, 0);
+  for (const serve::TraceRequest& req : captured.requests)
+    ++n[static_cast<std::size_t>(req.node)];
+  return n;
+}
+
+TEST(ReconfigWorkload, ClosedLoopRetiredNodesRemainingRoundsAreNeverOffered) {
+  for (const RuntimeConfig& rc :
+       {RuntimeConfig::accessTree(4, 1), RuntimeConfig::fixedHome()}) {
+    serve::Trace captured;
+    const workload::WorkloadReport r = runRetiring(/*openLoop=*/false, rc, captured);
+    const workload::WorkloadReport::Phase& p = r.phases[0];
+    const std::vector<int> issued = issuedPerNode(captured);
+    // The retired node issued some rounds before it left, not all of them.
+    EXPECT_GT(issued[kRetiringNode], 0) << r.strategy;
+    EXPECT_LT(issued[kRetiringNode], kRetireRounds) << r.strategy;
+    for (int node = 0; node < 16; ++node) {
+      if (node != kRetiringNode)
+        EXPECT_EQ(issued[static_cast<std::size_t>(node)], kRetireRounds) << r.strategy;
+    }
+    // Its remaining rounds count neither as served nor as failed.
+    EXPECT_EQ(p.reads + p.writes, captured.requests.size()) << r.strategy;
+    EXPECT_EQ(p.failedOps, 0u) << r.strategy;
+    EXPECT_DOUBLE_EQ(r.availability, 1.0) << r.strategy;
+    EXPECT_FALSE(p.serve.active);
+  }
+}
+
+TEST(ReconfigWorkload, OpenLoopRetiredNodesRemainingArrivalsFailAndDrop) {
+  for (const RuntimeConfig& rc :
+       {RuntimeConfig::accessTree(4, 1), RuntimeConfig::fixedHome()}) {
+    serve::Trace captured;
+    const workload::WorkloadReport r = runRetiring(/*openLoop=*/true, rc, captured);
+    const workload::WorkloadReport::Phase& p = r.phases[0];
+    const std::vector<int> issued = issuedPerNode(captured);
+    const std::uint64_t offered = 16u * kRetireRounds;
+    EXPECT_LT(issued[kRetiringNode], kRetireRounds) << r.strategy;
+    // Every scheduled arrival was offered; the retired node's unserved
+    // ones are both failed and dropped, and nothing else is lost.
+    EXPECT_EQ(p.serve.arrived, offered) << r.strategy;
+    EXPECT_EQ(p.serve.arrived, p.serve.served + p.serve.dropped) << r.strategy;
+    EXPECT_EQ(p.serve.served, p.reads + p.writes) << r.strategy;
+    EXPECT_GT(p.failedOps, 0u) << r.strategy;
+    EXPECT_EQ(p.serve.dropped, p.failedOps) << r.strategy;
+    EXPECT_EQ(p.failedOps,
+              static_cast<std::uint64_t>(kRetireRounds - issued[kRetiringNode]))
+        << r.strategy;
+    EXPECT_LT(r.availability, 1.0) << r.strategy;
+  }
 }
 
 TEST(ReconfigWorkload, ReconfigFreeReportOmitsReconfigSection) {
