@@ -13,6 +13,7 @@
 
 #include "diva/machine.hpp"
 #include "diva/runtime.hpp"
+#include "net/graph_topology.hpp"
 #include "net/hypercube_topology.hpp"
 #include "net/mesh_topology.hpp"
 #include "net/topology.hpp"
@@ -235,6 +236,61 @@ TEST(TopologyDecomposition, MeshTreeMatchesLegacyDecomposition) {
     for (std::uint64_t var : {1ull, 5ull})
       EXPECT_EQ(tree->hostOf(i, var, net::EmbeddingKind::Regular, 7),
                 embed.hostOf(i, var));
+}
+
+/// FNV-1a digest of every decomposition of `topo` over a spread of
+/// (arity, leafSize) parameters: tree shape (parent, index, depth, size,
+/// children), leaf order, and the host both embeddings give every tree
+/// node for a few variables and seeds.
+std::uint64_t treeDigest(const net::Topology& topo) {
+  std::uint64_t h = 14695981039346656037ull;
+  auto mix = [&h](std::int64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (static_cast<std::uint64_t>(v) >> (8 * i)) & 0xFF;
+      h *= 1099511628211ull;
+    }
+  };
+  for (const auto& params :
+       {net::DecompParams{2, 1}, net::DecompParams{4, 1}, net::DecompParams{16, 1},
+        net::DecompParams{2, 3}, net::DecompParams{4, 8}, net::DecompParams{16, 64}}) {
+    const auto tree = topo.decompose(params);
+    for (int i = 0; i < tree->numNodes(); ++i) {
+      const auto& nd = tree->node(i);
+      mix(nd.parent);
+      mix(nd.indexInParent);
+      mix(nd.depth);
+      mix(nd.size);
+      for (int c : nd.children) mix(c);
+      for (const auto kind : {net::EmbeddingKind::Regular, net::EmbeddingKind::Random})
+        for (std::uint64_t var : {1ull, 5ull, 99ull, 12345ull})
+          for (std::uint64_t seed : {7ull, 42ull}) mix(tree->hostOf(i, var, kind, seed));
+    }
+    for (int leaf : tree->leafOrder()) mix(leaf);
+  }
+  return h;
+}
+
+TEST(TopologyDecomposition, TreesMatchCommittedDigests) {
+  // Goldens recorded from the per-shape decompositions (the mesh's
+  // submesh halving, the hypercube's subcube split, graph bisection);
+  // any builder must reproduce every tree node, leaf rank and host.
+  const std::vector<std::pair<TopologySpec, std::uint64_t>> cases = {
+      {TopologySpec::mesh2d(4, 3), 0xa306ee8f3c13b785ull},
+      {TopologySpec::mesh2d(5, 9), 0xbcd0589b18220abbull},
+      {TopologySpec::mesh2d(16, 16), 0xd0110564f1798e45ull},
+      {TopologySpec::mesh2d(1, 7), 0x83638e15c1f81d61ull},
+      {TopologySpec::torus2d(4, 6), 0x7d7fb1e1c33a41ffull},
+      {TopologySpec::hypercube(0), 0xa3eca47afc4a5fa5ull},
+      {TopologySpec::hypercube(5), 0xa245770bac78df33ull},
+      {TopologySpec::graph(net::ringGraph(7)), 0x90867fd3c3a63687ull},
+      {TopologySpec::graph(net::randomRegularGraph(40, 3, 7)), 0x957516ff0e7cc252ull},
+      {TopologySpec::graph(net::fatTreeGraph(3, 3)), 0x3ea766cbef7436f7ull},
+      {TopologySpec::hierGraph(net::randomRegularGraph(64, 4, 1), 4), 0x84be4df4256d98ddull},
+  };
+  for (const auto& [spec, golden] : cases) {
+    const std::uint64_t h = treeDigest(*net::makeTopology(spec));
+    EXPECT_EQ(h, golden) << spec.describe() << " tree digest 0x" << std::hex << h;
+  }
 }
 
 // ---------------------------------------------------------------------------
