@@ -23,11 +23,11 @@ int main() {
                         "total traffic [MB]"});
 
   double regularTime = 0, randomTime = 0;
-  for (const auto kind : {mesh::EmbeddingKind::Regular, mesh::EmbeddingKind::Random}) {
-    const char* name = kind == mesh::EmbeddingKind::Regular ? "regular" : "random";
+  for (const auto kind : {net::EmbeddingKind::Regular, net::EmbeddingKind::Random}) {
+    const char* name = kind == net::EmbeddingKind::Regular ? "regular" : "random";
     RuntimeConfig rc = RuntimeConfig::accessTree(4, 1);
     rc.embedding = kind;
-    double& timeSum = kind == mesh::EmbeddingKind::Regular ? regularTime : randomTime;
+    double& timeSum = kind == net::EmbeddingKind::Regular ? regularTime : randomTime;
 
     {
       mm::Config cfg;

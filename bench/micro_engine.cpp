@@ -7,7 +7,6 @@
 
 #include "diva/machine.hpp"
 #include "diva/runtime.hpp"
-#include "mesh/route.hpp"
 #include "net/graph_topology.hpp"
 #include "net/hier_routing.hpp"
 #include "obs/tracer.hpp"
@@ -355,15 +354,15 @@ void BM_WorkloadOpenLoop(benchmark::State& state) {
 BENCHMARK(BM_WorkloadOpenLoop);
 
 void BM_DimensionOrderRouting(benchmark::State& state) {
-  mesh::Mesh m(32, 32);
-  std::vector<mesh::Hop> hops;
+  const net::MeshTopology m(32, 32);
+  net::RouteVec hops;
   std::uint64_t i = 0;
   for (auto _ : state) {
     hops.clear();
-    const mesh::NodeId a = static_cast<mesh::NodeId>(i * 37 % 1024);
-    const mesh::NodeId b = static_cast<mesh::NodeId>(i * 101 % 1024);
-    mesh::routeDimensionOrder(m, a, b, hops);
-    benchmark::DoNotOptimize(hops.data());
+    const net::NodeId a = static_cast<net::NodeId>(i * 37 % 1024);
+    const net::NodeId b = static_cast<net::NodeId>(i * 101 % 1024);
+    m.appendRoute(a, b, hops);
+    benchmark::DoNotOptimize(hops.begin());
     ++i;
   }
 }

@@ -5,7 +5,6 @@
 #include <tuple>
 
 #include "apps/barneshut/plummer.hpp"
-#include "mesh/decomposition.hpp"
 
 namespace diva::apps::barneshut {
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 
-#include "mesh/decomposition.hpp"
 #include "support/rng.hpp"
 
 namespace diva::apps::bitonic {
@@ -130,7 +129,7 @@ Result runHandOptimized(Machine& m, const Config& cfg) {
   std::vector<std::vector<std::uint32_t>> finals(static_cast<std::size_t>(P));
 
   auto program = [](Machine& mm, const Config& c, int logP_, int w,
-                    const std::vector<mesh::NodeId>& ord,
+                    const std::vector<NodeId>& ord,
                     const std::vector<std::uint32_t>& in,
                     std::vector<std::uint32_t>& final) -> sim::Task<> {
     const NodeId p = ord[w];

@@ -38,7 +38,7 @@ struct Machine {
   /// Grid-coordinate access for 2-D-structured applications (matmul's
   /// block layout, congestion heat maps). Valid for mesh and torus
   /// machines; throws CheckError on shapes without grid coordinates.
-  const mesh::Mesh& mesh() const {
+  const net::Grid& mesh() const {
     const auto* grid = dynamic_cast<const net::MeshTopology*>(topology.get());
     DIVA_CHECK_MSG(grid != nullptr, "machine topology " << topology->name()
                                                         << " has no 2-D grid coordinates");

@@ -9,7 +9,7 @@ Runtime::Runtime(Machine& machine, RuntimeConfig config)
     : machine_(machine), config_(config) {
   // Fail fast on configurations that would otherwise misbehave deep
   // inside the protocol (or silently measure the wrong machine).
-  DIVA_CHECK_MSG(config.arity == 2 || config.arity == 4 || config.arity == 16,
+  DIVA_CHECK_MSG(net::isSupportedArity(config.arity),
                  "RuntimeConfig: arity must be 2, 4 or 16 (got " << config.arity << ")");
   DIVA_CHECK_MSG(config.leafSize >= 1,
                  "RuntimeConfig: leafSize must be positive (got " << config.leafSize

@@ -7,7 +7,7 @@
 #include <type_traits>
 #include <vector>
 
-#include "mesh/link_stats.hpp"
+#include "net/link_stats.hpp"
 #include "net/topology.hpp"
 #include "sim/time.hpp"
 
@@ -26,7 +26,7 @@ class Stats {
         computeUs_(kMaxPhases, 0.0),
         wallUs_(kMaxPhases, 0.0) {}
 
-  mesh::LinkStats links;
+  net::LinkStats links;
 
   struct Counters {
     std::uint64_t reads = 0;

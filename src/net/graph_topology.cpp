@@ -12,13 +12,6 @@
 
 namespace diva::net {
 
-namespace {
-
-bool validArity(int a) { return a == 2 || a == 4 || a == 16; }
-int levelsOf(int arity) { return arity == 2 ? 1 : arity == 4 ? 2 : 4; }
-
-}  // namespace
-
 // ---------------------------------------------------------------------------
 // GraphAdjacency — validation + packed direction slots
 // ---------------------------------------------------------------------------
@@ -261,104 +254,26 @@ void BfsBisectionPartitioner::bisect(const Topology& topo,
 }
 
 // ---------------------------------------------------------------------------
-// GraphClusterTree
+// Graph decomposition
 // ---------------------------------------------------------------------------
 
-GraphClusterTree::GraphClusterTree(const Topology& topo, DecompParams params,
-                                   const GraphPartitioner& partitioner) {
-  DIVA_CHECK_MSG(validArity(params.arity), "arity must be 2, 4 or 16");
-  DIVA_CHECK_MSG(params.leafSize >= 1, "leafSize must be >= 1");
+std::unique_ptr<GraphClusterTree> decomposeGraph(const Topology& topo, DecompParams params,
+                                                 const GraphPartitioner& partitioner) {
   const int n = topo.numNodes();
-  nodes_.reserve(static_cast<std::size_t>(2) * n);
-  // The tree covers the nodes that are attached to the network. On an
-  // ordinary (connected) graph that is every node; on an elastic machine
-  // retired nodes are edgeless and get no leaf — leafOf/rankOf stay -1
-  // for them (docs/faults.md).
-  std::vector<NodeId> all;
-  all.reserve(static_cast<std::size_t>(n));
+  std::vector<NodeId> attached;
+  attached.reserve(static_cast<std::size_t>(n));
   for (NodeId p = 0; p < n; ++p) {
-    bool attached = false;
-    for (int dir = 0; dir < topo.degree() && !attached; ++dir)
-      attached = topo.neighbor(p, dir) >= 0;
-    if (attached) all.push_back(p);
+    bool linked = false;
+    for (int dir = 0; dir < topo.degree() && !linked; ++dir) linked = topo.neighbor(p, dir) >= 0;
+    if (linked) attached.push_back(p);
   }
-  if (all.empty())
-    for (NodeId p = 0; p < n; ++p) all.push_back(p);  // single-node machines
-  build(topo, partitioner, std::move(all), -1, -1, 0, params);
-  finalize(n);
-}
-
-void GraphClusterTree::expandChildren(const Topology& topo,
-                                      const GraphPartitioner& partitioner,
-                                      std::vector<NodeId>&& cluster, int levels,
-                                      std::vector<std::vector<NodeId>>& out) {
-  if (levels == 0 || cluster.size() <= 1) {
-    out.push_back(std::move(cluster));
-    return;
-  }
-  std::vector<NodeId> a, b;
-  partitioner.bisect(topo, cluster, a, b);
-  DIVA_CHECK_MSG(!a.empty() && !b.empty() && a.size() + b.size() == cluster.size(),
-                 "partitioner did not bisect the cluster");
-  expandChildren(topo, partitioner, std::move(a), levels - 1, out);
-  expandChildren(topo, partitioner, std::move(b), levels - 1, out);
-}
-
-int GraphClusterTree::build(const Topology& topo, const GraphPartitioner& partitioner,
-                            std::vector<NodeId>&& cluster, int parent, int indexInParent,
-                            int depth, const DecompParams& params) {
-  const int self = static_cast<int>(nodes_.size());
-  const int size = static_cast<int>(cluster.size());
-  nodes_.push_back(Node{parent, indexInParent, {}, depth, size});
-  leafProc_.push_back(size == 1 ? cluster.front() : -1);
-
-  std::vector<std::vector<NodeId>> childClusters;
-  if (size > 1) {
-    if (size <= params.leafSize) {
-      // ℓ-k-ary termination: one child per processor, in id order.
-      childClusters.reserve(cluster.size());
-      for (NodeId p : cluster) childClusters.push_back({p});
-    } else {
-      expandChildren(topo, partitioner, std::vector<NodeId>(cluster),
-                     levelsOf(params.arity), childClusters);
-    }
-  }
-  members_.push_back(std::move(cluster));
-
-  int idx = 0;
-  for (auto& child : childClusters) {
-    const int c = build(topo, partitioner, std::move(child), self, idx++, depth + 1, params);
-    nodes_[self].children.push_back(c);
-  }
-  return self;
-}
-
-NodeId GraphClusterTree::hostOf(int treeNode, std::uint64_t varKey, EmbeddingKind kind,
-                                std::uint64_t seed) const {
-  const std::vector<NodeId>& mem = members_[treeNode];
-  const std::uint64_t count = mem.size();
-  if (count == 1) return mem.front();
-
-  if (kind == EmbeddingKind::Random) {
-    const std::uint64_t key =
-        support::hashCombine(seed, varKey, static_cast<std::uint64_t>(treeNode));
-    return mem[support::hashBelow(key, count)];
-  }
-
-  // Regular embedding: the root is uniform; every other node keeps its
-  // parent's relative position — the index of the parent's host within
-  // the parent's member list, folded into this cluster's size. The
-  // general-graph analogue of the mesh's (i mod m1, j mod m2) rule.
-  const Node& nd = nodes_[treeNode];
-  if (nd.parent < 0) {
-    return mem[support::hashBelow(support::hashCombine(seed, varKey), count)];
-  }
-  const NodeId parentHost = hostOf(nd.parent, varKey, kind, seed);
-  const std::vector<NodeId>& pm = members_[nd.parent];
-  const std::size_t rel =
-      static_cast<std::size_t>(std::lower_bound(pm.begin(), pm.end(), parentHost) -
-                               pm.begin());
-  return mem[rel % count];
+  if (attached.empty())
+    for (NodeId p = 0; p < n; ++p) attached.push_back(p);  // single-node machines
+  return std::make_unique<GraphClusterTree>(
+      GraphShape{}, std::move(attached), n, params,
+      [&](const std::vector<NodeId>& c, std::vector<NodeId>& a, std::vector<NodeId>& b) {
+        partitioner.bisect(topo, c, a, b);
+      });
 }
 
 // ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
 #pragma once
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "net/bisection_tree.hpp"
 #include "net/topology.hpp"
 
 namespace diva::net {
@@ -79,35 +81,38 @@ class BfsBisectionPartitioner final : public GraphPartitioner {
               std::vector<NodeId>& a, std::vector<NodeId>& b) const override;
 };
 
-/// Cluster tree of a general graph, built by recursive partitioning. The
-/// clusters are arbitrary node sets (sizes need not be powers of the
-/// arity, children of one node may differ in size by one or more), which
-/// makes this the first non-node-symmetric decomposition in the tree —
-/// strategies must not assume uniform cluster sizes, and the tests hold
-/// them to that.
-class GraphClusterTree final : public ClusterTree {
- public:
-  GraphClusterTree(const Topology& topo, DecompParams params,
-                   const GraphPartitioner& partitioner);
+/// General-graph clusters as a `BisectionTree` shape: a cluster is its
+/// processors, sorted ascending. Bisection is the topology's
+/// `GraphPartitioner`, so clusters are arbitrary node sets (sizes need not
+/// be powers of the arity, children of one node may differ in size) —
+/// the non-node-symmetric decompositions strategies must not assume away.
+/// The Regular embedding keeps the index of the parent's host within the
+/// parent's member list, folded into the child's size: the general-graph
+/// analogue of the mesh's (i mod m1, j mod m2) rule.
+struct GraphShape {
+  using Cluster = std::vector<NodeId>;
 
-  NodeId hostOf(int treeNode, std::uint64_t varKey, EmbeddingKind kind,
-                std::uint64_t seed) const override;
-
-  /// The processors of a tree node's cluster, sorted ascending. Member
-  /// order is what the Regular embedding's "keep the parent's relative
-  /// position" rule indexes into.
-  const std::vector<NodeId>& members(int treeNode) const { return members_[treeNode]; }
-
- private:
-  int build(const Topology& topo, const GraphPartitioner& partitioner,
-            std::vector<NodeId>&& cluster, int parent, int indexInParent, int depth,
-            const DecompParams& params);
-  void expandChildren(const Topology& topo, const GraphPartitioner& partitioner,
-                      std::vector<NodeId>&& cluster, int levels,
-                      std::vector<std::vector<NodeId>>& out);
-
-  std::vector<std::vector<NodeId>> members_;  ///< parallel to nodes_
+  static int size(const Cluster& c) { return static_cast<int>(c.size()); }
+  static Cluster unit(const Cluster& c, int i) { return {c[static_cast<std::size_t>(i)]}; }
+  static NodeId proc(const Cluster& c) { return c.front(); }
+  static NodeId pick(const Cluster& c, std::uint64_t key) {
+    return c[support::hashBelow(key, c.size())];
+  }
+  static NodeId follow(const Cluster& parent, NodeId parentHost, const Cluster& child) {
+    const auto rel = static_cast<std::size_t>(
+        std::lower_bound(parent.begin(), parent.end(), parentHost) - parent.begin());
+    return child[rel % child.size()];
+  }
 };
+
+using GraphClusterTree = BisectionTree<GraphShape>;
+
+/// Cluster tree of `topo` by recursive bisection with `partitioner`. The
+/// tree covers the nodes attached to the network: every node of a
+/// connected graph, but not the retired (edgeless) nodes of an elastic
+/// machine, whose leafOf/rankOf stay -1 (docs/faults.md).
+std::unique_ptr<GraphClusterTree> decomposeGraph(const Topology& topo, DecompParams params,
+                                                 const GraphPartitioner& partitioner);
 
 /// An arbitrary connected network, routed from precomputed all-pairs
 /// tables: construction runs one deterministic shortest-path search per
@@ -181,7 +186,7 @@ class GraphTopology final : public Topology {
   double weightedDistance(NodeId a, NodeId b) const;
 
   std::unique_ptr<ClusterTree> decompose(DecompParams params) const override {
-    return std::make_unique<GraphClusterTree>(*this, params, *partitioner_);
+    return decomposeGraph(*this, params, *partitioner_);
   }
 
   const GraphSpec& graphSpec() const { return *spec_; }
@@ -196,7 +201,6 @@ class GraphTopology final : public Topology {
 
  private:
   friend class BfsBisectionPartitioner;
-  friend class GraphClusterTree;
 
   int dirToward(NodeId from, NodeId to) const {
     return nextDir_[static_cast<std::size_t>(from) * numNodes_ + to];

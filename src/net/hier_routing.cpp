@@ -18,15 +18,14 @@ HierGraphTopology::HierGraphTopology(std::shared_ptr<const GraphSpec> spec,
       partitioner_(std::move(partitioner)),
       routingArity_(routingArity) {
   DIVA_CHECK_MSG(spec_ != nullptr, "HierGraphTopology requires a GraphSpec");
-  DIVA_CHECK_MSG(routingArity_ == 2 || routingArity_ == 4 || routingArity_ == 16,
+  DIVA_CHECK_MSG(isSupportedArity(routingArity_),
                  "hierarchical routing arity must be 2, 4 or 16 (got " << routingArity_
                                                                        << ")");
   if (!partitioner_) partitioner_ = std::make_shared<BfsBisectionPartitioner>();
   adj_ = GraphAdjacency(*spec_);
   // The routing tree sees this topology through the base interface, which
   // only needs the adjacency built above — routing state comes after.
-  tree_ = std::make_unique<GraphClusterTree>(*this, DecompParams{routingArity_, 1},
-                                             *partitioner_);
+  tree_ = decomposeGraph(*this, DecompParams{routingArity_, 1}, *partitioner_);
   DIVA_CHECK_MSG(tree_->maxDepth() + 1 <= kMaxChainDepth,
                  "routing tree deeper than " << kMaxChainDepth << " levels");
   buildLandmarks();
@@ -50,7 +49,7 @@ void HierGraphTopology::buildLandmarks() {
   std::unordered_map<NodeId, NodeId> parent;
   std::queue<NodeId> q;
   for (int i = 0; i < tn; ++i) {
-    const std::vector<NodeId>& mem = tree_->members(i);
+    const std::vector<NodeId>& mem = tree_->cluster(i);
     if (mem.size() == 1) {
       landmark_[i] = mem.front();
       continue;
@@ -220,7 +219,7 @@ void HierGraphTopology::buildSpinePaths(std::vector<std::vector<NodeId>>& spine,
   std::vector<std::int32_t> missing;
   for (int p = 0; p < tn; ++p) {
     if (kids[static_cast<std::size_t>(p)].empty()) continue;
-    const std::vector<NodeId>& mem = tree_->members(p);
+    const std::vector<NodeId>& mem = tree_->cluster(p);
     // A throwaway prefix: we only want the scratch arrays (dist/dir)
     // filled for the whole cluster, not ball entries.
     const std::size_t mark = ball_.size();
@@ -300,7 +299,7 @@ void HierGraphTopology::buildBalls() {
   for (int i = 1; i < tn; ++i) {
     const NodeId lm = landmark_[i];
     const std::size_t cap = static_cast<std::size_t>(std::max(
-        kBallMinEntries, kBallEntryFactor * static_cast<int>(tree_->members(i).size())));
+        kBallMinEntries, kBallEntryFactor * static_cast<int>(tree_->cluster(i).size())));
     const std::size_t first = ball_.size();
     growBall(lm, cap, nullptr, nullptr, -1);
     std::sort(ball_.begin() + static_cast<std::ptrdiff_t>(first), ball_.end(),

@@ -98,7 +98,7 @@ class HierGraphTopology final : public Topology {
   double linkLatency(int link) const override { return adj_.latencyOfSlot[link]; }
 
   std::unique_ptr<ClusterTree> decompose(DecompParams params) const override {
-    return std::make_unique<GraphClusterTree>(*this, params, *partitioner_);
+    return decomposeGraph(*this, params, *partitioner_);
   }
 
   const GraphSpec& graphSpec() const { return *spec_; }

@@ -2,18 +2,7 @@
 
 #include <bit>
 
-#include "support/rng.hpp"
-
 namespace diva::net {
-
-namespace {
-bool validArity(int a) { return a == 2 || a == 4 || a == 16; }
-int levelsOf(int arity) { return arity == 2 ? 1 : arity == 4 ? 2 : 4; }
-}  // namespace
-
-// ---------------------------------------------------------------------------
-// Topology
-// ---------------------------------------------------------------------------
 
 HypercubeTopology::HypercubeTopology(int dims) : dims_(dims) {
   DIVA_CHECK_MSG(dims >= 0 && dims <= 20, "hypercube dimension out of range");
@@ -41,90 +30,6 @@ void HypercubeTopology::appendRoute(NodeId from, NodeId to, RouteVec& out) const
     cur = next;
     diff &= diff - 1;
   }
-}
-
-// ---------------------------------------------------------------------------
-// Cluster tree
-// ---------------------------------------------------------------------------
-
-HypercubeClusterTree::HypercubeClusterTree(int dims, DecompParams params)
-    : dims_(dims) {
-  DIVA_CHECK_MSG(validArity(params.arity), "arity must be 2, 4 or 16");
-  DIVA_CHECK_MSG(params.leafSize >= 1, "leafSize must be >= 1");
-  nodes_.reserve(static_cast<std::size_t>(2) << dims);
-  build(Cube{0, dims}, -1, -1, 0, params);
-  finalize(1 << dims);
-}
-
-// Children of an ℓ-ary node: fix `levels` further dimensions (highest
-// first) and collect the fringe; subcubes that run out of free dimensions
-// stop splitting early, so a node can have fewer than ℓ children near the
-// bottom — just like the mesh decomposition.
-void HypercubeClusterTree::expandChildren(const Cube& cube, int levels,
-                                          std::vector<Cube>& out) {
-  if (levels == 0 || cube.freeDims == 0) {
-    out.push_back(cube);
-    return;
-  }
-  const int half = cube.freeDims - 1;
-  expandChildren(Cube{cube.base, half}, levels - 1, out);
-  expandChildren(Cube{static_cast<NodeId>(cube.base + (NodeId{1} << half)), half},
-                 levels - 1, out);
-}
-
-int HypercubeClusterTree::build(const Cube& cube, int parent, int indexInParent,
-                                int depth, const DecompParams& params) {
-  const int self = static_cast<int>(nodes_.size());
-  const int size = 1 << cube.freeDims;
-  nodes_.push_back(Node{parent, indexInParent, {}, depth, size});
-  cubes_.push_back(cube);
-  leafProc_.push_back(size == 1 ? cube.base : -1);
-
-  if (size == 1) return self;
-
-  std::vector<Cube> childCubes;
-  if (size <= params.leafSize) {
-    // ℓ-k-ary termination: one child per processor, in id order.
-    childCubes.reserve(static_cast<std::size_t>(size));
-    for (NodeId p = cube.base; p < cube.base + size; ++p)
-      childCubes.push_back(Cube{p, 0});
-  } else {
-    expandChildren(cube, levelsOf(params.arity), childCubes);
-  }
-
-  int idx = 0;
-  for (const Cube& cb : childCubes) {
-    const int child = build(cb, self, idx++, depth + 1, params);
-    nodes_[self].children.push_back(child);
-  }
-  return self;
-}
-
-NodeId HypercubeClusterTree::hostOf(int treeNode, std::uint64_t varKey,
-                                    EmbeddingKind kind, std::uint64_t seed) const {
-  const Cube& c = cubes_[treeNode];
-  const NodeId count = NodeId{1} << c.freeDims;
-  if (count == 1) return c.base;
-
-  if (kind == EmbeddingKind::Random) {
-    const std::uint64_t key =
-        support::hashCombine(seed, varKey, static_cast<std::uint64_t>(treeNode));
-    return c.base +
-           static_cast<NodeId>(support::hashBelow(key, static_cast<std::uint64_t>(count)));
-  }
-
-  // Regular embedding: the root is uniform; every other node keeps its
-  // parent's relative position within the subcube (the free low bits of
-  // the parent's host), the hypercube analogue of the paper's
-  // (i mod m1, j mod m2) rule.
-  const Node& nd = nodes_[treeNode];
-  if (nd.parent < 0) {
-    const std::uint64_t key = support::hashCombine(seed, varKey);
-    return c.base +
-           static_cast<NodeId>(support::hashBelow(key, static_cast<std::uint64_t>(count)));
-  }
-  const NodeId parentHost = hostOf(nd.parent, varKey, kind, seed);
-  return c.base + ((parentHost - cubes_[nd.parent].base) & (count - 1));
 }
 
 }  // namespace diva::net

@@ -1,38 +1,44 @@
 #pragma once
 
 #include <memory>
-#include <vector>
 
+#include "net/bisection_tree.hpp"
 #include "net/topology.hpp"
 
 namespace diva::net {
 
-/// Cluster tree of a hypercube: subcube decomposition. Splitting always
-/// fixes the highest free dimension, so every cluster is a contiguous
-/// range of node ids [base, base + 2^freeDims) and the canonical leaf
-/// order is the numeric node order. ℓ-ary trees fix log2(ℓ) dimensions
-/// per level; the ℓ-k-ary variants terminate at subcubes of ≤ k nodes
-/// with one child per processor, exactly mirroring the mesh decomposition.
-class HypercubeClusterTree final : public ClusterTree {
- public:
-  HypercubeClusterTree(int dims, DecompParams params);
-
-  NodeId hostOf(int treeNode, std::uint64_t varKey, EmbeddingKind kind,
-                std::uint64_t seed) const override;
-
- private:
-  struct Cube {
-    NodeId base = 0;
-    int freeDims = 0;  ///< cluster = ids [base, base + 2^freeDims)
-  };
-
-  int build(const Cube& cube, int parent, int indexInParent, int depth,
-            const DecompParams& params);
-  static void expandChildren(const Cube& cube, int levels, std::vector<Cube>& out);
-
-  int dims_;
-  std::vector<Cube> cubes_;  ///< parallel to nodes_
+/// A subcube: the node ids [base, base + 2^freeDims).
+struct Subcube {
+  NodeId base = 0;
+  int freeDims = 0;
 };
+
+/// Subcube decomposition as a `BisectionTree` shape. Bisection fixes the
+/// highest free dimension, so every cluster is a contiguous id range and
+/// the canonical leaf order is the numeric node order. The Regular
+/// embedding keeps the parent host's free low bits — the hypercube
+/// analogue of the paper's (i mod m1, j mod m2) rule.
+struct CubeShape {
+  using Cluster = Subcube;
+
+  static int size(const Subcube& c) { return 1 << c.freeDims; }
+  static Subcube unit(const Subcube& c, int i) { return Subcube{c.base + i, 0}; }
+  static NodeId proc(const Subcube& c) { return c.base; }
+  static NodeId pick(const Subcube& c, std::uint64_t key) {
+    return c.base + static_cast<NodeId>(
+                        support::hashBelow(key, static_cast<std::uint64_t>(size(c))));
+  }
+  static NodeId follow(const Subcube& parent, NodeId parentHost, const Subcube& child) {
+    return child.base + ((parentHost - parent.base) & (size(child) - 1));
+  }
+  static void bisect(const Subcube& c, Subcube& a, Subcube& b) {
+    const int half = c.freeDims - 1;
+    a = Subcube{c.base, half};
+    b = Subcube{c.base + (NodeId{1} << half), half};
+  }
+};
+
+using HypercubeClusterTree = BisectionTree<CubeShape>;
 
 /// d-dimensional hypercube (2^d nodes, node ids are coordinate bit
 /// strings). Direction slot i is the link flipping bit i. Routing is
@@ -59,7 +65,8 @@ class HypercubeTopology final : public Topology {
   void appendRoute(NodeId from, NodeId to, RouteVec& out) const override;
 
   std::unique_ptr<ClusterTree> decompose(DecompParams params) const override {
-    return std::make_unique<HypercubeClusterTree>(dims_, params);
+    return std::make_unique<HypercubeClusterTree>(CubeShape{}, Subcube{0, dims_}, numNodes(),
+                                                  params, CubeShape::bisect);
   }
 
  private:

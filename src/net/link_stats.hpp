@@ -2,12 +2,11 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <numeric>
 #include <vector>
 
 #include "support/check.hpp"
 
-namespace diva::mesh {
+namespace diva::net {
 
 /// Per-directed-link traffic accounting, with optional phase scoping.
 ///
@@ -16,7 +15,8 @@ namespace diva::mesh {
 /// message counts (used for the Barnes–Hut figures, which report
 /// "congestion in 10000 messages") and bytes (the natural unit for the
 /// matrix-multiplication and sorting ratios). Phases let the Barnes–Hut
-/// benches report per-phase congestion (Figures 9 and 10).
+/// benches report per-phase congestion (Figures 9 and 10). Links are the
+/// directed-link slots of any `Topology` (`Topology::linkIndex`).
 class LinkStats {
  public:
   static constexpr int kAllPhases = -1;
@@ -127,4 +127,4 @@ class LinkStats {
   std::vector<Cell> cells_;
 };
 
-}  // namespace diva::mesh
+}  // namespace diva::net

@@ -1,46 +1,120 @@
 #pragma once
 
+#include <cstdlib>
 #include <memory>
 
-#include "mesh/decomposition.hpp"
-#include "mesh/embedding.hpp"
-#include "mesh/mesh.hpp"
-#include "mesh/route.hpp"
+#include "net/bisection_tree.hpp"
 #include "net/topology.hpp"
 
 namespace diva::net {
 
-/// Cluster tree of a 2-D grid: wraps the paper's mesh decomposition (the
-/// recursive halving of the longer side) and its submesh-relative
-/// embeddings, so strategies built on the generic API behave exactly like
-/// the original mesh-specific code path.
-class MeshClusterTree final : public ClusterTree {
+struct Coord {
+  int row = 0;
+  int col = 0;
+  bool operator==(const Coord&) const = default;
+};
+
+/// Coordinates of a rows×cols processor grid, numbered in row-major order
+/// as in the paper ("processors numbered from 0 to P-1 in row major
+/// order"). `Dir` names the grid's direction slots: link `linkIndex(n,
+/// dir)` of a mesh or torus leaves node n toward `dir`, and every physical
+/// wire is two directed links (the GCel reaches full bandwidth in both
+/// directions simultaneously, which the paper measured explicitly).
+class Grid {
  public:
-  MeshClusterTree(const mesh::Mesh& grid, DecompParams params)
-      : decomp_(grid, mesh::Decomposition::Params{params.arity, params.leafSize}) {
-    const int n = decomp_.numNodes();
-    nodes_.resize(static_cast<std::size_t>(n));
-    leafProc_.assign(static_cast<std::size_t>(n), -1);
-    for (int i = 0; i < n; ++i) {
-      const mesh::Decomposition::Node& d = decomp_.node(i);
-      nodes_[i] = Node{d.parent, d.indexInParent, d.children, d.depth, d.box.size()};
-      if (d.isLeaf()) leafProc_[i] = decomp_.procOfLeaf(i);
-    }
-    finalize(grid.numNodes());
+  enum Dir : int { East = 0, West = 1, South = 2, North = 3 };
+  static constexpr int kDirs = 4;
+
+  Grid(int rows, int cols) : rows_(rows), cols_(cols) {
+    DIVA_CHECK_MSG(rows >= 1 && cols >= 1, "mesh sides must be positive");
   }
 
-  NodeId hostOf(int treeNode, std::uint64_t varKey, EmbeddingKind kind,
-                std::uint64_t seed) const override {
-    // Embedding is a stateless pure function of (decomposition, kind,
-    // seed); constructing it per call is three pointer stores.
-    return mesh::Embedding(decomp_, kind, seed).hostOf(treeNode, varKey);
+  int rows() const { return rows_; }
+  int cols() const { return cols_; }
+  int numNodes() const { return rows_ * cols_; }
+
+  NodeId nodeAt(int row, int col) const {
+    DIVA_CHECK(row >= 0 && row < rows_ && col >= 0 && col < cols_);
+    return static_cast<NodeId>(row * cols_ + col);
   }
 
-  const mesh::Decomposition& decomposition() const { return decomp_; }
+  Coord coordOf(NodeId n) const {
+    DIVA_CHECK(n >= 0 && n < numNodes());
+    return Coord{n / cols_, n % cols_};
+  }
+
+  /// Directed link slot leaving `from` toward `d`; equals
+  /// `Topology::linkIndex` on grid topologies, without the virtual
+  /// `degree()` call on the routing hot path.
+  static int linkIndex(NodeId from, Dir d) { return from * kDirs + d; }
 
  private:
-  mesh::Decomposition decomp_;
+  int rows_;
+  int cols_;
 };
+
+/// Axis-aligned submesh (a rectangle of processors): a grid cluster.
+struct Submesh {
+  int row0 = 0;
+  int col0 = 0;
+  int rows = 0;
+  int cols = 0;
+
+  int size() const { return rows * cols; }
+  bool contains(Coord c) const {
+    return c.row >= row0 && c.row < row0 + rows && c.col >= col0 && c.col < col0 + cols;
+  }
+  bool operator==(const Submesh&) const = default;
+};
+
+/// The paper's mesh decomposition as a `BisectionTree` shape. Bisection
+/// halves the longer side ("we partition M into two non-overlapping
+/// submeshes of size ⌈m1/2⌉×m2 and ⌊m1/2⌋×m2"; ties split rows), members
+/// are in row-major order, and the Regular embedding maps a node whose
+/// parent sits at relative position (i, j) of the parent's submesh to
+/// (i mod m1, j mod m2) of its own m1×m2 submesh.
+struct GridShape {
+  using Cluster = Submesh;
+
+  int gridCols = 0;
+
+  static int size(const Submesh& s) { return s.size(); }
+  static Submesh unit(const Submesh& s, int i) {
+    return Submesh{s.row0 + i / s.cols, s.col0 + i % s.cols, 1, 1};
+  }
+  NodeId proc(const Submesh& s) const { return s.row0 * gridCols + s.col0; }
+  NodeId pick(const Submesh& s, std::uint64_t key) const {
+    const auto r = support::hashBelow(key, static_cast<std::uint64_t>(s.rows));
+    const auto c = support::hashBelow(support::hashCombine(key, 0x5eedull),
+                                      static_cast<std::uint64_t>(s.cols));
+    return (s.row0 + static_cast<int>(r)) * gridCols + s.col0 + static_cast<int>(c);
+  }
+  NodeId follow(const Submesh& parent, NodeId parentHost, const Submesh& child) const {
+    const int i = parentHost / gridCols - parent.row0;
+    const int j = parentHost % gridCols - parent.col0;
+    return (child.row0 + i % child.rows) * gridCols + child.col0 + j % child.cols;
+  }
+  static void bisect(const Submesh& s, Submesh& a, Submesh& b) {
+    if (s.rows >= s.cols) {
+      const int top = (s.rows + 1) / 2;
+      a = Submesh{s.row0, s.col0, top, s.cols};
+      b = Submesh{s.row0 + top, s.col0, s.rows - top, s.cols};
+    } else {
+      const int left = (s.cols + 1) / 2;
+      a = Submesh{s.row0, s.col0, s.rows, left};
+      b = Submesh{s.row0, s.col0 + left, s.rows, s.cols - left};
+    }
+  }
+};
+
+using MeshClusterTree = BisectionTree<GridShape>;
+
+/// The paper's hierarchical decomposition of a grid (§2, Figure 1).
+inline std::unique_ptr<MeshClusterTree> decomposeGrid(const Grid& grid, DecompParams params) {
+  return std::make_unique<MeshClusterTree>(GridShape{grid.cols()},
+                                           Submesh{0, 0, grid.rows(), grid.cols()},
+                                           grid.numNodes(), params, GridShape::bisect);
+}
 
 /// The 2-D mesh of the Parsytec GCel — the paper's machine. Dimension-order
 /// routing (columns then rows) with arithmetic-only route expansion; this
@@ -51,41 +125,74 @@ class MeshTopology : public Topology {
 
   /// Grid-coordinate access for 2-D-structured applications (matmul's
   /// block layout, congestion heat maps).
-  const mesh::Mesh& grid() const { return grid_; }
+  const Grid& grid() const { return grid_; }
 
   TopologyKind kind() const override { return TopologyKind::Mesh2D; }
   TopologySpec spec() const override {
     return TopologySpec::mesh2d(grid_.rows(), grid_.cols());
   }
   int numNodes() const override { return grid_.numNodes(); }
-  int degree() const override { return mesh::Mesh::kDirs; }
+  int degree() const override { return Grid::kDirs; }
 
   NodeId neighbor(NodeId n, int dir) const override {
-    if (dir < 0 || dir >= mesh::Mesh::kDirs) return -1;
-    const auto d = static_cast<mesh::Mesh::Dir>(dir);
-    return grid_.hasNeighbor(n, d) ? grid_.neighbor(n, d) : -1;
+    const Coord c = grid_.coordOf(n);
+    switch (dir) {
+      case Grid::East: return c.col + 1 < grid_.cols() ? n + 1 : -1;
+      case Grid::West: return c.col > 0 ? n - 1 : -1;
+      case Grid::South: return c.row + 1 < grid_.rows() ? n + grid_.cols() : -1;
+      case Grid::North: return c.row > 0 ? n - grid_.cols() : -1;
+      default: return -1;
+    }
   }
 
   NodeId nextHop(NodeId from, NodeId to) const override {
-    const mesh::Coord src = grid_.coordOf(from), dst = grid_.coordOf(to);
+    const Coord src = grid_.coordOf(from), dst = grid_.coordOf(to);
     if (src.col != dst.col) return src.col < dst.col ? from + 1 : from - 1;
     if (src.row != dst.row)
       return src.row < dst.row ? from + grid_.cols() : from - grid_.cols();
     return from;
   }
 
-  int distance(NodeId a, NodeId b) const override { return grid_.distance(a, b); }
+  /// Manhattan distance (the length of every shortest path).
+  int distance(NodeId a, NodeId b) const override {
+    const Coord ca = grid_.coordOf(a), cb = grid_.coordOf(b);
+    return std::abs(ca.row - cb.row) + std::abs(ca.col - cb.col);
+  }
 
+  /// Dimension-by-dimension order routing, exactly as assumed by the
+  /// paper's analysis and implemented by the GCel's wormhole router: the
+  /// unique shortest path that first uses edges of dimension 1 (columns,
+  /// East/West) and then edges of dimension 2 (rows, South/North).
   void appendRoute(NodeId from, NodeId to, RouteVec& out) const override {
-    mesh::appendDimensionOrderRoute(grid_, from, to, out);
+    // Pure-arithmetic walk: every intermediate hop is valid by
+    // construction (we only ever step toward the destination inside the
+    // grid), so coordinates are derived once, not per hop.
+    const Coord src = grid_.coordOf(from);
+    const Coord dst = grid_.coordOf(to);
+    NodeId cur = from;
+    for (int col = src.col; col != dst.col;) {
+      const bool east = col < dst.col;
+      const NodeId next = east ? cur + 1 : cur - 1;
+      out.push_back(Hop{Grid::linkIndex(cur, east ? Grid::East : Grid::West), next});
+      cur = next;
+      col += east ? 1 : -1;
+    }
+    const int cols = grid_.cols();
+    for (int row = src.row; row != dst.row;) {
+      const bool south = row < dst.row;
+      const NodeId next = south ? cur + cols : cur - cols;
+      out.push_back(Hop{Grid::linkIndex(cur, south ? Grid::South : Grid::North), next});
+      cur = next;
+      row += south ? 1 : -1;
+    }
   }
 
   std::unique_ptr<ClusterTree> decompose(DecompParams params) const override {
-    return std::make_unique<MeshClusterTree>(grid_, params);
+    return decomposeGrid(grid_, params);
   }
 
  protected:
-  mesh::Mesh grid_;
+  Grid grid_;
 };
 
 }  // namespace diva::net

@@ -39,7 +39,7 @@ void restrideTable(std::vector<T>& table, std::size_t oldN, std::size_t newN,
 }  // namespace
 
 Network::Network(sim::Engine& engine, const Topology& topology, CostModel cost,
-                 mesh::LinkStats& stats)
+                 LinkStats& stats)
     : engine_(&engine),
       topo_(&topology),
       cost_(cost),

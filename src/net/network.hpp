@@ -6,8 +6,8 @@
 #include <memory>
 #include <vector>
 
-#include "mesh/link_stats.hpp"
 #include "net/cost_model.hpp"
+#include "net/link_stats.hpp"
 #include "net/message.hpp"
 #include "net/topology.hpp"
 #include "obs/tracer.hpp"
@@ -54,13 +54,13 @@ class Network {
   using Handler = std::function<void(Message&&)>;
 
   Network(sim::Engine& engine, const Topology& topology, CostModel cost,
-          mesh::LinkStats& stats);
+          LinkStats& stats);
 
   sim::Engine& engine() { return *engine_; }
   const Topology& topology() const { return *topo_; }
   int numNodes() const { return static_cast<int>(numNodes_); }
   const CostModel& cost() const { return cost_; }
-  mesh::LinkStats& stats() { return *stats_; }
+  LinkStats& stats() { return *stats_; }
 
   /// Register the protocol handler for (node, channel). Handlers run as
   /// events on the node's CPU after the receive overhead has been charged.
@@ -292,7 +292,7 @@ class Network {
   sim::Engine* engine_;
   const Topology* topo_;
   CostModel cost_;
-  mesh::LinkStats* stats_;
+  LinkStats* stats_;
   std::size_t numNodes_;
   std::vector<sim::Time> cpuFreeAt_;
   std::vector<sim::Time> linkFreeAt_;

@@ -161,9 +161,10 @@ struct TopologySpec {
 /// `leafOrder()` enumerates them in the tree's left-to-right order (the
 /// numbering applications use to assign logical processor identities).
 ///
-/// Concrete trees are produced by `Topology::decompose()` and keep the
-/// geometry needed to embed tree nodes onto processors; a tree must not
-/// outlive the topology that created it.
+/// Concrete trees are produced by `Topology::decompose()` through the one
+/// `BisectionTree` builder (net/bisection_tree.hpp) and keep the geometry
+/// needed to embed tree nodes onto processors; a tree must not outlive
+/// the topology that created it.
 class ClusterTree {
  public:
   struct Node {

@@ -23,7 +23,7 @@ RingPlan planRing(int from, int to, int size) {
 }  // namespace
 
 int TorusTopology::distance(NodeId a, NodeId b) const {
-  const mesh::Coord ca = grid_.coordOf(a), cb = grid_.coordOf(b);
+  const Coord ca = grid_.coordOf(a), cb = grid_.coordOf(b);
   return planRing(ca.col, cb.col, grid_.cols()).count +
          planRing(ca.row, cb.row, grid_.rows()).count;
 }
@@ -32,7 +32,7 @@ void TorusTopology::appendRoute(NodeId from, NodeId to, RouteVec& out) const {
   // Arithmetic-only dimension-order walk (columns then rows), mirroring
   // the mesh hot path: no allocation beyond the caller's buffer.
   const int rows = grid_.rows(), cols = grid_.cols();
-  const mesh::Coord src = grid_.coordOf(from), dst = grid_.coordOf(to);
+  const Coord src = grid_.coordOf(from), dst = grid_.coordOf(to);
   NodeId cur = from;
 
   const RingPlan colPlan = planRing(src.col, dst.col, cols);
@@ -40,8 +40,8 @@ void TorusTopology::appendRoute(NodeId from, NodeId to, RouteVec& out) const {
   for (int i = 0; i < colPlan.count; ++i) {
     const int nc = colPlan.forward ? (col + 1) % cols : (col + cols - 1) % cols;
     const NodeId next = cur + (nc - col);  // same row
-    const auto d = colPlan.forward ? mesh::Mesh::East : mesh::Mesh::West;
-    out.push_back(Hop{linkIndex(cur, d), next});
+    const auto d = colPlan.forward ? Grid::East : Grid::West;
+    out.push_back(Hop{Grid::linkIndex(cur, d), next});
     cur = next;
     col = nc;
   }
@@ -51,8 +51,8 @@ void TorusTopology::appendRoute(NodeId from, NodeId to, RouteVec& out) const {
   for (int i = 0; i < rowPlan.count; ++i) {
     const int nr = rowPlan.forward ? (row + 1) % rows : (row + rows - 1) % rows;
     const NodeId next = cur + (nr - row) * cols;
-    const auto d = rowPlan.forward ? mesh::Mesh::South : mesh::Mesh::North;
-    out.push_back(Hop{linkIndex(cur, d), next});
+    const auto d = rowPlan.forward ? Grid::South : Grid::North;
+    out.push_back(Hop{Grid::linkIndex(cur, d), next});
     cur = next;
     row = nr;
   }
@@ -61,7 +61,7 @@ void TorusTopology::appendRoute(NodeId from, NodeId to, RouteVec& out) const {
 NodeId TorusTopology::nextHop(NodeId from, NodeId to) const {
   if (from == to) return from;
   const int rows = grid_.rows(), cols = grid_.cols();
-  const mesh::Coord src = grid_.coordOf(from), dst = grid_.coordOf(to);
+  const Coord src = grid_.coordOf(from), dst = grid_.coordOf(to);
   if (src.col != dst.col) {
     const RingPlan p = planRing(src.col, dst.col, cols);
     const int nc = p.forward ? (src.col + 1) % cols : (src.col + cols - 1) % cols;

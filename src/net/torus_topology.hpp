@@ -22,13 +22,13 @@ class TorusTopology final : public MeshTopology {
 
   NodeId neighbor(NodeId n, int dir) const override {
     const int rows = grid_.rows(), cols = grid_.cols();
-    const mesh::Coord c = grid_.coordOf(n);
+    const Coord c = grid_.coordOf(n);
     NodeId nb = -1;
     switch (dir) {
-      case mesh::Mesh::East: nb = grid_.nodeAt(c.row, (c.col + 1) % cols); break;
-      case mesh::Mesh::West: nb = grid_.nodeAt(c.row, (c.col + cols - 1) % cols); break;
-      case mesh::Mesh::South: nb = grid_.nodeAt((c.row + 1) % rows, c.col); break;
-      case mesh::Mesh::North: nb = grid_.nodeAt((c.row + rows - 1) % rows, c.col); break;
+      case Grid::East: nb = grid_.nodeAt(c.row, (c.col + 1) % cols); break;
+      case Grid::West: nb = grid_.nodeAt(c.row, (c.col + cols - 1) % cols); break;
+      case Grid::South: nb = grid_.nodeAt((c.row + 1) % rows, c.col); break;
+      case Grid::North: nb = grid_.nodeAt((c.row + rows - 1) % rows, c.col); break;
       default: return -1;
     }
     return nb == n ? -1 : nb;  // a size-1 ring has no wrap link, not a self-loop

@@ -123,7 +123,7 @@ void Sampler::sample() {
   // directed link of the *current* topology, named by its endpoints so
   // rows stay comparable across reconfigurations (slot numbers remap).
   const net::Topology& topo = machine_->net.topology();
-  const mesh::LinkStats& links = machine_->stats.links;
+  const net::LinkStats& links = machine_->stats.links;
   char name[48];
   for (net::NodeId n = 0; n < topo.numNodes(); ++n) {
     for (int dir = 0; dir < topo.degree(); ++dir) {

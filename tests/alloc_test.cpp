@@ -68,7 +68,7 @@ void operator delete(void* p, std::size_t, std::align_val_t) noexcept { ::operat
 namespace diva {
 namespace {
 
-using mesh::NodeId;
+using net::NodeId;
 
 std::uint64_t allocCount() { return gAllocs.load(std::memory_order_relaxed); }
 std::int64_t outstanding() {

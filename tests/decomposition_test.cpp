@@ -5,30 +5,27 @@
 
 #include <set>
 
-#include "mesh/decomposition.hpp"
-#include "mesh/embedding.hpp"
 #include "net/mesh_topology.hpp"
 
-namespace diva::mesh {
+namespace diva::net {
 namespace {
 
-using Params = Decomposition::Params;
+using Params = DecompParams;
 
 TEST(Decomposition, PaperFigure1_M4x3) {
   // The paper's example: M(4,3) under the 2-ary decomposition. Level 1
   // splits the 4-row side into two 2x3 submeshes.
-  Mesh m(4, 3);
-  Decomposition d(m, Params{2, 1});
-  const auto& root = d.node(d.root());
-  EXPECT_EQ(root.box, (Submesh{0, 0, 4, 3}));
+  const auto d = decomposeGrid(Grid(4, 3), Params{2, 1});
+  const auto& root = d->node(d->root());
+  EXPECT_EQ(d->cluster(d->root()), (Submesh{0, 0, 4, 3}));
   ASSERT_EQ(root.children.size(), 2u);
-  EXPECT_EQ(d.node(root.children[0]).box, (Submesh{0, 0, 2, 3}));
-  EXPECT_EQ(d.node(root.children[1]).box, (Submesh{2, 0, 2, 3}));
+  EXPECT_EQ(d->cluster(root.children[0]), (Submesh{0, 0, 2, 3}));
+  EXPECT_EQ(d->cluster(root.children[1]), (Submesh{2, 0, 2, 3}));
   // Level 2 splits each 2x3 along the 3-column side: 2x2 and 2x1.
-  const auto& c0 = d.node(root.children[0]);
+  const auto& c0 = d->node(root.children[0]);
   ASSERT_EQ(c0.children.size(), 2u);
-  EXPECT_EQ(d.node(c0.children[0]).box, (Submesh{0, 0, 2, 2}));
-  EXPECT_EQ(d.node(c0.children[1]).box, (Submesh{0, 2, 2, 1}));
+  EXPECT_EQ(d->cluster(c0.children[0]), (Submesh{0, 0, 2, 2}));
+  EXPECT_EQ(d->cluster(c0.children[1]), (Submesh{0, 2, 2, 1}));
 }
 
 struct ShapeCase {
@@ -39,34 +36,36 @@ class DecompositionProperty : public ::testing::TestWithParam<ShapeCase> {};
 
 TEST_P(DecompositionProperty, PartitionInvariants) {
   const auto [rows, cols, arity, leafSize] = GetParam();
-  Mesh m(rows, cols);
-  Decomposition d(m, Params{arity, leafSize});
+  const Grid m(rows, cols);
+  const auto d = decomposeGrid(m, Params{arity, leafSize});
 
   int leaves = 0;
-  for (int i = 0; i < d.numNodes(); ++i) {
-    const auto& n = d.node(i);
-    EXPECT_GT(n.box.size(), 0);
+  for (int i = 0; i < d->numNodes(); ++i) {
+    const auto& n = d->node(i);
+    const Submesh& box = d->cluster(i);
+    EXPECT_GT(box.size(), 0);
+    EXPECT_EQ(n.size, box.size());
     if (n.isLeaf()) {
-      EXPECT_EQ(n.box.size(), 1);
+      EXPECT_EQ(box.size(), 1);
       ++leaves;
       continue;
     }
     // Children tile the parent exactly (disjoint cover).
     int covered = 0;
     for (int c : n.children) {
-      const auto& cb = d.node(c).box;
+      const auto& cb = d->cluster(c);
       covered += cb.size();
-      EXPECT_GE(cb.row0, n.box.row0);
-      EXPECT_GE(cb.col0, n.box.col0);
-      EXPECT_LE(cb.row0 + cb.rows, n.box.row0 + n.box.rows);
-      EXPECT_LE(cb.col0 + cb.cols, n.box.col0 + n.box.cols);
-      EXPECT_EQ(d.node(c).parent, i);
+      EXPECT_GE(cb.row0, box.row0);
+      EXPECT_GE(cb.col0, box.col0);
+      EXPECT_LE(cb.row0 + cb.rows, box.row0 + box.rows);
+      EXPECT_LE(cb.col0 + cb.cols, box.col0 + box.cols);
+      EXPECT_EQ(d->node(c).parent, i);
     }
-    EXPECT_EQ(covered, n.box.size());
+    EXPECT_EQ(covered, box.size());
     // Arity bound: at most `arity` children, except k-terminated nodes
     // which have exactly box.size() (≤ leafSize) children.
-    if (n.box.size() <= leafSize) {
-      EXPECT_EQ(static_cast<int>(n.children.size()), n.box.size());
+    if (box.size() <= leafSize) {
+      EXPECT_EQ(static_cast<int>(n.children.size()), box.size());
     } else {
       EXPECT_LE(static_cast<int>(n.children.size()), arity);
       EXPECT_GE(static_cast<int>(n.children.size()), 2);
@@ -77,10 +76,10 @@ TEST_P(DecompositionProperty, PartitionInvariants) {
   // Every processor has a distinct leaf and leafOrder is a permutation.
   std::set<NodeId> seen;
   for (int w = 0; w < m.numNodes(); ++w) {
-    const NodeId p = d.procOfRank(w);
+    const NodeId p = d->procOfRank(w);
     EXPECT_TRUE(seen.insert(p).second);
-    EXPECT_EQ(d.rankOf(p), w);
-    EXPECT_EQ(d.leafOf(p), d.leafOrder()[w]);
+    EXPECT_EQ(d->rankOf(p), w);
+    EXPECT_EQ(d->leafOf(p), d->leafOrder()[w]);
   }
 }
 
@@ -94,47 +93,45 @@ INSTANTIATE_TEST_SUITE_P(
                       ShapeCase{8, 16, 4, 1}, ShapeCase{32, 32, 4, 1}));
 
 TEST(Decomposition, FourAryIsTwoArySkippingLevels) {
-  Mesh m(8, 8);
-  Decomposition d2(m, Params{2, 1});
-  Decomposition d4(m, Params{4, 1});
+  const Grid m(8, 8);
+  const auto d2 = decomposeGrid(m, Params{2, 1});
+  const auto d4 = decomposeGrid(m, Params{4, 1});
   // Every 4-ary node's box appears at an even depth of the 2-ary tree.
   std::set<std::tuple<int, int, int, int>> evenBoxes;
-  for (int i = 0; i < d2.numNodes(); ++i) {
-    if (d2.depthOf(i) % 2 == 0) {
-      const auto& b = d2.node(i).box;
+  for (int i = 0; i < d2->numNodes(); ++i) {
+    if (d2->depthOf(i) % 2 == 0) {
+      const auto& b = d2->cluster(i);
       evenBoxes.insert({b.row0, b.col0, b.rows, b.cols});
     }
   }
-  for (int i = 0; i < d4.numNodes(); ++i) {
-    const auto& b = d4.node(i).box;
+  for (int i = 0; i < d4->numNodes(); ++i) {
+    const auto& b = d4->cluster(i);
     EXPECT_TRUE(evenBoxes.contains(std::tuple{b.row0, b.col0, b.rows, b.cols}))
         << "4-ary box not on an even 2-ary level";
   }
 }
 
 TEST(Decomposition, LeafSizeTerminationGivesPerProcessorChildren) {
-  Mesh m(8, 8);
-  Decomposition d(m, Params{2, 4});
-  for (int i = 0; i < d.numNodes(); ++i) {
-    const auto& n = d.node(i);
-    if (n.box.size() > 1 && n.box.size() <= 4) {
-      ASSERT_EQ(n.children.size(), static_cast<std::size_t>(n.box.size()));
-      for (int c : n.children) EXPECT_TRUE(d.node(c).isLeaf());
+  const auto d = decomposeGrid(Grid(8, 8), Params{2, 4});
+  for (int i = 0; i < d->numNodes(); ++i) {
+    const auto& n = d->node(i);
+    if (n.size > 1 && n.size <= 4) {
+      ASSERT_EQ(n.children.size(), static_cast<std::size_t>(n.size));
+      for (int c : n.children) EXPECT_TRUE(d->node(c).isLeaf());
     }
   }
 }
 
 TEST(Decomposition, FullMeshLeafSizeIsPary) {
   // k = P gives the root P children — the paper's P-ary tree remark.
-  Mesh m(4, 4);
-  Decomposition d(m, Params{4, 16});
-  EXPECT_EQ(d.node(d.root()).children.size(), 16u);
-  EXPECT_EQ(d.maxDepth(), 1);
+  const auto d = decomposeGrid(Grid(4, 4), Params{4, 16});
+  EXPECT_EQ(d->node(d->root()).children.size(), 16u);
+  EXPECT_EQ(d->maxDepth(), 1);
 }
 
 TEST(CanonicalLeafOrder, IsAPermutationAndLocal) {
-  Mesh m(8, 8);
-  const auto order = net::canonicalLeafOrder(net::MeshTopology(8, 8));
+  const MeshTopology m(8, 8);
+  const auto order = canonicalLeafOrder(m);
   std::set<NodeId> seen(order.begin(), order.end());
   EXPECT_EQ(seen.size(), 64u);
   // Locality: consecutive ranks are close in the mesh (within the 2-ary
@@ -147,18 +144,17 @@ TEST(CanonicalLeafOrder, IsAPermutationAndLocal) {
 class EmbeddingProperty : public ::testing::TestWithParam<EmbeddingKind> {};
 
 TEST_P(EmbeddingProperty, HostsLieInTheirSubmesh) {
-  Mesh m(8, 8);
-  Decomposition d(m, Params{4, 1});
-  Embedding e(d, GetParam(), 42);
+  const Grid m(8, 8);
+  const auto d = decomposeGrid(m, Params{4, 1});
   for (std::uint64_t x : {1ull, 2ull, 99ull, 12345ull}) {
-    for (int n = 0; n < d.numNodes(); ++n) {
-      const NodeId h = e.hostOf(n, x);
-      EXPECT_TRUE(d.node(n).box.contains(m.coordOf(h)))
+    for (int n = 0; n < d->numNodes(); ++n) {
+      const NodeId h = d->hostOf(n, x, GetParam(), 42);
+      EXPECT_TRUE(d->cluster(n).contains(m.coordOf(h)))
           << "tree node " << n << " hosted outside its submesh";
     }
     // Leaves host their own processor.
     for (NodeId p = 0; p < m.numNodes(); ++p)
-      EXPECT_EQ(e.hostOf(d.leafOf(p), x), p);
+      EXPECT_EQ(d->hostOf(d->leafOf(p), x, GetParam(), 42), p);
   }
 }
 
@@ -167,11 +163,10 @@ INSTANTIATE_TEST_SUITE_P(Kinds, EmbeddingProperty,
                                            EmbeddingKind::Random));
 
 TEST(Embedding, DifferentVariablesGetDifferentRoots) {
-  Mesh m(16, 16);
-  Decomposition d(m, Params{4, 1});
-  Embedding e(d, EmbeddingKind::Regular, 7);
+  const auto d = decomposeGrid(Grid(16, 16), Params{4, 1});
   std::set<NodeId> roots;
-  for (std::uint64_t x = 0; x < 64; ++x) roots.insert(e.hostOf(d.root(), x));
+  for (std::uint64_t x = 0; x < 64; ++x)
+    roots.insert(d->hostOf(d->root(), x, EmbeddingKind::Regular, 7));
   // 64 draws over 256 processors: expect substantial spread.
   EXPECT_GT(roots.size(), 32u);
 }
@@ -180,35 +175,34 @@ TEST(Embedding, RegularEmbeddingIsParentRelative) {
   // The child of a node hosted at relative position (i, j) sits at
   // (i mod m1, j mod m2) of the child box (paper §2, "practical
   // improvements").
-  Mesh m(8, 8);
-  Decomposition d(m, Params{2, 1});
-  Embedding e(d, EmbeddingKind::Regular, 3);
+  const Grid m(8, 8);
+  const auto d = decomposeGrid(m, Params{2, 1});
   for (std::uint64_t x = 1; x < 16; ++x) {
-    for (int n = 0; n < d.numNodes(); ++n) {
-      const auto& nd = d.node(n);
+    for (int n = 0; n < d->numNodes(); ++n) {
+      const auto& nd = d->node(n);
       if (nd.parent < 0) continue;
-      const auto& pb = d.node(nd.parent).box;
-      const Coord pc = m.coordOf(e.hostOf(nd.parent, x));
-      const Coord cc = m.coordOf(e.hostOf(n, x));
-      EXPECT_EQ(cc.row - nd.box.row0, (pc.row - pb.row0) % nd.box.rows);
-      EXPECT_EQ(cc.col - nd.box.col0, (pc.col - pb.col0) % nd.box.cols);
+      const Submesh& box = d->cluster(n);
+      const Submesh& pb = d->cluster(nd.parent);
+      const Coord pc = m.coordOf(d->hostOf(nd.parent, x, EmbeddingKind::Regular, 3));
+      const Coord cc = m.coordOf(d->hostOf(n, x, EmbeddingKind::Regular, 3));
+      EXPECT_EQ(cc.row - box.row0, (pc.row - pb.row0) % box.rows);
+      EXPECT_EQ(cc.col - box.col0, (pc.col - pb.col0) % box.cols);
     }
   }
 }
 
 TEST(Embedding, DeterministicAcrossInstances) {
-  Mesh m(8, 8);
-  Decomposition d(m, Params{4, 1});
-  Embedding a(d, EmbeddingKind::Random, 11);
-  Embedding b(d, EmbeddingKind::Random, 11);
-  for (int n = 0; n < d.numNodes(); ++n)
-    EXPECT_EQ(a.hostOf(n, 5), b.hostOf(n, 5));
-  Embedding c(d, EmbeddingKind::Random, 12);
+  const auto d = decomposeGrid(Grid(8, 8), Params{4, 1});
+  const auto e = decomposeGrid(Grid(8, 8), Params{4, 1});
+  for (int n = 0; n < d->numNodes(); ++n)
+    EXPECT_EQ(d->hostOf(n, 5, EmbeddingKind::Random, 11),
+              e->hostOf(n, 5, EmbeddingKind::Random, 11));
   int differs = 0;
-  for (int n = 0; n < d.numNodes(); ++n)
-    differs += a.hostOf(n, 5) != c.hostOf(n, 5);
+  for (int n = 0; n < d->numNodes(); ++n)
+    differs += d->hostOf(n, 5, EmbeddingKind::Random, 11) !=
+               d->hostOf(n, 5, EmbeddingKind::Random, 12);
   EXPECT_GT(differs, 0);
 }
 
 }  // namespace
-}  // namespace diva::mesh
+}  // namespace diva::net

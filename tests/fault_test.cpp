@@ -10,9 +10,9 @@
 
 #include "diva/machine.hpp"
 #include "diva/runtime.hpp"
-#include "mesh/link_stats.hpp"
 #include "net/fault.hpp"
 #include "net/graph_topology.hpp"
+#include "net/link_stats.hpp"
 #include "net/mesh_topology.hpp"
 #include "net/network.hpp"
 #include "sim/task.hpp"
@@ -36,7 +36,7 @@ struct NetFixture {
         net(engine, topo, net::CostModel::gcel(), stats) {}
   sim::Engine engine;
   net::MeshTopology topo;
-  mesh::LinkStats stats;
+  net::LinkStats stats;
   net::Network net;
 };
 
@@ -60,7 +60,7 @@ TEST(Fault, FlightParksWhenCutOffAndResumesOnHeal) {
   // Ring of 4: node 2 is unreachable once both its links are dead.
   sim::Engine engine;
   net::GraphTopology topo(net::ringGraph(4));
-  mesh::LinkStats stats(topo.numLinkSlots(), 1);
+  net::LinkStats stats(topo.numLinkSlots(), 1);
   net::Network net(engine, topo, net::CostModel::gcel(), stats);
   double arrived = -1.0;
   net.setHandler(2, net::kFirstAppChannel, [&](net::Message&&) {

@@ -3,15 +3,14 @@
 
 #include <gtest/gtest.h>
 
-#include "mesh/link_stats.hpp"
-#include "mesh/mesh.hpp"
-#include "mesh/route.hpp"
+#include "net/link_stats.hpp"
+#include "net/mesh_topology.hpp"
 
-namespace diva::mesh {
+namespace diva::net {
 namespace {
 
 TEST(Mesh, RowMajorNumbering) {
-  Mesh m(4, 8);
+  Grid m(4, 8);
   EXPECT_EQ(m.numNodes(), 32);
   EXPECT_EQ(m.nodeAt(0, 0), 0);
   EXPECT_EQ(m.nodeAt(0, 7), 7);
@@ -22,28 +21,28 @@ TEST(Mesh, RowMajorNumbering) {
 }
 
 TEST(Mesh, NeighborsRespectBoundaries) {
-  Mesh m(3, 3);
-  const NodeId corner = m.nodeAt(0, 0);
-  EXPECT_TRUE(m.hasNeighbor(corner, Mesh::East));
-  EXPECT_TRUE(m.hasNeighbor(corner, Mesh::South));
-  EXPECT_FALSE(m.hasNeighbor(corner, Mesh::West));
-  EXPECT_FALSE(m.hasNeighbor(corner, Mesh::North));
-  const NodeId center = m.nodeAt(1, 1);
-  for (int d = 0; d < Mesh::kDirs; ++d)
-    EXPECT_TRUE(m.hasNeighbor(center, static_cast<Mesh::Dir>(d)));
-  EXPECT_EQ(m.neighbor(center, Mesh::East), m.nodeAt(1, 2));
-  EXPECT_EQ(m.neighbor(center, Mesh::North), m.nodeAt(0, 1));
+  MeshTopology m(3, 3);
+  const NodeId corner = m.grid().nodeAt(0, 0);
+  EXPECT_GE(m.neighbor(corner, Grid::East), 0);
+  EXPECT_GE(m.neighbor(corner, Grid::South), 0);
+  EXPECT_EQ(m.neighbor(corner, Grid::West), -1);
+  EXPECT_EQ(m.neighbor(corner, Grid::North), -1);
+  const NodeId center = m.grid().nodeAt(1, 1);
+  for (int d = 0; d < Grid::kDirs; ++d) EXPECT_GE(m.neighbor(center, d), 0);
+  EXPECT_EQ(m.neighbor(center, Grid::East), m.grid().nodeAt(1, 2));
+  EXPECT_EQ(m.neighbor(center, Grid::North), m.grid().nodeAt(0, 1));
 }
 
 TEST(Route, EmptyForSelf) {
-  Mesh m(4, 4);
+  MeshTopology m(4, 4);
   EXPECT_TRUE(routeOf(m, 5, 5).empty());
 }
 
 TEST(Route, ColumnsFirstThenRows) {
-  Mesh m(4, 4);
+  MeshTopology topo(4, 4);
+  const Grid& m = topo.grid();
   // From (0,0) to (2,3): expect 3 East hops then 2 South hops.
-  const auto hops = routeOf(m, m.nodeAt(0, 0), m.nodeAt(2, 3));
+  const auto hops = routeOf(topo, m.nodeAt(0, 0), m.nodeAt(2, 3));
   ASSERT_EQ(hops.size(), 5u);
   EXPECT_EQ(hops[0].to, m.nodeAt(0, 1));
   EXPECT_EQ(hops[1].to, m.nodeAt(0, 2));
@@ -56,12 +55,13 @@ class RouteProperty : public ::testing::TestWithParam<std::pair<int, int>> {};
 
 TEST_P(RouteProperty, AllPairsShortestAndXY) {
   const auto [rows, cols] = GetParam();
-  Mesh m(rows, cols);
+  MeshTopology topo(rows, cols);
+  const Grid& m = topo.grid();
   for (NodeId a = 0; a < m.numNodes(); ++a) {
     for (NodeId b = 0; b < m.numNodes(); ++b) {
-      const auto hops = routeOf(m, a, b);
+      const auto hops = routeOf(topo, a, b);
       // Shortest: hop count equals Manhattan distance.
-      EXPECT_EQ(static_cast<int>(hops.size()), m.distance(a, b));
+      EXPECT_EQ(static_cast<int>(hops.size()), topo.distance(a, b));
       // Dimension order: no column movement after the first row movement.
       bool sawRow = false;
       NodeId cur = a;
@@ -70,7 +70,7 @@ TEST_P(RouteProperty, AllPairsShortestAndXY) {
         if (rowMove) sawRow = true;
         if (sawRow) EXPECT_NE(m.coordOf(h.to).row, m.coordOf(cur).row);
         // Links must connect adjacent nodes.
-        EXPECT_EQ(m.distance(cur, h.to), 1);
+        EXPECT_EQ(topo.distance(cur, h.to), 1);
         cur = h.to;
       }
       if (!hops.empty()) EXPECT_EQ(cur, b);
@@ -84,10 +84,10 @@ INSTANTIATE_TEST_SUITE_P(Shapes, RouteProperty,
                                            std::pair{3, 5}, std::pair{8, 8}));
 
 TEST(LinkStats, CongestionIsMaxTotalIsSum) {
-  Mesh m(2, 2);
+  MeshTopology m(2, 2);
   LinkStats s(m.numLinkSlots(), 2);
-  const int l0 = m.linkIndex(0, Mesh::East);
-  const int l1 = m.linkIndex(0, Mesh::South);
+  const int l0 = m.linkIndex(0, Grid::East);
+  const int l1 = m.linkIndex(0, Grid::South);
   s.record(l0, 100);
   s.record(l0, 100);
   s.record(l1, 50);
@@ -98,9 +98,9 @@ TEST(LinkStats, CongestionIsMaxTotalIsSum) {
 }
 
 TEST(LinkStats, PhasesAreScoped) {
-  Mesh m(2, 2);
+  MeshTopology m(2, 2);
   LinkStats s(m.numLinkSlots(), 3);
-  const int l = m.linkIndex(0, Mesh::East);
+  const int l = m.linkIndex(0, Grid::East);
   s.setPhase(0);
   s.record(l, 10);
   s.setPhase(2);
@@ -114,7 +114,7 @@ TEST(LinkStats, PhasesAreScoped) {
 }
 
 TEST(LinkStats, ResetClearsEverything) {
-  Mesh m(2, 2);
+  MeshTopology m(2, 2);
   LinkStats s(m.numLinkSlots(), 2);
   s.record(0, 5);
   s.reset();
@@ -123,4 +123,4 @@ TEST(LinkStats, ResetClearsEverything) {
 }
 
 }  // namespace
-}  // namespace diva::mesh
+}  // namespace diva::net

@@ -3,7 +3,7 @@
 
 #include <gtest/gtest.h>
 
-#include "mesh/link_stats.hpp"
+#include "net/link_stats.hpp"
 #include "net/mesh_topology.hpp"
 #include "net/network.hpp"
 #include "sim/task.hpp"
@@ -16,7 +16,7 @@ struct Fixture {
       : topo(rows, cols), stats(topo.numLinkSlots(), 1), net(engine, topo, cm, stats) {}
   sim::Engine engine;
   MeshTopology topo;
-  mesh::LinkStats stats;
+  LinkStats stats;
   Network net;
 };
 

@@ -14,7 +14,7 @@
 #include "diva/machine.hpp"
 
 using namespace diva;
-using diva::mesh::NodeId;
+using diva::net::NodeId;
 
 namespace {
 struct Stop {};

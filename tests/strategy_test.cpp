@@ -277,7 +277,7 @@ TEST(AccessTree, FlatterTreesUseFewerMessagesButMoreTraffic) {
 }
 
 TEST(AccessTree, EmbeddingKindChangesHostsNotSemantics) {
-  for (auto kind : {mesh::EmbeddingKind::Regular, mesh::EmbeddingKind::Random}) {
+  for (auto kind : {net::EmbeddingKind::Regular, net::EmbeddingKind::Random}) {
     Machine m(4, 4);
     RuntimeConfig cfg = RuntimeConfig::accessTree(4, 1);
     cfg.embedding = kind;
@@ -309,8 +309,8 @@ TEST(FixedHome, HomeSerializesAllRequests) {
   // carry far more than the average link.
   const NodeId home = fh->homeOf(x);
   std::uint64_t homeOut = 0;
-  for (int d = 0; d < mesh::Mesh::kDirs; ++d)
-    homeOut += m.stats.links.linkBytes(m.mesh().linkIndex(home, static_cast<mesh::Mesh::Dir>(d)));
+  for (int d = 0; d < net::Grid::kDirs; ++d)
+    homeOut += m.stats.links.linkBytes(m.topo().linkIndex(home, d));
   EXPECT_GT(homeOut, m.stats.links.totalBytes() / 16);
 }
 

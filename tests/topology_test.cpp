@@ -91,9 +91,9 @@ TEST(TopologyRouting, TorusWraparoundPicksShorterDirection) {
   // A size-1 ring has no wrap link — neighbor() must not report a
   // self-loop.
   const auto ribbon = net::makeTopology(TopologySpec::torus2d(1, 7));
-  EXPECT_EQ(ribbon->neighbor(3, mesh::Mesh::South), -1);
-  EXPECT_EQ(ribbon->neighbor(3, mesh::Mesh::North), -1);
-  EXPECT_EQ(ribbon->neighbor(6, mesh::Mesh::East), 0);  // the 7-ring wraps
+  EXPECT_EQ(ribbon->neighbor(3, net::Grid::South), -1);
+  EXPECT_EQ(ribbon->neighbor(3, net::Grid::North), -1);
+  EXPECT_EQ(ribbon->neighbor(6, net::Grid::East), 0);  // the 7-ring wraps
 
   // Distances are symmetric and never exceed the mesh distance.
   const auto meshTopo = net::makeTopology(TopologySpec::mesh2d(4, 6));
@@ -128,19 +128,30 @@ TEST(TopologyRouting, HypercubeRoutesFlipOneAscendingBitPerHop) {
 }
 
 TEST(TopologyRouting, MeshMatchesLegacyDimensionOrderRouting) {
-  // The topology route of the mesh must be bit-identical to the original
-  // arithmetic dimension-order walk the network hot path always used.
-  const mesh::Mesh grid(5, 7);
-  const net::MeshTopology topo(5, 7);
-  for (NodeId a = 0; a < 35; ++a) {
-    for (NodeId b = 0; b < 35; ++b) {
-      const auto legacy = mesh::routeOf(grid, a, b);
-      const auto generic = net::routeOf(topo, a, b);
-      ASSERT_EQ(legacy.size(), generic.size());
-      for (std::size_t i = 0; i < legacy.size(); ++i) {
-        EXPECT_EQ(legacy[i].link, generic[i].link);
-        EXPECT_EQ(legacy[i].to, generic[i].to);
+  // The mesh route must be bit-identical to the GCel's dimension-order
+  // walk as the legacy mesh router numbered it: every column hop, then
+  // every row hop, each on link slot node * 4 + {East, West, South, North}.
+  constexpr int kRows = 5, kCols = 7;
+  const net::MeshTopology topo(kRows, kCols);
+  for (NodeId a = 0; a < kRows * kCols; ++a) {
+    for (NodeId b = 0; b < kRows * kCols; ++b) {
+      std::vector<net::Hop> legacy;
+      NodeId cur = a;
+      for (int col = a % kCols; col != b % kCols;) {
+        const bool east = col < b % kCols;
+        col += east ? 1 : -1;
+        const NodeId next = a / kCols * kCols + col;
+        legacy.push_back(net::Hop{cur * 4 + (east ? 0 : 1), next});
+        cur = next;
       }
+      for (int row = a / kCols; row != b / kCols;) {
+        const bool south = row < b / kCols;
+        row += south ? 1 : -1;
+        const NodeId next = row * kCols + b % kCols;
+        legacy.push_back(net::Hop{cur * 4 + (south ? 2 : 3), next});
+        cur = next;
+      }
+      ASSERT_EQ(net::routeOf(topo, a, b), legacy) << a << "->" << b;
     }
   }
 }
@@ -218,26 +229,6 @@ TEST(TopologyDecomposition, TreesPartitionAndEmbedWithinClusters) {
   }
 }
 
-TEST(TopologyDecomposition, MeshTreeMatchesLegacyDecomposition) {
-  const net::MeshTopology topo(4, 3);
-  const mesh::Mesh grid(4, 3);
-  const mesh::Decomposition legacy(grid, mesh::Decomposition::Params{2, 1});
-  const auto tree = topo.decompose(net::DecompParams{2, 1});
-  ASSERT_EQ(tree->numNodes(), legacy.numNodes());
-  for (int i = 0; i < tree->numNodes(); ++i) {
-    EXPECT_EQ(tree->parent(i), legacy.parent(i));
-    EXPECT_EQ(tree->depthOf(i), legacy.depthOf(i));
-    EXPECT_EQ(tree->node(i).children, legacy.node(i).children);
-  }
-  EXPECT_EQ(tree->leafOrder(), legacy.leafOrder());
-  // Hosts are computed by the very same embedding.
-  const mesh::Embedding embed(legacy, mesh::EmbeddingKind::Regular, 7);
-  for (int i = 0; i < tree->numNodes(); ++i)
-    for (std::uint64_t var : {1ull, 5ull})
-      EXPECT_EQ(tree->hostOf(i, var, net::EmbeddingKind::Regular, 7),
-                embed.hostOf(i, var));
-}
-
 /// FNV-1a digest of every decomposition of `topo` over a spread of
 /// (arity, leafSize) parameters: tree shape (parent, index, depth, size,
 /// children), leaf order, and the host both embeddings give every tree
@@ -270,27 +261,36 @@ std::uint64_t treeDigest(const net::Topology& topo) {
   return h;
 }
 
-TEST(TopologyDecomposition, TreesMatchCommittedDigests) {
-  // Goldens recorded from the per-shape decompositions (the mesh's
-  // submesh halving, the hypercube's subcube split, graph bisection);
-  // any builder must reproduce every tree node, leaf rank and host.
-  const std::vector<std::pair<TopologySpec, std::uint64_t>> cases = {
+void expectTreeDigests(const std::vector<std::pair<TopologySpec, std::uint64_t>>& cases) {
+  for (const auto& [spec, golden] : cases) {
+    const std::uint64_t h = treeDigest(*net::makeTopology(spec));
+    EXPECT_EQ(h, golden) << spec.describe() << " tree digest 0x" << std::hex << h;
+  }
+}
+
+TEST(TopologyDecomposition, MeshTreeMatchesLegacyDecomposition) {
+  // Goldens recorded from the legacy mesh decomposition and embedding
+  // (src/mesh/, which grid trees wrapped before the shared builder).
+  expectTreeDigests({
       {TopologySpec::mesh2d(4, 3), 0xa306ee8f3c13b785ull},
       {TopologySpec::mesh2d(5, 9), 0xbcd0589b18220abbull},
       {TopologySpec::mesh2d(16, 16), 0xd0110564f1798e45ull},
       {TopologySpec::mesh2d(1, 7), 0x83638e15c1f81d61ull},
       {TopologySpec::torus2d(4, 6), 0x7d7fb1e1c33a41ffull},
+  });
+}
+
+TEST(TopologyDecomposition, TreesMatchCommittedDigests) {
+  // Goldens recorded from the per-shape builders the shared builder
+  // replaced (the hypercube's subcube split, graph bisection).
+  expectTreeDigests({
       {TopologySpec::hypercube(0), 0xa3eca47afc4a5fa5ull},
       {TopologySpec::hypercube(5), 0xa245770bac78df33ull},
       {TopologySpec::graph(net::ringGraph(7)), 0x90867fd3c3a63687ull},
       {TopologySpec::graph(net::randomRegularGraph(40, 3, 7)), 0x957516ff0e7cc252ull},
       {TopologySpec::graph(net::fatTreeGraph(3, 3)), 0x3ea766cbef7436f7ull},
       {TopologySpec::hierGraph(net::randomRegularGraph(64, 4, 1), 4), 0x84be4df4256d98ddull},
-  };
-  for (const auto& [spec, golden] : cases) {
-    const std::uint64_t h = treeDigest(*net::makeTopology(spec));
-    EXPECT_EQ(h, golden) << spec.describe() << " tree digest 0x" << std::hex << h;
-  }
+  });
 }
 
 // ---------------------------------------------------------------------------
