@@ -10,9 +10,6 @@
 
 namespace diva::net {
 
-/// The decomposition arities of the paper: ℓ ∈ {2, 4, 16}.
-inline bool isSupportedArity(int arity) { return arity == 2 || arity == 4 || arity == 16; }
-
 /// The one construction of the paper's ℓ-ary and ℓ-k-ary cluster trees
 /// (§2), shared by every topology; only the cluster geometry differs.
 ///

@@ -47,6 +47,9 @@ struct DecompParams {
   int leafSize = 1;
 };
 
+/// The decomposition arities of the paper: ℓ ∈ {2, 4, 16}.
+inline bool isSupportedArity(int arity) { return arity == 2 || arity == 4 || arity == 16; }
+
 /// The network shapes a Machine can simulate.
 enum class TopologyKind { Mesh2D, Torus2D, Hypercube, Graph };
 

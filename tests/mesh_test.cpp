@@ -68,12 +68,16 @@ TEST_P(RouteProperty, AllPairsShortestAndXY) {
       for (const Hop& h : hops) {
         const bool rowMove = m.coordOf(h.to).row != m.coordOf(cur).row;
         if (rowMove) sawRow = true;
-        if (sawRow) EXPECT_NE(m.coordOf(h.to).row, m.coordOf(cur).row);
+        if (sawRow) {
+          EXPECT_NE(m.coordOf(h.to).row, m.coordOf(cur).row);
+        }
         // Links must connect adjacent nodes.
         EXPECT_EQ(topo.distance(cur, h.to), 1);
         cur = h.to;
       }
-      if (!hops.empty()) EXPECT_EQ(cur, b);
+      if (!hops.empty()) {
+        EXPECT_EQ(cur, b);
+      }
     }
   }
 }
