@@ -181,7 +181,9 @@ ScenarioFingerprint scenarioFingerprint(const net::TopologySpec& spec, const cha
 
 /// Goldens for the committed scenarios under both strategies. The churn
 /// and elastic delivery hashes pin the drivers' crashed-issuer retry path
-/// and the reconfiguration path (which no other golden reaches); the
+/// and the reconfiguration path (which no other golden reaches), and
+/// crash_reconfig pins crash repair and epoch migration parked on the
+/// same objects and drained together; the
 /// report digests pin every counter the report derives from the run. The
 /// access-tree hotspot and openloop delivery hashes repeat the goldens
 /// above, which cross-checks this harness against theirs.
@@ -201,16 +203,20 @@ constexpr ScenarioGolden kScenarioGoldens[] = {
     {"elastic.scenario", false, 0x0e17631974b43e27ull, 0x959b4ff3f2b64d08ull},
     {"openloop.scenario", true, 0x56f64c3f9578eeeeull, 0x989643822e6cac79ull},
     {"openloop.scenario", false, 0xaee2e81354e8ba67ull, 0x1a093cd0422e8e90ull},
+    {"crash_reconfig.scenario", true, 0x44ca0f392bc50baaull, 0x68b344589ae42c14ull},
+    {"crash_reconfig.scenario", false, 0x1095e4bf52cbed8eull, 0x12975fc602ec0b00ull},
 };
 
 TEST(DeterminismGolden, ScenarioDeliveriesAndReportsMatchCommittedDigests) {
   for (const ScenarioGolden& g : kScenarioGoldens) {
-    // elastic.scenario runs on the shape scenario_runner resolves for its
-    // `topology random-regular` line at 16 procs; the rest on the 8×8 mesh.
-    const bool elastic = std::string(g.file) == "elastic.scenario";
+    // elastic and crash_reconfig run on the shape scenario_runner resolves
+    // for their `topology random-regular` line at 16 procs; the rest on
+    // the 8×8 mesh.
+    const std::string file = g.file;
+    const bool graph = file == "elastic.scenario" || file == "crash_reconfig.scenario";
     const net::TopologySpec spec =
-        elastic ? net::TopologySpec::graph(net::randomRegularGraph(16, 4, 1))
-                : net::TopologySpec::mesh2d(8, 8);
+        graph ? net::TopologySpec::graph(net::randomRegularGraph(16, 4, 1))
+              : net::TopologySpec::mesh2d(8, 8);
     const RuntimeConfig rc =
         g.accessTree ? RuntimeConfig::accessTree(4, 1) : RuntimeConfig::fixedHome();
     const ScenarioFingerprint f = scenarioFingerprint(spec, g.file, rc);
