@@ -113,7 +113,7 @@ sim::Task<Value> AccessTreeStrategy::read(NodeId p, VarId x) {
     // variable is mid-handoff on a superseded context, its migration
     // deferred until it falls quiet. Enter the old tree through a
     // deterministic proxy leaf; the p→proxy hop is the forwarding cost.
-    entry = nextLiveAfter(x, p);
+    entry = nextLiveAfter(treeOf(x), x, p);
     b.requester = entry;
     b.atNode = treeOf(x).leafOf(entry);
     ++stats_.ops.forwardedOps;
@@ -124,7 +124,7 @@ sim::Task<Value> AccessTreeStrategy::read(NodeId p, VarId x) {
 
   Value v = co_await done.wait();
   pending_.erase(txn);
-  if (--states_.at(x).activeOps == 0) drainRepairs(x);
+  if (--states_.at(x).activeOps == 0) drainDeferred(x);
   co_return v;
 }
 
@@ -146,7 +146,7 @@ sim::Task<void> AccessTreeStrategy::write(NodeId p, VarId x, Value v) {
   if (b.atNode < 0) {
     // Same proxy entry as read(): a node added after this variable's
     // tree was built forwards through a leaf the old tree covers.
-    entry = nextLiveAfter(x, p);
+    entry = nextLiveAfter(treeOf(x), x, p);
     b.requester = entry;
     b.atNode = treeOf(x).leafOf(entry);
     ++stats_.ops.forwardedOps;
@@ -159,7 +159,7 @@ sim::Task<void> AccessTreeStrategy::write(NodeId p, VarId x, Value v) {
 
   (void)co_await done.wait();
   pending_.erase(txn);
-  if (--states_.at(x).activeOps == 0) drainRepairs(x);
+  if (--states_.at(x).activeOps == 0) drainDeferred(x);
   co_return;
 }
 
@@ -199,19 +199,24 @@ sim::Task<void> AccessTreeStrategy::registerVar(VarId x, NodeId owner, Value ini
   // bookkeeping plus the first startup — creation does not block on a
   // root round trip.
   registerVarFree(x, owner, std::move(init));
+  markRootPath(x, owner);
+  co_return;
+}
+
+bool AccessTreeStrategy::markRootPath(VarId x, NodeId owner) {
   const net::ClusterTree& t = treeOf(x);
   const std::int32_t leaf = t.leafOf(owner);
-  if (t.parent(leaf) < 0) co_return;  // single-node machine
-
-  AtBody b;
-  b.k = AtBody::K::Mark;
-  b.var = x;
-  b.requester = owner;
-  b.ctx = cur_;
-  b.atNode = t.parent(leaf);
-  b.fromNode = leaf;
-  net_.post(net::Message{owner, hostOf(b.atNode, x), net::kProtocolChannel, 0, std::move(b)});
-  co_return;
+  if (t.parent(leaf) < 0) return false;  // single-node machine
+  AtBody m;
+  m.k = AtBody::K::Mark;
+  m.var = x;
+  m.requester = owner;
+  m.ctx = states_.at(x).ctx;
+  m.atNode = t.parent(leaf);
+  m.fromNode = leaf;
+  net_.post(
+      net::Message{owner, hostOf(m.atNode, x), net::kProtocolChannel, 0, std::move(m)});
+  return true;
 }
 
 void AccessTreeStrategy::destroyVarFree(VarId x) {
@@ -228,14 +233,12 @@ void AccessTreeStrategy::destroyVarFree(VarId x) {
     }
   }
   states_.erase(it);
-  pendingRepairs_.erase(x);
-  pendingMigrations_.erase(x);
+  deferred_.erase(x);
 }
 
-Value AccessTreeStrategy::peek(VarId x) const {
+std::int32_t AccessTreeStrategy::topCopy(VarId x) const {
   const auto it = states_.find(x);
   DIVA_CHECK_MSG(it != states_.end(), "peek of unregistered variable");
-  // The topmost copy holder carries the committed value.
   const net::ClusterTree& t = treeOf(x);
   std::int32_t top = -1;
   for (const auto& [node, st] : it->second.nodes)
@@ -243,7 +246,12 @@ Value AccessTreeStrategy::peek(VarId x) const {
         (top < 0 || t.depthOf(node) < t.depthOf(top)))
       top = node;
   DIVA_CHECK_MSG(top >= 0, "variable has no copies");
-  const NodeCache::Entry* e = caches_[hostOf(top, x)].peek(x);
+  return top;
+}
+
+Value AccessTreeStrategy::peek(VarId x) const {
+  // The topmost copy holder carries the committed value.
+  const NodeCache::Entry* e = caches_[hostOf(topCopy(x), x)].peek(x);
   DIVA_CHECK(e && e->value);
   return e->value;
 }
@@ -759,11 +767,8 @@ void AccessTreeStrategy::maybeEvictAt(NodeId p) {
 // Crash repair (docs/faults.md)
 // ---------------------------------------------------------------------------
 
-NodeId AccessTreeStrategy::nextLiveAfter(VarId x, NodeId p) const {
-  // The successor must be up, a current member of the machine, and
-  // covered by the variable's tree (a node added after that tree was
-  // built cannot host a component the old tree's ids describe).
-  const net::ClusterTree& t = treeOf(x);
+NodeId AccessTreeStrategy::nextLiveAfter(const net::ClusterTree& t, VarId x,
+                                         NodeId p) const {
   const int n = net_.numNodes();
   NodeId q = static_cast<NodeId>((p + 1) % n);
   for (int steps = 0; !net_.nodeUp(q) || !net_.nodeMember(q) || t.leafOf(q) < 0;
@@ -792,46 +797,23 @@ void AccessTreeStrategy::onNodeDown(NodeId p) {
     if (touches) affected.push_back(x);
   }
   std::sort(affected.begin(), affected.end());
-  for (VarId x : affected) scheduleRepair(x, p);
+  for (VarId x : affected)
+    deferred_.repair(x, p, varQuiet(states_.at(x)), [&] { repairVar(x, p); });
 }
 
-void AccessTreeStrategy::scheduleRepair(VarId x, NodeId deadNode) {
-  if (varQuiet(states_.at(x))) {
-    repairVar(x, deadNode);
-    return;
-  }
-  std::vector<NodeId>& parked = pendingRepairs_[x];
-  if (std::find(parked.begin(), parked.end(), deadNode) == parked.end())
-    parked.push_back(deadNode);
+void AccessTreeStrategy::drainDeferred(VarId x) {
+  // Repair even if the node recovered meanwhile: the crash destroyed its
+  // application state, so its pre-crash copies are scrubbed regardless.
+  // The migration comes last because repair is defined on the old tree.
+  deferred_.drain(
+      x, [&] { return varQuiet(states_.at(x)); }, [&](NodeId p) { repairVar(x, p); },
+      [&] { migrateVar(x); });
 }
 
-void AccessTreeStrategy::drainRepairs(VarId x) {
-  if (pendingRepairs_.empty() && pendingMigrations_.empty()) return;
-  if (!varQuiet(states_.at(x))) return;
-  const auto it = pendingRepairs_.find(x);
-  if (it != pendingRepairs_.end()) {
-    std::vector<NodeId> dead = std::move(it->second);
-    pendingRepairs_.erase(it);
-    // Repair even if the node recovered meanwhile: the crash destroyed its
-    // application state, so its pre-crash copies are scrubbed regardless.
-    for (NodeId p : dead) repairVar(x, p);
-  }
-  // A deferred epoch migration runs after the repairs: both require the
-  // variable quiet, and repair is defined on the old tree.
-  if (pendingMigrations_.erase(x) > 0) migrateVar(x);
-}
-
-void AccessTreeStrategy::repairVar(VarId x, NodeId p) {
+template <typename Handoff>
+void AccessTreeStrategy::reseed(VarId x, int ctx, NodeId owner, const Value& v,
+                                std::uint64_t& markMsgs, Handoff&& handoff) {
   VarState& vs = states_.at(x);
-  // Salvage the committed value before scrubbing. The dead host's memory
-  // module is still reachable by its protocol agent (always-on-agent
-  // fault model), which justifies recovering a value whose topmost copy
-  // sat at p.
-  const Value v = peek(x);
-  DIVA_CHECK_MSG(v, "repair of variable " << x << " found no value");
-
-  // Wipe the whole component in sorted tree-node order (determinism:
-  // cache LRU mutation order must not depend on hash-map layout).
   std::vector<std::int32_t> copies;
   for (const auto& [n, st] : vs.nodes)
     if (st.kind == TreeState::Kind::Copy) copies.push_back(n);
@@ -843,18 +825,26 @@ void AccessTreeStrategy::repairVar(VarId x, NodeId p) {
     hintCopyDied(x, n);
   }
   vs.nodes.clear();
-  caches_[p].erase(x);  // stray safety: a dead node keeps no entry for x
-
-  // Reseed a fresh one-copy component at the deterministic successor.
-  const NodeId s = nextLiveAfter(x, p);
-  seedComponent(vs, x, s, v);
+  vs.ctx = ctx;
+  seedComponent(vs, x, owner, v);
   ++vs.committedVersion;  // any still-queued deposit version is stale now
-  maybeEvictAt(s);
+  maybeEvictAt(owner);
+  handoff(hosts);
+  if (markRootPath(x, owner)) ++markMsgs;
+}
+
+void AccessTreeStrategy::repairVar(VarId x, NodeId p) {
+  // Salvage the committed value before scrubbing. The dead host's memory
+  // module is still reachable by its protocol agent (always-on-agent
+  // fault model), which justifies recovering a value whose topmost copy
+  // sat at p.
+  const Value v = peek(x);
+  const int ctx = states_.at(x).ctx;
+  const NodeId s = nextLiveAfter(treeOf(x), x, p);
   ++stats_.ops.repairedVars;
 
   // Charge the repair traffic: the salvaged value streams from the dead
-  // host to the seed, each surviving copy host gets a scrub notice, and
-  // the root path is re-marked hop by hop (real Mark messages).
+  // host to the seed and each surviving copy host gets a scrub notice.
   auto recover = [&](NodeId src, NodeId dst, std::uint64_t bytes) {
     ++stats_.ops.recoveryMessages;
     stats_.ops.recoveryBytes += bytes;
@@ -863,30 +853,22 @@ void AccessTreeStrategy::repairVar(VarId x, NodeId p) {
     AtBody r;
     r.k = AtBody::K::Recover;
     r.var = x;
-    r.ctx = vs.ctx;
+    r.ctx = ctx;
     net_.post(net::Message{src, dst, net::kProtocolChannel, bytes, std::move(r)});
   };
-  recover(p, s, v->size());
-  std::vector<NodeId> notified;
-  for (NodeId h : hosts) {
-    if (h == s || h == p) continue;
-    if (std::find(notified.begin(), notified.end(), h) != notified.end()) continue;
-    notified.push_back(h);
-    recover(s, h, 0);
-  }
-  const net::ClusterTree& t = treeOf(x);
-  const std::int32_t leaf = t.leafOf(s);
-  if (t.parent(leaf) >= 0) {
-    ++stats_.ops.recoveryMessages;
-    AtBody m;
-    m.k = AtBody::K::Mark;
-    m.var = x;
-    m.requester = s;
-    m.ctx = vs.ctx;
-    m.atNode = t.parent(leaf);
-    m.fromNode = leaf;
-    net_.post(net::Message{s, hostOf(m.atNode, x), net::kProtocolChannel, 0, std::move(m)});
-  }
+  reseed(x, ctx, s, v, stats_.ops.recoveryMessages,
+         [&](const std::vector<NodeId>& hosts) {
+           recover(p, s, v->size());
+           std::vector<NodeId> notified;
+           for (NodeId h : hosts) {
+             if (h == s || h == p) continue;
+             if (std::find(notified.begin(), notified.end(), h) != notified.end())
+               continue;
+             notified.push_back(h);
+             recover(s, h, 0);
+           }
+         });
+  caches_[p].erase(x);  // stray safety: a dead node keeps no entry for x
 }
 
 // ---------------------------------------------------------------------------
@@ -911,15 +893,8 @@ void AccessTreeStrategy::onReconfig() {
   vars.reserve(states_.size());
   for (const auto& [x, vs] : states_) vars.push_back(x);
   std::sort(vars.begin(), vars.end());
-  for (VarId x : vars) {
-    if (varQuiet(states_.at(x)) && !pendingRepairs_.contains(x)) {
-      migrateVar(x);
-    } else {
-      // Busy (or repair-parked): the variable keeps operating on its old
-      // tree and migrates when its last in-flight op retires.
-      pendingMigrations_.insert(x);
-    }
-  }
+  for (VarId x : vars)
+    deferred_.migrate(x, varQuiet(states_.at(x)), [&] { migrateVar(x); });
 }
 
 void AccessTreeStrategy::sendMigrate(NodeId src, NodeId dst, VarId x,
@@ -936,64 +911,21 @@ void AccessTreeStrategy::sendMigrate(NodeId src, NodeId dst, VarId x,
 }
 
 void AccessTreeStrategy::migrateVar(VarId x) {
-  VarState& vs = states_.at(x);
-  if (vs.ctx == cur_) return;  // already on the current tree
-  const net::ClusterTree& oldTree = *ctxs_[static_cast<std::size_t>(vs.ctx)].tree;
-
+  if (states_.at(x).ctx == cur_) return;  // already on the current tree
   // Salvage the committed value from the topmost copy before wiping.
-  std::int32_t top = -1;
-  for (const auto& [n, st] : vs.nodes)
-    if (st.kind == TreeState::Kind::Copy &&
-        (top < 0 || oldTree.depthOf(n) < oldTree.depthOf(top)))
-      top = n;
-  DIVA_CHECK_MSG(top >= 0, "migrating variable " << x << " without copies");
-  const NodeId oldHost = hostOf(top, x);
-  const NodeCache::Entry* ref = caches_[oldHost].peek(x);
-  DIVA_CHECK_MSG(ref && ref->value, "migration of variable " << x
-                                        << " found no committed value");
-  const Value v = ref->value;
-
-  // Wipe the old-tree component in sorted tree-node order (determinism:
-  // cache LRU mutation order must not depend on hash-map layout).
-  std::vector<std::int32_t> copies;
-  for (const auto& [n, st] : vs.nodes)
-    if (st.kind == TreeState::Kind::Copy) copies.push_back(n);
-  std::sort(copies.begin(), copies.end());
-  for (std::int32_t n : copies) {
-    clearCopy(x, n);
-    hintCopyDied(x, n);
-  }
-  vs.nodes.clear();
-
-  // Reseed a single-copy component on the new tree at the old host — or
-  // its deterministic next live member when that host left the machine.
-  vs.ctx = cur_;
+  const NodeId oldHost = hostOf(topCopy(x), x);
+  const Value v = peek(x);
+  const net::ClusterTree& t = *ctxs_[static_cast<std::size_t>(cur_)].tree;
   NodeId owner = oldHost;
-  if (!net_.nodeUp(owner) || !net_.nodeMember(owner) ||
-      treeOf(x).leafOf(owner) < 0)
-    owner = nextLiveAfter(x, oldHost);
-  seedComponent(vs, x, owner, v);
-  ++vs.committedVersion;  // any still-queued deposit version is stale now
-  maybeEvictAt(owner);
+  if (!net_.nodeUp(owner) || !net_.nodeMember(owner) || t.leafOf(owner) < 0)
+    owner = nextLiveAfter(t, x, oldHost);
   ++stats_.ops.migratedVars;
-
   // Charge the handoff: the value streams from the old host to the new
-  // owner (when it moved) and the new root path is re-marked hop by hop.
-  if (owner != oldHost) sendMigrate(oldHost, owner, x, v->size());
-  const net::ClusterTree& t = treeOf(x);
-  const std::int32_t leaf = t.leafOf(owner);
-  if (t.parent(leaf) >= 0) {
-    ++stats_.ops.migrationMessages;
-    AtBody m;
-    m.k = AtBody::K::Mark;
-    m.var = x;
-    m.requester = owner;
-    m.ctx = cur_;
-    m.atNode = t.parent(leaf);
-    m.fromNode = leaf;
-    net_.post(
-        net::Message{owner, hostOf(m.atNode, x), net::kProtocolChannel, 0, std::move(m)});
-  }
+  // owner when it moved.
+  reseed(x, cur_, owner, v, stats_.ops.migrationMessages,
+         [&](const std::vector<NodeId>&) {
+           if (owner != oldHost) sendMigrate(oldHost, owner, x, v->size());
+         });
 }
 
 // ---------------------------------------------------------------------------
@@ -1007,10 +939,8 @@ void AccessTreeStrategy::checkInvariants(VarId x) const {
   DIVA_CHECK_MSG(!vs.coord, "write still in flight");
   DIVA_CHECK_MSG(vs.relays.empty(), "invalidation relays still in flight");
   DIVA_CHECK_MSG(vs.activeOps == 0, "operations still in flight");
-  DIVA_CHECK_MSG(!pendingRepairs_.contains(x),
-                 "repair still parked for variable " << x << " at quiescence");
-  DIVA_CHECK_MSG(!pendingMigrations_.contains(x),
-                 "migration still parked for variable " << x << " at quiescence");
+  DIVA_CHECK_MSG(!deferred_.parked(x), "repair or migration still parked for variable "
+                                           << x << " at quiescence");
   DIVA_CHECK_MSG(vs.ctx == cur_, "variable " << x
                                              << " still managed by a superseded "
                                                 "access tree at quiescence");

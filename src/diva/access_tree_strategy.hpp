@@ -3,12 +3,12 @@
 #include <cstdint>
 #include <optional>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include <memory>
 
 #include "diva/cache.hpp"
+#include "diva/deferred_work.hpp"
 #include "diva/stats.hpp"
 #include "diva/strategy.hpp"
 #include "net/network.hpp"
@@ -232,8 +232,15 @@ class AccessTreeStrategy final : public Strategy {
   void clearCopy(VarId x, std::int32_t node);
   void eraseIfDefault(VarId x, std::int32_t node);
   /// Install the one-copy component at `owner`'s leaf and mark the root
-  /// path — shared by free registration and crash repair.
+  /// path — shared by free registration and reseed.
   void seedComponent(VarState& vs, VarId x, NodeId owner, Value init);
+  /// Charge the root-path marking of a component seeded at `owner` as a
+  /// real Mark message walking the path hop by hop; false (nothing sent)
+  /// on a single-node tree.
+  bool markRootPath(VarId x, NodeId owner);
+  /// The topmost tree node of `x`'s copy component (it holds the
+  /// committed value).
+  std::int32_t topCopy(VarId x) const;
   /// Subtree-hint maintenance: record one copy of `x` appearing at
   /// (resp. leaving) tree node `node` — updates the Bloom filter of the
   /// node and of every ancestor. Calls pair exactly with Copy-state
@@ -241,29 +248,29 @@ class AccessTreeStrategy final : public Strategy {
   void hintCopyBorn(VarId x, std::int32_t node);
   void hintCopyDied(VarId x, std::int32_t node);
 
-  // --- crash repair (docs/faults.md) ---
-  // Losing an arbitrary subset of a variable's copy component can
-  // disconnect it, which no local rule repairs safely; repair therefore
-  // wipes the whole component and reseeds a fresh single-copy component
-  // (holding the salvaged committed value) at the deterministic
-  // next-live successor of the crashed host — invariant-correct by
-  // construction, conservative in traffic. Deferred until the variable
-  // is quiet, like the fixed-home repair.
-  NodeId nextLiveAfter(VarId x, NodeId p) const;
+  // --- crash repair and epoch migration (docs/faults.md) ---
+  // Both wait in deferred_ until the variable is quiet (drainDeferred)
+  // and both end in reseed.
+  /// First node after `p` that is up, a member and covered by tree `t`
+  /// (a node added after `t` was built has no leaf in it).
+  NodeId nextLiveAfter(const net::ClusterTree& t, VarId x, NodeId p) const;
   bool varQuiet(const VarState& vs) const;
-  void scheduleRepair(VarId x, NodeId deadNode);
-  void drainRepairs(VarId x);
+  void drainDeferred(VarId x);
+  /// The one salvage-and-reseed step: wipe `x`'s copy component in sorted
+  /// tree-node order (cache LRU order must not depend on hash-map layout),
+  /// move `x` to context `ctx`, seed one copy of `v` at `owner` (staling
+  /// queued deposits), run `handoff(wiped hosts)` to post the caller's
+  /// value traffic, then post the root-path Mark charged to `markMsgs`.
+  template <typename Handoff>
+  void reseed(VarId x, int ctx, NodeId owner, const Value& v, std::uint64_t& markMsgs,
+              Handoff&& handoff);
+  /// Losing part of a copy component can disconnect it, which no local
+  /// rule repairs safely: repair reseeds the salvaged committed value at
+  /// the crashed host's successor on the variable's own tree.
   void repairVar(VarId x, NodeId deadNode);
-
-  // --- epoch migration (docs/faults.md "Reconfiguration") ---
-  // A reconfiguration epoch decomposes the network's *target* shape into
-  // a fresh cluster tree (a new context). Every variable then migrates:
-  // its old-tree component is wiped (hints and caches included) and a
-  // single-copy component holding the committed value is reseeded on the
-  // new tree at the old topmost host — or its next live member when that
-  // host left the machine. Busy variables park in pendingMigrations_ and
-  // keep operating on their predecessor tree (requests are forwarded
-  // along it) until their last in-flight operation retires.
+  /// An epoch decomposes the *target* shape into a new context; each
+  /// variable reseeds onto it at its old topmost host (or that host's
+  /// successor if it left), operating on its old tree until then.
   void migrateVar(VarId x);
   void sendMigrate(NodeId src, NodeId dst, VarId x, std::uint64_t payloadBytes);
 
@@ -285,9 +292,7 @@ class AccessTreeStrategy final : public Strategy {
   int cur_ = 0;
   std::unordered_map<VarId, VarState> states_;
   std::unordered_map<std::uint64_t, PendingOp> pending_;
-  std::unordered_map<VarId, std::vector<NodeId>> pendingRepairs_;
-  /// Variables whose migration is deferred until they are quiet.
-  std::unordered_set<VarId> pendingMigrations_;
+  DeferredWork deferred_;
   std::uint64_t nextTxn_ = 1;
 
   static constexpr int kMaxRetries = 64;

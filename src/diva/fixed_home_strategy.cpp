@@ -72,7 +72,7 @@ sim::Task<Value> FixedHomeStrategy::read(NodeId p, VarId x) {
 
   Value v = co_await done.wait();
   pending_.erase(txn);
-  drainRepairs(x);
+  drainDeferred(x);
   co_return v;
 }
 
@@ -103,7 +103,7 @@ sim::Task<void> FixedHomeStrategy::write(NodeId p, VarId x, Value v) {
   mine.copyCount = 1;
   mine.owned = true;
   maybeEvictAt(p);
-  drainRepairs(x);
+  drainDeferred(x);
   co_return;
 }
 
@@ -153,8 +153,7 @@ void FixedHomeStrategy::destroyVarFree(VarId x) {
   if (he.owner == kHomeOwner) caches_[homeOf(x)].erase(x);
   homes_.erase(it);
   rehome_.erase(x);
-  pendingRepairs_.erase(x);
-  pendingMigrations_.erase(x);
+  deferred_.erase(x);
 }
 
 Value FixedHomeStrategy::peek(VarId x) const {
@@ -251,8 +250,7 @@ void FixedHomeStrategy::handleMessage(net::Message&& msg) {
         // A writer that retired mid-write still gets ownership (it holds
         // the only current value); park a migration so its retirement
         // drain cedes the value back onto the member set.
-        if (!net_.nodeMember(he.writer))
-          pendingMigrations_[b.var] = memberHomeOf(b.var);
+        if (!net_.nodeMember(he.writer)) deferred_.parkMigration(b.var);
         FhBody ack;
         ack.k = FhBody::K::WriteAck;
         ack.var = b.var;
@@ -392,8 +390,7 @@ bool FixedHomeStrategy::processTransaction(HomeEntry& he, net::Message&& msg) {
     he.owner = b.requester;
     he.copyHolders = {b.requester};
     // Same retired-writer handling as the InvalAck completion path.
-    if (!net_.nodeMember(b.requester))
-      pendingMigrations_[b.var] = memberHomeOf(b.var);
+    if (!net_.nodeMember(b.requester)) deferred_.parkMigration(b.var);
     FhBody ack;
     ack.k = FhBody::K::WriteAck;
     ack.var = b.var;
@@ -414,7 +411,7 @@ void FixedHomeStrategy::finishTransaction(VarId x) {
   for (;;) {
     he.busy = false;
     if (he.queue.empty()) {
-      drainRepairs(x);
+      drainDeferred(x);
       return;
     }
     net::Message next = std::move(he.queue.front());
@@ -460,7 +457,7 @@ NodeId FixedHomeStrategy::nextLiveAfter(NodeId p) const {
   const int n = net_.numNodes();
   NodeId q = static_cast<NodeId>((p + 1) % n);
   while (!net_.nodeUp(q) || !net_.nodeMember(q)) q = static_cast<NodeId>((q + 1) % n);
-  return q;  // terminates: the network forbids crashing the last live node
+  return q;  // terminates: the network forbids crashing the last live member
 }
 
 bool FixedHomeStrategy::varQuiet(VarId x) const {
@@ -494,38 +491,34 @@ void FixedHomeStrategy::onNodeDown(NodeId p) {
         std::find(affected.begin(), affected.end(), op.var) == affected.end())
       affected.push_back(op.var);
   std::sort(affected.begin(), affected.end());
-  for (VarId x : affected) scheduleRepair(x, p);
+  for (VarId x : affected) deferred_.repair(x, p, varQuiet(x), [&] { repairVar(x, p); });
 }
 
-void FixedHomeStrategy::scheduleRepair(VarId x, NodeId deadNode) {
-  if (varQuiet(x)) {
-    repairVar(x, deadNode);
-    return;
-  }
-  std::vector<NodeId>& parked = pendingRepairs_[x];
-  if (std::find(parked.begin(), parked.end(), deadNode) == parked.end())
-    parked.push_back(deadNode);
+void FixedHomeStrategy::drainDeferred(VarId x) {
+  // Repair even if the node recovered meanwhile: the crash destroyed its
+  // application state, so its pre-crash copies are scrubbed regardless.
+  // The migration recomputes its target against the current member set.
+  deferred_.drain(
+      x, [&] { return varQuiet(x); }, [&](NodeId p) { repairVar(x, p); },
+      [&] { migrateEpochVar(x); });
 }
 
-void FixedHomeStrategy::drainRepairs(VarId x) {
-  if (!pendingRepairs_.empty()) {
-    const auto it = pendingRepairs_.find(x);
-    if (it != pendingRepairs_.end() && varQuiet(x)) {
-      std::vector<NodeId> dead = std::move(it->second);
-      pendingRepairs_.erase(it);
-      // Repair even if the node recovered meanwhile: the crash destroyed
-      // its application state, so its pre-crash copies are scrubbed
-      // regardless.
-      for (NodeId p : dead) repairVar(x, p);
-    }
-  }
-  if (!pendingMigrations_.empty()) {
-    const auto it = pendingMigrations_.find(x);
-    if (it != pendingMigrations_.end() && varQuiet(x)) {
-      pendingMigrations_.erase(it);
-      migrateEpochVar(x);  // recomputes against the current member set
-    }
-  }
+void FixedHomeStrategy::putHomeCopy(NodeId home, VarId x, const Value& v) {
+  NodeCache::Entry& e = caches_[home].put(x, v);
+  e.copyCount = 1;
+  e.owned = false;
+}
+
+void FixedHomeStrategy::revertToHome(HomeEntry& he, VarId x, const Value& v,
+                                     SendFn send) {
+  const NodeId from = he.owner;
+  he.owner = kHomeOwner;
+  dropCopyHolder(he, from);
+  caches_[from].erase(x);
+  const NodeId home = homeOf(x);
+  if (!caches_[home].peek(x)) putHomeCopy(home, x, v);
+  (this->*send)(from, home, x, v->size());
+  maybeEvictAt(home);
 }
 
 void FixedHomeStrategy::sendRecover(NodeId src, NodeId dst, VarId x,
@@ -557,36 +550,23 @@ void FixedHomeStrategy::repairVar(VarId x, NodeId p) {
     std::uint64_t bytes = 0;
     if (he.owner == kHomeOwner) {
       caches_[p].erase(x);
-      NodeCache::Entry& e = caches_[s].put(x, v);
-      e.copyCount = 1;
-      e.owned = false;
+      putHomeCopy(s, x, v);
       bytes = v->size();
     }
     sendRecover(p, s, x, bytes);
     maybeEvictAt(s);
   }
 
-  const NodeId home = homeOf(x);  // post-migration
   if (he.owner == p) {
-    // The owner died holding the only authoritative copy: ownership
-    // reverts to the home, which reinstalls the salvaged value.
-    he.owner = kHomeOwner;
-    dropCopyHolder(he, p);
-    caches_[p].erase(x);
-    if (!caches_[home].peek(x)) {
-      NodeCache::Entry& e = caches_[home].put(x, v);
-      e.copyCount = 1;
-      e.owned = false;
-    }
-    sendRecover(p, home, x, v->size());
-    maybeEvictAt(home);
+    // The owner died holding the only authoritative copy.
+    revertToHome(he, x, v, &FixedHomeStrategy::sendRecover);
   } else if (std::find(he.copyHolders.begin(), he.copyHolders.end(), p) !=
              he.copyHolders.end()) {
     // A plain copy died with the node: drop it from the directory. The
     // notification mirrors the eviction Drop message.
     dropCopyHolder(he, p);
     caches_[p].erase(x);
-    sendRecover(p, home, x, 0);
+    sendRecover(p, homeOf(x), x, 0);  // the post-migration home
   }
   caches_[p].erase(x);  // stray safety: a dead node keeps no entry for x
   ++stats_.ops.repairedVars;
@@ -622,9 +602,7 @@ void FixedHomeStrategy::migrateVar(VarId x, NodeId target) {
         he.copyHolders.end())
       caches_[cur].erase(x);
     if (!caches_[target].peek(x)) {
-      NodeCache::Entry& e = caches_[target].put(x, v);
-      e.copyCount = 1;
-      e.owned = false;
+      putHomeCopy(target, x, v);
       bytes = v->size();
     }
   }
@@ -651,19 +629,7 @@ void FixedHomeStrategy::migrateEpochVar(VarId x) {
   // until commitReconfig, which is what physically justifies the
   // synchronous salvage — the Migrate message charges its traffic.
   if (he.owner != kHomeOwner && !net_.nodeMember(he.owner)) {
-    const NodeId r = he.owner;
-    const Value v = peek(x);
-    he.owner = kHomeOwner;
-    dropCopyHolder(he, r);
-    caches_[r].erase(x);
-    const NodeId home = homeOf(x);
-    if (!caches_[home].peek(x)) {
-      NodeCache::Entry& e = caches_[home].put(x, v);
-      e.copyCount = 1;
-      e.owned = false;
-    }
-    sendMigrate(r, home, x, v->size());
-    maybeEvictAt(home);
+    revertToHome(he, x, peek(x), &FixedHomeStrategy::sendMigrate);
     moved = true;
   }
   // Retired plain copies leave the directory (mirrors the eviction Drop).
@@ -698,16 +664,10 @@ void FixedHomeStrategy::onReconfig() {
   for (const auto& [x, he] : homes_) vars.push_back(x);
   std::sort(vars.begin(), vars.end());
   for (VarId x : vars) {
-    if (!varNeedsEpochWork(x)) {
-      pendingMigrations_.erase(x);
-      continue;
-    }
-    if (varQuiet(x)) {
-      pendingMigrations_.erase(x);
-      migrateEpochVar(x);
-    } else {
-      pendingMigrations_[x] = memberHomeOf(x);  // drain recomputes the target
-    }
+    if (varNeedsEpochWork(x))
+      deferred_.migrate(x, varQuiet(x), [&] { migrateEpochVar(x); });
+    else
+      deferred_.cancelMigration(x);
   }
 }
 
@@ -721,10 +681,8 @@ void FixedHomeStrategy::checkInvariants(VarId x) const {
   const HomeEntry& he = it->second;
   DIVA_CHECK_MSG(!he.busy && he.queue.empty() && he.pendingInvalAcks == 0,
                  "transaction still in flight for variable " << x);
-  DIVA_CHECK_MSG(!pendingRepairs_.contains(x),
-                 "repair still parked for variable " << x << " at quiescence");
-  DIVA_CHECK_MSG(!pendingMigrations_.contains(x),
-                 "migration still parked for variable " << x << " at quiescence");
+  DIVA_CHECK_MSG(!deferred_.parked(x), "repair or migration still parked for variable "
+                                           << x << " at quiescence");
 
   const NodeId home = homeOf(x);
   DIVA_CHECK_MSG(net_.nodeUp(home), "home of variable " << x << " is down");

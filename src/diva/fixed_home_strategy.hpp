@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "diva/cache.hpp"
+#include "diva/deferred_work.hpp"
 #include "diva/stats.hpp"
 #include "diva/strategy.hpp"
 #include "net/network.hpp"
@@ -115,15 +116,20 @@ class FixedHomeStrategy final : public Strategy {
   void addCopyHolder(HomeEntry& he, NodeId p);
   void dropCopyHolder(HomeEntry& he, NodeId p);
 
+  // Repair and migration wait in deferred_ until the variable is quiet
+  // (drainDeferred runs at every transaction or op retirement).
+  bool varQuiet(VarId x) const;
+  void drainDeferred(VarId x);
+  void putHomeCopy(NodeId home, VarId x, const Value& v);  ///< held, not owned
+  /// Ownership reverts from a dead or retired owner to the home, which
+  /// reinstalls the salvaged value `v`; `send` charges the transfer.
+  using SendFn = void (FixedHomeStrategy::*)(NodeId, NodeId, VarId, std::uint64_t);
+  void revertToHome(HomeEntry& he, VarId x, const Value& v, SendFn send);
+
   // Crash repair (docs/faults.md). A repair scrubs one dead node from one
   // variable: re-home if the hash home died, recover ownership to the
-  // home if the owner died, drop dead copies. Runs only while the
-  // variable is quiet; otherwise parks in pendingRepairs_ and drains when
-  // the last in-flight transaction or pending op retires.
+  // home if the owner died, drop dead copies.
   NodeId nextLiveAfter(NodeId p) const;
-  bool varQuiet(VarId x) const;
-  void scheduleRepair(VarId x, NodeId deadNode);
-  void drainRepairs(VarId x);
   void repairVar(VarId x, NodeId deadNode);
   void sendRecover(NodeId src, NodeId dst, VarId x, std::uint64_t payloadBytes);
 
@@ -131,9 +137,9 @@ class FixedHomeStrategy final : public Strategy {
   // structural epoch, every variable's home target is re-hashed over the
   // *member* set; a variable whose target moved migrates its directory
   // and (when home-owned) its authoritative copy via a cost-charged
-  // Migrate message. Busy variables park in pendingMigrations_ and drain
-  // when their in-flight transaction retires; meanwhile requests to the
-  // old home are forwarded (the serveAtHome mismatch path).
+  // Migrate message. While a busy variable's migration is deferred,
+  // requests to the old home are forwarded (the serveAtHome mismatch
+  // path).
   NodeId memberHomeOf(VarId x) const;
   void assignHome(VarId x);
   bool varNeedsEpochWork(VarId x) const;
@@ -152,8 +158,7 @@ class FixedHomeStrategy final : public Strategy {
   std::unordered_map<std::uint64_t, PendingOp> pending_;
   /// Vars whose hash home crashed or was migrated across an epoch.
   std::unordered_map<VarId, NodeId> rehome_;
-  std::unordered_map<VarId, std::vector<NodeId>> pendingRepairs_;
-  std::unordered_map<VarId, NodeId> pendingMigrations_;
+  DeferredWork deferred_;
   std::uint64_t nextTxn_ = 1;
 };
 

@@ -65,7 +65,8 @@ class Strategy {
   /// touched — re-home directories, salvage authoritative values, scrub
   /// dead copies — so that no variable is lost or dually owned once the
   /// machine quiesces (docs/faults.md). Repairs for variables with a
-  /// transaction in flight are deferred until that variable is quiet.
+  /// transaction in flight are deferred until that variable is quiet, in
+  /// the shared DeferredWork queue (diva/deferred_work.hpp).
   /// Default: strategies without fault support ignore liveness.
   virtual void onNodeDown(NodeId p) { (void)p; }
 
@@ -78,8 +79,9 @@ class Strategy {
   /// every variable's management state (homes, directories, copy sets,
   /// bloom hints) onto the new tree via cost-charged Migrate messages,
   /// deferring variables with a transaction in flight until they are
-  /// quiet (forwarding serves them meanwhile). Default: strategies
-  /// without reconfiguration support ignore epochs.
+  /// quiet (forwarding serves them meanwhile) in the same DeferredWork
+  /// queue as repairs, which drain first (diva/deferred_work.hpp).
+  /// Default: strategies without reconfiguration support ignore epochs.
   virtual void onReconfig() {}
 };
 

@@ -213,9 +213,13 @@ void Network::setNodeUp(NodeId n, bool up) {
   DIVA_CHECK(n >= 0 && static_cast<std::size_t>(n) < numNodes_);
   const std::uint8_t want = up ? 1 : 0;
   if (nodeAlive_[static_cast<std::size_t>(n)] == want) return;
+  // Retired nodes stay up (and in liveNodes_) but host nothing, so the
+  // machine survives a crash only if another *member* stays up.
+  DIVA_CHECK_MSG(up || std::any_of(members_.begin(), members_.end(),
+                                   [&](NodeId m) { return m != n && nodeUp(m); }),
+                 "crashing node " << n << " would leave no live member node");
   nodeAlive_[static_cast<std::size_t>(n)] = want;
   liveNodes_ += up ? 1 : -1;
-  DIVA_CHECK_MSG(liveNodes_ > 0, "crashing node " << n << " would kill the whole machine");
   if (tracer_) tracer_->instant(obs::kCatFault, n, up ? "node-up" : "node-down");
   for (const LivenessListener& fn : livenessListeners_)
     if (fn) fn(n, up);

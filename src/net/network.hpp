@@ -127,6 +127,8 @@ class Network {
 
   /// Crash (`up == false`) or recover a node, notifying liveness
   /// listeners. Idempotent: re-declaring the current state is a no-op.
+  /// Throws CheckError, changing nothing, on a crash that would leave no
+  /// member node up.
   void setNodeUp(NodeId n, bool up);
 
   /// Fail or heal the undirected link between adjacent nodes u and v —

@@ -3,6 +3,7 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <optional>
 #include <sstream>
 #include <type_traits>
 
@@ -33,6 +34,16 @@ T parseValue(std::istringstream& ls, int lineNo, const char* key) {
                  "scenario file line " << lineNo << ": malformed '" << key << "' value '"
                                        << tok << "'");
   return v;
+}
+
+/// The kind whose scenario keyword is `word`: the inverse of a kind→name
+/// table (faultKindName, arrivalKindName) over an enum numbered 0..last.
+template <typename Kind>
+std::optional<Kind> kindNamed(const std::string& word, Kind last,
+                              const char* (*name)(Kind)) {
+  for (int k = 0; k <= static_cast<int>(last); ++k)
+    if (word == name(static_cast<Kind>(k))) return static_cast<Kind>(k);
+  return std::nullopt;
 }
 
 }  // namespace
@@ -109,17 +120,12 @@ WorkloadSpec parseScenario(const std::string& text) {
                      "scenario file line " << lineNo
                                            << ": 'arrival' needs a kind "
                                               "(fixed/poisson/burst)");
-      if (kind == "fixed") {
-        phase->arrival.kind = serve::ArrivalSpec::Kind::Fixed;
-      } else if (kind == "poisson") {
-        phase->arrival.kind = serve::ArrivalSpec::Kind::Poisson;
-      } else if (kind == "burst") {
-        phase->arrival.kind = serve::ArrivalSpec::Kind::Burst;
-      } else {
-        DIVA_CHECK_MSG(false, "scenario file line " << lineNo
-                                                    << ": unknown arrival kind '" << kind
-                                                    << "'");
-      }
+      const auto k =
+          kindNamed(kind, serve::ArrivalSpec::Kind::Burst, serve::arrivalKindName);
+      DIVA_CHECK_MSG(k && *k != serve::ArrivalSpec::Kind::None,
+                     "scenario file line " << lineNo << ": unknown arrival kind '" << kind
+                                           << "'");
+      phase->arrival.kind = *k;
       phase->arrival.ratePerSec = parseValue<double>(ls, lineNo, "arrival rate");
       if (phase->arrival.kind == serve::ArrivalSpec::Kind::Burst) {
         phase->arrival.burstOnUs = parseValue<double>(ls, lineNo, "burst on-window");
@@ -146,31 +152,25 @@ WorkloadSpec parseScenario(const std::string& text) {
                      "scenario file line " << lineNo << ": 'fault' needs a kind "
                                               "(node-down/node-up/link-down/link-up/"
                                               "degrade)");
-      const bool nodeKind = kind == "node-down" || kind == "node-up";
-      const bool linkKind =
-          kind == "link-down" || kind == "link-up" || kind == "degrade";
-      DIVA_CHECK_MSG(nodeKind || linkKind, "scenario file line "
-                                               << lineNo << ": unknown fault kind '"
-                                               << kind << "'");
+      const auto k =
+          kindNamed(kind, net::FaultEvent::Kind::RemoveLink, net::faultKindName);
+      DIVA_CHECK_MSG(k && !net::isStructural(*k),
+                     "scenario file line " << lineNo << ": unknown fault kind '" << kind
+                                           << "'");
+      ev.kind = *k;
       ev.a = parseValue<net::NodeId>(ls, lineNo, "fault endpoint");
-      if (nodeKind) {
-        // `b` stays at its default: node faults have one endpoint, and
-        // leaving it untouched keeps parse(format(spec)) == spec for
-        // specs built in code (which leave `b` defaulted too).
-        ev.kind = kind == "node-down" ? net::FaultEvent::Kind::NodeDown
-                                      : net::FaultEvent::Kind::NodeUp;
-      } else {
+      // Node faults leave `b` at its default: they have one endpoint, and
+      // leaving it untouched keeps parse(format(spec)) == spec for specs
+      // built in code (which leave `b` defaulted too).
+      if (ev.kind != net::FaultEvent::Kind::NodeDown &&
+          ev.kind != net::FaultEvent::Kind::NodeUp) {
         ev.b = parseValue<net::NodeId>(ls, lineNo, "fault endpoint");
-        if (kind == "degrade") {
-          ev.kind = net::FaultEvent::Kind::Degrade;
+        if (ev.kind == net::FaultEvent::Kind::Degrade) {
           ev.weightMul = parseValue<double>(ls, lineNo, "degrade weight multiplier");
           ev.latencyMul = parseValue<double>(ls, lineNo, "degrade latency multiplier");
           DIVA_CHECK_MSG(ev.weightMul > 0.0 && ev.latencyMul > 0.0,
                          "scenario file line "
                              << lineNo << ": degrade multipliers must be positive");
-        } else {
-          ev.kind = kind == "link-down" ? net::FaultEvent::Kind::LinkDown
-                                        : net::FaultEvent::Kind::LinkUp;
         }
       }
       DIVA_CHECK_MSG(ev.a >= 0 && ev.b >= 0,
@@ -198,18 +198,21 @@ WorkloadSpec parseScenario(const std::string& text) {
                      "scenario file line " << lineNo
                                            << ": 'reconfig' needs a kind (add-node/"
                                               "remove-node/add-link/remove-link)");
-      const bool nodeKind = kind == "add-node" || kind == "remove-node";
-      const bool linkKind = kind == "add-link" || kind == "remove-link";
-      DIVA_CHECK_MSG(nodeKind || linkKind, "scenario file line "
-                                               << lineNo << ": unknown reconfig kind '"
-                                               << kind << "'");
+      const auto k =
+          kindNamed(kind, net::FaultEvent::Kind::RemoveLink, net::faultKindName);
+      DIVA_CHECK_MSG(k && net::isStructural(*k),
+                     "scenario file line " << lineNo << ": unknown reconfig kind '" << kind
+                                           << "'");
+      ev.kind = *k;
       ev.a = parseValue<net::NodeId>(ls, lineNo, "reconfig endpoint");
-      if (linkKind) ev.b = parseValue<net::NodeId>(ls, lineNo, "reconfig endpoint");
+      if (ev.kind == net::FaultEvent::Kind::AddLink ||
+          ev.kind == net::FaultEvent::Kind::RemoveLink)
+        ev.b = parseValue<net::NodeId>(ls, lineNo, "reconfig endpoint");
       DIVA_CHECK_MSG(ev.a >= 0 && ev.b >= 0,
                      "scenario file line " << lineNo
                                            << ": reconfig endpoints must be >= 0");
-      const bool adds = kind == "add-node" || kind == "add-link";
-      if (adds) {
+      if (ev.kind == net::FaultEvent::Kind::AddNode ||
+          ev.kind == net::FaultEvent::Kind::AddLink) {
         // Optional new-edge weight and latency (default 1.0 each),
         // carried in the multiplier fields.
         const auto more = [&ls] {
@@ -222,10 +225,6 @@ WorkloadSpec parseScenario(const std::string& text) {
                        "scenario file line "
                            << lineNo << ": edge weight/latency must be positive");
       }
-      ev.kind = kind == "add-node"      ? net::FaultEvent::Kind::AddNode
-                : kind == "remove-node" ? net::FaultEvent::Kind::RemoveNode
-                : kind == "add-link"    ? net::FaultEvent::Kind::AddLink
-                                        : net::FaultEvent::Kind::RemoveLink;
       phase->faults.push_back(ev);
     } else {
       DIVA_CHECK_MSG(false, "scenario file line " << lineNo << ": unknown directive '"

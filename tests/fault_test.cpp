@@ -138,6 +138,25 @@ TEST(Fault, CrashingTheLastLiveNodeThrows) {
   EXPECT_THROW(f.net.setNodeUp(3, false), support::CheckError);
 }
 
+TEST(Fault, CrashingTheLastLiveMemberThrowsWhileARetiredNodeIsUp) {
+  // A retired node stays up until the end of the run but hosts nothing:
+  // crashing every member beside it would leave the strategies no node
+  // to re-home onto.
+  sim::Engine engine;
+  net::GraphTopology topo(net::ringGraph(4));
+  net::LinkStats stats(topo.numLinkSlots(), 1);
+  net::Network net(engine, topo, net::CostModel::gcel(), stats);
+  net.removeNode(3);
+  engine.run();
+  net.setNodeUp(0, false);
+  net.setNodeUp(1, false);
+  EXPECT_THROW(net.setNodeUp(2, false), support::CheckError);
+  EXPECT_TRUE(net.nodeUp(2));
+  EXPECT_EQ(net.numLiveNodes(), 2);  // the retired node still counts as live
+  net.setNodeUp(3, false);           // crashing the retired node is fine
+  EXPECT_EQ(net.numLiveNodes(), 1);
+}
+
 TEST(Fault, FaultPlanFiresAtScheduledOffsets) {
   NetFixture f;
   std::vector<std::pair<double, bool>> transitions;

@@ -337,6 +337,51 @@ TEST_P(ReconfigStrategyTest, RandomizedGrowRewireShrinkQuiescence) {
   }
 }
 
+TEST_P(ReconfigStrategyTest, CrashAndEpochAtOneInstantParkOnABusyVariable) {
+  // One variable mid-write while, at one instant, a copy holder crashes
+  // and the writer itself is retired. The crash repair and the epoch
+  // migration both park on the variable (it is the only one, so neither
+  // counter may move before its write retires); the drain then runs
+  // both, and the written value survives them.
+  Machine m(net::TopologySpec::graph(net::randomRegularGraph(16, 4, 1)));
+  Runtime rt(m, GetParam().config);
+  const NodeId owner = 3;
+  const NodeId writer = 9;
+  const VarId x = rt.createVarFree(owner, makeValue(std::int64_t{1}));
+  EXPECT_EQ(readInt(m, rt, writer, x), 1);  // the writer now holds a copy
+  const std::uint64_t repaired = m.stats.ops.repairedVars;
+  const std::uint64_t migrated = m.stats.ops.migratedVars;
+
+  bool written = false;
+  sim::spawn([](Runtime& r, NodeId n, VarId v, bool& done) -> Task<> {
+    co_await r.write(n, v, makeValue(std::int64_t{42}));
+    done = true;
+  }(rt, writer, x, written));
+  const sim::Time at = m.engine.now() + 1.0;
+  m.engine.scheduleAt(at, [&] {
+    ASSERT_FALSE(written) << "the write must still be in flight";
+    m.net.setNodeUp(owner, false);
+    m.net.removeNode(writer);  // the epoch fires later in this instant
+  });
+  m.engine.scheduleAt(at + 0.5, [&] {
+    ASSERT_FALSE(written) << "the write must still be in flight";
+    EXPECT_EQ(m.net.reconfigEpoch(), 1);
+    EXPECT_EQ(m.stats.ops.repairedVars, repaired) << "repair ran under a busy variable";
+    EXPECT_EQ(m.stats.ops.migratedVars, migrated) << "migration ran under a busy variable";
+  });
+  m.engine.run();
+  ASSERT_TRUE(written);
+  rt.completeReconfig();
+  rt.checkAllInvariants();
+  EXPECT_GT(m.stats.ops.repairedVars, repaired);
+  EXPECT_GT(m.stats.ops.migratedVars, migrated);
+  EXPECT_EQ(readInt(m, rt, 0, x), 42);
+
+  m.net.setNodeUp(owner, true);
+  EXPECT_EQ(readInt(m, rt, owner, x), 42);
+  rt.checkAllInvariants();
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Strategies, ReconfigStrategyTest,
     ::testing::Values(ReconfigStratCase{RuntimeConfig::accessTree(4, 1), "at4"},
