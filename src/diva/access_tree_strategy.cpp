@@ -358,7 +358,14 @@ void AccessTreeStrategy::serveAt(std::int32_t node, AtBody&& b) {
 void AccessTreeStrategy::sendData(VarId x, std::uint64_t txn, NodeId requester,
                                   bool isWrite, Value v,
                                   std::vector<std::int32_t> path) {
-  DIVA_CHECK(path.size() >= 2);
+  if (path.size() == 1) {
+    // The server is the requester's entry leaf — a writer's own copy, or
+    // a proxy leaf (read/write) that already holds one: nothing travels.
+    auto it = pending_.find(txn);
+    DIVA_CHECK(it != pending_.end());
+    it->second.done->resolve(std::move(v));
+    return;
+  }
   const std::int32_t server = path.back();
   const std::int32_t next = path[path.size() - 2];
   VarState& vs = states_.at(x);
@@ -603,13 +610,6 @@ void AccessTreeStrategy::finishWrite(VarState& vs, InvalCoord&& c) {
   DIVA_CHECK_MSG(e && e->copyCount >= 1, "writer target lost its copy");
   e->value = c.value;
   caches_[host].touch(c.var);
-
-  if (c.path.size() == 1) {
-    auto it = pending_.find(c.txn);
-    DIVA_CHECK(it != pending_.end());
-    it->second.done->resolve(std::move(c.value));
-    return;
-  }
   sendData(c.var, c.txn, c.requester, true, std::move(c.value), std::move(c.path));
 }
 

@@ -20,27 +20,6 @@ const char* faultKindName(FaultEvent::Kind kind) {
   return "?";
 }
 
-void applyFault(Network& net, const FaultEvent& ev) {
-  switch (ev.kind) {
-    case FaultEvent::Kind::LinkDown: net.setLinkUp(ev.a, ev.b, false); return;
-    case FaultEvent::Kind::LinkUp: net.setLinkUp(ev.a, ev.b, true); return;
-    case FaultEvent::Kind::NodeDown: net.setNodeUp(ev.a, false); return;
-    case FaultEvent::Kind::NodeUp: net.setNodeUp(ev.a, true); return;
-    case FaultEvent::Kind::Degrade:
-      net.degradeLink(ev.a, ev.b, ev.weightMul, ev.latencyMul);
-      return;
-    case FaultEvent::Kind::AddNode:
-      net.addNode(ev.a, ev.weightMul, ev.latencyMul, ev.line);
-      return;
-    case FaultEvent::Kind::RemoveNode: net.removeNode(ev.a, ev.line); return;
-    case FaultEvent::Kind::AddLink:
-      net.addLink(ev.a, ev.b, ev.weightMul, ev.latencyMul, ev.line);
-      return;
-    case FaultEvent::Kind::RemoveLink: net.removeLink(ev.a, ev.b, ev.line); return;
-  }
-  DIVA_CHECK_MSG(false, "unknown fault kind");
-}
-
 void scheduleFaultPlan(sim::Engine& engine, Network& net, const FaultPlan& plan,
                        sim::Time base) {
   for (const FaultEvent& ev : plan) {

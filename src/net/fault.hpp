@@ -70,10 +70,29 @@ using FaultPlan = std::vector<FaultEvent>;
 /// Scenario-format keyword for a fault kind ("link-down", "node-up", …).
 const char* faultKindName(FaultEvent::Kind kind);
 
-/// Apply one fault to the network immediately. Validates endpoints:
-/// throws CheckError on out-of-range nodes, non-adjacent link endpoints
-/// or non-positive degrade multipliers.
-void applyFault(Network& net, const FaultEvent& ev);
+/// Apply one fault immediately to `target`: a Network, or a ShapeModel
+/// replaying a plan before the run (same calls, same checks). Throws
+/// CheckError naming `ev.line` on an event the current shape rejects.
+template <typename Target>
+void applyFault(Target& target, const FaultEvent& ev) {
+  switch (ev.kind) {
+    case FaultEvent::Kind::LinkDown: target.setLinkUp(ev.a, ev.b, false, ev.line); return;
+    case FaultEvent::Kind::LinkUp: target.setLinkUp(ev.a, ev.b, true, ev.line); return;
+    case FaultEvent::Kind::NodeDown: target.setNodeUp(ev.a, false, ev.line); return;
+    case FaultEvent::Kind::NodeUp: target.setNodeUp(ev.a, true, ev.line); return;
+    case FaultEvent::Kind::Degrade:
+      target.degradeLink(ev.a, ev.b, ev.weightMul, ev.latencyMul, ev.line);
+      return;
+    case FaultEvent::Kind::AddNode:
+      target.addNode(ev.a, ev.weightMul, ev.latencyMul, ev.line);
+      return;
+    case FaultEvent::Kind::RemoveNode: target.removeNode(ev.a, ev.line); return;
+    case FaultEvent::Kind::AddLink:
+      target.addLink(ev.a, ev.b, ev.weightMul, ev.latencyMul, ev.line);
+      return;
+    case FaultEvent::Kind::RemoveLink: target.removeLink(ev.a, ev.b, ev.line); return;
+  }
+}
 
 /// Schedule every event of `plan` at `base + offsetUs` on the engine.
 /// Offsets must be non-negative; application order within an instant is

@@ -1,7 +1,6 @@
 #include "net/network.hpp"
 
 #include <algorithm>
-#include <string>
 #include <unordered_map>
 
 namespace diva::net {
@@ -11,12 +10,6 @@ namespace {
 /// the first 16, applications hand out consecutive values above that); the
 /// dense per-(channel, node) dispatch tables rely on it.
 constexpr Channel kMaxChannels = 1u << 16;
-
-/// Error-message suffix for scripted reconfigurations: run-time validation
-/// failures point back at the scenario line that scheduled the event.
-std::string atLine(int line) {
-  return line > 0 ? " (scenario line " + std::to_string(line) + ")" : std::string();
-}
 
 /// Directed endpoint pair as a map key (node ids are 31-bit).
 std::uint64_t pairKey(NodeId from, NodeId to) {
@@ -44,8 +37,9 @@ Network::Network(sim::Engine& engine, const Topology& topology, CostModel cost,
       topo_(&topology),
       cost_(cost),
       stats_(&stats),
-      numNodes_(static_cast<std::size_t>(topology.numNodes())) {
-  cpuFreeAt_.assign(numNodes_, sim::kTimeZero);
+      shape_(topology) {
+  const std::size_t n = nodeCount();
+  cpuFreeAt_.assign(n, sim::kTimeZero);
   linkFreeAt_.assign(static_cast<std::size_t>(topology.numLinkSlots()), sim::kTimeZero);
   linkUsPerByte_.resize(linkFreeAt_.size());
   linkHopLatencyUs_.resize(linkFreeAt_.size());
@@ -55,21 +49,16 @@ Network::Network(sim::Engine& engine, const Topology& topology, CostModel cost,
         topology.linkLatency(l) * cost_.hopLatencyUs;
   }
   linkAlive_.assign(linkFreeAt_.size(), 1);
-  nodeAlive_.assign(numNodes_, 1);
-  liveNodes_ = static_cast<int>(numNodes_);
-  nodeMember_.assign(numNodes_, 1);
-  members_.resize(numNodes_);
-  for (std::size_t n = 0; n < numNodes_; ++n) members_[n] = static_cast<NodeId>(n);
   // The library protocol channels exist on every machine; size for them up
   // front so the common dispatch never grows mid-run.
-  handlers_.resize(static_cast<std::size_t>(kFirstAppChannel) * numNodes_);
+  handlers_.resize(static_cast<std::size_t>(kFirstAppChannel) * n);
   handlerChannels_ = kFirstAppChannel;
-  mailboxes_.resize(static_cast<std::size_t>(kFirstAppChannel) * numNodes_);
+  mailboxes_.resize(static_cast<std::size_t>(kFirstAppChannel) * n);
   mailboxChannels_ = kFirstAppChannel;
 }
 
 void Network::setHandler(NodeId node, Channel channel, Handler handler) {
-  DIVA_CHECK(node >= 0 && static_cast<std::size_t>(node) < numNodes_);
+  DIVA_CHECK(node >= 0 && static_cast<std::size_t>(node) < nodeCount());
   DIVA_CHECK_MSG(channel < kMaxChannels, "channel out of dense-table range");
   if (channel >= handlerChannels_) {
     // Growing the table moves every registered handler; a handler that is
@@ -79,24 +68,24 @@ void Network::setHandler(NodeId node, Channel channel, Handler handler) {
     DIVA_CHECK_MSG(dispatchDepth_ == 0,
                    "cannot register a new channel from inside a handler");
     handlerChannels_ = channel + 1;
-    handlers_.resize(static_cast<std::size_t>(handlerChannels_) * numNodes_);
+    handlers_.resize(static_cast<std::size_t>(handlerChannels_) * nodeCount());
   }
   handlers_[slotOf(node, channel)] = std::move(handler);
 }
 
 std::size_t Network::mailboxSlot(NodeId node, Channel channel) {
-  DIVA_CHECK(node >= 0 && static_cast<std::size_t>(node) < numNodes_);
+  DIVA_CHECK(node >= 0 && static_cast<std::size_t>(node) < nodeCount());
   DIVA_CHECK_MSG(channel < kMaxChannels, "channel out of dense-table range");
   if (channel >= mailboxChannels_) {
     mailboxChannels_ = channel + 1;
-    mailboxes_.resize(static_cast<std::size_t>(mailboxChannels_) * numNodes_);
+    mailboxes_.resize(static_cast<std::size_t>(mailboxChannels_) * nodeCount());
   }
   return slotOf(node, channel);
 }
 
 sim::Time Network::postInternal(Message&& msg) {
-  DIVA_CHECK(msg.src >= 0 && static_cast<std::size_t>(msg.src) < numNodes_);
-  DIVA_CHECK(msg.dst >= 0 && static_cast<std::size_t>(msg.dst) < numNodes_);
+  DIVA_CHECK(msg.src >= 0 && static_cast<std::size_t>(msg.src) < nodeCount());
+  DIVA_CHECK(msg.dst >= 0 && static_cast<std::size_t>(msg.dst) < nodeCount());
   ++messagesSent_;
 
   if (msg.src == msg.dst) {
@@ -196,40 +185,22 @@ void Network::hop(Flight* f) {
   }
 }
 
-int Network::linkSlotToward(NodeId from, NodeId to) const {
-  if (from < 0 || static_cast<std::size_t>(from) >= numNodes_) return -1;
-  const int deg = topo_->degree();
-  for (int dir = 0; dir < deg; ++dir)
-    if (topo_->neighbor(from, dir) == to) return topo_->linkIndex(from, dir);
-  return -1;
-}
-
 bool Network::linkBetweenUp(NodeId u, NodeId v) const {
-  const int slot = linkSlotToward(u, v);
+  const int slot = topo_->linkToward(u, v);
   return slot >= 0 && linkAlive_[static_cast<std::size_t>(slot)] != 0;
 }
 
-void Network::setNodeUp(NodeId n, bool up) {
-  DIVA_CHECK(n >= 0 && static_cast<std::size_t>(n) < numNodes_);
-  const std::uint8_t want = up ? 1 : 0;
-  if (nodeAlive_[static_cast<std::size_t>(n)] == want) return;
-  // Retired nodes stay up (and in liveNodes_) but host nothing, so the
-  // machine survives a crash only if another *member* stays up.
-  DIVA_CHECK_MSG(up || std::any_of(members_.begin(), members_.end(),
-                                   [&](NodeId m) { return m != n && nodeUp(m); }),
-                 "crashing node " << n << " would leave no live member node");
-  nodeAlive_[static_cast<std::size_t>(n)] = want;
-  liveNodes_ += up ? 1 : -1;
+void Network::setNodeUp(NodeId n, bool up, int line) {
+  if (!shape_.setNodeUp(n, up, line)) return;
   if (tracer_) tracer_->instant(obs::kCatFault, n, up ? "node-up" : "node-down");
   for (const LivenessListener& fn : livenessListeners_)
     if (fn) fn(n, up);
 }
 
-void Network::setLinkUp(NodeId u, NodeId v, bool up) {
-  const int uv = linkSlotToward(u, v);
-  const int vu = linkSlotToward(v, u);
-  DIVA_CHECK_MSG(uv >= 0 && vu >= 0,
-                 "setLinkUp: nodes " << u << " and " << v << " are not adjacent");
+void Network::setLinkUp(NodeId u, NodeId v, bool up, int line) {
+  shape_.setLinkUp(u, v, up, line);
+  const int uv = topo_->linkToward(u, v);
+  const int vu = topo_->linkToward(v, u);
   const std::uint8_t want = up ? 1 : 0;
   if (linkAlive_[static_cast<std::size_t>(uv)] == want &&
       linkAlive_[static_cast<std::size_t>(vu)] == want)
@@ -240,14 +211,10 @@ void Network::setLinkUp(NodeId u, NodeId v, bool up) {
   if (up) retryParked();
 }
 
-void Network::degradeLink(NodeId u, NodeId v, double weightMul, double latencyMul) {
-  DIVA_CHECK_MSG(weightMul > 0.0 && latencyMul > 0.0,
-                 "degradeLink: multipliers must be positive");
-  const int uv = linkSlotToward(u, v);
-  const int vu = linkSlotToward(v, u);
-  DIVA_CHECK_MSG(uv >= 0 && vu >= 0,
-                 "degradeLink: nodes " << u << " and " << v << " are not adjacent");
-  for (const int slot : {uv, vu}) {
+void Network::degradeLink(NodeId u, NodeId v, double weightMul, double latencyMul,
+                          int line) {
+  shape_.degradeLink(u, v, weightMul, latencyMul, line);
+  for (const int slot : {topo_->linkToward(u, v), topo_->linkToward(v, u)}) {
     linkUsPerByte_[static_cast<std::size_t>(slot)] =
         topo_->linkWeight(slot) / cost_.bytesPerUs * weightMul;
     linkHopLatencyUs_[static_cast<std::size_t>(slot)] =
@@ -274,8 +241,8 @@ void Network::rerouteOrPark(Flight* f) {
   const NodeId dst = f->msg.dst;
   f->epoch = topoEpoch_;  // the detour below is computed on the installed shape
   const int deg = topo_->degree();
-  bfsPrevNode_.assign(numNodes_, -1);
-  bfsPrevLink_.assign(numNodes_, -1);
+  bfsPrevNode_.assign(nodeCount(), -1);
+  bfsPrevLink_.assign(nodeCount(), -1);
   bfsQueue_.clear();
   bfsPrevNode_[static_cast<std::size_t>(cur)] = cur;
   bfsQueue_.push_back(cur);
@@ -388,129 +355,6 @@ sim::Task<Message> Network::recvOn(Network& net, NodeId node, Channel channel) {
 // Structural reconfiguration (docs/faults.md "Reconfiguration")
 // ---------------------------------------------------------------------------
 
-void Network::ensureElastic(int line) {
-  if (elastic_) return;
-  const GraphSpec* g = topo_->graph();
-  DIVA_CHECK_MSG(g != nullptr,
-                 "structural reconfiguration requires a graph-backed topology; '"
-                     << topo_->name() << "' cannot grow or shrink" << atLine(line));
-  currentSpec_ = *g;
-  currentSpec_.allowIsolated = true;
-  elastic_ = true;
-}
-
-bool Network::membersConnectedWithout(NodeId dropNode, NodeId dropU,
-                                      NodeId dropV) const {
-  // BFS over currentSpec_'s edges (member↔member by construction — a
-  // retiring node's edges were moved out) minus the dropped element.
-  std::vector<std::vector<NodeId>> adj(static_cast<std::size_t>(currentSpec_.numNodes));
-  for (const GraphSpec::Edge& e : currentSpec_.edges) {
-    if (e.u == dropNode || e.v == dropNode) continue;
-    if ((e.u == dropU && e.v == dropV) || (e.u == dropV && e.v == dropU)) continue;
-    adj[static_cast<std::size_t>(e.u)].push_back(e.v);
-    adj[static_cast<std::size_t>(e.v)].push_back(e.u);
-  }
-  NodeId start = -1;
-  std::size_t want = 0;
-  for (NodeId m : members_)
-    if (m != dropNode) {
-      if (start < 0) start = m;
-      ++want;
-    }
-  if (want <= 1) return true;
-  std::vector<std::uint8_t> seen(static_cast<std::size_t>(currentSpec_.numNodes), 0);
-  std::vector<NodeId> queue{start};
-  seen[static_cast<std::size_t>(start)] = 1;
-  std::size_t reached = 1;
-  for (std::size_t head = 0; head < queue.size(); ++head)
-    for (NodeId nb : adj[static_cast<std::size_t>(queue[head])])
-      if (!seen[static_cast<std::size_t>(nb)]) {
-        seen[static_cast<std::size_t>(nb)] = 1;
-        ++reached;
-        queue.push_back(nb);
-      }
-  return reached == want;
-}
-
-NodeId Network::addNode(NodeId anchor, double weight, double latency, int line) {
-  ensureElastic(line);
-  DIVA_CHECK_MSG(nodeMember(anchor), "add-node: anchor " << anchor
-                                                         << " is not a member node"
-                                                         << atLine(line));
-  DIVA_CHECK_MSG(weight > 0.0 && latency > 0.0,
-                 "add-node: edge weight and latency must be positive" << atLine(line));
-  const NodeId id = currentSpec_.numNodes++;
-  currentSpec_.edges.push_back(GraphSpec::Edge{anchor, id, weight, latency});
-  nodeMember_.push_back(1);
-  members_.push_back(id);
-  scheduleReconfigNotify();
-  return id;
-}
-
-void Network::removeNode(NodeId n, int line) {
-  ensureElastic(line);
-  DIVA_CHECK_MSG(nodeMember(n),
-                 "remove-node: node " << n << " is not a member node" << atLine(line));
-  DIVA_CHECK_MSG(members_.size() > 1, "remove-node: removing node "
-                                          << n << " would empty the machine"
-                                          << atLine(line));
-  DIVA_CHECK_MSG(membersConnectedWithout(n, -1, -1),
-                 "remove-node: removing node " << n << " would disconnect the machine"
-                                               << atLine(line));
-  // Membership (and with it the strategies' management state) changes now;
-  // the node's links stay installed until commitReconfig() so in-flight
-  // messages addressed to it still arrive.
-  auto& edges = currentSpec_.edges;
-  for (auto it = edges.begin(); it != edges.end();) {
-    if (it->u == n || it->v == n) {
-      retainedEdges_.push_back(*it);
-      it = edges.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  nodeMember_[static_cast<std::size_t>(n)] = 0;
-  members_.erase(std::find(members_.begin(), members_.end(), n));
-  retiring_.push_back(n);
-  scheduleReconfigNotify();
-}
-
-void Network::addLink(NodeId u, NodeId v, double weight, double latency, int line) {
-  ensureElastic(line);
-  DIVA_CHECK_MSG(nodeMember(u) && nodeMember(v) && u != v,
-                 "add-link: endpoints " << u << " and " << v
-                                        << " must be distinct member nodes"
-                                        << atLine(line));
-  DIVA_CHECK_MSG(weight > 0.0 && latency > 0.0,
-                 "add-link: edge weight and latency must be positive" << atLine(line));
-  for (const GraphSpec::Edge& e : currentSpec_.edges)
-    DIVA_CHECK_MSG(!((e.u == u && e.v == v) || (e.u == v && e.v == u)),
-                   "add-link: nodes " << u << " and " << v << " are already adjacent"
-                                      << atLine(line));
-  currentSpec_.edges.push_back(GraphSpec::Edge{u, v, weight, latency});
-  scheduleReconfigNotify();
-}
-
-void Network::removeLink(NodeId u, NodeId v, int line) {
-  ensureElastic(line);
-  DIVA_CHECK_MSG(nodeMember(u) && nodeMember(v),
-                 "remove-link: endpoints " << u << " and " << v
-                                           << " must be member nodes" << atLine(line));
-  auto& edges = currentSpec_.edges;
-  auto it = std::find_if(edges.begin(), edges.end(), [&](const GraphSpec::Edge& e) {
-    return (e.u == u && e.v == v) || (e.u == v && e.v == u);
-  });
-  DIVA_CHECK_MSG(it != edges.end(), "remove-link: nodes "
-                                        << u << " and " << v << " are not adjacent"
-                                        << atLine(line));
-  DIVA_CHECK_MSG(membersConnectedWithout(-1, u, v),
-                 "remove-link: cutting " << u << "—" << v
-                                         << " would disconnect the machine"
-                                         << atLine(line));
-  edges.erase(it);
-  scheduleReconfigNotify();
-}
-
 void Network::scheduleReconfigNotify() {
   if (notifyScheduled_) return;
   notifyScheduled_ = true;
@@ -523,26 +367,20 @@ void Network::scheduleReconfigNotify() {
 
 void Network::deliverReconfig() {
   notifyScheduled_ = false;
+  shape_.deliver();
   // Routing during the handoff window uses the *transition* shape: the
   // logical target plus retiring nodes' retained edges.
-  if (retainedEdges_.empty()) {
-    targetTopo_.reset();  // transition == target
-    installTopology(topo_->withGraph(currentSpec_));
-  } else {
-    GraphSpec transition = currentSpec_;
-    transition.edges.insert(transition.edges.end(), retainedEdges_.begin(),
-                            retainedEdges_.end());
-    std::unique_ptr<Topology> target = topo_->withGraph(currentSpec_);
-    installTopology(topo_->withGraph(std::move(transition)));
-    targetTopo_ = std::move(target);
-  }
+  std::unique_ptr<Topology> target =
+      shape_.handoff() ? topo_->withGraph(shape_.logical()) : nullptr;
+  installTopology(topo_->withGraph(shape_.installed()));
+  targetTopo_ = std::move(target);  // null: transition == target
   ++reconfigEpoch_;
   if (tracer_ && tracer_->on(obs::kCatReconfig)) {
     // Epoch span: delivery of the new shape to the quiescent commit. An
     // add-only epoch has no handoff window — it is complete at delivery.
     tracer_->beginAsync(obs::kCatReconfig, obs::Tracer::kMachineTrack, "epoch",
                         reconfigEpoch_);
-    if (retainedEdges_.empty())
+    if (!shape_.handoff())
       tracer_->endAsync(obs::kCatReconfig, obs::Tracer::kMachineTrack, "epoch",
                         reconfigEpoch_);
     else
@@ -553,17 +391,13 @@ void Network::deliverReconfig() {
 }
 
 void Network::commitReconfig() {
-  DIVA_CHECK_MSG(!notifyScheduled_,
-                 "commitReconfig before the reconfiguration epoch was delivered");
-  if (retainedEdges_.empty()) return;
+  if (!shape_.commit()) return;
   DIVA_CHECK(targetTopo_ != nullptr);
   if (tracer_) {
     for (const std::int64_t id : openEpochSpans_)
       tracer_->endAsync(obs::kCatReconfig, obs::Tracer::kMachineTrack, "epoch", id);
   }
   openEpochSpans_.clear();
-  retainedEdges_.clear();
-  retiring_.clear();
   // Install the very topology object strategies decomposed at the epoch —
   // their new trees must stay valid, and a tree must not outlive the
   // topology that built it.
@@ -575,7 +409,7 @@ void Network::installTopology(std::unique_ptr<Topology> built) {
   DIVA_CHECK_MSG(dispatchDepth_ == 0,
                  "cannot reconfigure the machine from inside a handler");
   const Topology* old = topo_;
-  const std::size_t oldN = numNodes_;
+  const std::size_t oldN = cpuFreeAt_.size();  // shape_ already counts new nodes
   const int oldSlots = old->numLinkSlots();
   const int newSlots = built->numLinkSlots();
 
@@ -624,11 +458,10 @@ void Network::installTopology(std::unique_ptr<Topology> built) {
   stats_->remap(oldToNew, newSlots);
 
   const std::size_t newN = static_cast<std::size_t>(built->numNodes());
+  DIVA_CHECK(newN == nodeCount());
   if (newN != oldN) {
     DIVA_CHECK(newN > oldN);  // ids are append-only; removal only retires
     cpuFreeAt_.resize(newN, sim::kTimeZero);
-    nodeAlive_.resize(newN, 1);
-    liveNodes_ += static_cast<int>(newN - oldN);
     // Dense dispatch slots are channel * numNodes + node: a larger node
     // stride moves every Mailbox/Handler. Safe here — no handler is
     // executing, and suspended recv coroutines re-derive their slot from
@@ -638,7 +471,6 @@ void Network::installTopology(std::unique_ptr<Topology> built) {
   }
   topo_ = built.get();
   ownedTopos_.push_back(std::move(built));
-  numNodes_ = newN;
   ++topoEpoch_;
   retryParked();  // new links may reconnect parked flights
 }

@@ -9,6 +9,7 @@
 #include "net/cost_model.hpp"
 #include "net/link_stats.hpp"
 #include "net/message.hpp"
+#include "net/shape_model.hpp"
 #include "net/topology.hpp"
 #include "obs/tracer.hpp"
 #include "sim/engine.hpp"
@@ -58,7 +59,7 @@ class Network {
 
   sim::Engine& engine() { return *engine_; }
   const Topology& topology() const { return *topo_; }
-  int numNodes() const { return static_cast<int>(numNodes_); }
+  int numNodes() const { return shape_.numNodes(); }
   const CostModel& cost() const { return cost_; }
   LinkStats& stats() { return *stats_; }
 
@@ -120,25 +121,29 @@ class Network {
   // here is branch-guarded: fault-free runs schedule zero extra events and
   // stay bit-identical.
 
-  bool nodeUp(NodeId n) const { return nodeAlive_[static_cast<std::size_t>(n)] != 0; }
+  bool nodeUp(NodeId n) const { return shape_.nodeUp(n); }
   /// Liveness of the directed link u→v; false when not adjacent.
   bool linkBetweenUp(NodeId u, NodeId v) const;
-  int numLiveNodes() const { return liveNodes_; }
+  int numLiveNodes() const { return shape_.numLiveNodes(); }
+
+  // The fault calls below validate through the ShapeModel and throw
+  // CheckError, changing nothing, on an event the current shape rejects;
+  // `line` (> 0) tags the error with the scenario line that scheduled it.
 
   /// Crash (`up == false`) or recover a node, notifying liveness
   /// listeners. Idempotent: re-declaring the current state is a no-op.
-  /// Throws CheckError, changing nothing, on a crash that would leave no
-  /// member node up.
-  void setNodeUp(NodeId n, bool up);
+  /// A crash must leave some member node up.
+  void setNodeUp(NodeId n, bool up, int line = 0);
 
   /// Fail or heal the undirected link between adjacent nodes u and v —
   /// both directed slots change together. Healing retries parked flights.
-  void setLinkUp(NodeId u, NodeId v, bool up);
+  void setLinkUp(NodeId u, NodeId v, bool up, int line = 0);
 
   /// Scale the link's streaming cost and hop latency (both directions) by
   /// multipliers relative to the *topology's nominal* values, so repeated
   /// degrades never compound and 1.0/1.0 restores the healthy link.
-  void degradeLink(NodeId u, NodeId v, double weightMul, double latencyMul);
+  void degradeLink(NodeId u, NodeId v, double weightMul, double latencyMul,
+                   int line = 0);
 
   /// Liveness listeners observe node crash/recover transitions, invoked
   /// as (node, up) from inside setNodeUp. Returns a removal token.
@@ -165,31 +170,44 @@ class Network {
   // reconfiguration-free runs stay bit-identical).
 
   /// Nodes currently part of the machine (alive or crashed, not retired).
-  int numMembers() const { return static_cast<int>(members_.size()); }
-  bool nodeMember(NodeId n) const {
-    return static_cast<std::size_t>(n) < nodeMember_.size() &&
-           nodeMember_[static_cast<std::size_t>(n)] != 0;
-  }
+  int numMembers() const { return shape_.numMembers(); }
+  bool nodeMember(NodeId n) const { return shape_.nodeMember(n); }
   /// Member with rank `r` in ascending id order (0 ≤ r < numMembers()).
-  NodeId memberAt(int r) const { return members_[static_cast<std::size_t>(r)]; }
-  const std::vector<NodeId>& members() const { return members_; }
+  NodeId memberAt(int r) const { return shape_.memberAt(r); }
+  const std::vector<NodeId>& members() const { return shape_.members(); }
+  /// The shape bookkeeping behind membership, liveness and every fault
+  /// check; the workload pre-flight replays fault plans through a copy.
+  const ShapeModel& shape() const { return shape_; }
   /// Reconfiguration epochs delivered so far (0 = never reconfigured).
   int reconfigEpoch() const { return reconfigEpoch_; }
 
   /// Grow the machine by one node, joined to member `anchor` by a fresh
   /// edge of the given weight/latency. The new node's id is returned.
-  /// `line` (> 0) tags validation errors with a scenario source line.
-  NodeId addNode(NodeId anchor, double weight = 1.0, double latency = 1.0, int line = 0);
+  NodeId addNode(NodeId anchor, double weight = 1.0, double latency = 1.0, int line = 0) {
+    const NodeId id = shape_.addNode(anchor, weight, latency, line);
+    scheduleReconfigNotify();
+    return id;
+  }
   /// Retire member `n` permanently. Rejects removals that would empty or
-  /// disconnect the member set. Its links carry in-flight traffic until
-  /// commitReconfig().
-  void removeNode(NodeId n, int line = 0);
+  /// disconnect the member set or leave no member up. Membership (and
+  /// with it the strategies' management state) changes now; its links
+  /// carry in-flight traffic until commitReconfig().
+  void removeNode(NodeId n, int line = 0) {
+    shape_.removeNode(n, line);
+    scheduleReconfigNotify();
+  }
   /// Add an edge between distinct, non-adjacent members.
   void addLink(NodeId u, NodeId v, double weight = 1.0, double latency = 1.0,
-               int line = 0);
+               int line = 0) {
+    shape_.addLink(u, v, weight, latency, line);
+    scheduleReconfigNotify();
+  }
   /// Remove the edge between members u and v. Rejects cuts that would
   /// disconnect the member set.
-  void removeLink(NodeId u, NodeId v, int line = 0);
+  void removeLink(NodeId u, NodeId v, int line = 0) {
+    shape_.removeLink(u, v, line);
+    scheduleReconfigNotify();
+  }
 
   /// Physically sever retired nodes' links. Call only at quiescent points
   /// (no in-flight traffic addressed to retired nodes); the workload
@@ -257,9 +275,6 @@ class Network {
   sim::Time postInternal(Message&& msg);
   void hop(Flight* f);
   void dispatchOrEnqueue(Message&& msg);
-  /// Directed link slot from → to, or -1 when not adjacent (dir scan —
-  /// cold path only).
-  int linkSlotToward(NodeId from, NodeId to) const;
   /// Node a flight's head currently sits at (src before the first hop).
   NodeId flightAt(const Flight* f) const {
     return f->idx == 0 ? f->msg.src : f->path[f->idx - 1].to;
@@ -271,8 +286,6 @@ class Network {
   static sim::Task<Message> recvOn(Network& net, NodeId node, Channel channel);
 
   // Structural reconfiguration internals (network.cpp has the epoch walk).
-  void ensureElastic(int line);
-  bool membersConnectedWithout(NodeId dropNode, NodeId dropU, NodeId dropV) const;
   void scheduleReconfigNotify();
   void deliverReconfig();
   /// Swap in a rebuilt topology: carries per-link FIFO backlog, liveness
@@ -287,15 +300,16 @@ class Network {
   /// block of slots without disturbing existing indices (important:
   /// suspended `recv` coroutines hold slot indices across awaits).
   std::size_t slotOf(NodeId node, Channel channel) const {
-    return static_cast<std::size_t>(channel) * numNodes_ + static_cast<std::size_t>(node);
+    return static_cast<std::size_t>(channel) * nodeCount() + static_cast<std::size_t>(node);
   }
   std::size_t mailboxSlot(NodeId node, Channel channel);
+  std::size_t nodeCount() const { return static_cast<std::size_t>(shape_.numNodes()); }
 
   sim::Engine* engine_;
   const Topology* topo_;
   CostModel cost_;
   LinkStats* stats_;
-  std::size_t numNodes_;
+  ShapeModel shape_;
   std::vector<sim::Time> cpuFreeAt_;
   std::vector<sim::Time> linkFreeAt_;
   /// Per-link µs-per-byte = topology linkWeight / CostModel bandwidth,
@@ -319,12 +333,10 @@ class Network {
   obs::Tracer* tracer_ = nullptr;
   std::vector<std::int64_t> openEpochSpans_;  ///< epoch ids between deliver & commit
 
-  // Fault state. linkAlive_/nodeAlive_ are all-ones on a healthy machine;
-  // the hot path reads linkAlive_ once per hop, everything else below is
-  // touched only by fault events.
+  // Fault state (node liveness lives in shape_). linkAlive_ is all-ones
+  // on a healthy machine; the hot path reads it once per hop, everything
+  // else below is touched only by fault events.
   std::vector<std::uint8_t> linkAlive_;
-  std::vector<std::uint8_t> nodeAlive_;
-  int liveNodes_ = 0;
   std::vector<Flight*> limbo_;  ///< parked flights awaiting a live path
   std::vector<LivenessListener> livenessListeners_;  ///< token-indexed; removed = empty
   std::uint64_t reroutedFlights_ = 0;
@@ -334,18 +346,12 @@ class Network {
   std::vector<int> bfsPrevLink_;
   std::vector<NodeId> bfsQueue_;
 
-  // Structural reconfiguration state. All of it idle (and the epoch
-  // counters zero) on machines that never reconfigure.
+  // Structural reconfiguration state (membership and the graphs live in
+  // shape_). All of it idle (and the epoch counters zero) on machines
+  // that never reconfigure.
   std::uint32_t topoEpoch_ = 0;    ///< bumped per installTopology; guards flights
   int reconfigEpoch_ = 0;          ///< delivered epochs (listener batches)
-  bool elastic_ = false;           ///< currentSpec_ captured from the topology
   bool notifyScheduled_ = false;   ///< coalesced epoch event pending this instant
-  GraphSpec currentSpec_;          ///< the logical target graph (members only)
-  std::vector<GraphSpec::Edge> retainedEdges_;  ///< retiring nodes' edges, kept
-                                                ///< installed until commit
-  std::vector<NodeId> retiring_;   ///< removed, links not yet severed
-  std::vector<std::uint8_t> nodeMember_;  ///< 1 = member, 0 = retired
-  std::vector<NodeId> members_;           ///< member ids, ascending
   std::vector<ReconfigListener> reconfigListeners_;  ///< token-indexed
   std::vector<std::unique_ptr<Topology>> ownedTopos_;  ///< rebuilt shapes, kept
                                                        ///< alive for old trees

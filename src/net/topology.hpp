@@ -271,6 +271,14 @@ class Topology {
   virtual int degree() const = 0;
   int numLinkSlots() const { return numNodes() * degree(); }
   int linkIndex(NodeId from, int dir) const { return from * degree() + dir; }
+  /// Directed link slot from → to, or -1 when not adjacent (a direction
+  /// scan — cold paths only).
+  int linkToward(NodeId from, NodeId to) const {
+    if (from < 0 || from >= numNodes()) return -1;
+    for (int dir = 0; dir < degree(); ++dir)
+      if (neighbor(from, dir) == to) return linkIndex(from, dir);
+    return -1;
+  }
 
   /// Neighbor of `n` along direction slot `dir`, or -1 when absent.
   virtual NodeId neighbor(NodeId n, int dir) const = 0;

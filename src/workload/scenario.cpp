@@ -144,6 +144,7 @@ WorkloadSpec parseScenario(const std::string& text) {
     } else if (word == "fault") {
       needPhase(word);
       net::FaultEvent ev;
+      ev.line = lineNo;  // run-time validation errors point back here
       ev.offsetUs = parseValue<double>(ls, lineNo, "fault offset");
       DIVA_CHECK_MSG(ev.offsetUs >= 0.0, "scenario file line "
                                              << lineNo << ": fault offset must be >= 0");

@@ -77,13 +77,6 @@ void WorkloadSpec::validate() const {
     for (const net::FaultEvent& ev : ph.faults) {
       DIVA_CHECK_MSG(ev.offsetUs >= 0.0, "workload '" << name << "' phase '" << ph.name
                                                       << "': fault offset must be >= 0");
-      DIVA_CHECK_MSG(ev.a >= 0 && ev.b >= 0,
-                     "workload '" << name << "' phase '" << ph.name
-                                  << "': fault endpoints must be >= 0");
-      DIVA_CHECK_MSG(ev.weightMul > 0.0 && ev.latencyMul > 0.0,
-                     "workload '" << name << "' phase '" << ph.name
-                                  << "': degrade multipliers / new-edge parameters "
-                                     "must be positive");
     }
     // Open-loop serving parameters (docs/serving.md).
     const std::string ctx = "workload '" + name + "' phase '" + ph.name + "'";
@@ -164,93 +157,20 @@ namespace {
 constexpr double kRetryBackoffUs = 500.0;
 constexpr int kMaxOpRetries = 20;
 
-/// " (scenario line N)" when the event came from a scenario file.
-std::string atLine(int line) {
-  return line > 0 ? " (scenario line " + std::to_string(line) + ")" : std::string();
-}
-
 /// Evolving-shape pre-flight (docs/faults.md "Reconfiguration"): replay
-/// every phase's fault plan against a model of the machine's shape, in
-/// firing order, and validate each event against the shape it will
-/// actually meet at run time — endpoint ids against the CURRENT node
-/// count (which `add-node` grows), membership for structural endpoints,
-/// and `remove-node`/`remove-link` against member connectivity (the
-/// routing rebuild would otherwise fail deep inside an engine event).
-/// All of this happens before anything is scheduled, with line-numbered
-/// errors for scenario-sourced events. The recorded per-phase-start
-/// shape sizes spawning and arrival plans: nodes added during a phase
-/// join the driver at the next phase boundary.
-struct ShapeTimeline {
-  bool reconfigured = false;    ///< some phase scripts a structural event
-  std::vector<int> phaseProcs;  ///< node-id space at each phase start
-  std::vector<std::vector<std::uint8_t>> phaseMember;  ///< membership at phase start
-};
-
-ShapeTimeline simulateShape(const WorkloadSpec& spec, const Machine& m) {
-  ShapeTimeline tl;
-  int count = m.net.numNodes();
-  std::vector<std::uint8_t> member(static_cast<std::size_t>(count), 0);
-  for (net::NodeId n = 0; n < count; ++n)
-    member[static_cast<std::size_t>(n)] = m.net.nodeMember(n) ? 1 : 0;
-  // Undirected member↔member edges; nullptr for closed-form shapes,
-  // which range-check fine but cannot reconfigure. The committed shape
-  // has no edges into already-retired nodes, so the list starts clean.
-  const net::GraphSpec* g = m.net.topology().graph();
-  std::vector<std::pair<net::NodeId, net::NodeId>> edges;
-  if (g != nullptr) {
-    edges.reserve(g->edges.size());
-    for (const net::GraphSpec::Edge& e : g->edges)
-      edges.emplace_back(std::min(e.u, e.v), std::max(e.u, e.v));
-  }
-  const auto hasEdge = [&edges](net::NodeId u, net::NodeId v) {
-    const auto key = std::make_pair(std::min(u, v), std::max(u, v));
-    return std::find(edges.begin(), edges.end(), key) != edges.end();
-  };
-  // Members still mutually reachable when `skipNode` (or the edge
-  // `skipU`—`skipV`) is taken out: DFS over the edge list. O(members ·
-  // edges) worst case — fault plans are tiny.
-  const auto connectedWithout = [&](net::NodeId skipNode, net::NodeId skipU,
-                                    net::NodeId skipV) {
-    int want = 0;
-    net::NodeId start = -1;
-    for (net::NodeId n = 0; n < count; ++n) {
-      if (!member[static_cast<std::size_t>(n)] || n == skipNode) continue;
-      ++want;
-      if (start < 0) start = n;
-    }
-    if (want <= 1) return true;
-    std::vector<std::uint8_t> seen(static_cast<std::size_t>(count), 0);
-    std::vector<net::NodeId> stack{start};
-    seen[static_cast<std::size_t>(start)] = 1;
-    int got = 1;
-    while (!stack.empty()) {
-      const net::NodeId u = stack.back();
-      stack.pop_back();
-      for (const auto& [ea, eb] : edges) {
-        if (ea == skipU && eb == skipV) continue;
-        if (ea == skipNode || eb == skipNode) continue;
-        net::NodeId v;
-        if (ea == u) {
-          v = eb;
-        } else if (eb == u) {
-          v = ea;
-        } else {
-          continue;
-        }
-        if (seen[static_cast<std::size_t>(v)]) continue;
-        seen[static_cast<std::size_t>(v)] = 1;
-        ++got;
-        stack.push_back(v);
-      }
-    }
-    return got == want;
-  };
-
+/// every phase's fault plan through a copy of the machine's ShapeModel,
+/// in firing order (time-ascending, plan order within an instant, as
+/// scheduleFaultPlan delivers them), with a deliver() at each instant
+/// boundary and a commit() at each phase end — so a plan the run would
+/// reject throws here, before anything is scheduled. Returns the
+/// membership at each phase start: nodes added during a phase join the
+/// driver at the next phase boundary.
+std::vector<std::vector<std::uint8_t>> preflightShape(const WorkloadSpec& spec,
+                                                      const Machine& m) {
+  net::ShapeModel shape = m.net.shape();
+  std::vector<std::vector<std::uint8_t>> phaseMember;
   for (const PhaseSpec& ph : spec.phases) {
-    tl.phaseProcs.push_back(count);
-    tl.phaseMember.push_back(member);
-    // Events apply in firing order: time-ascending, plan order within an
-    // instant (exactly how scheduleFaultPlan delivers them).
+    phaseMember.push_back(shape.memberFlags());
     std::vector<const net::FaultEvent*> order;
     order.reserve(ph.faults.size());
     for (const net::FaultEvent& ev : ph.faults) order.push_back(&ev);
@@ -258,89 +178,14 @@ ShapeTimeline simulateShape(const WorkloadSpec& spec, const Machine& m) {
                      [](const net::FaultEvent* x, const net::FaultEvent* y) {
                        return x->offsetUs < y->offsetUs;
                      });
-    for (const net::FaultEvent* pe : order) {
-      const net::FaultEvent& ev = *pe;
-      if (!net::isStructural(ev.kind)) {
-        DIVA_CHECK_MSG(ev.a < count && ev.b < count,
-                       "workload '" << spec.name << "' phase '" << ph.name
-                                    << "': fault " << net::faultKindName(ev.kind)
-                                    << " endpoint out of range for a " << count
-                                    << "-processor machine" << atLine(ev.line));
-        continue;
-      }
-      tl.reconfigured = true;
-      DIVA_CHECK_MSG(g != nullptr,
-                     "workload '" << spec.name << "' phase '" << ph.name
-                                  << "': structural reconfiguration requires a "
-                                     "graph-backed topology; '"
-                                  << m.topo().name() << "' cannot grow or shrink"
-                                  << atLine(ev.line));
-      const auto isMember = [&](net::NodeId n) {
-        return n >= 0 && n < count && member[static_cast<std::size_t>(n)] != 0;
-      };
-      switch (ev.kind) {
-        case net::FaultEvent::Kind::AddNode: {
-          DIVA_CHECK_MSG(isMember(ev.a),
-                         "workload '" << spec.name << "' phase '" << ph.name
-                                      << "': add-node anchor " << ev.a
-                                      << " is not a member of the " << count
-                                      << "-node machine" << atLine(ev.line));
-          member.push_back(1);
-          edges.emplace_back(ev.a, static_cast<net::NodeId>(count));
-          ++count;
-          break;
-        }
-        case net::FaultEvent::Kind::RemoveNode: {
-          DIVA_CHECK_MSG(isMember(ev.a),
-                         "workload '" << spec.name << "' phase '" << ph.name
-                                      << "': remove-node " << ev.a
-                                      << " is not a member of the " << count
-                                      << "-node machine" << atLine(ev.line));
-          DIVA_CHECK_MSG(connectedWithout(ev.a, -1, -1),
-                         "workload '" << spec.name << "' phase '" << ph.name
-                                      << "': remove-node " << ev.a
-                                      << " would disconnect the machine"
-                                      << atLine(ev.line));
-          member[static_cast<std::size_t>(ev.a)] = 0;
-          std::erase_if(edges, [&ev](const std::pair<net::NodeId, net::NodeId>& e) {
-            return e.first == ev.a || e.second == ev.a;
-          });
-          break;
-        }
-        case net::FaultEvent::Kind::AddLink: {
-          DIVA_CHECK_MSG(isMember(ev.a) && isMember(ev.b) && ev.a != ev.b,
-                         "workload '" << spec.name << "' phase '" << ph.name
-                                      << "': add-link " << ev.a << "—" << ev.b
-                                      << " endpoints must be distinct members of the "
-                                      << count << "-node machine" << atLine(ev.line));
-          DIVA_CHECK_MSG(!hasEdge(ev.a, ev.b),
-                         "workload '" << spec.name << "' phase '" << ph.name
-                                      << "': add-link " << ev.a << "—" << ev.b
-                                      << " already exists" << atLine(ev.line));
-          edges.emplace_back(std::min(ev.a, ev.b), std::max(ev.a, ev.b));
-          break;
-        }
-        case net::FaultEvent::Kind::RemoveLink: {
-          DIVA_CHECK_MSG(hasEdge(ev.a, ev.b),
-                         "workload '" << spec.name << "' phase '" << ph.name
-                                      << "': remove-link " << ev.a << "—" << ev.b
-                                      << " is not an edge of the machine"
-                                      << atLine(ev.line));
-          DIVA_CHECK_MSG(
-              connectedWithout(-1, std::min(ev.a, ev.b), std::max(ev.a, ev.b)),
-              "workload '" << spec.name << "' phase '" << ph.name << "': remove-link "
-                           << ev.a << "—" << ev.b << " would disconnect the machine"
-                           << atLine(ev.line));
-          std::erase(edges,
-                     std::make_pair(std::min(ev.a, ev.b), std::max(ev.a, ev.b)));
-          break;
-        }
-        default:
-          break;  // non-structural kinds handled above
-      }
+    for (std::size_t i = 0; i < order.size(); ++i) {
+      if (i > 0 && order[i]->offsetUs != order[i - 1]->offsetUs) shape.deliver();
+      net::applyFault(shape, *order[i]);
     }
+    shape.deliver();
+    shape.commit();
   }
-  return tl;
+  return phaseMember;
 }
 
 /// Driver state every issued access reads; it outlives each phase's
@@ -554,19 +399,19 @@ sim::Task<> nodeServePhase(const Driver& d, NodeId self, const PhaseSpec& ph,
 /// Build the per-node offered-load plans for every open-loop phase of
 /// `spec` on the evolving machine: each phase is sized by the node-id
 /// space at ITS start (nodes added mid-phase begin serving next phase,
-/// retired ids keep empty plans). Pure function of (spec, timeline):
+/// retired ids keep empty plans). Pure function of (spec, phaseMember):
 /// generated schedules come from the dedicated arrival streams — the
 /// per-node share is 1/members of the phase — trace schedules from the
 /// file (node ids and object ids range-checked here, before anything is
 /// scheduled).
-std::vector<PhaseServePlan> buildServePlans(const WorkloadSpec& spec,
-                                            const ShapeTimeline& tl) {
+std::vector<PhaseServePlan> buildServePlans(
+    const WorkloadSpec& spec, const std::vector<std::vector<std::uint8_t>>& phaseMember) {
   std::vector<PhaseServePlan> plans(spec.phases.size());
   for (std::size_t p = 0; p < spec.phases.size(); ++p) {
     const PhaseSpec& ph = spec.phases[p];
     if (!ph.openLoop()) continue;
-    const int procs = tl.phaseProcs[p];
-    const std::vector<std::uint8_t>& member = tl.phaseMember[p];
+    const std::vector<std::uint8_t>& member = phaseMember[p];
+    const int procs = static_cast<int>(member.size());
     PhaseServePlan& plan = plans[p];
     plan.active = true;
     plan.nodes.resize(static_cast<std::size_t>(procs));
@@ -783,17 +628,18 @@ WorkloadReport run(Machine& m, Runtime& rt, const WorkloadSpec& spec,
   // Replay the fault plans against the evolving shape (spec.procs is a
   // suggestion; add-node grows the id space mid-run): every event is
   // validated against the shape it will actually meet, before anything
-  // is scheduled. `faulted` tracks transient faults only — structural
-  // events are `tl.reconfigured`.
+  // is scheduled. `faulted` tracks transient faults, `reconfigured`
+  // structural ones.
   bool faulted = false;
+  bool reconfigured = false;
   for (const PhaseSpec& ph : spec.phases)
     for (const net::FaultEvent& ev : ph.faults)
-      if (!net::isStructural(ev.kind)) faulted = true;
-  const ShapeTimeline tl = simulateShape(spec, m);
+      (net::isStructural(ev.kind) ? reconfigured : faulted) = true;
+  const std::vector<std::vector<std::uint8_t>> phaseMember = preflightShape(spec, m);
 
   // Offered-load plans for open-loop phases (generated schedules + trace
   // files), built before anything runs so bad traces fail fast.
-  const std::vector<PhaseServePlan> servePlans = buildServePlans(spec, tl);
+  const std::vector<PhaseServePlan> servePlans = buildServePlans(spec, phaseMember);
 
   serve::Trace* capture = opts.captureTrace;
   if (capture != nullptr) {
@@ -884,7 +730,7 @@ WorkloadReport run(Machine& m, Runtime& rt, const WorkloadSpec& spec,
                 : 1.0;
   report.reroutedFlights = m.net.reroutedFlights() - reroutedBefore;
   report.parkedFlights = m.net.parkedFlights() - parkedBefore;
-  report.reconfigured = tl.reconfigured;
+  report.reconfigured = reconfigured;
   report.reconfigEpochs =
       static_cast<std::uint64_t>(m.net.reconfigEpoch() - epochsBefore);
   if (anyOpen) {
@@ -908,7 +754,7 @@ WorkloadReport run(Machine& m, Runtime& rt, const WorkloadSpec& spec,
   // (docs/faults.md). Fault-free fixed-shape runs skip the sweep — it is
   // O(objects) and the healthy invariants are already pinned by the
   // strategy test suites.
-  if (faulted || tl.reconfigured) rt.checkAllInvariants();
+  if (faulted || reconfigured) rt.checkAllInvariants();
   if (tracer != nullptr) m.net.setTracer(prevTracer);
   return report;
 }
