@@ -445,5 +445,17 @@ TEST(FaultWorkload, FaultFreeReportOmitsAvailabilitySection) {
   EXPECT_EQ(text.find("availability"), std::string::npos);
 }
 
+TEST(FaultWorkload, OutOfRangeFaultEndpointRejected) {
+  workload::WorkloadSpec spec = smallSpec();
+  net::FaultEvent down;
+  down.kind = net::FaultEvent::Kind::NodeDown;
+  down.offsetUs = 1.0;
+  down.a = 99;  // machine has 16 nodes
+  spec.phases[0].faults = {down};
+  EXPECT_THROW(workload::runOn(net::TopologySpec::mesh2d(4, 4),
+                               RuntimeConfig::fixedHome(), spec),
+               support::CheckError);
+}
+
 }  // namespace
 }  // namespace diva

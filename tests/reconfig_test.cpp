@@ -223,6 +223,17 @@ std::string runOrReject(const net::TopologySpec& topo, const RuntimeConfig& conf
   return "";
 }
 
+TEST(ReconfigWorkload, DisconnectingRemovalsRejectedWithLineNumbers) {
+  for (const char* events : {"reconfig 10 remove-node 1\n", "reconfig 10 remove-link 0 1\n"}) {
+    SCOPED_TRACE(events);
+    const std::string msg = runOrReject(net::TopologySpec::graph(net::gridGraph(1, 3)),
+                                        RuntimeConfig::fixedHome(),
+                                        tinySpecWithEvents(events));
+    EXPECT_NE(msg.find("disconnect"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("scenario line 5"), std::string::npos) << msg;
+  }
+}
+
 TEST(ShapePreflight, InvalidPlansRejectedBeforeTheEngineAdvances) {
   // Each plan would throw partway through the run; every one must be
   // rejected up front, naming its scenario line (events start on line 5).
@@ -234,10 +245,6 @@ TEST(ShapePreflight, InvalidPlansRejectedBeforeTheEngineAdvances) {
   };
   const std::vector<Case> cases = {
       {net::TopologySpec::mesh2d(4, 4), "fault 1 node-down 99\n", "out of range", 5},
-      {net::TopologySpec::graph(net::gridGraph(1, 3)), "reconfig 10 remove-node 1\n",
-       "disconnect", 5},
-      {net::TopologySpec::graph(net::gridGraph(1, 3)), "reconfig 10 remove-link 0 1\n",
-       "disconnect", 5},
       // 0 and 5 are diagonal on a 4x4 mesh.
       {net::TopologySpec::mesh2d(4, 4), "fault 100 link-down 0 5\n", "not adjacent", 5},
       {net::TopologySpec::graph(net::ringGraph(2)),
