@@ -22,10 +22,8 @@ std::string variantName(int arity, int leafSize) {
 AccessTreeStrategy::AccessTreeStrategy(net::Network& net, Stats& stats,
                                        std::vector<NodeCache>& caches, Params params)
     : net_(net), stats_(stats), caches_(caches), params_(params) {
-  Ctx c;
-  c.tree = net.topology().decompose(net::DecompParams{params.arity, params.leafSize});
-  c.hints.resize(static_cast<std::size_t>(c.tree->numNodes()));
-  ctxs_.push_back(std::move(c));
+  ctxs_.push_back(
+      net.topology().decompose(net::DecompParams{params.arity, params.leafSize}));
 }
 
 std::string AccessTreeStrategy::name() const {
@@ -49,24 +47,6 @@ std::uint32_t AccessTreeStrategy::childBit(VarId x, std::int32_t child) const {
   const int idx = treeOf(x).node(child).indexInParent;
   DIVA_CHECK(idx >= 0 && idx < 32);
   return 1u << idx;
-}
-
-int AccessTreeStrategy::copyNeighborCount(VarId x, std::int32_t node) const {
-  const TreeState* st = findState(x, node);
-  if (!st) return 0;
-  return std::popcount(st->childCopyMask) + (st->parentCopy ? 1 : 0);
-}
-
-void AccessTreeStrategy::hintCopyBorn(VarId x, std::int32_t node) {
-  Ctx& c = ctxs_[static_cast<std::size_t>(states_.at(x).ctx)];
-  for (std::int32_t a = node; a >= 0; a = c.tree->parent(a))
-    c.hints[static_cast<std::size_t>(a)].add(x);
-}
-
-void AccessTreeStrategy::hintCopyDied(VarId x, std::int32_t node) {
-  Ctx& c = ctxs_[static_cast<std::size_t>(states_.at(x).ctx)];
-  for (std::int32_t a = node; a >= 0; a = c.tree->parent(a))
-    c.hints[static_cast<std::size_t>(a)].remove(x);
 }
 
 void AccessTreeStrategy::clearCopy(VarId x, std::int32_t node) {
@@ -113,7 +93,7 @@ sim::Task<Value> AccessTreeStrategy::read(NodeId p, VarId x) {
     // variable is mid-handoff on a superseded context, its migration
     // deferred until it falls quiet. Enter the old tree through a
     // deterministic proxy leaf; the p→proxy hop is the forwarding cost.
-    entry = nextLiveAfter(treeOf(x), x, p);
+    entry = liveLeafFrom(treeOf(x), p + 1);
     b.requester = entry;
     b.atNode = treeOf(x).leafOf(entry);
     ++stats_.ops.forwardedOps;
@@ -146,7 +126,7 @@ sim::Task<void> AccessTreeStrategy::write(NodeId p, VarId x, Value v) {
   if (b.atNode < 0) {
     // Same proxy entry as read(): a node added after this variable's
     // tree was built forwards through a leaf the old tree covers.
-    entry = nextLiveAfter(treeOf(x), x, p);
+    entry = liveLeafFrom(treeOf(x), p + 1);
     b.requester = entry;
     b.atNode = treeOf(x).leafOf(entry);
     ++stats_.ops.forwardedOps;
@@ -165,14 +145,13 @@ sim::Task<void> AccessTreeStrategy::write(NodeId p, VarId x, Value v) {
 
 void AccessTreeStrategy::seedComponent(VarState& vs, VarId x, NodeId owner,
                                        Value init) {
-  const net::ClusterTree& t = *ctxs_[static_cast<std::size_t>(vs.ctx)].tree;
+  const net::ClusterTree& t = *ctxs_[static_cast<std::size_t>(vs.ctx)];
   const std::int32_t leaf = t.leafOf(owner);
   DIVA_CHECK_MSG(leaf >= 0, "owner " << owner << " is not in variable " << x
                                      << "'s access tree");
   TreeState& st = vs.nodes[leaf];
   st.kind = TreeState::Kind::Copy;
   st.downChild = -1;
-  hintCopyBorn(x, leaf);
   NodeCache::Entry& e = caches_[owner].put(x, std::move(init));
   e.copyCount = 1;
   // Mark the path from the root to the component (data tracking invariant).
@@ -192,7 +171,7 @@ void AccessTreeStrategy::registerVarFree(VarId x, NodeId owner, Value init) {
   seedComponent(vs, x, owner, std::move(init));
 }
 
-sim::Task<void> AccessTreeStrategy::registerVar(VarId x, NodeId owner, Value init) {
+void AccessTreeStrategy::registerVar(VarId x, NodeId owner, Value init) {
   // The directory state becomes consistent immediately (so racing readers
   // can already track the data), while the root-path marking messages are
   // charged as real traffic hop-by-hop. The creator only pays its local
@@ -200,7 +179,6 @@ sim::Task<void> AccessTreeStrategy::registerVar(VarId x, NodeId owner, Value ini
   // root round trip.
   registerVarFree(x, owner, std::move(init));
   markRootPath(x, owner);
-  co_return;
 }
 
 bool AccessTreeStrategy::markRootPath(VarId x, NodeId owner) {
@@ -226,7 +204,6 @@ void AccessTreeStrategy::destroyVarFree(VarId x) {
                  "destroying a variable with a write in flight");
   for (const auto& [node, st] : it->second.nodes) {
     if (st.kind == TreeState::Kind::Copy) {
-      hintCopyDied(x, node);
       const NodeId host = hostOf(node, x);
       NodeCache::Entry* e = caches_[host].peek(x);
       if (e && --e->copyCount == 0) caches_[host].erase(x);
@@ -268,12 +245,6 @@ void AccessTreeStrategy::handleMessage(net::Message&& msg) {
     case AtBody::K::Inval: onInval(std::move(b)); break;
     case AtBody::K::InvalAck: onInvalAck(std::move(b)); break;
     case AtBody::K::Mark: onMark(std::move(b)); break;
-    case AtBody::K::MarkAck: {
-      auto it = pending_.find(b.txn);
-      DIVA_CHECK(it != pending_.end());
-      it->second.done->resolve(Value{});
-      break;
-    }
     case AtBody::K::CopyDrop: onCopyDrop(std::move(b)); break;
     case AtBody::K::Recover:
       // Cost-only: repair mutates tree state and caches synchronously at
@@ -301,7 +272,7 @@ void AccessTreeStrategy::forward(AtBody&& b, std::int32_t fromTreeNode,
   // Host resolution uses the context stamped into the message, not the
   // variable's current one: a cost-only Mark may still be travelling on a
   // predecessor tree after its variable migrated (or was destroyed).
-  const net::ClusterTree& t = *ctxs_[static_cast<std::size_t>(b.ctx)].tree;
+  const net::ClusterTree& t = *ctxs_[static_cast<std::size_t>(b.ctx)];
   const VarId x = b.var;
   const NodeId src = t.hostOf(fromTreeNode, x, params_.embedding, params_.seed);
   const NodeId dst = t.hostOf(toTreeNode, x, params_.embedding, params_.seed);
@@ -404,7 +375,6 @@ void AccessTreeStrategy::depositCopy(VarId x, std::int32_t node, const Value& v,
   if (st.kind != TreeState::Kind::Copy) {
     st.kind = TreeState::Kind::Copy;
     st.downChild = -1;
-    hintCopyBorn(x, node);
     NodeCache::Entry* e = caches_[host].peek(x);
     if (e) {
       e->value = v;
@@ -540,7 +510,6 @@ void AccessTreeStrategy::onInval(AtBody&& b) {
   // Drop the copy and point toward the writer (restores the root-path
   // marking invariant; see DESIGN.md §5).
   clearCopy(b.var, node);
-  hintCopyDied(b.var, node);
   if (from == nd.parent) {
     st.kind = TreeState::Kind::Up;
     st.downChild = -1;
@@ -619,8 +588,7 @@ void AccessTreeStrategy::onMark(AtBody&& b) {
   // tree is taken from the message's context — the variable may already
   // have migrated off (or been destroyed) while the mark was in flight.
   const std::int32_t node = b.atNode;
-  const std::int32_t parent =
-      ctxs_[static_cast<std::size_t>(b.ctx)].tree->parent(node);
+  const std::int32_t parent = ctxs_[static_cast<std::size_t>(b.ctx)]->parent(node);
   if (parent < 0) return;
   b.fromNode = node;
   forward(std::move(b), node, parent, 0);
@@ -646,7 +614,7 @@ void AccessTreeStrategy::onCopyDrop(AtBody&& b) {
 
 bool AccessTreeStrategy::tryEvict(NodeId p, VarId x) {
   NodeCache::Entry* e = caches_[p].peek(x);
-  if (!e || e->pinned) return false;
+  if (!e) return false;
   auto vit = states_.find(x);
   if (vit == states_.end()) return false;
   if (vit->second.coord || !vit->second.relays.empty()) return false;  // write in flight
@@ -710,7 +678,6 @@ bool AccessTreeStrategy::tryEvict(NodeId p, VarId x) {
 
   // Re-point every dropped node toward the surviving component.
   for (std::int32_t s : hosted) {
-    hintCopyDied(x, s);
     TreeState& st = vit->second.nodes.at(s);
     if (boundaryOutside == s || isAncestor(s, boundaryOutside)) {
       // Survivors hang below: mark Down toward them.
@@ -751,31 +718,17 @@ bool AccessTreeStrategy::tryEvict(NodeId p, VarId x) {
 }
 
 void AccessTreeStrategy::maybeEvictAt(NodeId p) {
-  NodeCache& cache = caches_[p];
-  while (cache.overCapacity()) {
-    const bool evicted = cache.scanLru([&](VarId v, NodeCache::Entry&) {
-      return tryEvict(p, v);
-    });
-    if (!evicted) {
-      ++stats_.ops.evictionFailures;
-      return;
-    }
-  }
+  if (!caches_[p].evictUntilFits([&](VarId v) { return tryEvict(p, v); }))
+    ++stats_.ops.evictionFailures;
 }
 
 // ---------------------------------------------------------------------------
 // Crash repair (docs/faults.md)
 // ---------------------------------------------------------------------------
 
-NodeId AccessTreeStrategy::nextLiveAfter(const net::ClusterTree& t, VarId x,
-                                         NodeId p) const {
-  const int n = net_.numNodes();
-  NodeId q = static_cast<NodeId>((p + 1) % n);
-  for (int steps = 0; !net_.nodeUp(q) || !net_.nodeMember(q) || t.leafOf(q) < 0;
-       q = static_cast<NodeId>((q + 1) % n)) {
-    DIVA_CHECK_MSG(++steps <= n, "no live member can host variable " << x);
-  }
-  return q;
+NodeId AccessTreeStrategy::liveLeafFrom(const net::ClusterTree& t, NodeId start) const {
+  return net_.firstMemberFrom(
+      start, [&](NodeId q) { return net_.nodeUp(q) && t.leafOf(q) >= 0; });
 }
 
 bool AccessTreeStrategy::varQuiet(const VarState& vs) const {
@@ -822,7 +775,6 @@ void AccessTreeStrategy::reseed(VarId x, int ctx, NodeId owner, const Value& v,
   for (std::int32_t n : copies) {
     hosts.push_back(hostOf(n, x));
     clearCopy(x, n);
-    hintCopyDied(x, n);
   }
   vs.nodes.clear();
   vs.ctx = ctx;
@@ -840,7 +792,7 @@ void AccessTreeStrategy::repairVar(VarId x, NodeId p) {
   // sat at p.
   const Value v = peek(x);
   const int ctx = states_.at(x).ctx;
-  const NodeId s = nextLiveAfter(treeOf(x), x, p);
+  const NodeId s = liveLeafFrom(treeOf(x), p + 1);
   ++stats_.ops.repairedVars;
 
   // Charge the repair traffic: the salvaged value streams from the dead
@@ -880,11 +832,8 @@ void AccessTreeStrategy::onReconfig() {
   // network still retains retiring nodes' links (so old-tree traffic and
   // the migration itself can route), but the new tree must only cover
   // the nodes that stay.
-  Ctx c;
-  c.tree = net_.targetTopology().decompose(
-      net::DecompParams{params_.arity, params_.leafSize});
-  c.hints.resize(static_cast<std::size_t>(c.tree->numNodes()));
-  ctxs_.push_back(std::move(c));
+  ctxs_.push_back(net_.targetTopology().decompose(
+      net::DecompParams{params_.arity, params_.leafSize}));
   cur_ = static_cast<int>(ctxs_.size()) - 1;
 
   // Migrate in sorted variable order so traffic and cache mutation order
@@ -915,10 +864,7 @@ void AccessTreeStrategy::migrateVar(VarId x) {
   // Salvage the committed value from the topmost copy before wiping.
   const NodeId oldHost = hostOf(topCopy(x), x);
   const Value v = peek(x);
-  const net::ClusterTree& t = *ctxs_[static_cast<std::size_t>(cur_)].tree;
-  NodeId owner = oldHost;
-  if (!net_.nodeUp(owner) || !net_.nodeMember(owner) || t.leafOf(owner) < 0)
-    owner = nextLiveAfter(t, x, oldHost);
+  const NodeId owner = liveLeafFrom(tree(), oldHost);
   ++stats_.ops.migratedVars;
   // Charge the handoff: the value streams from the old host to the new
   // owner when it moved.
@@ -944,7 +890,7 @@ void AccessTreeStrategy::checkInvariants(VarId x) const {
   DIVA_CHECK_MSG(vs.ctx == cur_, "variable " << x
                                              << " still managed by a superseded "
                                                 "access tree at quiescence");
-  const net::ClusterTree& t = *ctxs_[static_cast<std::size_t>(vs.ctx)].tree;
+  const net::ClusterTree& t = *ctxs_[static_cast<std::size_t>(vs.ctx)];
 
   // Collect the copy component.
   std::vector<std::int32_t> copies;
@@ -1015,17 +961,6 @@ void AccessTreeStrategy::checkInvariants(VarId x) const {
     DIVA_CHECK_MSG(e->value == ref->value || *e->value == *ref->value,
                    "incoherent copies of variable " << x);
   }
-
-  // Subtree-copy hints never lie in the negative direction: every copy
-  // must be visible through the Bloom filter of each of its ancestors
-  // (and of its own node). The positive direction is probabilistic and
-  // not checked here — false-positive rates are property-tested in
-  // tests/support_test.cpp.
-  for (std::int32_t n : copies)
-    for (std::int32_t a = n; a >= 0; a = t.parent(a))
-      DIVA_CHECK_MSG(subtreeMayHoldCopy(a, x),
-                     "subtree hint false negative for variable " << x
-                         << " at tree node " << a);
 }
 
 }  // namespace diva

@@ -14,7 +14,6 @@
 #include "net/network.hpp"
 #include "net/topology.hpp"
 #include "sim/sync.hpp"
-#include "support/bloom.hpp"
 
 namespace diva {
 
@@ -64,7 +63,7 @@ class AccessTreeStrategy final : public Strategy {
   sim::Task<Value> read(NodeId p, VarId x) override;
   sim::Task<void> write(NodeId p, VarId x, Value v) override;
   void registerVarFree(VarId x, NodeId owner, Value init) override;
-  sim::Task<void> registerVar(VarId x, NodeId owner, Value init) override;
+  void registerVar(VarId x, NodeId owner, Value init) override;
   void destroyVarFree(VarId x) override;
   Value peek(VarId x) const override;
   void checkInvariants(VarId x) const override;
@@ -75,7 +74,7 @@ class AccessTreeStrategy final : public Strategy {
   /// *current* tree — variables still parked on a predecessor tree keep
   /// their own context until they migrate (see onReconfig).
   const net::ClusterTree& tree() const {
-    return *ctxs_[static_cast<std::size_t>(cur_)].tree;
+    return *ctxs_[static_cast<std::size_t>(cur_)];
   }
   const Params& params() const { return params_; }
 
@@ -83,30 +82,6 @@ class AccessTreeStrategy final : public Strategy {
   /// allow it (the copy is a fringe node of its component and not the
   /// last copy). Returns true if evicted.
   bool tryEvict(NodeId p, VarId x) override;
-
-  /// Sparse subtree-copy hint: false means tree node `treeNode`'s subtree
-  /// definitely holds no copy of `x`; true means it may. One counting
-  /// Bloom filter per tree node (constant memory per node regardless of
-  /// the variable population), maintained at every copy birth/death on
-  /// the node's root path — pure host-local bookkeeping, so enabling or
-  /// querying it never changes protocol traffic. The no-false-negative
-  /// side is an invariant checked at quiescence (checkInvariants).
-  /// `treeNode` is interpreted on the tree of `x`'s current context.
-  bool subtreeMayHoldCopy(std::int32_t treeNode, VarId x) const {
-    const auto it = states_.find(x);
-    const std::size_t c = it == states_.end() ? static_cast<std::size_t>(cur_)
-                                              : static_cast<std::size_t>(it->second.ctx);
-    return ctxs_[c].hints[static_cast<std::size_t>(treeNode)].mayContain(x);
-  }
-
-  /// Resident bytes of the subtree-copy hint structure (docs/routing.md
-  /// memory model), summed over every live tree context.
-  std::uint64_t hintBytes() const {
-    std::uint64_t total = 0;
-    for (const auto& c : ctxs_)
-      for (const auto& b : c.hints) total += b.numCells();
-    return total;
-  }
 
   void onNodeDown(NodeId p) override;
   void onReconfig() override;
@@ -166,7 +141,6 @@ class AccessTreeStrategy final : public Strategy {
       Inval,     ///< invalidation flood edge
       InvalAck,  ///< flood acknowledgement edge
       Mark,      ///< creation: mark Down pointers on the root path
-      MarkAck,   ///< creation complete
       CopyDrop,  ///< eviction: neighbour lost its copy
       Recover,   ///< repair traffic: salvage/invalidate after a crash
       Migrate,   ///< migration traffic: tree-to-tree handoff across an epoch
@@ -221,14 +195,13 @@ class AccessTreeStrategy final : public Strategy {
   /// The cluster tree of `x`'s current context: tree-node ids in the
   /// variable's directory state are only meaningful against this tree.
   const net::ClusterTree& treeOf(VarId x) const {
-    return *ctxs_[static_cast<std::size_t>(states_.at(x).ctx)].tree;
+    return *ctxs_[static_cast<std::size_t>(states_.at(x).ctx)];
   }
   NodeId hostOf(std::int32_t node, VarId x) const {
     return treeOf(x).hostOf(node, x, params_.embedding, params_.seed);
   }
   bool isParentOf(VarId x, std::int32_t parent, std::int32_t child) const;
   std::uint32_t childBit(VarId x, std::int32_t child) const;
-  int copyNeighborCount(VarId x, std::int32_t node) const;
   void clearCopy(VarId x, std::int32_t node);
   void eraseIfDefault(VarId x, std::int32_t node);
   /// Install the one-copy component at `owner`'s leaf and mark the root
@@ -241,19 +214,13 @@ class AccessTreeStrategy final : public Strategy {
   /// The topmost tree node of `x`'s copy component (it holds the
   /// committed value).
   std::int32_t topCopy(VarId x) const;
-  /// Subtree-hint maintenance: record one copy of `x` appearing at
-  /// (resp. leaving) tree node `node` — updates the Bloom filter of the
-  /// node and of every ancestor. Calls pair exactly with Copy-state
-  /// births/deaths.
-  void hintCopyBorn(VarId x, std::int32_t node);
-  void hintCopyDied(VarId x, std::int32_t node);
 
   // --- crash repair and epoch migration (docs/faults.md) ---
   // Both wait in deferred_ until the variable is quiet (drainDeferred)
   // and both end in reseed.
-  /// First node after `p` that is up, a member and covered by tree `t`
-  /// (a node added after `t` was built has no leaf in it).
-  NodeId nextLiveAfter(const net::ClusterTree& t, VarId x, NodeId p) const;
+  /// First node from `start` on (wrapping) that is up, a member and
+  /// covered by tree `t` (a node added after `t` was built has no leaf).
+  NodeId liveLeafFrom(const net::ClusterTree& t, NodeId start) const;
   bool varQuiet(const VarState& vs) const;
   void drainDeferred(VarId x);
   /// The one salvage-and-reseed step: wipe `x`'s copy component in sorted
@@ -279,16 +246,11 @@ class AccessTreeStrategy final : public Strategy {
   std::vector<NodeCache>& caches_;
   Params params_;
   /// One tree context per machine shape this strategy has managed: the
-  /// cluster tree plus its per-tree-node counting Bloom filters ("may
-  /// this subtree hold a copy?"; see subtreeMayHoldCopy). Superseded
+  /// cluster tree a variable's tree-node ids refer to. Superseded
   /// contexts stay alive until every variable has migrated off them —
   /// and beyond, since external services may hold references to their
   /// trees. ctxs_[cur_] is the context new variables register on.
-  struct Ctx {
-    std::unique_ptr<net::ClusterTree> tree;
-    std::vector<support::CountingBloom> hints;
-  };
-  std::vector<Ctx> ctxs_;
+  std::vector<std::unique_ptr<net::ClusterTree>> ctxs_;
   int cur_ = 0;
   std::unordered_map<VarId, VarState> states_;
   std::unordered_map<std::uint64_t, PendingOp> pending_;

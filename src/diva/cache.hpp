@@ -23,9 +23,6 @@ class NodeCache {
     int copyCount = 0;
     /// Fixed home strategy: this processor is the variable's owner.
     bool owned = false;
-    /// Pinned entries (e.g. a variable's only remaining copy) are never
-    /// offered for eviction.
-    bool pinned = false;
     std::list<VarId>::iterator lruIt;  ///< position in the LRU list
   };
 
@@ -82,20 +79,29 @@ class NodeCache {
     map_.erase(it);
   }
 
-  /// Visit entries from least to most recently used until `fn` returns
-  /// true (handled) or the list is exhausted. `fn` may erase the entry it
-  /// is given (and only that one).
-  template <typename Fn>
-  bool scanLru(Fn&& fn) {
+  /// Evict until the module fits its capacity. Each pass offers entries
+  /// from least to most recently used to `tryEvict(v)`, which returns
+  /// true after erasing `v` (and only `v`) or false to refuse it. Returns
+  /// false when a whole pass found nothing evictable — the module then
+  /// stays over capacity.
+  template <typename TryEvict>
+  bool evictUntilFits(TryEvict&& tryEvict) {
+    while (overCapacity())
+      if (!scanLru(tryEvict)) return false;
+    return true;
+  }
+
+ private:
+  template <typename TryEvict>
+  bool scanLru(TryEvict& tryEvict) {
     for (auto it = lru_.begin(); it != lru_.end();) {
       const VarId v = *it;
-      ++it;  // advance before fn possibly erases v
-      if (fn(v, map_.find(v)->second)) return true;
+      ++it;  // advance before tryEvict possibly erases v
+      if (tryEvict(v)) return true;
     }
     return false;
   }
 
- private:
   std::uint64_t capacity_;
   std::uint64_t used_ = 0;
   std::unordered_map<VarId, Entry> map_;

@@ -108,15 +108,8 @@ sim::Task<void> FixedHomeStrategy::write(NodeId p, VarId x, Value v) {
 }
 
 void FixedHomeStrategy::maybeEvictAt(NodeId p) {
-  NodeCache& cache = caches_[p];
-  while (cache.overCapacity()) {
-    const bool evicted =
-        cache.scanLru([&](VarId v, NodeCache::Entry&) { return tryEvict(p, v); });
-    if (!evicted) {
-      ++stats_.ops.evictionFailures;
-      return;
-    }
-  }
+  if (!caches_[p].evictUntilFits([&](VarId v) { return tryEvict(p, v); }))
+    ++stats_.ops.evictionFailures;
 }
 
 void FixedHomeStrategy::registerVarFree(VarId x, NodeId owner, Value init) {
@@ -130,7 +123,7 @@ void FixedHomeStrategy::registerVarFree(VarId x, NodeId owner, Value init) {
   e.owned = true;
 }
 
-sim::Task<void> FixedHomeStrategy::registerVar(VarId x, NodeId owner, Value init) {
+void FixedHomeStrategy::registerVar(VarId x, NodeId owner, Value init) {
   // Directory becomes consistent immediately; the registration message to
   // the home is charged as cost-only traffic (mirrors the access tree's
   // fire-and-forget root-path marking).
@@ -140,7 +133,6 @@ sim::Task<void> FixedHomeStrategy::registerVar(VarId x, NodeId owner, Value init
   b.var = x;
   b.requester = owner;
   sendBody(owner, homeOf(x), std::move(b), 0);
-  co_return;
 }
 
 void FixedHomeStrategy::destroyVarFree(VarId x) {
@@ -269,12 +261,6 @@ void FixedHomeStrategy::handleMessage(net::Message&& msg) {
     case FhBody::K::Reg:
       // Cost-only: the directory entry was installed at registration.
       return;
-    case FhBody::K::RegAck: {
-      auto it = pending_.find(b.txn);
-      DIVA_CHECK(it != pending_.end());
-      it->second.done->resolve(Value{});
-      return;
-    }
     case FhBody::K::Drop:
       // Directory already updated at eviction time (see tryEvict); the
       // message only accounts for the notification traffic.
@@ -426,7 +412,7 @@ void FixedHomeStrategy::finishTransaction(VarId x) {
 
 bool FixedHomeStrategy::tryEvict(NodeId p, VarId x) {
   NodeCache::Entry* e = caches_[p].peek(x);
-  if (!e || e->pinned || e->owned) return false;
+  if (!e || e->owned) return false;
   const auto it = homes_.find(x);
   if (it == homes_.end()) return false;
   if (it->second.busy) return false;  // don't race an active transaction
@@ -452,13 +438,6 @@ bool FixedHomeStrategy::tryEvict(NodeId p, VarId x) {
 // ---------------------------------------------------------------------------
 // Crash repair (docs/faults.md)
 // ---------------------------------------------------------------------------
-
-NodeId FixedHomeStrategy::nextLiveAfter(NodeId p) const {
-  const int n = net_.numNodes();
-  NodeId q = static_cast<NodeId>((p + 1) % n);
-  while (!net_.nodeUp(q) || !net_.nodeMember(q)) q = static_cast<NodeId>((q + 1) % n);
-  return q;  // terminates: the network forbids crashing the last live member
-}
 
 bool FixedHomeStrategy::varQuiet(VarId x) const {
   const HomeEntry& he = homes_.at(x);
@@ -544,8 +523,10 @@ void FixedHomeStrategy::repairVar(VarId x, NodeId p) {
 
   if (homeOf(x) == p) {
     // The home itself died: migrate the directory to the deterministic
-    // successor. The home's own copy (when home-owned) moves with it.
-    const NodeId s = nextLiveAfter(p);
+    // successor, the next live member. The home's own copy (when
+    // home-owned) moves with it.
+    const NodeId s =
+        net_.firstMemberFrom(p + 1, [&](NodeId q) { return net_.nodeUp(q); });
     rehome_[x] = s;
     std::uint64_t bytes = 0;
     if (he.owner == kHomeOwner) {

@@ -44,7 +44,7 @@ class FixedHomeStrategy final : public Strategy {
   sim::Task<Value> read(NodeId p, VarId x) override;
   sim::Task<void> write(NodeId p, VarId x, Value v) override;
   void registerVarFree(VarId x, NodeId owner, Value init) override;
-  sim::Task<void> registerVar(VarId x, NodeId owner, Value init) override;
+  void registerVar(VarId x, NodeId owner, Value init) override;
   void destroyVarFree(VarId x) override;
   Value peek(VarId x) const override;
   void checkInvariants(VarId x) const override;
@@ -86,7 +86,6 @@ class FixedHomeStrategy final : public Strategy {
       InvalAck,   ///< copy holder → home
       WriteAck,   ///< home → requester (ownership granted)
       Reg,        ///< creator → home (measured variable creation)
-      RegAck,     ///< home → creator
       Drop,       ///< holder → home: copy evicted (LRU replacement)
       Recover,    ///< repair traffic: directory/value salvage after a crash
       Migrate,    ///< migration traffic: home handoff across a reconfig epoch
@@ -129,7 +128,6 @@ class FixedHomeStrategy final : public Strategy {
   // Crash repair (docs/faults.md). A repair scrubs one dead node from one
   // variable: re-home if the hash home died, recover ownership to the
   // home if the owner died, drop dead copies.
-  NodeId nextLiveAfter(NodeId p) const;
   void repairVar(VarId x, NodeId deadNode);
   void sendRecover(NodeId src, NodeId dst, VarId x, std::uint64_t payloadBytes);
 

@@ -44,11 +44,8 @@ void TreeLockService::rebuild(const net::ClusterTree& tree) {
   for (auto& [lock, anchor] : anchorProc_) {
     if (tree.leafOf(anchor) >= 0) continue;
     // The anchor left the machine: the token restarts at the next member.
-    const int n = net_.numNodes();
-    NodeId q = static_cast<NodeId>((anchor + 1) % n);
-    while (!net_.nodeMember(q) || tree.leafOf(q) < 0)
-      q = static_cast<NodeId>((q + 1) % n);
-    anchor = q;
+    anchor = net_.firstMemberFrom(anchor + 1,
+                                  [&](NodeId q) { return tree.leafOf(q) >= 0; });
   }
 }
 
@@ -210,11 +207,8 @@ NodeId CentralLockService::homeOf(VarId lock) const {
   // under growth; when the hashed node has left the machine, the manager
   // role falls to the deterministic next member. (Lock state itself is
   // central to the service, so the home only selects message endpoints.)
-  NodeId h = static_cast<NodeId>(
-      support::hashBelow(support::hashCombine(seed_, lock, 0x10c4ull), baseProcs_));
-  const int n = net_.numNodes();
-  while (!net_.nodeMember(h)) h = static_cast<NodeId>((h + 1) % n);
-  return h;
+  return net_.firstMemberFrom(static_cast<NodeId>(
+      support::hashBelow(support::hashCombine(seed_, lock, 0x10c4ull), baseProcs_)));
 }
 
 void CentralLockService::registerLockFree(VarId lock, NodeId /*creator*/) {

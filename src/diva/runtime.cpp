@@ -51,11 +51,7 @@ Runtime::Runtime(Machine& machine, RuntimeConfig config)
   // Crash/recover transitions drive the strategy's protocol repair
   // (docs/faults.md); never fires on fault-free runs.
   livenessToken_ = machine.net.addLivenessListener([this](NodeId n, bool up) {
-    if (up) {
-      strategy_->onNodeUp(n);
-    } else {
-      strategy_->onNodeDown(n);
-    }
+    if (!up) strategy_->onNodeDown(n);
   });
 
   for (NodeId n = 0; n < machine.numProcs(); ++n) {
@@ -148,7 +144,7 @@ sim::Task<VarId> Runtime::createVar(NodeId owner, Value init, bool withLock) {
   const VarId x = nextVar_++;
   liveVars_.insert(x);
   if (withLock) locks_->registerLockFree(x, owner);
-  co_await strategy_->registerVar(x, owner, std::move(init));
+  strategy_->registerVar(x, owner, std::move(init));
   co_return x;
 }
 

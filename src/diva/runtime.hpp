@@ -117,8 +117,6 @@ class Runtime {
     machine_.net.reserveCpu(p, us);
     machine_.stats.addCompute(us);
   }
-  /// Suspend until `p`'s CPU has drained all charged work.
-  auto syncCpu(NodeId p) { return machine_.net.compute(p, 0.0); }
 
   // --- introspection ---------------------------------------------------
   Value peek(VarId x) const { return strategy_->peek(x); }

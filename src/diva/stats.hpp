@@ -91,11 +91,6 @@ class Stats {
   void addCompute(double us) { computeUs_[phase_] += us; }
 
   double computeUs(int phase) const { return computeUs_[phase]; }
-  double totalComputeUs() const {
-    double s = 0;
-    for (double v : computeUs_) s += v;
-    return s;
-  }
   /// Simulated wall time spent while `phase` was current (closed via
   /// setPhase / closePhases).
   double wallUs(int phase) const { return wallUs_[phase]; }

@@ -39,8 +39,10 @@ class Strategy {
   virtual void registerVarFree(VarId x, NodeId owner, Value init) = 0;
 
   /// Registration with full protocol cost, for variables created during
-  /// the measured computation (e.g. Barnes–Hut cells).
-  virtual sim::Task<void> registerVar(VarId x, NodeId owner, Value init) = 0;
+  /// the measured computation (e.g. Barnes–Hut cells). The state is
+  /// installed at once; the registration traffic is posted as cost-only
+  /// messages, so the creator never waits on it.
+  virtual void registerVar(VarId x, NodeId owner, Value init) = 0;
 
   /// Zero-cost teardown (simulator memory management; not measured).
   virtual void destroyVarFree(VarId x) = 0;
@@ -66,21 +68,19 @@ class Strategy {
   /// dead copies — so that no variable is lost or dually owned once the
   /// machine quiesces (docs/faults.md). Repairs for variables with a
   /// transaction in flight are deferred until that variable is quiet, in
-  /// the shared DeferredWork queue (diva/deferred_work.hpp).
+  /// the shared DeferredWork queue (diva/deferred_work.hpp). A node that
+  /// recovers needs no hook: it rejoins with the cold caches repair left.
   /// Default: strategies without fault support ignore liveness.
   virtual void onNodeDown(NodeId p) { (void)p; }
-
-  /// Node `p` recovered (cold caches — crash state was already scrubbed).
-  virtual void onNodeUp(NodeId p) { (void)p; }
 
   /// The machine was structurally reconfigured (nodes/links added or
   /// removed — a new reconfiguration epoch; docs/faults.md). The strategy
   /// must re-run decompose() on the network's *target* shape and migrate
-  /// every variable's management state (homes, directories, copy sets,
-  /// bloom hints) onto the new tree via cost-charged Migrate messages,
-  /// deferring variables with a transaction in flight until they are
-  /// quiet (forwarding serves them meanwhile) in the same DeferredWork
-  /// queue as repairs, which drain first (diva/deferred_work.hpp).
+  /// every variable's management state (homes, directories, copy sets)
+  /// onto the new tree via cost-charged Migrate messages, deferring
+  /// variables with a transaction in flight until they are quiet
+  /// (forwarding serves them meanwhile) in the same DeferredWork queue as
+  /// repairs, which drain first (diva/deferred_work.hpp).
   /// Default: strategies without reconfiguration support ignore epochs.
   virtual void onReconfig() {}
 };

@@ -115,11 +115,6 @@ class HierGraphTopology final : public Topology {
 
   /// The internal routing tree (distinct from any decompose() result).
   const GraphClusterTree& routingTree() const { return *tree_; }
-  NodeId landmarkOf(int treeNode) const { return landmark_[treeNode]; }
-  std::size_t ballSize(int treeNode) const {
-    return static_cast<std::size_t>(ballBegin_[treeNode + 1] - ballBegin_[treeNode]);
-  }
-  bool ballContains(int treeNode, NodeId node) const { return findDir(treeNode, node) >= -1; }
   /// Total ball entries across all tree nodes — the sparse-state size the
   /// memory-vs-n table in docs/routing.md reports.
   std::size_t totalBallEntries() const { return ball_.size(); }

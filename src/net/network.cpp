@@ -185,11 +185,6 @@ void Network::hop(Flight* f) {
   }
 }
 
-bool Network::linkBetweenUp(NodeId u, NodeId v) const {
-  const int slot = topo_->linkToward(u, v);
-  return slot >= 0 && linkAlive_[static_cast<std::size_t>(slot)] != 0;
-}
-
 void Network::setNodeUp(NodeId n, bool up, int line) {
   if (!shape_.setNodeUp(n, up, line)) return;
   if (tracer_) tracer_->instant(obs::kCatFault, n, up ? "node-up" : "node-down");

@@ -14,6 +14,7 @@
 #include "obs/tracer.hpp"
 #include "sim/engine.hpp"
 #include "sim/task.hpp"
+#include "support/check.hpp"
 #include "support/frame_pool.hpp"
 #include "support/object_pool.hpp"
 #include "support/ring_buffer.hpp"
@@ -122,8 +123,6 @@ class Network {
   // stay bit-identical.
 
   bool nodeUp(NodeId n) const { return shape_.nodeUp(n); }
-  /// Liveness of the directed link u→v; false when not adjacent.
-  bool linkBetweenUp(NodeId u, NodeId v) const;
   int numLiveNodes() const { return shape_.numLiveNodes(); }
 
   // The fault calls below validate through the ShapeModel and throw
@@ -175,6 +174,22 @@ class Network {
   /// Member with rank `r` in ascending id order (0 ≤ r < numMembers()).
   NodeId memberAt(int r) const { return shape_.memberAt(r); }
   const std::vector<NodeId>& members() const { return shape_.members(); }
+  /// The one successor rule: the first member at or after `start`, in
+  /// ascending id order wrapping past the last id, that passes `pred`.
+  /// Throws CheckError when no member does.
+  template <typename Pred>
+  NodeId firstMemberFrom(NodeId start, Pred&& pred) const {
+    const int n = numNodes();
+    NodeId q = static_cast<NodeId>(start % n);
+    for (int seen = 1; !nodeMember(q) || !pred(q); ++seen) {
+      DIVA_CHECK_MSG(seen < n, "no member from node " << start << " on qualifies");
+      q = static_cast<NodeId>((q + 1) % n);
+    }
+    return q;
+  }
+  NodeId firstMemberFrom(NodeId start) const {
+    return firstMemberFrom(start, [](NodeId) { return true; });
+  }
   /// The shape bookkeeping behind membership, liveness and every fault
   /// check; the workload pre-flight replays fault plans through a copy.
   const ShapeModel& shape() const { return shape_; }

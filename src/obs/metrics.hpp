@@ -60,7 +60,6 @@ class MetricsRegistry {
   void clear() { entries_.clear(); }
 
   const std::string& nameAt(std::size_t i) const { return entries_[i].name; }
-  Kind kindAt(std::size_t i) const { return entries_[i].kind; }
   bool isNumeric(std::size_t i) const { return entries_[i].kind != Kind::Text; }
   double numberAt(std::size_t i) const {
     const Entry& e = entries_[i];

@@ -68,7 +68,6 @@ class Tracer {
   /// timestamped by `engine`. Pre-sizes the record store so steady
   /// recording only reallocates on unusually large traces.
   void enable(const sim::Engine& engine, Cat mask = kCatAll);
-  void disable() { mask_ = 0; }
   bool enabled() const { return mask_ != 0; }
   bool on(Cat c) const { return (mask_ & c) != 0; }
 

@@ -10,13 +10,4 @@ using Time = double;
 
 inline constexpr Time kTimeZero = 0.0;
 
-/// Convenience unit helpers (everything internal is µs).
-constexpr Time microseconds(double v) { return v; }
-constexpr Time milliseconds(double v) { return v * 1e3; }
-constexpr Time seconds(double v) { return v * 1e6; }
-
-constexpr double toSeconds(Time t) { return t / 1e6; }
-constexpr double toMilliseconds(Time t) { return t / 1e3; }
-constexpr double toMinutes(Time t) { return t / 60e6; }
-
 }  // namespace diva::sim

@@ -670,9 +670,8 @@ WorkloadReport run(Machine& m, Runtime& rt, const WorkloadSpec& spec,
   std::vector<VarId> objects;
   objects.reserve(static_cast<std::size_t>(spec.numObjects));
   for (int i = 0; i < spec.numObjects; ++i) {
-    NodeId owner =
-        static_cast<NodeId>(placement.below(static_cast<std::uint64_t>(procs)));
-    while (!m.net.nodeMember(owner)) owner = static_cast<NodeId>((owner + 1) % procs);
+    const NodeId owner = m.net.firstMemberFrom(
+        static_cast<NodeId>(placement.below(static_cast<std::uint64_t>(procs))));
     objects.push_back(rt.createVarFree(owner, makeRawValue(spec.objectBytes),
                                        /*withLock=*/true));
   }

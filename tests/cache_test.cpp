@@ -34,16 +34,16 @@ TEST(NodeCache, UpdateReplacesBytes) {
 }
 
 TEST(NodeCache, LruOrderFollowsTouches) {
-  NodeCache c(~0ull);
+  NodeCache c(2);  // three 1-byte entries: over capacity
   c.put(1, makeRawValue(1));
   c.put(2, makeRawValue(1));
   c.put(3, makeRawValue(1));
   c.touch(1);  // order now: 2, 3, 1
   std::vector<VarId> order;
-  c.scanLru([&](VarId v, NodeCache::Entry&) {
+  EXPECT_FALSE(c.evictUntilFits([&](VarId v) {
     order.push_back(v);
     return false;
-  });
+  }));
   EXPECT_EQ(order, (std::vector<VarId>{2, 3, 1}));
 }
 
@@ -56,15 +56,19 @@ TEST(NodeCache, OverCapacityDetection) {
 }
 
 TEST(NodeCache, ScanStopsWhenHandled) {
-  NodeCache c(~0ull);
+  NodeCache c(4);  // five 1-byte entries: one eviction fits the module
   for (VarId v = 1; v <= 5; ++v) c.put(v, makeRawValue(1));
   int visited = 0;
-  const bool handled = c.scanLru([&](VarId v, NodeCache::Entry&) {
+  const bool fits = c.evictUntilFits([&](VarId v) {
     ++visited;
-    return v == 3;
+    if (v != 3) return false;
+    c.erase(v);
+    return true;
   });
-  EXPECT_TRUE(handled);
+  EXPECT_TRUE(fits);
   EXPECT_EQ(visited, 3);
+  EXPECT_EQ(c.peek(3), nullptr);
+  EXPECT_FALSE(c.overCapacity());
 }
 
 // ---------------------------------------------------------------------------
@@ -159,13 +163,9 @@ TEST(Replacement, TryEvictRefusesOwnedAndPinnedEntries) {
   EXPECT_FALSE(rt.strategy().tryEvict(5, x)) << "owner entry must be refused";
 
   // A remote read migrates ownership to the home (the ownership scheme's
-  // read rule): the old owner keeps a now-plain copy that IS evictable,
-  // while a pinned entry stays refused regardless.
+  // read rule): the old owner keeps a now-plain copy that IS evictable.
   (void)readOnce(m, rt, 2, x);
   ASSERT_NE(rt.cacheOf(2).peek(x), nullptr);
-  rt.cacheOf(2).peek(x)->pinned = true;
-  EXPECT_FALSE(rt.strategy().tryEvict(2, x)) << "pinned entry must be refused";
-  rt.cacheOf(2).peek(x)->pinned = false;
   EXPECT_TRUE(rt.strategy().tryEvict(5, x)) << "ceded copy is evictable";
   rt.checkAllInvariants();
   EXPECT_EQ(rt.peek(x)->size(), 64u);

@@ -84,6 +84,28 @@ TEST(Reconfig, DisconnectingRemovalThrows) {
   EXPECT_EQ(net.numMembers(), 2);
 }
 
+TEST(Reconfig, FirstMemberFromWrapsAndSkipsRejectedNodes) {
+  sim::Engine engine;
+  net::GraphTopology topo(net::ringGraph(8));
+  net::LinkStats stats(topo.numLinkSlots(), 1);
+  net::Network net(engine, topo, net::CostModel::gcel(), stats);
+  net.removeNode(6);         // retired: never a successor
+  net.setNodeUp(7, false);   // down: a member, rejected by liveness predicates
+  const auto live = [&](net::NodeId q) { return net.nodeUp(q); };
+
+  EXPECT_EQ(net.firstMemberFrom(3), 3) << "the start id is inclusive";
+  EXPECT_EQ(net.firstMemberFrom(6), 7) << "retired skipped, down accepted";
+  EXPECT_EQ(net.firstMemberFrom(6, live), 0) << "wraps past the last id";
+  EXPECT_EQ(net.firstMemberFrom(8, live), 0) << "a start one past the end wraps";
+  EXPECT_EQ(net.firstMemberFrom(6, [&](net::NodeId q) { return live(q) && q >= 2; }), 2);
+
+  EXPECT_THROW(net.firstMemberFrom(0, [](net::NodeId) { return false; }),
+               support::CheckError);
+  EXPECT_THROW(net.firstMemberFrom(0, [](net::NodeId q) { return q == 6; }),
+               support::CheckError)
+      << "a retired node never qualifies";
+}
+
 // ---------------------------------------------------------------------------
 // Scenario format: `reconfig` directive
 // ---------------------------------------------------------------------------

@@ -5,10 +5,8 @@
 
 #include <set>
 #include <sstream>
-#include <unordered_map>
 #include <vector>
 
-#include "support/bloom.hpp"
 #include "support/check.hpp"
 #include "support/rng.hpp"
 #include "support/table.hpp"
@@ -130,77 +128,6 @@ TEST(Check, ThrowsWithLocationAndMessage) {
 TEST(Check, PassesSilently) {
   EXPECT_NO_THROW(DIVA_CHECK(true));
   EXPECT_NO_THROW(DIVA_CHECK_MSG(2 + 2 == 4, "fine"));
-}
-
-// ---------------------------------------------------------------------------
-// CountingBloom (support/bloom.hpp) — the subtree-copy hint substrate.
-// The protocol relies on exactly one property: no false negatives, ever.
-// ---------------------------------------------------------------------------
-
-TEST(CountingBloom, NoFalseNegativesUnderAddRemoveChurn) {
-  // 20k seeded add/remove operations against a reference multiset: after
-  // every operation, each genuinely present key must report mayContain.
-  CountingBloom f(256, 3);
-  std::unordered_map<std::uint64_t, int> present;
-  SplitMix64 rng(2024);
-  for (int op = 0; op < 20000; ++op) {
-    const std::uint64_t key = rng.next() % 64;  // small pool → removes hit
-    if (!present.empty() && rng.next() % 3 == 0) {
-      // Remove a present key (the pool keeps duplicates realistic).
-      auto it = present.begin();
-      std::advance(it, static_cast<long>(rng.next() % present.size()));
-      f.remove(it->first);
-      if (--it->second == 0) present.erase(it);
-    } else {
-      f.add(key);
-      ++present[key];
-    }
-    for (const auto& [k, cnt] : present)
-      ASSERT_TRUE(f.mayContain(k)) << "false negative for " << k << " at op " << op;
-  }
-  // Paired removal drains the filter completely: definite negatives return.
-  for (auto& [k, cnt] : present)
-    for (; cnt > 0; --cnt) f.remove(k);
-  EXPECT_TRUE(f.empty());
-  for (std::uint64_t k = 0; k < 64; ++k) EXPECT_FALSE(f.mayContain(k));
-}
-
-TEST(CountingBloom, FalsePositiveRateStaysUnderSeededBound) {
-  // n=64 keys in m=1024 cells with k=3 hashes: the classic estimate
-  // (1-e^(-kn/m))^k ≈ 0.5%. Assert a 4× slack bound on a seeded probe
-  // set — deterministic, so no flakiness.
-  CountingBloom f(1024, 3);
-  SplitMix64 rng(7);
-  std::vector<std::uint64_t> members;
-  for (int i = 0; i < 64; ++i) {
-    members.push_back(rng.next());
-    f.add(members.back());
-  }
-  int falsePositives = 0;
-  const int probes = 10000;
-  for (int i = 0; i < probes; ++i) {
-    const std::uint64_t probe = rng.next();  // disjoint from members w.h.p.
-    if (f.mayContain(probe)) ++falsePositives;
-  }
-  EXPECT_LT(falsePositives, probes / 50)
-      << "FP rate " << (100.0 * falsePositives / probes) << "%";
-}
-
-TEST(CountingBloom, SaturationNeverManufacturesFalseNegatives) {
-  // Drive one key's counters to the sticky ceiling, then remove all its
-  // adds: a key added once must still be visible (saturation degrades
-  // only the false-positive side).
-  CountingBloom f(8, 2);  // tiny filter → guaranteed cell sharing
-  const std::uint64_t hot = 1, cold = 2;
-  f.add(cold);
-  for (int i = 0; i < 300; ++i) f.add(hot);
-  for (int i = 0; i < 300; ++i) f.remove(hot);
-  EXPECT_TRUE(f.mayContain(cold));
-}
-
-TEST(CountingBloom, RemoveFromEmptyThrows) {
-  CountingBloom f;
-  EXPECT_THROW(f.remove(1), CheckError);
 }
 
 }  // namespace
