@@ -17,6 +17,7 @@
 #include "apps/barneshut/barneshut.hpp"
 #include "apps/bitonic/bitonic.hpp"
 #include "apps/matmul/matmul.hpp"
+#include "diva/access_tree_strategy.hpp"
 #include "diva/machine.hpp"
 #include "diva/runtime.hpp"
 #include "net/graph_topology.hpp"
@@ -40,22 +41,13 @@ inline Scale scale() {
 
 struct StratSpec {
   RuntimeConfig config;
-  const char* name;
+  std::string name;
 };
 
 inline StratSpec fixedHome() { return {RuntimeConfig::fixedHome(), "fixed home"}; }
 inline StratSpec accessTree(int arity, int leafSize = 1) {
-  static const char* names[][2] = {{"", ""}};
-  (void)names;
-  RuntimeConfig rc = RuntimeConfig::accessTree(arity, leafSize);
-  const char* label = "access tree";
-  if (arity == 2 && leafSize == 1) label = "2-ary access tree";
-  if (arity == 4 && leafSize == 1) label = "4-ary access tree";
-  if (arity == 16 && leafSize == 1) label = "16-ary access tree";
-  if (arity == 2 && leafSize == 4) label = "2-4-ary access tree";
-  if (arity == 4 && leafSize == 8) label = "4-8-ary access tree";
-  if (arity == 4 && leafSize == 16) label = "4-16-ary access tree";
-  return {rc, label};
+  return {RuntimeConfig::accessTree(arity, leafSize),
+          AccessTreeStrategy::variantName(arity, leafSize)};
 }
 
 /// "24.52" / "44%"-style cells as in the paper's bar charts.

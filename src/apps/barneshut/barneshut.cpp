@@ -136,7 +136,7 @@ sim::Task<> insertBody(Shared& sh, int rank, NodeId p, VarId rootCell, VarId bod
       } else {
         nc.child[octantOf(bd.pos, nc.center)] = below;
       }
-      below = co_await rt.createVar(p, makeValue(nc), /*withLock=*/true);
+      below = rt.createVar(p, makeValue(nc), /*withLock=*/true);
       ++sh.cellsCreated;
       sh.myCells[static_cast<std::size_t>(rank)].emplace_back(
           below, std::get<2>(chain[static_cast<std::size_t>(i)]));
@@ -240,7 +240,7 @@ sim::Task<> procMain(Shared& sh, int rank) {
       CellData root;
       root.center = sh.cube.center;
       root.halfSize = sh.cube.halfSize;
-      const VarId rc = co_await rt.createVar(p, makeValue(root), /*withLock=*/true);
+      const VarId rc = rt.createVar(p, makeValue(root), /*withLock=*/true);
       ++sh.cellsCreated;
       myCells.emplace_back(rc, 0);
       co_await rt.write(p, sh.rootVar, makeValue(RootInfo{rc}));

@@ -6,18 +6,13 @@
 
 namespace diva {
 
-namespace {
-/// Strategy display names follow the paper's nomenclature: "2-ary",
-/// "4-ary", "16-ary" for pure decompositions and "2-4-ary", "4-16-ary",
-/// ... for k-terminated ones.
-std::string variantName(int arity, int leafSize) {
+std::string AccessTreeStrategy::variantName(int arity, int leafSize) {
   std::ostringstream os;
   os << arity;
   if (leafSize > 1) os << '-' << leafSize;
   os << "-ary access tree";
   return os.str();
 }
-}  // namespace
 
 AccessTreeStrategy::AccessTreeStrategy(net::Network& net, Stats& stats,
                                        std::vector<NodeCache>& caches, Params params)
@@ -38,9 +33,15 @@ const AccessTreeStrategy::TreeState* AccessTreeStrategy::findState(
   return nit == vit->second.nodes.end() ? nullptr : &nit->second;
 }
 
-bool AccessTreeStrategy::isParentOf(VarId x, std::int32_t parent,
-                                    std::int32_t child) const {
-  return treeOf(x).node(child).parent == parent;
+void AccessTreeStrategy::setCopyEdge(VarId x, TreeState& st, std::int32_t node,
+                                     std::int32_t nb, bool held) const {
+  if (treeOf(x).node(node).parent == nb) {
+    st.parentCopy = held;
+  } else if (held) {
+    st.childCopyMask |= childBit(x, nb);
+  } else {
+    st.childCopyMask &= ~childBit(x, nb);
+  }
 }
 
 std::uint32_t AccessTreeStrategy::childBit(VarId x, std::int32_t child) const {
@@ -71,15 +72,28 @@ void AccessTreeStrategy::eraseIfDefault(VarId x, std::int32_t node) {
 // ---------------------------------------------------------------------------
 
 sim::Task<Value> AccessTreeStrategy::read(NodeId p, VarId x) {
-  // Fast path: the runtime normally filters cache hits, but stay safe.
-  if (NodeCache::Entry* e = caches_[p].touch(x)) co_return e->value;
-
   const std::uint64_t txn = nextTxn_++;
   sim::OneShot<Value> done(net_.engine());
-  pending_[txn] = PendingOp{&done};
+  pending_[txn] = &done;
+  postClimb(p, x, txn, false, Value{});
+  Value v = co_await done.wait();
+  retire(txn, x);
+  co_return v;
+}
+
+sim::Task<void> AccessTreeStrategy::write(NodeId p, VarId x, Value v) {
+  const std::uint64_t txn = nextTxn_++;
+  sim::OneShot<Value> done(net_.engine());
+  pending_[txn] = &done;
+  postClimb(p, x, txn, true, std::move(v));
+  (void)co_await done.wait();
+  retire(txn, x);
+}
+
+void AccessTreeStrategy::postClimb(NodeId p, VarId x, std::uint64_t txn, bool isWrite,
+                                   Value v) {
   VarState& vs = states_.at(x);
   ++vs.activeOps;
-
   AtBody b;
   b.k = AtBody::K::Climb;
   b.var = x;
@@ -100,47 +114,14 @@ sim::Task<Value> AccessTreeStrategy::read(NodeId p, VarId x) {
   }
   DIVA_CHECK_MSG(b.atNode >= 0, "requester " << p << " is not in variable " << x
                                              << "'s access tree");
-  net_.post(net::Message{p, entry, net::kProtocolChannel, 0, std::move(b)});
-
-  Value v = co_await done.wait();
-  pending_.erase(txn);
-  if (--states_.at(x).activeOps == 0) drainDeferred(x);
-  co_return v;
-}
-
-sim::Task<void> AccessTreeStrategy::write(NodeId p, VarId x, Value v) {
-  const std::uint64_t txn = nextTxn_++;
-  sim::OneShot<Value> done(net_.engine());
-  pending_[txn] = PendingOp{&done};
-  VarState& vs = states_.at(x);
-  ++vs.activeOps;
-
-  AtBody b;
-  b.k = AtBody::K::Climb;
-  b.var = x;
-  b.txn = txn;
-  b.requester = p;
-  b.ctx = vs.ctx;
-  b.atNode = treeOf(x).leafOf(p);
-  NodeId entry = p;
-  if (b.atNode < 0) {
-    // Same proxy entry as read(): a node added after this variable's
-    // tree was built forwards through a leaf the old tree covers.
-    entry = liveLeafFrom(treeOf(x), p + 1);
-    b.requester = entry;
-    b.atNode = treeOf(x).leafOf(entry);
-    ++stats_.ops.forwardedOps;
-  }
-  DIVA_CHECK_MSG(b.atNode >= 0, "requester " << p << " is not in variable " << x
-                                             << "'s access tree");
-  b.isWrite = true;
+  b.isWrite = isWrite;
   b.value = std::move(v);
   net_.post(net::Message{p, entry, net::kProtocolChannel, 0, std::move(b)});
+}
 
-  (void)co_await done.wait();
+void AccessTreeStrategy::retire(std::uint64_t txn, VarId x) {
   pending_.erase(txn);
   if (--states_.at(x).activeOps == 0) drainDeferred(x);
-  co_return;
 }
 
 void AccessTreeStrategy::seedComponent(VarState& vs, VarId x, NodeId owner,
@@ -247,22 +228,13 @@ void AccessTreeStrategy::handleMessage(net::Message&& msg) {
     case AtBody::K::Mark: onMark(std::move(b)); break;
     case AtBody::K::CopyDrop: onCopyDrop(std::move(b)); break;
     case AtBody::K::Recover:
-      // Cost-only: repair mutates tree state and caches synchronously at
-      // drain time (see repairVar); this message charges the salvage and
-      // scrub traffic so congestion-during-repair is visible. Arrival
-      // closes the repair span its send opened.
-      if (obs::Tracer* tr = net_.tracer())
-        tr->endAsync(obs::kCatRepair, msg.dst, "repair",
-                     static_cast<std::int64_t>(b.var));
-      break;
     case AtBody::K::Migrate:
-      // Cost-only: migration mutates tree state and caches synchronously
-      // at epoch/drain time (see migrateVar); this message charges the
-      // handoff traffic so congestion-during-migration is visible.
-      // Arrival closes the migration span its send opened.
-      if (obs::Tracer* tr = net_.tracer())
-        tr->endAsync(obs::kCatMigration, msg.dst, "migrate",
-                     static_cast<std::int64_t>(b.var));
+      // Cost-only: repair and migration mutate tree state and caches
+      // synchronously at drain time (see reseed); these messages charge
+      // the handoff traffic so congestion during it is visible. Arrival
+      // closes the span the send opened.
+      endHandoff(b.k == AtBody::K::Recover ? Handoff::Repair : Handoff::Migration,
+                 net_.tracer(), msg.dst, b.var);
       break;
   }
 }
@@ -303,7 +275,6 @@ void AccessTreeStrategy::onClimb(AtBody&& b) {
     // from this node. Bounded by kMaxRetries (races are transient).
     b.descending = false;
     ++b.retries;
-    ++stats_.ops.protocolRetries;
     DIVA_CHECK_MSG(b.retries < kMaxRetries, "access tree climb livelock");
   }
   const std::int32_t parent = treeOf(b.var).parent(node);
@@ -334,7 +305,7 @@ void AccessTreeStrategy::sendData(VarId x, std::uint64_t txn, NodeId requester,
     // a proxy leaf (read/write) that already holds one: nothing travels.
     auto it = pending_.find(txn);
     DIVA_CHECK(it != pending_.end());
-    it->second.done->resolve(std::move(v));
+    it->second->resolve(std::move(v));
     return;
   }
   const std::int32_t server = path.back();
@@ -343,14 +314,7 @@ void AccessTreeStrategy::sendData(VarId x, std::uint64_t txn, NodeId requester,
   // The server learns that its path neighbour is about to hold a copy —
   // unless a write is in flight, in which case the deposits downstream
   // will be skipped anyway (versioning) and no mark must be left.
-  if (!vs.coord) {
-    TreeState& st = stateOf(x, server);
-    if (isParentOf(x, next, server)) {
-      st.parentCopy = true;
-    } else {
-      st.childCopyMask |= childBit(x, next);
-    }
-  }
+  if (!vs.coord) setCopyEdge(x, stateOf(x, server), server, next, true);
 
   AtBody d;
   d.k = AtBody::K::Data;
@@ -387,16 +351,8 @@ void AccessTreeStrategy::depositCopy(VarId x, std::int32_t node, const Value& v,
     DIVA_CHECK(e);
     e->value = v;
   }
-  auto mark = [&](std::int32_t nb) {
-    if (nb < 0) return;
-    if (isParentOf(x, nb, node)) {
-      st.parentCopy = true;
-    } else {
-      st.childCopyMask |= childBit(x, nb);
-    }
-  };
-  mark(towardServer);
-  mark(towardRequester);
+  setCopyEdge(x, st, node, towardServer, true);
+  if (towardRequester >= 0) setCopyEdge(x, st, node, towardRequester, true);
   maybeEvictAt(host);
 }
 
@@ -416,7 +372,7 @@ void AccessTreeStrategy::onData(AtBody&& b) {
   if (b.idx == 0) {
     auto it = pending_.find(b.txn);
     DIVA_CHECK_MSG(it != pending_.end(), "data response for unknown transaction");
-    it->second.done->resolve(std::move(b.value));
+    it->second->resolve(std::move(b.value));
     return;
   }
   --b.idx;
@@ -437,25 +393,7 @@ void AccessTreeStrategy::startInvalidation(std::int32_t uNode, AtBody&& b) {
   c.requester = b.requester;
   c.value = std::move(b.value);
   c.path = std::move(b.path);
-
-  const net::ClusterTree::Node& nd = treeOf(b.var).node(uNode);
-  auto flood = [&](std::int32_t nb) {
-    AtBody iv;
-    iv.k = AtBody::K::Inval;
-    iv.var = b.var;
-    iv.fromNode = uNode;
-    iv.ctx = b.ctx;
-    forward(std::move(iv), uNode, nb, 0);
-    ++c.pendingAcks;
-  };
-  if (st.parentCopy) flood(nd.parent);
-  std::uint32_t mask = st.childCopyMask;
-  while (mask) {
-    const int bit = std::countr_zero(mask);
-    mask &= mask - 1;
-    DIVA_CHECK(bit < static_cast<int>(nd.children.size()));
-    flood(nd.children[bit]);
-  }
+  c.pendingAcks = floodInval(b.var, uNode, st, -1, b.ctx);
   st.parentCopy = false;
   st.childCopyMask = 0;
 
@@ -475,42 +413,19 @@ void AccessTreeStrategy::onInval(AtBody&& b) {
     // The copy is already gone (eviction or skipped deposit raced the
     // flood): acknowledge without forwarding, flagging the stale mask so
     // the sender can heal it.
-    AtBody ack;
-    ack.k = AtBody::K::InvalAck;
-    ack.var = b.var;
-    ack.fromNode = node;
-    ack.ctx = b.ctx;
-    ack.ackHadCopy = false;
-    forward(std::move(ack), node, from, 0);
+    sendInvalAck(b.var, node, from, b.ctx, false);
     return;
   }
   ++stats_.ops.invalidations;
 
-  const net::ClusterTree::Node& nd = treeOf(b.var).node(node);
   RelayState rs;
   rs.ackTo = from;
-  auto flood = [&](std::int32_t nb) {
-    if (nb == from) return;
-    AtBody iv;
-    iv.k = AtBody::K::Inval;
-    iv.var = b.var;
-    iv.fromNode = node;
-    iv.ctx = b.ctx;
-    forward(std::move(iv), node, nb, 0);
-    ++rs.pendingAcks;
-  };
-  if (st.parentCopy) flood(nd.parent);
-  std::uint32_t mask = st.childCopyMask;
-  while (mask) {
-    const int bit = std::countr_zero(mask);
-    mask &= mask - 1;
-    flood(nd.children[bit]);
-  }
+  rs.pendingAcks = floodInval(b.var, node, st, from, b.ctx);
 
   // Drop the copy and point toward the writer (restores the root-path
   // marking invariant; see DESIGN.md §5).
   clearCopy(b.var, node);
-  if (from == nd.parent) {
+  if (from == treeOf(b.var).parent(node)) {
     st.kind = TreeState::Kind::Up;
     st.downChild = -1;
   } else {
@@ -521,12 +436,7 @@ void AccessTreeStrategy::onInval(AtBody&& b) {
   st.childCopyMask = 0;
 
   if (rs.pendingAcks == 0) {
-    AtBody ack;
-    ack.k = AtBody::K::InvalAck;
-    ack.var = b.var;
-    ack.fromNode = node;
-    ack.ctx = b.ctx;
-    forward(std::move(ack), node, from, 0);
+    sendInvalAck(b.var, node, from, b.ctx, true);
     eraseIfDefault(b.var, node);
   } else {
     vs.relays[node] = rs;
@@ -539,24 +449,14 @@ void AccessTreeStrategy::onInvalAck(AtBody&& b) {
   if (!b.ackHadCopy) {
     // The flood edge pointed at a node without a copy (a read deposit
     // was skipped after the mark was set): heal the stale mask bit.
-    TreeState& st = vs.nodes[node];
-    if (isParentOf(b.var, b.fromNode, node)) {
-      st.parentCopy = false;
-    } else {
-      st.childCopyMask &= ~childBit(b.var, b.fromNode);
-    }
+    setCopyEdge(b.var, vs.nodes[node], node, b.fromNode, false);
   }
   auto rit = vs.relays.find(node);
   if (rit != vs.relays.end()) {
     if (--rit->second.pendingAcks == 0) {
-      AtBody ack;
-      ack.k = AtBody::K::InvalAck;
-      ack.var = b.var;
-      ack.fromNode = node;
-      ack.ctx = b.ctx;
       const std::int32_t to = rit->second.ackTo;
       vs.relays.erase(rit);
-      forward(std::move(ack), node, to, 0);
+      sendInvalAck(b.var, node, to, b.ctx, true);
       eraseIfDefault(b.var, node);
     }
     return;
@@ -568,6 +468,42 @@ void AccessTreeStrategy::onInvalAck(AtBody&& b) {
     vs.coord.reset();
     finishWrite(vs, std::move(c));
   }
+}
+
+int AccessTreeStrategy::floodInval(VarId x, std::int32_t node, const TreeState& st,
+                                   std::int32_t except, std::int32_t ctx) {
+  const net::ClusterTree::Node& nd = treeOf(x).node(node);
+  int flooded = 0;
+  auto flood = [&](std::int32_t nb) {
+    if (nb == except) return;
+    AtBody iv;
+    iv.k = AtBody::K::Inval;
+    iv.var = x;
+    iv.fromNode = node;
+    iv.ctx = ctx;
+    forward(std::move(iv), node, nb, 0);
+    ++flooded;
+  };
+  if (st.parentCopy) flood(nd.parent);
+  std::uint32_t mask = st.childCopyMask;
+  while (mask) {
+    const int bit = std::countr_zero(mask);
+    mask &= mask - 1;
+    DIVA_CHECK(bit < static_cast<int>(nd.children.size()));
+    flood(nd.children[bit]);
+  }
+  return flooded;
+}
+
+void AccessTreeStrategy::sendInvalAck(VarId x, std::int32_t node, std::int32_t to,
+                                      std::int32_t ctx, bool hadCopy) {
+  AtBody ack;
+  ack.k = AtBody::K::InvalAck;
+  ack.var = x;
+  ack.fromNode = node;
+  ack.ctx = ctx;
+  ack.ackHadCopy = hadCopy;
+  forward(std::move(ack), node, to, 0);
 }
 
 void AccessTreeStrategy::finishWrite(VarState& vs, InvalCoord&& c) {
@@ -600,12 +536,7 @@ void AccessTreeStrategy::onCopyDrop(AtBody&& b) {
   // context is stale — the migration wiped that component wholesale.
   auto vit = states_.find(b.var);
   if (vit == states_.end() || vit->second.ctx != b.ctx) return;
-  TreeState& st = vit->second.nodes[b.atNode];
-  if (isParentOf(b.var, b.fromNode, b.atNode)) {
-    st.parentCopy = false;
-  } else {
-    st.childCopyMask &= ~childBit(b.var, b.fromNode);
-  }
+  setCopyEdge(b.var, vit->second.nodes[b.atNode], b.atNode, b.fromNode, false);
 }
 
 // ---------------------------------------------------------------------------
@@ -699,14 +630,8 @@ bool AccessTreeStrategy::tryEvict(NodeId p, VarId x) {
   // Heal the survivor's mask immediately in simulator state (avoiding a
   // window in which another eviction could trust the stale bit); the
   // notification message still travels for its cost.
-  {
-    TreeState& bst = vit->second.nodes.at(boundaryOutside);
-    if (isParentOf(x, boundaryInside, boundaryOutside)) {
-      bst.parentCopy = false;
-    } else {
-      bst.childCopyMask &= ~childBit(x, boundaryInside);
-    }
-  }
+  setCopyEdge(x, vit->second.nodes.at(boundaryOutside), boundaryOutside, boundaryInside,
+              false);
   AtBody drop;
   drop.k = AtBody::K::CopyDrop;
   drop.var = x;
@@ -763,9 +688,9 @@ void AccessTreeStrategy::drainDeferred(VarId x) {
       [&] { migrateVar(x); });
 }
 
-template <typename Handoff>
-void AccessTreeStrategy::reseed(VarId x, int ctx, NodeId owner, const Value& v,
-                                std::uint64_t& markMsgs, Handoff&& handoff) {
+template <typename Post>
+void AccessTreeStrategy::reseed(VarId x, int ctx, NodeId owner, const Value& v, Handoff h,
+                                Post&& post) {
   VarState& vs = states_.at(x);
   std::vector<std::int32_t> copies;
   for (const auto& [n, st] : vs.nodes)
@@ -781,8 +706,18 @@ void AccessTreeStrategy::reseed(VarId x, int ctx, NodeId owner, const Value& v,
   seedComponent(vs, x, owner, v);
   ++vs.committedVersion;  // any still-queued deposit version is stale now
   maybeEvictAt(owner);
-  handoff(hosts);
-  if (markRootPath(x, owner)) ++markMsgs;
+  post(hosts);
+  if (markRootPath(x, owner)) ++handoffMessages(stats_.ops, h);
+}
+
+void AccessTreeStrategy::sendHandoff(Handoff h, VarId x, NodeId src, NodeId dst,
+                                     std::uint64_t bytes) {
+  beginHandoff(h, stats_.ops, net_.tracer(), src, x, bytes);
+  AtBody b;
+  b.k = h == Handoff::Repair ? AtBody::K::Recover : AtBody::K::Migrate;
+  b.var = x;
+  b.ctx = states_.at(x).ctx;
+  net_.post(net::Message{src, dst, net::kProtocolChannel, bytes, std::move(b)});
 }
 
 void AccessTreeStrategy::repairVar(VarId x, NodeId p) {
@@ -797,29 +732,16 @@ void AccessTreeStrategy::repairVar(VarId x, NodeId p) {
 
   // Charge the repair traffic: the salvaged value streams from the dead
   // host to the seed and each surviving copy host gets a scrub notice.
-  auto recover = [&](NodeId src, NodeId dst, std::uint64_t bytes) {
-    ++stats_.ops.recoveryMessages;
-    stats_.ops.recoveryBytes += bytes;
-    if (obs::Tracer* tr = net_.tracer())
-      tr->beginAsync(obs::kCatRepair, src, "repair", static_cast<std::int64_t>(x));
-    AtBody r;
-    r.k = AtBody::K::Recover;
-    r.var = x;
-    r.ctx = ctx;
-    net_.post(net::Message{src, dst, net::kProtocolChannel, bytes, std::move(r)});
-  };
-  reseed(x, ctx, s, v, stats_.ops.recoveryMessages,
-         [&](const std::vector<NodeId>& hosts) {
-           recover(p, s, v->size());
-           std::vector<NodeId> notified;
-           for (NodeId h : hosts) {
-             if (h == s || h == p) continue;
-             if (std::find(notified.begin(), notified.end(), h) != notified.end())
-               continue;
-             notified.push_back(h);
-             recover(s, h, 0);
-           }
-         });
+  reseed(x, ctx, s, v, Handoff::Repair, [&](const std::vector<NodeId>& hosts) {
+    sendHandoff(Handoff::Repair, x, p, s, v->size());
+    std::vector<NodeId> notified;
+    for (NodeId h : hosts) {
+      if (h == s || h == p) continue;
+      if (std::find(notified.begin(), notified.end(), h) != notified.end()) continue;
+      notified.push_back(h);
+      sendHandoff(Handoff::Repair, x, s, h, 0);
+    }
+  });
   caches_[p].erase(x);  // stray safety: a dead node keeps no entry for x
 }
 
@@ -846,19 +768,6 @@ void AccessTreeStrategy::onReconfig() {
     deferred_.migrate(x, varQuiet(states_.at(x)), [&] { migrateVar(x); });
 }
 
-void AccessTreeStrategy::sendMigrate(NodeId src, NodeId dst, VarId x,
-                                     std::uint64_t payloadBytes) {
-  ++stats_.ops.migrationMessages;
-  stats_.ops.migrationBytes += payloadBytes;
-  if (obs::Tracer* tr = net_.tracer())
-    tr->beginAsync(obs::kCatMigration, src, "migrate", static_cast<std::int64_t>(x));
-  AtBody b;
-  b.k = AtBody::K::Migrate;
-  b.var = x;
-  b.ctx = cur_;
-  net_.post(net::Message{src, dst, net::kProtocolChannel, payloadBytes, std::move(b)});
-}
-
 void AccessTreeStrategy::migrateVar(VarId x) {
   if (states_.at(x).ctx == cur_) return;  // already on the current tree
   // Salvage the committed value from the topmost copy before wiping.
@@ -868,10 +777,9 @@ void AccessTreeStrategy::migrateVar(VarId x) {
   ++stats_.ops.migratedVars;
   // Charge the handoff: the value streams from the old host to the new
   // owner when it moved.
-  reseed(x, cur_, owner, v, stats_.ops.migrationMessages,
-         [&](const std::vector<NodeId>&) {
-           if (owner != oldHost) sendMigrate(oldHost, owner, x, v->size());
-         });
+  reseed(x, cur_, owner, v, Handoff::Migration, [&](const std::vector<NodeId>&) {
+    if (owner != oldHost) sendHandoff(Handoff::Migration, x, oldHost, owner, v->size());
+  });
 }
 
 // ---------------------------------------------------------------------------

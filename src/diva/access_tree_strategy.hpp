@@ -59,6 +59,11 @@ class AccessTreeStrategy final : public Strategy {
   AccessTreeStrategy(net::Network& net, Stats& stats, std::vector<NodeCache>& caches,
                      Params params);
 
+  /// Display name in the paper's nomenclature: "2-ary", "4-ary",
+  /// "16-ary" for pure decompositions and "2-4-ary", "4-16-ary", ... for
+  /// k-terminated ones (each followed by " access tree").
+  static std::string variantName(int arity, int leafSize);
+
   std::string name() const override;
   sim::Task<Value> read(NodeId p, VarId x) override;
   sim::Task<void> write(NodeId p, VarId x, Value v) override;
@@ -166,11 +171,13 @@ class AccessTreeStrategy final : public Strategy {
     std::int32_t ctx = 0;
   };
 
-  struct PendingOp {
-    sim::OneShot<Value>* done = nullptr;
-  };
-
   // --- protocol engine ---
+  /// The one request entry of read and write: registers transaction
+  /// `txn`'s issue (activeOps) and posts its Climb from `p`'s leaf — or,
+  /// when `p` joined after `x`'s tree was built, from a proxy leaf.
+  void postClimb(NodeId p, VarId x, std::uint64_t txn, bool isWrite, Value v);
+  /// Retires transaction `txn` on `x` once its coroutine resumes.
+  void retire(std::uint64_t txn, VarId x);
   void onClimb(AtBody&& b);
   void onData(AtBody&& b);
   void onInval(AtBody&& b);
@@ -185,6 +192,12 @@ class AccessTreeStrategy final : public Strategy {
                 std::vector<std::int32_t> path);
   void depositCopy(VarId x, std::int32_t node, const Value& v,
                    std::int32_t towardServer, std::int32_t towardRequester);
+  /// Floods Inval from `node` (tree context `ctx`) along every copy edge
+  /// of `st` except toward `except`; returns the number of edges flooded.
+  int floodInval(VarId x, std::int32_t node, const TreeState& st, std::int32_t except,
+                 std::int32_t ctx);
+  void sendInvalAck(VarId x, std::int32_t node, std::int32_t to, std::int32_t ctx,
+                    bool hadCopy);
   void forward(AtBody&& b, std::int32_t fromTreeNode, std::int32_t toTreeNode,
                std::uint64_t payloadBytes);
   void maybeEvictAt(NodeId p);
@@ -200,7 +213,10 @@ class AccessTreeStrategy final : public Strategy {
   NodeId hostOf(std::int32_t node, VarId x) const {
     return treeOf(x).hostOf(node, x, params_.embedding, params_.seed);
   }
-  bool isParentOf(VarId x, std::int32_t parent, std::int32_t child) const;
+  /// The copy-edge rule: records in `node`'s state `st` whether tree
+  /// neighbour `nb` (its parent, or one of its children) holds a copy.
+  void setCopyEdge(VarId x, TreeState& st, std::int32_t node, std::int32_t nb,
+                   bool held) const;
   std::uint32_t childBit(VarId x, std::int32_t child) const;
   void clearCopy(VarId x, std::int32_t node);
   void eraseIfDefault(VarId x, std::int32_t node);
@@ -226,11 +242,12 @@ class AccessTreeStrategy final : public Strategy {
   /// The one salvage-and-reseed step: wipe `x`'s copy component in sorted
   /// tree-node order (cache LRU order must not depend on hash-map layout),
   /// move `x` to context `ctx`, seed one copy of `v` at `owner` (staling
-  /// queued deposits), run `handoff(wiped hosts)` to post the caller's
-  /// value traffic, then post the root-path Mark charged to `markMsgs`.
-  template <typename Handoff>
-  void reseed(VarId x, int ctx, NodeId owner, const Value& v, std::uint64_t& markMsgs,
-              Handoff&& handoff);
+  /// queued deposits), run `post(wiped hosts)` to post the caller's `h`
+  /// traffic, then post the root-path Mark, also charged to `h`.
+  template <typename Post>
+  void reseed(VarId x, int ctx, NodeId owner, const Value& v, Handoff h, Post&& post);
+  /// Posts one cost-only `h` message for `x` on its current context.
+  void sendHandoff(Handoff h, VarId x, NodeId src, NodeId dst, std::uint64_t bytes);
   /// Losing part of a copy component can disconnect it, which no local
   /// rule repairs safely: repair reseeds the salvaged committed value at
   /// the crashed host's successor on the variable's own tree.
@@ -239,7 +256,6 @@ class AccessTreeStrategy final : public Strategy {
   /// variable reseeds onto it at its old topmost host (or that host's
   /// successor if it left), operating on its old tree until then.
   void migrateVar(VarId x);
-  void sendMigrate(NodeId src, NodeId dst, VarId x, std::uint64_t payloadBytes);
 
   net::Network& net_;
   Stats& stats_;
@@ -253,7 +269,7 @@ class AccessTreeStrategy final : public Strategy {
   std::vector<std::unique_ptr<net::ClusterTree>> ctxs_;
   int cur_ = 0;
   std::unordered_map<VarId, VarState> states_;
-  std::unordered_map<std::uint64_t, PendingOp> pending_;
+  std::unordered_map<std::uint64_t, sim::OneShot<Value>*> pending_;  ///< txn → issuer
   DeferredWork deferred_;
   std::uint64_t nextTxn_ = 1;
 

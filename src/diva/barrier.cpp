@@ -88,21 +88,14 @@ void BarrierService::releaseSubtree(std::int32_t node, std::uint64_t round) {
   const net::ClusterTree::Node& nd = tree_->node(node);
   const NodeId src = hostOf(node);
   for (std::int32_t child : nd.children) {
-    const net::ClusterTree::Node& cd = tree_->node(child);
-    if (cd.isLeaf()) {
-      const NodeId p = tree_->procOfLeaf(child);
-      Body b;
-      b.k = Body::K::Release;
-      b.atNode = child;
-      b.round = round;
-      net_.post(net::Message{src, p, net::kSyncChannel, 0, b});
-    } else {
-      Body b;
-      b.k = Body::K::Release;
-      b.atNode = child;
-      b.round = round;
-      net_.post(net::Message{src, hostOf(child), net::kSyncChannel, 0, b});
-    }
+    // A leaf's release goes straight to its waiting processor.
+    const NodeId dst =
+        tree_->node(child).isLeaf() ? tree_->procOfLeaf(child) : hostOf(child);
+    Body b;
+    b.k = Body::K::Release;
+    b.atNode = child;
+    b.round = round;
+    net_.post(net::Message{src, dst, net::kSyncChannel, 0, b});
   }
 }
 

@@ -18,8 +18,8 @@ class NodeCache {
  public:
   struct Entry {
     Value value;
-    /// Number of access-tree nodes hosted here that hold a copy (access
-    /// tree strategy) or 1 (fixed home strategy).
+    /// Access tree strategy: number of access-tree nodes hosted here that
+    /// hold a copy (the fixed home strategy leaves it 0).
     int copyCount = 0;
     /// Fixed home strategy: this processor is the variable's owner.
     bool owned = false;

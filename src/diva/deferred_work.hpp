@@ -5,10 +5,44 @@
 #include <utility>
 #include <vector>
 
+#include "diva/stats.hpp"
 #include "diva/types.hpp"
 #include "net/message.hpp"
+#include "obs/tracer.hpp"
 
 namespace diva {
+
+/// The two state handoffs the deferred work below ends in: crash repair
+/// and epoch migration. Both strategies charge them as cost-only
+/// messages (`Recover` / `Migrate`) through this one pairing of counters
+/// and trace span.
+enum class Handoff : std::uint8_t { Repair, Migration };
+
+/// `h`'s message counter (the root-path Mark a reseed posts counts too).
+inline std::uint64_t& handoffMessages(Stats::Counters& ops, Handoff h) {
+  return h == Handoff::Repair ? ops.recoveryMessages : ops.migrationMessages;
+}
+
+/// Charges one `h` message of `bytes` payload for `x` sent from `src` and
+/// opens its async span; endHandoff closes it where the message arrives.
+inline void beginHandoff(Handoff h, Stats::Counters& ops, obs::Tracer* tr,
+                         net::NodeId src, VarId x, std::uint64_t bytes) {
+  ++handoffMessages(ops, h);
+  (h == Handoff::Repair ? ops.recoveryBytes : ops.migrationBytes) += bytes;
+  if (!tr) return;
+  if (h == Handoff::Repair)
+    tr->beginAsync(obs::kCatRepair, src, "repair", static_cast<std::int64_t>(x));
+  else
+    tr->beginAsync(obs::kCatMigration, src, "migrate", static_cast<std::int64_t>(x));
+}
+
+inline void endHandoff(Handoff h, obs::Tracer* tr, net::NodeId dst, VarId x) {
+  if (!tr) return;
+  if (h == Handoff::Repair)
+    tr->endAsync(obs::kCatRepair, dst, "repair", static_cast<std::int64_t>(x));
+  else
+    tr->endAsync(obs::kCatMigration, dst, "migrate", static_cast<std::int64_t>(x));
+}
 
 /// The defer-until-quiet queue of both strategies (docs/faults.md "Defer
 /// until quiet"). Crash repair and epoch migration rewrite a variable's

@@ -42,6 +42,15 @@ void FixedHomeStrategy::sendBody(NodeId src, NodeId dst, FhBody&& b,
   net_.post(net::Message{src, dst, net::kProtocolChannel, payloadBytes, std::move(b)});
 }
 
+void FixedHomeStrategy::sendToHome(FhBody::K k, NodeId p, VarId x, std::uint64_t txn) {
+  FhBody b;
+  b.k = k;
+  b.var = x;
+  b.txn = txn;
+  b.requester = p;
+  sendBody(p, homeOf(x), std::move(b), 0);
+}
+
 void FixedHomeStrategy::addCopyHolder(HomeEntry& he, NodeId p) {
   if (std::find(he.copyHolders.begin(), he.copyHolders.end(), p) == he.copyHolders.end())
     he.copyHolders.push_back(p);
@@ -57,19 +66,10 @@ void FixedHomeStrategy::dropCopyHolder(HomeEntry& he, NodeId p) {
 // ---------------------------------------------------------------------------
 
 sim::Task<Value> FixedHomeStrategy::read(NodeId p, VarId x) {
-  if (NodeCache::Entry* e = caches_[p].touch(x)) co_return e->value;
-
   const std::uint64_t txn = nextTxn_++;
   sim::OneShot<Value> done(net_.engine());
   pending_[txn] = PendingOp{&done, x, p};
-
-  FhBody b;
-  b.k = FhBody::K::ReadReq;
-  b.var = x;
-  b.txn = txn;
-  b.requester = p;
-  sendBody(p, homeOf(x), std::move(b), 0);
-
+  sendToHome(FhBody::K::ReadReq, p, x, txn);
   Value v = co_await done.wait();
   pending_.erase(txn);
   drainDeferred(x);
@@ -87,21 +87,12 @@ sim::Task<void> FixedHomeStrategy::write(NodeId p, VarId x, Value v) {
   const std::uint64_t txn = nextTxn_++;
   sim::OneShot<Value> done(net_.engine());
   pending_[txn] = PendingOp{&done, x, p};
-
-  FhBody b;
-  b.k = FhBody::K::WriteReq;
-  b.var = x;
-  b.txn = txn;
-  b.requester = p;
-  sendBody(p, homeOf(x), std::move(b), 0);
-
+  sendToHome(FhBody::K::WriteReq, p, x, txn);
   (void)co_await done.wait();
   pending_.erase(txn);
 
   // Ownership granted: install the new value locally.
-  NodeCache::Entry& mine = caches_[p].put(x, std::move(v));
-  mine.copyCount = 1;
-  mine.owned = true;
+  caches_[p].put(x, std::move(v)).owned = true;
   maybeEvictAt(p);
   drainDeferred(x);
   co_return;
@@ -118,9 +109,7 @@ void FixedHomeStrategy::registerVarFree(VarId x, NodeId owner, Value init) {
   HomeEntry& he = homes_[x];
   he.owner = owner;
   he.copyHolders = {owner};
-  NodeCache::Entry& e = caches_[owner].put(x, std::move(init));
-  e.copyCount = 1;
-  e.owned = true;
+  caches_[owner].put(x, std::move(init)).owned = true;
 }
 
 void FixedHomeStrategy::registerVar(VarId x, NodeId owner, Value init) {
@@ -128,11 +117,7 @@ void FixedHomeStrategy::registerVar(VarId x, NodeId owner, Value init) {
   // the home is charged as cost-only traffic (mirrors the access tree's
   // fire-and-forget root-path marking).
   registerVarFree(x, owner, std::move(init));
-  FhBody b;
-  b.k = FhBody::K::Reg;
-  b.var = x;
-  b.requester = owner;
-  sendBody(owner, homeOf(x), std::move(b), 0);
+  sendToHome(FhBody::K::Reg, owner, x);
 }
 
 void FixedHomeStrategy::destroyVarFree(VarId x) {
@@ -197,7 +182,7 @@ void FixedHomeStrategy::handleMessage(net::Message&& msg) {
       // The old owner keeps a copy — unless it retired mid-fetch.
       if (net_.nodeMember(he.owner)) addCopyHolder(he, he.owner);
       he.owner = kHomeOwner;
-      caches_[self].put(b.var, b.value).copyCount = 1;  // home's copy
+      caches_[self].put(b.var, b.value);  // home's copy
       maybeEvictAt(self);
       // Resume the read or write that triggered the fetch.
       DIVA_CHECK(!he.queue.empty());
@@ -211,7 +196,7 @@ void FixedHomeStrategy::handleMessage(net::Message&& msg) {
       // A retired requester is served but caches nothing (it is no longer
       // in the directory's holder list — see processTransaction).
       if (net_.nodeMember(self)) {
-        caches_[self].put(b.var, b.value).copyCount = 1;
+        caches_[self].put(b.var, b.value);
         maybeEvictAt(self);
       }
       auto it = pending_.find(b.txn);
@@ -237,17 +222,7 @@ void FixedHomeStrategy::handleMessage(net::Message&& msg) {
       HomeEntry& he = homes_.at(b.var);
       DIVA_CHECK(he.busy && he.pendingInvalAcks > 0);
       if (--he.pendingInvalAcks == 0) {
-        he.owner = he.writer;
-        he.copyHolders = {he.writer};
-        // A writer that retired mid-write still gets ownership (it holds
-        // the only current value); park a migration so its retirement
-        // drain cedes the value back onto the member set.
-        if (!net_.nodeMember(he.writer)) deferred_.parkMigration(b.var);
-        FhBody ack;
-        ack.k = FhBody::K::WriteAck;
-        ack.var = b.var;
-        ack.txn = he.writeTxn;
-        sendBody(self, he.writer, std::move(ack), 0);
+        grantWrite(he, b.var, self);
         finishTransaction(b.var);
       }
       return;
@@ -259,29 +234,18 @@ void FixedHomeStrategy::handleMessage(net::Message&& msg) {
       return;
     }
     case FhBody::K::Reg:
-      // Cost-only: the directory entry was installed at registration.
-      return;
     case FhBody::K::Drop:
-      // Directory already updated at eviction time (see tryEvict); the
-      // message only accounts for the notification traffic.
+      // Cost-only: registration and eviction (see tryEvict) update the
+      // directory at once; these messages only account for the traffic.
       return;
     case FhBody::K::Recover:
-      // Cost-only: repair mutates directory and caches synchronously at
-      // crash/drain time (see repairVar); this message charges the
-      // salvage traffic so congestion-during-repair is visible. Arrival
-      // closes the repair span its send opened.
-      if (obs::Tracer* tr = net_.tracer())
-        tr->endAsync(obs::kCatRepair, msg.dst, "repair",
-                     static_cast<std::int64_t>(peeked.var));
-      return;
     case FhBody::K::Migrate:
-      // Cost-only, mirroring Recover: epoch migration moves directory and
-      // home copy synchronously (see migrateVar); this message charges
-      // the handoff traffic. Arrival closes the migration span its send
-      // opened.
-      if (obs::Tracer* tr = net_.tracer())
-        tr->endAsync(obs::kCatMigration, msg.dst, "migrate",
-                     static_cast<std::int64_t>(peeked.var));
+      // Cost-only: repair and epoch migration mutate directory and caches
+      // synchronously (see repairVar, migrateEpochVar); these messages
+      // charge the handoff traffic so congestion during it is visible.
+      // Arrival closes the span the send opened.
+      endHandoff(b.k == FhBody::K::Recover ? Handoff::Repair : Handoff::Migration,
+                 net_.tracer(), msg.dst, b.var);
       return;
     default:
       DIVA_CHECK_MSG(false, "unhandled fixed-home message kind");
@@ -373,18 +337,24 @@ bool FixedHomeStrategy::processTransaction(HomeEntry& he, net::Message&& msg) {
     caches_[home].erase(b.var);
   }
   if (he.pendingInvalAcks == 0) {
-    he.owner = b.requester;
-    he.copyHolders = {b.requester};
-    // Same retired-writer handling as the InvalAck completion path.
-    if (!net_.nodeMember(b.requester)) deferred_.parkMigration(b.var);
-    FhBody ack;
-    ack.k = FhBody::K::WriteAck;
-    ack.var = b.var;
-    ack.txn = b.txn;
-    sendBody(home, b.requester, std::move(ack), 0);
+    grantWrite(he, b.var, home);
     return true;
   }
   return false;
+}
+
+void FixedHomeStrategy::grantWrite(HomeEntry& he, VarId x, NodeId home) {
+  he.owner = he.writer;
+  he.copyHolders = {he.writer};
+  // A writer that retired mid-write still gets ownership (it holds the
+  // only current value); park a migration so its retirement drain cedes
+  // the value back onto the member set.
+  if (!net_.nodeMember(he.writer)) deferred_.parkMigration(x);
+  FhBody ack;
+  ack.k = FhBody::K::WriteAck;
+  ack.var = x;
+  ack.txn = he.writeTxn;
+  sendBody(home, he.writer, std::move(ack), 0);
 }
 
 void FixedHomeStrategy::finishTransaction(VarId x) {
@@ -427,11 +397,7 @@ bool FixedHomeStrategy::tryEvict(NodeId p, VarId x) {
   // sidesteps transient directory/ack races without losing the traffic.
   dropCopyHolder(it->second, p);
   ++stats_.ops.evictions;
-  FhBody drop;
-  drop.k = FhBody::K::Drop;
-  drop.var = x;
-  drop.requester = p;
-  sendBody(p, homeOf(x), std::move(drop), 0);
+  sendToHome(FhBody::K::Drop, p, x);
   return true;
 }
 
@@ -483,33 +449,27 @@ void FixedHomeStrategy::drainDeferred(VarId x) {
 }
 
 void FixedHomeStrategy::putHomeCopy(NodeId home, VarId x, const Value& v) {
-  NodeCache::Entry& e = caches_[home].put(x, v);
-  e.copyCount = 1;
-  e.owned = false;
+  caches_[home].put(x, v).owned = false;
 }
 
-void FixedHomeStrategy::revertToHome(HomeEntry& he, VarId x, const Value& v,
-                                     SendFn send) {
+void FixedHomeStrategy::revertToHome(HomeEntry& he, VarId x, const Value& v, Handoff h) {
   const NodeId from = he.owner;
   he.owner = kHomeOwner;
   dropCopyHolder(he, from);
   caches_[from].erase(x);
   const NodeId home = homeOf(x);
   if (!caches_[home].peek(x)) putHomeCopy(home, x, v);
-  (this->*send)(from, home, x, v->size());
+  sendHandoff(h, from, home, x, v->size());
   maybeEvictAt(home);
 }
 
-void FixedHomeStrategy::sendRecover(NodeId src, NodeId dst, VarId x,
-                                    std::uint64_t payloadBytes) {
-  ++stats_.ops.recoveryMessages;
-  stats_.ops.recoveryBytes += payloadBytes;
-  if (obs::Tracer* tr = net_.tracer())
-    tr->beginAsync(obs::kCatRepair, src, "repair", static_cast<std::int64_t>(x));
+void FixedHomeStrategy::sendHandoff(Handoff h, NodeId src, NodeId dst, VarId x,
+                                    std::uint64_t bytes) {
+  beginHandoff(h, stats_.ops, net_.tracer(), src, x, bytes);
   FhBody b;
-  b.k = FhBody::K::Recover;
+  b.k = h == Handoff::Repair ? FhBody::K::Recover : FhBody::K::Migrate;
   b.var = x;
-  sendBody(src, dst, std::move(b), payloadBytes);
+  sendBody(src, dst, std::move(b), bytes);
 }
 
 void FixedHomeStrategy::repairVar(VarId x, NodeId p) {
@@ -534,20 +494,20 @@ void FixedHomeStrategy::repairVar(VarId x, NodeId p) {
       putHomeCopy(s, x, v);
       bytes = v->size();
     }
-    sendRecover(p, s, x, bytes);
+    sendHandoff(Handoff::Repair, p, s, x, bytes);
     maybeEvictAt(s);
   }
 
   if (he.owner == p) {
     // The owner died holding the only authoritative copy.
-    revertToHome(he, x, v, &FixedHomeStrategy::sendRecover);
+    revertToHome(he, x, v, Handoff::Repair);
   } else if (std::find(he.copyHolders.begin(), he.copyHolders.end(), p) !=
              he.copyHolders.end()) {
     // A plain copy died with the node: drop it from the directory. The
     // notification mirrors the eviction Drop message.
     dropCopyHolder(he, p);
     caches_[p].erase(x);
-    sendRecover(p, homeOf(x), x, 0);  // the post-migration home
+    sendHandoff(Handoff::Repair, p, homeOf(x), x, 0);  // the post-migration home
   }
   caches_[p].erase(x);  // stray safety: a dead node keeps no entry for x
   ++stats_.ops.repairedVars;
@@ -556,18 +516,6 @@ void FixedHomeStrategy::repairVar(VarId x, NodeId p) {
 // ---------------------------------------------------------------------------
 // Epoch migration (docs/faults.md "Reconfiguration")
 // ---------------------------------------------------------------------------
-
-void FixedHomeStrategy::sendMigrate(NodeId src, NodeId dst, VarId x,
-                                    std::uint64_t payloadBytes) {
-  ++stats_.ops.migrationMessages;
-  stats_.ops.migrationBytes += payloadBytes;
-  if (obs::Tracer* tr = net_.tracer())
-    tr->beginAsync(obs::kCatMigration, src, "migrate", static_cast<std::int64_t>(x));
-  FhBody b;
-  b.k = FhBody::K::Migrate;
-  b.var = x;
-  sendBody(src, dst, std::move(b), payloadBytes);
-}
 
 void FixedHomeStrategy::migrateVar(VarId x, NodeId target) {
   HomeEntry& he = homes_.at(x);
@@ -589,7 +537,7 @@ void FixedHomeStrategy::migrateVar(VarId x, NodeId target) {
   }
   rehome_[x] = target;
   ++stats_.ops.migratedVars;
-  sendMigrate(cur, target, x, bytes);
+  sendHandoff(Handoff::Migration, cur, target, x, bytes);
   maybeEvictAt(target);
 }
 
@@ -610,7 +558,7 @@ void FixedHomeStrategy::migrateEpochVar(VarId x) {
   // until commitReconfig, which is what physically justifies the
   // synchronous salvage — the Migrate message charges its traffic.
   if (he.owner != kHomeOwner && !net_.nodeMember(he.owner)) {
-    revertToHome(he, x, peek(x), &FixedHomeStrategy::sendMigrate);
+    revertToHome(he, x, peek(x), Handoff::Migration);
     moved = true;
   }
   // Retired plain copies leave the directory (mirrors the eviction Drop).
@@ -622,7 +570,7 @@ void FixedHomeStrategy::migrateEpochVar(VarId x) {
     if (net_.nodeMember(p)) continue;
     dropCopyHolder(he, p);
     if (he.owner != kHomeOwner || p != homeOf(x)) caches_[p].erase(x);
-    sendMigrate(p, homeOf(x), x, 0);
+    sendHandoff(Handoff::Migration, p, homeOf(x), x, 0);
     moved = true;
   }
   // The home target re-hashes over the member set.

@@ -103,6 +103,9 @@ class FixedHomeStrategy final : public Strategy {
     NodeId issuer = -1;        ///< lets repair scrub a mid-op crasher's copy
   };
 
+  /// Posts `p`'s `k` message (a request of transaction `txn`, or a
+  /// cost-only Reg/Drop notice) to `x`'s home.
+  void sendToHome(FhBody::K k, NodeId p, VarId x, std::uint64_t txn = 0);
   void serveAtHome(net::Message&& msg);
   /// Starts the transaction in `msg` on an idle home entry. Returns true
   /// when it completed synchronously (the caller must then run
@@ -110,6 +113,8 @@ class FixedHomeStrategy final : public Strategy {
   /// for a Fetch or invalidation acks.
   bool processTransaction(HomeEntry& he, net::Message&& msg);
   void finishTransaction(VarId x);
+  /// Completes the write in flight: ownership passes to its writer.
+  void grantWrite(HomeEntry& he, VarId x, NodeId home);
   void maybeEvictAt(NodeId p);
   void sendBody(NodeId src, NodeId dst, FhBody&& b, std::uint64_t payloadBytes);
   void addCopyHolder(HomeEntry& he, NodeId p);
@@ -121,15 +126,15 @@ class FixedHomeStrategy final : public Strategy {
   void drainDeferred(VarId x);
   void putHomeCopy(NodeId home, VarId x, const Value& v);  ///< held, not owned
   /// Ownership reverts from a dead or retired owner to the home, which
-  /// reinstalls the salvaged value `v`; `send` charges the transfer.
-  using SendFn = void (FixedHomeStrategy::*)(NodeId, NodeId, VarId, std::uint64_t);
-  void revertToHome(HomeEntry& he, VarId x, const Value& v, SendFn send);
+  /// reinstalls the salvaged value `v`; the transfer is charged to `h`.
+  void revertToHome(HomeEntry& he, VarId x, const Value& v, Handoff h);
+  /// Posts one cost-only `h` message for `x`.
+  void sendHandoff(Handoff h, NodeId src, NodeId dst, VarId x, std::uint64_t bytes);
 
   // Crash repair (docs/faults.md). A repair scrubs one dead node from one
   // variable: re-home if the hash home died, recover ownership to the
   // home if the owner died, drop dead copies.
   void repairVar(VarId x, NodeId deadNode);
-  void sendRecover(NodeId src, NodeId dst, VarId x, std::uint64_t payloadBytes);
 
   // Epoch migration (docs/faults.md "Reconfiguration"). After a
   // structural epoch, every variable's home target is re-hashed over the
@@ -143,7 +148,6 @@ class FixedHomeStrategy final : public Strategy {
   bool varNeedsEpochWork(VarId x) const;
   void migrateEpochVar(VarId x);
   void migrateVar(VarId x, NodeId target);
-  void sendMigrate(NodeId src, NodeId dst, VarId x, std::uint64_t payloadBytes);
 
   net::Network& net_;
   Stats& stats_;

@@ -74,13 +74,9 @@ sim::Task<void> TreeLockService::acquire(NodeId p, VarId lock) {
   DIVA_CHECK_MSG(!waiting_.contains(key), "processor already acquiring this lock");
   waiting_[key] = &granted;
 
-  Body b;
-  b.k = Body::K::Request;
-  b.lock = lock;
-  b.atNode = tree_->leafOf(p);
-  DIVA_CHECK_MSG(b.atNode >= 0, "requester " << p << " is not in the lock tree");
-  b.fromNode = kSelf;
-  net_.post(net::Message{p, p, net::kLockChannel, 0, b});
+  const std::int32_t leaf = tree_->leafOf(p);
+  DIVA_CHECK_MSG(leaf >= 0, "requester " << p << " is not in the lock tree");
+  send(Body::K::Request, lock, kSelf, leaf);
 
   (void)co_await granted.wait();
   waiting_.erase(key);
@@ -118,11 +114,14 @@ void TreeLockService::handleMessage(net::Message&& msg) {
   }
 }
 
-void TreeLockService::send(VarId lock, std::int32_t fromNode, std::int32_t toNode,
-                           Body&& b) {
-  b.atNode = toNode;
-  net_.post(net::Message{hostOf(fromNode, lock), hostOf(toNode, lock),
-                         net::kLockChannel, 0, std::move(b)});
+void TreeLockService::send(Body::K k, VarId lock, std::int32_t fromNode,
+                           std::int32_t toNode) {
+  // A leaf's host is its own processor, so a local request (kSelf) is
+  // posted by the requester to itself.
+  const NodeId dst = hostOf(toNode, lock);
+  const NodeId src = fromNode == kSelf ? dst : hostOf(fromNode, lock);
+  net_.post(
+      net::Message{src, dst, net::kLockChannel, 0, Body{k, lock, toNode, fromNode}});
 }
 
 void TreeLockService::onRequest(VarId lock, std::int32_t node, std::int32_t from) {
@@ -134,11 +133,7 @@ void TreeLockService::onRequest(VarId lock, std::int32_t node, std::int32_t from
   }
   if (!st.asked) {
     st.asked = true;
-    Body b;
-    b.k = Body::K::Request;
-    b.lock = lock;
-    b.fromNode = node;
-    send(lock, node, st.holderDir, std::move(b));
+    send(Body::K::Request, lock, node, st.holderDir);
   }
 }
 
@@ -167,17 +162,10 @@ void TreeLockService::grantNext(VarId lock, std::int32_t node) {
   }
 
   st.holderDir = next;
-  Body tok;
-  tok.k = Body::K::Token;
-  tok.lock = lock;
-  send(lock, node, next, std::move(tok));
+  send(Body::K::Token, lock, node, next);
   if (!st.reqQ.empty()) {
     st.asked = true;
-    Body req;
-    req.k = Body::K::Request;
-    req.lock = lock;
-    req.fromNode = node;
-    send(lock, node, next, std::move(req));
+    send(Body::K::Request, lock, node, next);
   }
 }
 
@@ -253,10 +241,7 @@ void CentralLockService::handleMessage(net::Message&& msg) {
         return;
       }
       st.held = true;
-      Body g;
-      g.k = Body::K::Grant;
-      g.lock = b.lock;
-      net_.post(net::Message{msg.dst, b.requester, net::kLockChannel, 0, g});
+      grant(b.lock, msg.dst, b.requester);
       return;
     }
     case Body::K::Grant: {
@@ -274,13 +259,17 @@ void CentralLockService::handleMessage(net::Message&& msg) {
       }
       const NodeId next = st.queue.front();
       st.queue.pop_front();
-      Body g;
-      g.k = Body::K::Grant;
-      g.lock = b.lock;
-      net_.post(net::Message{msg.dst, next, net::kLockChannel, 0, g});
+      grant(b.lock, msg.dst, next);
       return;
     }
   }
+}
+
+void CentralLockService::grant(VarId lock, NodeId home, NodeId to) {
+  Body g;
+  g.k = Body::K::Grant;
+  g.lock = lock;
+  net_.post(net::Message{home, to, net::kLockChannel, 0, g});
 }
 
 void CentralLockService::checkIdle(VarId lock) const {

@@ -78,7 +78,9 @@ class TreeLockService final : public LockService {
   void onRequest(VarId lock, std::int32_t node, std::int32_t from);
   void onToken(VarId lock, std::int32_t node);
   void grantNext(VarId lock, std::int32_t node);
-  void send(VarId lock, std::int32_t fromNode, std::int32_t toNode, Body&& b);
+  /// Posts a `k` message for `lock` over the tree edge fromNode → toNode
+  /// (fromNode == kSelf: the local app's request at leaf toNode).
+  void send(Body::K k, VarId lock, std::int32_t fromNode, std::int32_t toNode);
   NodeId hostOf(std::int32_t node, VarId lock) const;
 
   net::Network& net_;
@@ -117,6 +119,8 @@ class CentralLockService final : public LockService {
   };
 
   NodeId homeOf(VarId lock) const;
+  /// Posts the Grant of `lock` from its `home` to processor `to`.
+  void grant(VarId lock, NodeId home, NodeId to);
 
   net::Network& net_;
   Stats& stats_;

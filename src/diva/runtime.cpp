@@ -115,21 +115,13 @@ sim::Task<Value> Runtime::read(NodeId p, VarId x) {
     ++machine_.stats.ops.readHits;
     co_return e->value;
   }
-  ++machine_.stats.ops.readRemote;
   co_return co_await strategy_->read(p, x);
 }
 
 sim::Task<void> Runtime::write(NodeId p, VarId x, Value v) {
   ++machine_.stats.ops.writes;
   machine_.net.reserveCpu(p, machine_.net.cost().cacheHitUs);
-  const NodeCache::Entry* e = caches_[p].peek(x);
-  if (e && (e->owned || e->copyCount > 0)) {
-    ++machine_.stats.ops.writeLocal;  // nearest copy is local (may still multicast)
-  } else {
-    ++machine_.stats.ops.writeRemote;
-  }
   co_await strategy_->write(p, x, std::move(v));
-  co_return;
 }
 
 VarId Runtime::createVarFree(NodeId owner, Value init, bool withLock) {
@@ -140,12 +132,12 @@ VarId Runtime::createVarFree(NodeId owner, Value init, bool withLock) {
   return x;
 }
 
-sim::Task<VarId> Runtime::createVar(NodeId owner, Value init, bool withLock) {
+VarId Runtime::createVar(NodeId owner, Value init, bool withLock) {
   const VarId x = nextVar_++;
   liveVars_.insert(x);
   if (withLock) locks_->registerLockFree(x, owner);
   strategy_->registerVar(x, owner, std::move(init));
-  co_return x;
+  return x;
 }
 
 void Runtime::destroyVarFree(VarId x) {

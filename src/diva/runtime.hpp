@@ -89,8 +89,9 @@ class Runtime {
   /// Create a variable during (unmeasured) setup: zero simulated cost.
   VarId createVarFree(NodeId owner, Value init, bool withLock = false);
   /// Create a variable during measured execution (costs the registration
-  /// protocol, e.g. root-path marking for access trees).
-  sim::Task<VarId> createVar(NodeId owner, Value init, bool withLock = false);
+  /// protocol, e.g. root-path marking for access trees). The creator does
+  /// not wait: the registration traffic is posted as cost-only messages.
+  VarId createVar(NodeId owner, Value init, bool withLock = false);
   /// Remove a dead variable (simulator memory hygiene; zero cost).
   void destroyVarFree(VarId x);
 

@@ -31,16 +31,12 @@ class Stats {
   struct Counters {
     std::uint64_t reads = 0;
     std::uint64_t readHits = 0;     ///< served from the local cache
-    std::uint64_t readRemote = 0;
     std::uint64_t writes = 0;
-    std::uint64_t writeLocal = 0;   ///< owner/home-free local writes
-    std::uint64_t writeRemote = 0;
     std::uint64_t invalidations = 0;
     std::uint64_t barriers = 0;
     std::uint64_t locks = 0;
     std::uint64_t evictions = 0;
     std::uint64_t evictionFailures = 0;
-    std::uint64_t protocolRetries = 0;
     // Fault/repair accounting (docs/faults.md); all zero on healthy runs.
     std::uint64_t failedOps = 0;        ///< ops abandoned because the issuer was down
     std::uint64_t retriedOps = 0;       ///< op retries while the issuer was down

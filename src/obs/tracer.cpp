@@ -10,6 +10,7 @@
 #include <utility>
 
 #include "support/check.hpp"
+#include "support/kind_named.hpp"
 
 namespace diva::obs {
 namespace {
@@ -43,15 +44,9 @@ Cat parseCategories(const std::string& csv) {
       mask |= kCatAll;
       continue;
     }
-    bool found = false;
-    for (int bit = 0; bit < kNumCats; ++bit) {
-      if (tok == kCatNames[bit]) {
-        mask |= Cat{1} << bit;
-        found = true;
-        break;
-      }
-    }
-    DIVA_CHECK_MSG(found, "unknown trace category: " + tok);
+    const std::optional<int> bit = support::kindNamed(tok, kNumCats - 1, catName);
+    DIVA_CHECK_MSG(bit, "unknown trace category: " + tok);
+    mask |= Cat{1} << *bit;
   }
   return mask;
 }

@@ -8,8 +8,11 @@
 #include <type_traits>
 
 #include "support/check.hpp"
+#include "support/kind_named.hpp"
 
 namespace diva::workload {
+
+using support::kindNamed;
 
 namespace {
 
@@ -34,16 +37,6 @@ T parseValue(std::istringstream& ls, int lineNo, const char* key) {
                  "scenario file line " << lineNo << ": malformed '" << key << "' value '"
                                        << tok << "'");
   return v;
-}
-
-/// The kind whose scenario keyword is `word`: the inverse of a kind→name
-/// table (faultKindName, arrivalKindName) over an enum numbered 0..last.
-template <typename Kind>
-std::optional<Kind> kindNamed(const std::string& word, Kind last,
-                              const char* (*name)(Kind)) {
-  for (int k = 0; k <= static_cast<int>(last); ++k)
-    if (word == name(static_cast<Kind>(k))) return static_cast<Kind>(k);
-  return std::nullopt;
 }
 
 }  // namespace

@@ -206,6 +206,46 @@ TEST(ObsTracer, OpenLoopTxnSpansNestInsideServeSpans) {
   EXPECT_EQ(reads + writes, serves);
 }
 
+TEST(ObsTracer, HandoffSpansPairUnderBothStrategies) {
+  // crash_reconfig parks crash repairs and epoch migrations on the same
+  // objects; every repair/migrate span its handoff messages open must be
+  // closed by exactly one arrival, under either strategy.
+  const WorkloadSpec wl = workload::loadScenarioFile(std::string(DIVA_SCENARIO_DIR) +
+                                                     "/crash_reconfig.scenario");
+  for (const RuntimeConfig& rc :
+       {RuntimeConfig::accessTree(4), RuntimeConfig::fixedHome()}) {
+    SCOPED_TRACE(rc.kind == StrategyKind::AccessTree ? "access tree" : "fixed home");
+    obs::Tracer tracer;
+    workload::RunOptions opts;
+    opts.tracer = &tracer;
+    opts.traceMask = obs::kCatRepair | obs::kCatMigration;
+    (void)workload::runOn(elasticTopo(), rc, wl, opts);
+    std::map<std::string, int> begins;             // per category
+    std::map<std::vector<std::string>, int> open;  // (cat, name, id) → open spans
+    std::istringstream in(tracer.toChromeJson());
+    for (std::string line; std::getline(in, line);) {
+      const std::string ph = eventField(line, "ph");
+      if (ph != "b" && ph != "e") continue;
+      const std::string cat = eventField(line, "cat");
+      ASSERT_TRUE(cat == "repair" || cat == "migration") << line;
+      const std::vector<std::string> key{cat, eventField(line, "name"),
+                                         eventField(line, "id")};
+      if (ph == "b") {
+        ++begins[cat];
+        ++open[key];
+      } else {
+        ASSERT_GT(open[key], 0) << "end without an open begin: " << line;
+        --open[key];
+      }
+    }
+    EXPECT_GT(begins["repair"], 0);
+    EXPECT_GT(begins["migration"], 0);
+    for (const auto& [key, n] : open)
+      EXPECT_EQ(n, 0) << key[0] << " span '" << key[1] << "' id " << key[2]
+                      << " left open";
+  }
+}
+
 // --------------------------------------------------------------------------
 // Chrome JSON structure
 // --------------------------------------------------------------------------

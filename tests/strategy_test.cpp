@@ -194,10 +194,7 @@ TEST_P(StrategyTest, ConcurrentReadersAllSucceed) {
 TEST_P(StrategyTest, MeasuredVariableCreationWorks) {
   Machine m(4, 4);
   Runtime rt(m, GetParam().config);
-  VarId x = kInvalidVar;
-  sim::spawn([](Runtime& r, VarId& out) -> Task<> {
-    out = co_await r.createVar(9, makeValue<std::int64_t>(55));
-  }(rt, x));
+  const VarId x = rt.createVar(9, makeValue<std::int64_t>(55));
   m.engine.run();
   ASSERT_NE(x, kInvalidVar);
   rt.checkAllInvariants();
