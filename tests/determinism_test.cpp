@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "diva/access_tree_strategy.hpp"
 #include "diva/machine.hpp"
 #include "diva/runtime.hpp"
 #include "net/graph_topology.hpp"
@@ -156,6 +157,7 @@ std::uint64_t fnv1aBytes(const std::string& s) {
 struct ScenarioFingerprint {
   std::uint64_t deliveries = 0;
   std::uint64_t report = 0;
+  std::uint64_t evictions = 0;
 };
 
 /// Runs `file` under `rc` on `spec` the way runOn does (the scenario's
@@ -176,7 +178,7 @@ ScenarioFingerprint scenarioFingerprint(const net::TopologySpec& spec, const cha
   });
   const workload::WorkloadReport r = workload::run(m, rt, wl);
   rt.checkAllInvariants();
-  return {hash, fnv1aBytes(workload::reportJson(r))};
+  return {hash, fnv1aBytes(workload::reportJson(r)), m.stats.ops.evictions};
 }
 
 /// Goldens for the committed scenarios under both strategies. The churn
@@ -186,25 +188,34 @@ ScenarioFingerprint scenarioFingerprint(const net::TopologySpec& spec, const cha
 /// same objects and drained together; the
 /// report digests pin every counter the report derives from the run. The
 /// access-tree hotspot and openloop delivery hashes repeat the goldens
-/// above, which cross-checks this harness against theirs.
+/// above, which cross-checks this harness against theirs. shift is the
+/// one committed bounded-cache scenario: its rows pin LRU replacement
+/// under fixed home and under tree shapes where one processor hosts
+/// several tree nodes of a variable, and each must actually evict.
 struct ScenarioGolden {
   const char* file;
-  bool accessTree;  ///< 4-ary access tree (leaf size 1), else fixed home
+  int arity;     ///< access-tree arity ℓ, or 0 for fixed home
+  int leafSize;  ///< access-tree leaf size k (1 = pure ℓ-ary)
   std::uint64_t deliveries;
   std::uint64_t report;
 };
 
 constexpr ScenarioGolden kScenarioGoldens[] = {
-    {"hotspot.scenario", true, 0x22c46d1f015b5bc6ull, 0x68896ec8bdc471d6ull},
-    {"hotspot.scenario", false, 0xb842fc41e124d5f2ull, 0xf2092f22dae8cf0aull},
-    {"churn.scenario", true, 0x701871b8e12beabcull, 0xefd1edbb90c06b9cull},
-    {"churn.scenario", false, 0x2287725c71aae5a4ull, 0x9eae232887b0a032ull},
-    {"elastic.scenario", true, 0xc80c809220af3d21ull, 0xe25737a2f660dccaull},
-    {"elastic.scenario", false, 0x0e17631974b43e27ull, 0x959b4ff3f2b64d08ull},
-    {"openloop.scenario", true, 0x56f64c3f9578eeeeull, 0x989643822e6cac79ull},
-    {"openloop.scenario", false, 0xaee2e81354e8ba67ull, 0x1a093cd0422e8e90ull},
-    {"crash_reconfig.scenario", true, 0x44ca0f392bc50baaull, 0x68b344589ae42c14ull},
-    {"crash_reconfig.scenario", false, 0x1095e4bf52cbed8eull, 0x12975fc602ec0b00ull},
+    {"hotspot.scenario", 4, 1, 0x22c46d1f015b5bc6ull, 0x68896ec8bdc471d6ull},
+    {"hotspot.scenario", 0, 1, 0xb842fc41e124d5f2ull, 0xf2092f22dae8cf0aull},
+    {"churn.scenario", 4, 1, 0x701871b8e12beabcull, 0xefd1edbb90c06b9cull},
+    {"churn.scenario", 0, 1, 0x2287725c71aae5a4ull, 0x9eae232887b0a032ull},
+    {"elastic.scenario", 4, 1, 0xc80c809220af3d21ull, 0xe25737a2f660dccaull},
+    {"elastic.scenario", 0, 1, 0x0e17631974b43e27ull, 0x959b4ff3f2b64d08ull},
+    {"openloop.scenario", 4, 1, 0x56f64c3f9578eeeeull, 0x989643822e6cac79ull},
+    {"openloop.scenario", 0, 1, 0xaee2e81354e8ba67ull, 0x1a093cd0422e8e90ull},
+    {"crash_reconfig.scenario", 4, 1, 0x44ca0f392bc50baaull, 0x68b344589ae42c14ull},
+    {"crash_reconfig.scenario", 0, 1, 0x1095e4bf52cbed8eull, 0x12975fc602ec0b00ull},
+    {"shift.scenario", 0, 1, 0x6635fdfb09521829ull, 0x5a0ce064cca8e383ull},
+    {"shift.scenario", 2, 1, 0x366e155bf9686b5dull, 0x33b754e1ab67d4e4ull},
+    {"shift.scenario", 4, 1, 0x3745c8c57c5f34eaull, 0x829e2a827f2800f6ull},
+    {"shift.scenario", 16, 1, 0xc90a4f69d3af5534ull, 0x54ae85f9f1fe40e7ull},
+    {"shift.scenario", 4, 16, 0x7eb693f8a12d1b2aull, 0x3d5b24ffd50231ceull},
 };
 
 TEST(DeterminismGolden, ScenarioDeliveriesAndReportsMatchCommittedDigests) {
@@ -217,10 +228,13 @@ TEST(DeterminismGolden, ScenarioDeliveriesAndReportsMatchCommittedDigests) {
     const net::TopologySpec spec =
         graph ? net::TopologySpec::graph(net::randomRegularGraph(16, 4, 1))
               : net::TopologySpec::mesh2d(8, 8);
-    const RuntimeConfig rc =
-        g.accessTree ? RuntimeConfig::accessTree(4, 1) : RuntimeConfig::fixedHome();
+    const RuntimeConfig rc = g.arity ? RuntimeConfig::accessTree(g.arity, g.leafSize)
+                                     : RuntimeConfig::fixedHome();
     const ScenarioFingerprint f = scenarioFingerprint(spec, g.file, rc);
-    const char* strategy = g.accessTree ? "access tree" : "fixed home";
+    const std::string strategy =
+        g.arity ? AccessTreeStrategy::variantName(g.arity, g.leafSize) : "fixed home";
+    if (file == "shift.scenario")
+      EXPECT_GT(f.evictions, 0u) << g.file << " under " << strategy << " never evicted";
     EXPECT_EQ(f.deliveries, g.deliveries) << g.file << " under " << strategy
                                           << ": delivery trace hash changed: 0x"
                                           << std::hex << f.deliveries;
