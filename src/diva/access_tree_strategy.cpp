@@ -53,8 +53,13 @@ std::uint32_t AccessTreeStrategy::childBit(VarId x, std::int32_t child) const {
 void AccessTreeStrategy::clearCopy(VarId x, std::int32_t node) {
   const NodeId host = hostOf(node, x);
   NodeCache::Entry* e = caches_[host].peek(x);
-  DIVA_CHECK_MSG(e && e->copyCount >= 1, "clearCopy without a cached copy");
-  if (--e->copyCount == 0) caches_[host].erase(x);
+  DIVA_CHECK_MSG(e, "clearCopy without a cached copy");
+  auto& nodes = e->copyNodes;
+  std::int32_t* it = std::find(nodes.begin(), nodes.end(), node);
+  DIVA_CHECK_MSG(it != nodes.end(), "clearCopy of a tree node the cache entry does not list");
+  *it = nodes.back();  // the list is unordered: swap-remove
+  nodes.truncate(nodes.size() - 1);
+  if (nodes.empty()) caches_[host].erase(x);
 }
 
 void AccessTreeStrategy::eraseIfDefault(VarId x, std::int32_t node) {
@@ -94,6 +99,7 @@ void AccessTreeStrategy::postClimb(NodeId p, VarId x, std::uint64_t txn, bool is
                                    Value v) {
   VarState& vs = states_.at(x);
   ++vs.activeOps;
+  renew(vs);
   AtBody b;
   b.k = AtBody::K::Climb;
   b.var = x;
@@ -121,7 +127,9 @@ void AccessTreeStrategy::postClimb(NodeId p, VarId x, std::uint64_t txn, bool is
 
 void AccessTreeStrategy::retire(std::uint64_t txn, VarId x) {
   pending_.erase(txn);
-  if (--states_.at(x).activeOps == 0) drainDeferred(x);
+  VarState& vs = states_.at(x);
+  renew(vs);
+  if (--vs.activeOps == 0) drainDeferred(x);
 }
 
 void AccessTreeStrategy::seedComponent(VarState& vs, VarId x, NodeId owner,
@@ -133,8 +141,12 @@ void AccessTreeStrategy::seedComponent(VarState& vs, VarId x, NodeId owner,
   TreeState& st = vs.nodes[leaf];
   st.kind = TreeState::Kind::Copy;
   st.downChild = -1;
-  NodeCache::Entry& e = caches_[owner].put(x, std::move(init));
-  e.copyCount = 1;
+  const NodeCache::Entry* held = caches_[owner].peek(x);
+  DIVA_CHECK_MSG(!held || held->copyNodes.empty(),
+                 "seeding variable " << x << " at owner " << owner
+                                     << ", which still holds a copy");
+  caches_[owner].put(x, std::move(init)).copyNodes.push_back(leaf);
+  renew(vs);  // registration and reseed: a new component, fresh generation
   // Mark the path from the root to the component (data tracking invariant).
   std::int32_t child = leaf;
   for (std::int32_t a = t.parent(leaf); a >= 0; a = t.parent(a)) {
@@ -183,13 +195,8 @@ void AccessTreeStrategy::destroyVarFree(VarId x) {
   if (it == states_.end()) return;
   DIVA_CHECK_MSG(!it->second.coord && it->second.relays.empty(),
                  "destroying a variable with a write in flight");
-  for (const auto& [node, st] : it->second.nodes) {
-    if (st.kind == TreeState::Kind::Copy) {
-      const NodeId host = hostOf(node, x);
-      NodeCache::Entry* e = caches_[host].peek(x);
-      if (e && --e->copyCount == 0) caches_[host].erase(x);
-    }
-  }
+  for (const auto& [node, st] : it->second.nodes)
+    if (st.kind == TreeState::Kind::Copy) clearCopy(x, node);
   states_.erase(it);
   deferred_.erase(x);
 }
@@ -220,6 +227,12 @@ Value AccessTreeStrategy::peek(VarId x) const {
 
 void AccessTreeStrategy::handleMessage(net::Message&& msg) {
   AtBody b = msg.take<AtBody>();
+  // Any protocol act on x may change whether x is evictable, so refusals
+  // recorded before this handler or during it are not trusted after it.
+  // (Handlers never erase variable state, so the pointer stays valid.)
+  const auto vit = states_.find(b.var);
+  VarState* vs = vit == states_.end() ? nullptr : &vit->second;
+  if (vs) renew(*vs);
   switch (b.k) {
     case AtBody::K::Climb: onClimb(std::move(b)); break;
     case AtBody::K::Data: onData(std::move(b)); break;
@@ -237,6 +250,7 @@ void AccessTreeStrategy::handleMessage(net::Message&& msg) {
                  net_.tracer(), msg.dst, b.var);
       break;
   }
+  if (vs) renew(*vs);
 }
 
 void AccessTreeStrategy::forward(AtBody&& b, std::int32_t fromTreeNode,
@@ -342,9 +356,9 @@ void AccessTreeStrategy::depositCopy(VarId x, std::int32_t node, const Value& v,
     NodeCache::Entry* e = caches_[host].peek(x);
     if (e) {
       e->value = v;
-      ++e->copyCount;
+      e->copyNodes.push_back(node);
     } else {
-      caches_[host].put(x, v).copyCount = 1;
+      caches_[host].put(x, v).copyNodes.push_back(node);
     }
   } else {
     NodeCache::Entry* e = caches_[host].peek(x);
@@ -512,7 +526,7 @@ void AccessTreeStrategy::finishWrite(VarState& vs, InvalCoord&& c) {
   const std::int32_t u = c.path.back();
   const NodeId host = hostOf(u, c.var);
   NodeCache::Entry* e = caches_[host].peek(c.var);
-  DIVA_CHECK_MSG(e && e->copyCount >= 1, "writer target lost its copy");
+  DIVA_CHECK_MSG(e && !e->copyNodes.empty(), "writer target lost its copy");
   e->value = c.value;
   caches_[host].touch(c.var);
   sendData(c.var, c.txn, c.requester, true, std::move(c.value), std::move(c.path));
@@ -548,19 +562,24 @@ bool AccessTreeStrategy::tryEvict(NodeId p, VarId x) {
   if (!e) return false;
   auto vit = states_.find(x);
   if (vit == states_.end()) return false;
-  if (vit->second.coord || !vit->second.relays.empty()) return false;  // write in flight
-  if (vit->second.activeOps > 0) return false;  // transaction path references copies
+  VarState& vs = vit->second;
+  // Nothing that decides x's evictability has happened since this entry
+  // was last refused (see VarState::generation): the answer is unchanged.
+  if (e->refusedAt == vs.generation) return false;
+  auto refuse = [&] {
+    e->refusedAt = vs.generation;
+    return false;
+  };
+  if (vs.coord || !vs.relays.empty()) return refuse();  // write in flight
+  if (vs.activeOps > 0) return refuse();  // transaction path references copies
 
-  // S = the tree nodes of x's component hosted at p. Dropping the cache
-  // entry removes all of them at once, which is safe exactly when
+  // S = the tree nodes of x's component hosted at p (the entry's copy-node
+  // list). Dropping the cache entry removes all of them at once, which is
+  // safe exactly when
   //  (a) S is connected within the tree (unique node whose parent ∉ S), and
   //  (b) exactly one copy-edge leaves S — the rest of the component stays
   //      connected, attached at that edge.
-  std::vector<std::int32_t> hosted;
-  for (const auto& [n, st] : vit->second.nodes)
-    if (st.kind == TreeState::Kind::Copy && hostOf(n, x) == p) hosted.push_back(n);
-  if (hosted.empty() || static_cast<int>(hosted.size()) != e->copyCount) return false;
-
+  const auto& hosted = e->copyNodes;
   auto inS = [&](std::int32_t n) {
     return std::find(hosted.begin(), hosted.end(), n) != hosted.end();
   };
@@ -570,7 +589,7 @@ bool AccessTreeStrategy::tryEvict(NodeId p, VarId x) {
   int boundaryEdges = 0;
   std::int32_t boundaryInside = -1, boundaryOutside = -1;
   for (std::int32_t s : hosted) {
-    const TreeState& st = vit->second.nodes.at(s);
+    const TreeState& st = vs.nodes.at(s);
     const net::ClusterTree::Node& nd = t.node(s);
     if (nd.parent < 0 || !inS(nd.parent)) ++topsInS;
     if (st.parentCopy && !inS(nd.parent)) {
@@ -590,14 +609,14 @@ bool AccessTreeStrategy::tryEvict(NodeId p, VarId x) {
       }
     }
   }
-  if (topsInS != 1 || boundaryEdges != 1) return false;  // last copies / interior
+  if (topsInS != 1 || boundaryEdges != 1) return refuse();  // last copies / interior
 
   // Masks are may-have-copy over-approximations (racing deposits can be
   // skipped after a mark was set), so verify the surviving neighbour
   // actually holds a copy — otherwise we would evict the last real copy.
   {
     const TreeState* bst = findState(x, boundaryOutside);
-    if (!bst || bst->kind != TreeState::Kind::Copy) return false;
+    if (!bst || bst->kind != TreeState::Kind::Copy) return refuse();
   }
 
   // Is a tree node `a` an ancestor of `b`?
@@ -609,7 +628,7 @@ bool AccessTreeStrategy::tryEvict(NodeId p, VarId x) {
 
   // Re-point every dropped node toward the surviving component.
   for (std::int32_t s : hosted) {
-    TreeState& st = vit->second.nodes.at(s);
+    TreeState& st = vs.nodes.at(s);
     if (boundaryOutside == s || isAncestor(s, boundaryOutside)) {
       // Survivors hang below: mark Down toward them.
       std::int32_t towards = boundaryOutside;
@@ -624,21 +643,22 @@ bool AccessTreeStrategy::tryEvict(NodeId p, VarId x) {
     st.childCopyMask = 0;
   }
 
+  const support::SmallVec<std::int32_t, 4> dropped = std::move(e->copyNodes);
   caches_[p].erase(x);
   ++stats_.ops.evictions;
+  renew(vs);  // the component changed shape: other hosts may now evict
 
   // Heal the survivor's mask immediately in simulator state (avoiding a
   // window in which another eviction could trust the stale bit); the
   // notification message still travels for its cost.
-  setCopyEdge(x, vit->second.nodes.at(boundaryOutside), boundaryOutside, boundaryInside,
-              false);
+  setCopyEdge(x, vs.nodes.at(boundaryOutside), boundaryOutside, boundaryInside, false);
   AtBody drop;
   drop.k = AtBody::K::CopyDrop;
   drop.var = x;
   drop.fromNode = boundaryInside;
-  drop.ctx = vit->second.ctx;
+  drop.ctx = vs.ctx;
   forward(std::move(drop), boundaryInside, boundaryOutside, 0);
-  for (std::int32_t s : hosted) eraseIfDefault(x, s);
+  for (std::int32_t s : dropped) eraseIfDefault(x, s);
   return true;
 }
 
@@ -841,11 +861,12 @@ void AccessTreeStrategy::checkInvariants(VarId x) const {
     DIVA_CHECK_MSG(onRootPath, "stale Down pointer at tree node " << n);
   }
 
-  // Neighbour masks match the component; caches match the copy counts;
-  // all copies agree on one value (coherence at quiescence).
+  // Neighbour masks match the component; each copy host's cache entry
+  // lists exactly the copy nodes it hosts; all copies agree on one value
+  // (coherence at quiescence).
   const NodeCache::Entry* ref = caches_[hostOf(top, x)].peek(x);
   DIVA_CHECK(ref && ref->value);
-  std::unordered_map<NodeId, int> hostCounts;
+  std::unordered_map<NodeId, std::vector<std::int32_t>> hostNodes;
   for (std::int32_t n : copies) {
     const TreeState& st = vs.nodes.at(n);
     const auto& nd = t.node(n);
@@ -860,12 +881,15 @@ void AccessTreeStrategy::checkInvariants(VarId x) const {
       if (isCopy(ch)) expect |= childBit(x, ch);
     DIVA_CHECK_MSG((st.childCopyMask & expect) == expect,
                    "childCopyMask incomplete at " << n);
-    ++hostCounts[hostOf(n, x)];
+    hostNodes[hostOf(n, x)].push_back(n);
   }
-  for (const auto& [host, count] : hostCounts) {
+  for (auto& [host, nodes] : hostNodes) {
     const NodeCache::Entry* e = caches_[host].peek(x);
     DIVA_CHECK_MSG(e, "copy holder " << host << " missing cache entry");
-    DIVA_CHECK_MSG(e->copyCount == count, "copyCount mismatch at host " << host);
+    std::vector<std::int32_t> listed(e->copyNodes.begin(), e->copyNodes.end());
+    std::sort(listed.begin(), listed.end());
+    std::sort(nodes.begin(), nodes.end());
+    DIVA_CHECK_MSG(listed == nodes, "copy-node list mismatch at host " << host);
     DIVA_CHECK_MSG(e->value == ref->value || *e->value == *ref->value,
                    "incoherent copies of variable " << x);
   }

@@ -85,7 +85,9 @@ class AccessTreeStrategy final : public Strategy {
 
   /// Try to evict `x` from processor `p`'s cache if the tree invariants
   /// allow it (the copy is a fringe node of its component and not the
-  /// last copy). Returns true if evicted.
+  /// last copy). Returns true if evicted. Costs O(copy nodes of `x` at
+  /// `p`), and O(1) while `x`'s generation still equals the one at which
+  /// this entry was last refused.
   bool tryEvict(NodeId p, VarId x) override;
 
   void onNodeDown(NodeId p) override;
@@ -136,6 +138,13 @@ class AccessTreeStrategy final : public Strategy {
     /// concurrent write safe: the read linearizes before the write and
     /// cannot leave a stale copy that survives the write's invalidation.
     std::uint32_t committedVersion = 0;
+    /// Refusal-memo generation, drawn from lastGeneration_. Renewed by
+    /// every event that can change whether `x` is evictable anywhere:
+    /// registration, postClimb, retire, reseed, a successful eviction,
+    /// and the handling of each protocol message for `x` (at entry and
+    /// at exit). A cache entry refused at the current generation is
+    /// refused again without a check.
+    std::uint64_t generation = 0;
   };
 
   /// Protocol message (one fat struct keeps dispatch trivial).
@@ -203,6 +212,7 @@ class AccessTreeStrategy final : public Strategy {
   void maybeEvictAt(NodeId p);
 
   // --- state helpers ---
+  void renew(VarState& vs) { vs.generation = ++lastGeneration_; }
   TreeState& stateOf(VarId x, std::int32_t node) { return states_[x].nodes[node]; }
   const TreeState* findState(VarId x, std::int32_t node) const;
   /// The cluster tree of `x`'s current context: tree-node ids in the
@@ -272,6 +282,7 @@ class AccessTreeStrategy final : public Strategy {
   std::unordered_map<std::uint64_t, sim::OneShot<Value>*> pending_;  ///< txn → issuer
   DeferredWork deferred_;
   std::uint64_t nextTxn_ = 1;
+  std::uint64_t lastGeneration_ = 0;  ///< strategy-wide; generation 0 is never issued
 
   static constexpr int kMaxRetries = 64;
 };

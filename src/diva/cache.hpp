@@ -5,6 +5,7 @@
 #include <unordered_map>
 
 #include "diva/types.hpp"
+#include "support/small_vec.hpp"
 
 namespace diva {
 
@@ -18,9 +19,13 @@ class NodeCache {
  public:
   struct Entry {
     Value value;
-    /// Access tree strategy: number of access-tree nodes hosted here that
-    /// hold a copy (the fixed home strategy leaves it 0).
-    int copyCount = 0;
+    /// Access tree strategy: the variable's access-tree nodes hosted here
+    /// that hold a copy, in no particular order (the fixed home strategy
+    /// leaves it empty).
+    support::SmallVec<std::int32_t, 4> copyNodes;
+    /// Access tree strategy: the variable's generation when replacement
+    /// last refused this entry (0 = never refused).
+    std::uint64_t refusedAt = 0;
     /// Fixed home strategy: this processor is the variable's owner.
     bool owned = false;
     std::list<VarId>::iterator lruIt;  ///< position in the LRU list
@@ -51,8 +56,8 @@ class NodeCache {
     return &it->second;
   }
 
-  /// Insert or update an entry; returns it. New entries start with
-  /// copyCount 0 — callers adjust it as the protocol dictates.
+  /// Insert or update an entry; returns it. New entries start with no
+  /// copy nodes — callers record them as the protocol dictates.
   Entry& put(VarId v, Value value) {
     auto it = map_.find(v);
     if (it == map_.end()) {
@@ -79,11 +84,15 @@ class NodeCache {
     map_.erase(it);
   }
 
-  /// Evict until the module fits its capacity. Each pass offers entries
-  /// from least to most recently used to `tryEvict(v)`, which returns
-  /// true after erasing `v` (and only `v`) or false to refuse it. Returns
-  /// false when a whole pass found nothing evictable — the module then
-  /// stays over capacity.
+  /// Evict until the module fits its capacity: the one eviction loop.
+  /// Each pass offers entries from least to most recently used to
+  /// `tryEvict(v)`, which returns true after erasing `v` (and only `v`)
+  /// or false to refuse it, so the victim is the first evictable entry in
+  /// LRU order. `tryEvict` may answer a refusal from memory (the access
+  /// tree's refusal memo, docs/architecture.md "LRU replacement") as long
+  /// as the answer is the one a full check would give. Returns false when
+  /// a whole pass found nothing evictable — the module then stays over
+  /// capacity.
   template <typename TryEvict>
   bool evictUntilFits(TryEvict&& tryEvict) {
     while (overCapacity())

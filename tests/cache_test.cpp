@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "diva/access_tree_strategy.hpp"
 #include "diva/cache.hpp"
 #include "diva/machine.hpp"
 #include "diva/runtime.hpp"
@@ -170,6 +171,117 @@ TEST(Replacement, TryEvictRefusesOwnedAndPinnedEntries) {
   rt.checkAllInvariants();
   EXPECT_EQ(rt.peek(x)->size(), 64u);
 }
+
+// ---------------------------------------------------------------------------
+// The access tree's refusal memo: a refused entry is re-checked once any
+// event that can change its variable's evictability has happened
+// ---------------------------------------------------------------------------
+
+class RefusalMemoTest : public ::testing::TestWithParam<int> {
+ protected:
+  /// First processor other than `p` whose leaf shares `p`'s leaf parent.
+  static NodeId siblingOf(const net::ClusterTree& t, NodeId p) {
+    const int parent = t.parent(t.leafOf(p));
+    for (NodeId q = 0; q < t.numProcs(); ++q)
+      if (q != p && t.parent(t.leafOf(q)) == parent) return q;
+    ADD_FAILURE() << "leaf of " << p << " has no sibling";
+    return p;
+  }
+};
+
+TEST_P(RefusalMemoTest, RefusedSoleCopyIsEvictedOnceANeighbourCopyExists) {
+  // The sole copy of x at p is refused by a pressure scan. A remote read
+  // then deposits a copy beside it, so the next pressure scan at p must
+  // re-check x rather than trust the refusal: x, the LRU-first idle
+  // entry that is now a fringe copy, is evicted.
+  Machine m(4, 4);
+  RuntimeConfig cfg = RuntimeConfig::accessTree(GetParam(), 1);
+  cfg.cacheCapacityBytes = 1500;  // one 1 KB copy plus one 600 B copy does not fit
+  Runtime rt(m, cfg);
+  const auto& at = dynamic_cast<const AccessTreeStrategy&>(rt.strategy());
+  const NodeId p = 0;
+  const NodeId reader = siblingOf(at.tree(), p);
+
+  auto buf = std::make_shared<Bytes>(1024);
+  (*buf)[0] = std::byte{7};
+  const VarId x = rt.createVarFree(p, Value(buf));
+  const VarId y = rt.createVarFree(15, makeRawValue(600));
+  const VarId z = rt.createVarFree(15, makeRawValue(600));
+
+  (void)readOnce(m, rt, p, y);  // p over capacity: x is a sole copy, y in flight
+  EXPECT_EQ(m.stats.ops.evictions, 0u);
+  EXPECT_GT(m.stats.ops.evictionFailures, 0u) << "the scan at p must have refused x";
+  ASSERT_NE(rt.cacheOf(p).peek(x), nullptr);
+
+  EXPECT_EQ((*readOnce(m, rt, reader, x))[0], std::byte{7});
+  ASSERT_NE(rt.cacheOf(p).peek(x), nullptr) << "x must still be refused while in flight";
+
+  const std::uint64_t evictions = m.stats.ops.evictions;
+  (void)readOnce(m, rt, p, z);  // the next pressure scan at p
+  EXPECT_GT(m.stats.ops.evictions, evictions);
+  EXPECT_EQ(rt.cacheOf(p).peek(x), nullptr) << "x is evictable once a neighbour holds a copy";
+  EXPECT_NE(rt.cacheOf(reader).peek(x), nullptr);
+  rt.checkAllInvariants();
+  EXPECT_EQ((*readOnce(m, rt, p, x))[0], std::byte{7});
+  rt.checkAllInvariants();
+}
+
+TEST_P(RefusalMemoTest, EntryRefusedDuringInvalidationIsEvictableOnceTheWriteRetires) {
+  // x's component is {leaf(0), P, leaf(reader)} with P the leaves' parent.
+  // A writer outside P's cluster but under P's parent reaches P as the
+  // nearest copy and invalidates both leaves. P's host is refused while
+  // that invalidation is in flight; once the write retires, P is the
+  // fringe of the writer's path component and must be evictable.
+  Machine m(4, 4);
+  Runtime rt(m, RuntimeConfig::accessTree(GetParam(), 1));
+  const auto& at = dynamic_cast<const AccessTreeStrategy&>(rt.strategy());
+  const net::ClusterTree& t = at.tree();
+  const NodeId owner = 0;
+  const int top = t.parent(t.leafOf(owner));
+  const NodeId reader = siblingOf(t, owner);
+  NodeId writer = -1;
+  for (NodeId q = 0; q < t.numProcs() && writer < 0; ++q) {
+    const int leafParent = t.parent(t.leafOf(q));
+    if (leafParent != top && t.parent(leafParent) == t.parent(top)) writer = q;
+  }
+  ASSERT_GE(writer, 0);
+
+  const VarId x = rt.createVarFree(owner, makeValue<std::int64_t>(1));
+  (void)readOnce(m, rt, reader, x);
+  const NodeId host = at.tree().hostOf(top, x, at.params().embedding, at.params().seed);
+  ASSERT_NE(rt.cacheOf(host).peek(x), nullptr);
+
+  bool done = false, probed = false, refusedMidWrite = false;
+  sim::spawn([](Runtime& r, NodeId w, VarId v, bool& d) -> Task<> {
+    co_await r.write(w, v, makeValue<std::int64_t>(2));
+    d = true;
+  }(rt, writer, x, done));
+  sim::spawn([](Machine& mm, Runtime& r, NodeId h, VarId v, bool& d, bool& probed,
+                bool& refused) -> Task<> {
+    while (!d) {
+      if (!probed && mm.stats.ops.invalidations > 0) {
+        probed = true;
+        refused = !r.strategy().tryEvict(h, v);
+      }
+      co_await mm.engine.delay(0.01);
+    }
+  }(m, rt, host, x, done, probed, refusedMidWrite));
+  m.engine.run();
+  ASSERT_TRUE(probed) << "the probe never ran while the invalidation was in flight";
+  EXPECT_TRUE(refusedMidWrite) << "a copy must not be evicted mid-write";
+  EXPECT_EQ(m.stats.ops.evictions, 0u);
+
+  EXPECT_TRUE(rt.strategy().tryEvict(host, x)) << "P's host is a fringe copy after the write";
+  EXPECT_EQ(rt.cacheOf(host).peek(x), nullptr);
+  rt.checkAllInvariants();
+  EXPECT_EQ(valueAs<std::int64_t>(readOnce(m, rt, owner, x)), 2);
+  rt.checkAllInvariants();
+}
+
+INSTANTIATE_TEST_SUITE_P(Arities, RefusalMemoTest, ::testing::Values(2, 4),
+                         [](const auto& info) {
+                           return "arity" + std::to_string(info.param);
+                         });
 
 INSTANTIATE_TEST_SUITE_P(Strategies, ReplacementTest,
                          ::testing::Values(RuntimeConfig::accessTree(4, 1),
