@@ -54,15 +54,7 @@ Runtime::Runtime(Machine& machine, RuntimeConfig config)
     if (!up) strategy_->onNodeDown(n);
   });
 
-  for (NodeId n = 0; n < machine.numProcs(); ++n) {
-    machine.net.setHandler(n, net::kProtocolChannel,
-                           [this](net::Message&& m) { strategy_->handleMessage(std::move(m)); });
-    machine.net.setHandler(n, net::kSyncChannel,
-                           [this](net::Message&& m) { barrier_->handleMessage(std::move(m)); });
-    machine.net.setHandler(n, net::kLockChannel,
-                           [this](net::Message&& m) { locks_->handleMessage(std::move(m)); });
-  }
-  handledProcs_ = machine.numProcs();
+  installHandlers(machine.numProcs());
 
   // Structural epochs (add/remove node or link, docs/faults.md
   // "Reconfiguration"); never fires on fixed-shape runs.
@@ -74,13 +66,7 @@ Runtime::~Runtime() {
   if (reconfigToken_ >= 0) machine_.net.removeReconfigListener(reconfigToken_);
 }
 
-void Runtime::onReconfigEpoch() {
-  // Equip any nodes that just joined: a cold cache plus the runtime's
-  // channel handlers, so protocol, barrier and lock traffic can target
-  // them from this instant on.
-  const int n = machine_.net.numNodes();
-  for (int i = static_cast<int>(caches_.size()); i < n; ++i)
-    caches_.emplace_back(config_.cacheCapacityBytes);
+void Runtime::installHandlers(int n) {
   for (NodeId p = handledProcs_; p < n; ++p) {
     machine_.net.setHandler(p, net::kProtocolChannel,
                             [this](net::Message&& m) { strategy_->handleMessage(std::move(m)); });
@@ -90,6 +76,16 @@ void Runtime::onReconfigEpoch() {
                             [this](net::Message&& m) { locks_->handleMessage(std::move(m)); });
   }
   handledProcs_ = n;
+}
+
+void Runtime::onReconfigEpoch() {
+  // Equip any nodes that just joined: a cold cache plus the runtime's
+  // channel handlers, so protocol, barrier and lock traffic can target
+  // them from this instant on.
+  const int n = machine_.net.numNodes();
+  for (int i = static_cast<int>(caches_.size()); i < n; ++i)
+    caches_.emplace_back(config_.cacheCapacityBytes);
+  installHandlers(n);
 
   // The strategy migrates its management state onto the new shape's tree
   // (deferring busy variables; forwarding serves them meanwhile).

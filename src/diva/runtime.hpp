@@ -133,6 +133,8 @@ class Runtime {
   std::size_t numLiveVars() const { return liveVars_.size(); }
 
  private:
+  /// Give nodes [handledProcs_, n) the protocol, sync and lock handlers.
+  void installHandlers(int n);
   void onReconfigEpoch();
 
   Machine& machine_;

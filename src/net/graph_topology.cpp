@@ -1,14 +1,15 @@
 #include "net/graph_topology.hpp"
 
 #include <algorithm>
-#include <fstream>
 #include <limits>
 #include <queue>
 #include <sstream>
 #include <unordered_map>
 #include <unordered_set>
 
+#include "sim/time.hpp"
 #include "support/rng.hpp"
+#include "support/text_file.hpp"
 
 namespace diva::net {
 
@@ -450,86 +451,51 @@ GraphSpec parseGraph(const std::string& text) {
   GraphSpec g;
   g.name = "file";
   g.numNodes = -1;
-  std::istringstream in(text);
-  std::string line;
-  int lineNo = 0;
+  support::LineReader in(text, "graph");
   // Undirected pairs already declared, for line-numbered duplicate
   // diagnostics — GraphTopology would reject them too, but only after
   // parsing, without saying which line to fix.
   std::unordered_set<std::uint64_t> seenEdges;
-  while (std::getline(in, line)) {
-    ++lineNo;
-    std::istringstream ls(line);
-    std::string word;
-    if (!(ls >> word) || word[0] == '#') continue;
+  while (in.next()) {
+    const std::string word = in.word("directive");
     if (word == "graph") {
-      DIVA_CHECK_MSG(static_cast<bool>(ls >> g.name),
-                     "graph file line " << lineNo << ": 'graph' needs a name");
+      g.name = in.word("graph name");
     } else if (word == "nodes") {
-      DIVA_CHECK_MSG(g.numNodes < 0,
-                     "graph file line " << lineNo << ": duplicate 'nodes' line");
-      DIVA_CHECK_MSG(static_cast<bool>(ls >> g.numNodes) && g.numNodes >= 1,
-                     "graph file line " << lineNo << ": 'nodes' needs a positive count");
+      DIVA_CHECK_MSG(g.numNodes < 0, in.where() << "duplicate 'nodes' line");
+      g.numNodes = in.value<int>("node count");
+      DIVA_CHECK_MSG(g.numNodes >= 1 && g.numNodes <= kMaxGraphNodes,
+                     in.where() << "node count must be in [1, " << kMaxGraphNodes
+                                << "] (got " << g.numNodes << ")");
     } else if (word == "edge") {
-      DIVA_CHECK_MSG(g.numNodes >= 0,
-                     "graph file line " << lineNo << ": 'edge' before 'nodes'");
+      DIVA_CHECK_MSG(g.numNodes >= 0, in.where() << "'edge' before 'nodes'");
       GraphSpec::Edge e;
-      DIVA_CHECK_MSG(static_cast<bool>(ls >> e.u >> e.v),
-                     "graph file line " << lineNo << ": 'edge' needs two node ids");
+      e.u = in.value<NodeId>("edge endpoint");
+      e.v = in.value<NodeId>("edge endpoint");
       DIVA_CHECK_MSG(e.u >= 0 && e.u < g.numNodes && e.v >= 0 && e.v < g.numNodes,
-                     "graph file line " << lineNo << ": edge " << e.u << "-" << e.v
-                                        << " out of range for " << g.numNodes
-                                        << " nodes");
-      DIVA_CHECK_MSG(e.u != e.v,
-                     "graph file line " << lineNo << ": self-loop at node " << e.u);
+                     in.where() << "edge " << e.u << "-" << e.v << " out of range for "
+                                << g.numNodes << " nodes");
+      DIVA_CHECK_MSG(e.u != e.v, in.where() << "self-loop at node " << e.u);
       const auto lo = static_cast<std::uint64_t>(std::min(e.u, e.v));
       const auto hi = static_cast<std::uint64_t>(std::max(e.u, e.v));
       DIVA_CHECK_MSG(seenEdges.insert((hi << 32) | lo).second,
-                     "graph file line " << lineNo << ": duplicate edge " << e.u << "-"
-                                        << e.v);
-      std::string wtok;
-      if (ls >> wtok) {
-        std::istringstream ws(wtok);
-        DIVA_CHECK_MSG(static_cast<bool>(ws >> e.weight) && ws.eof(),
-                       "graph file line " << lineNo << ": malformed edge weight '"
-                                          << wtok << "'");
-      }
-      if (ls >> wtok) {
-        std::istringstream lt(wtok);
-        DIVA_CHECK_MSG(static_cast<bool>(lt >> e.latency) && lt.eof(),
-                       "graph file line " << lineNo << ": malformed edge latency '"
-                                          << wtok << "'");
-      }
+                     in.where() << "duplicate edge " << e.u << "-" << e.v);
+      if (in.more()) e.weight = in.value<double>("edge weight");
+      if (in.more()) e.latency = in.value<double>("edge latency");
+      DIVA_CHECK_MSG(e.weight > 0.0 && e.weight <= sim::kMaxInputTime && e.latency > 0.0 &&
+                         e.latency <= sim::kMaxInputTime,
+                     in.where() << "edge weight and latency must be in (0, 2^53]");
       g.edges.push_back(e);
     } else {
-      DIVA_CHECK_MSG(false, "graph file line " << lineNo << ": unknown directive '"
-                                               << word << "'");
+      DIVA_CHECK_MSG(false, in.where() << "unknown directive '" << word << "'");
     }
-    // After a directive's declared arguments, any trailing token is an
-    // error (same policy as the scenario format): a stray column must
-    // not silently build a different network than the file describes.
-    std::string extra;
-    DIVA_CHECK_MSG(!(ls >> extra), "graph file line "
-                                       << lineNo << ": unexpected trailing token '"
-                                       << extra << "' after '" << word << "'");
+    in.end(word);
   }
   DIVA_CHECK_MSG(g.numNodes >= 0, "graph file has no 'nodes' line");
   return g;
 }
 
 GraphSpec loadGraphFile(const std::string& path) {
-  std::ifstream in(path);
-  DIVA_CHECK_MSG(in.good(), "cannot open graph file '" << path << "'");
-  std::ostringstream text;
-  text << in.rdbuf();
-  // Parser errors carry line numbers but not the file name (parseGraph
-  // also serves in-memory text); add the path so a failing multi-file
-  // experiment names its culprit.
-  try {
-    return parseGraph(text.str());
-  } catch (const support::CheckError& e) {
-    throw support::CheckError(path + ": " + e.what());
-  }
+  return support::parseTextFile(path, "graph", parseGraph);
 }
 
 std::string formatGraph(const GraphSpec& spec) {

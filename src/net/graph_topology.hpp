@@ -249,13 +249,16 @@ GraphSpec randomRegularGraph(int n, int d, std::uint64_t seed);
 GraphSpec gridGraph(int rows, int cols);
 
 // ---------------------------------------------------------------------------
-// Text format — lets benches and tests load arbitrary graphs from file:
+// Text format — lets benches and tests load arbitrary graphs from file.
+// Shared rules (docs/workloads.md "Text formats"): '#' starts a comment
+// anywhere on a line, blank lines are ignored, trailing tokens are errors.
 //
-//   # comment (blank lines ignored)
 //   graph <name>                    (optional; defaults to "file")
-//   nodes <N>                       (required, before any edge)
+//   nodes <N>                       (required, before any edge; N in
+//                                    [1, kMaxGraphNodes])
 //   edge <u> <v> [weight [latency]] (one per line; undirected; weight and
-//                                    latency default 1.0 — see GraphSpec)
+//                                    latency default 1.0 — see GraphSpec —
+//                                    and must be in (0, sim::kMaxInputTime])
 // ---------------------------------------------------------------------------
 
 /// Parse the text format; throws CheckError with a line number on errors.

@@ -2,6 +2,7 @@
 
 #include <bit>
 
+#include "sim/time.hpp"
 #include "support/check.hpp"
 
 namespace diva::serve {
@@ -73,11 +74,15 @@ void ArrivalSpec::validate(const char* context) const {
                    context << ": closed-loop phases must not set arrival parameters");
     return;
   }
-  DIVA_CHECK_MSG(ratePerSec > 0.0, context << ": arrival rate must be positive (got "
-                                           << ratePerSec << ")");
+  // The mean interval 1e6/rate, like the windows, stays under
+  // sim::kMaxInputTime, so every arrival time is finite.
+  DIVA_CHECK_MSG(ratePerSec > 0.0 && 1e6 / ratePerSec <= sim::kMaxInputTime,
+                 context << ": arrival rate must be at least 1e6/2^53 per second (got "
+                         << ratePerSec << ")");
   if (kind == Kind::Burst) {
-    DIVA_CHECK_MSG(burstOnUs > 0.0 && burstOffUs > 0.0,
-                   context << ": burst on/off windows must be positive (got "
+    DIVA_CHECK_MSG(burstOnUs > 0.0 && burstOffUs > 0.0 && burstOnUs <= sim::kMaxInputTime &&
+                       burstOffUs <= sim::kMaxInputTime,
+                   context << ": burst on/off windows must be in (0, 2^53] (got "
                            << burstOnUs << "/" << burstOffUs << ")");
   } else {
     DIVA_CHECK_MSG(burstOnUs == 0.0 && burstOffUs == 0.0,

@@ -1,103 +1,63 @@
 #include "serve/trace.hpp"
 
-#include <fstream>
 #include <limits>
+#include <optional>
 #include <sstream>
 
+#include "sim/time.hpp"
 #include "support/check.hpp"
+#include "support/text_file.hpp"
 
 namespace diva::serve {
-
-namespace {
-
-/// Strict one-token extraction, mirroring the scenario parser: the whole
-/// token must consume as a T, and unsigned/id fields reject negatives.
-template <typename T>
-T parseValue(std::istringstream& ls, int lineNo, const char* what) {
-  std::string tok;
-  DIVA_CHECK_MSG(static_cast<bool>(ls >> tok),
-                 "trace file line " << lineNo << ": missing " << what);
-  std::istringstream ts(tok);
-  T v{};
-  DIVA_CHECK_MSG(static_cast<bool>(ts >> v) && ts.eof(),
-                 "trace file line " << lineNo << ": malformed " << what << " '" << tok
-                                    << "'");
-  return v;
-}
-
-void rejectTrailing(std::istringstream& ls, int lineNo, const char* what) {
-  std::string extra;
-  DIVA_CHECK_MSG(!(ls >> extra), "trace file line " << lineNo
-                                                    << ": unexpected trailing token '"
-                                                    << extra << "' after " << what);
-}
-
-}  // namespace
 
 Trace parseTrace(const std::string& text) {
   Trace trace;
   bool haveObjects = false;
   int maxObject = -1;
   double lastTime = 0.0;
-  std::istringstream in(text);
-  std::string line;
-  int lineNo = 0;
-  while (std::getline(in, line)) {
-    ++lineNo;
-    std::istringstream ls(line.substr(0, line.find('#')));
-    std::string word;
-    if (!(ls >> word)) continue;
+  support::LineReader in(text, "trace");
+  while (in.next()) {
+    const std::string word = in.word("directive");
     if (word == "trace") {
-      DIVA_CHECK_MSG(static_cast<bool>(ls >> trace.name),
-                     "trace file line " << lineNo << ": 'trace' needs a name");
-      rejectTrailing(ls, lineNo, "'trace'");
+      trace.name = in.word("trace name");
     } else if (word == "objects") {
-      DIVA_CHECK_MSG(!haveObjects,
-                     "trace file line " << lineNo << ": duplicate 'objects' line");
+      DIVA_CHECK_MSG(!haveObjects, in.where() << "duplicate 'objects' line");
       haveObjects = true;
-      trace.numObjects = parseValue<int>(ls, lineNo, "object count");
-      DIVA_CHECK_MSG(trace.numObjects >= 1,
-                     "trace file line " << lineNo << ": object count must be positive");
-      if (!ls.eof() &&
-          (ls >> std::ws, ls.peek() != std::istringstream::traits_type::eof())) {
-        trace.objectBytes = parseValue<std::uint64_t>(ls, lineNo, "object size");
-        DIVA_CHECK_MSG(trace.objectBytes >= 1,
-                       "trace file line " << lineNo << ": object size must be positive");
+      trace.numObjects = in.value<int>("object count");
+      DIVA_CHECK_MSG(trace.numObjects >= 1, in.where() << "object count must be positive");
+      if (in.more()) {
+        trace.objectBytes = in.value<std::uint64_t>("object size");
+        DIVA_CHECK_MSG(trace.objectBytes >= 1, in.where() << "object size must be positive");
       }
-      rejectTrailing(ls, lineNo, "'objects'");
     } else {
       // A request line: <t> <node> <r|w> <object>. The first token was
       // already consumed as `word` — re-parse it as the arrival time.
-      std::istringstream ts(word);
+      const std::optional<double> t = support::LineReader::parse<double>(word);
+      DIVA_CHECK_MSG(t, in.where() << "expected a request line '<t> <node> <r|w> <object>' "
+                                      "or a directive, got '"
+                                   << word << "'");
       TraceRequest req;
-      DIVA_CHECK_MSG(static_cast<bool>(ts >> req.timeUs) && ts.eof(),
-                     "trace file line " << lineNo << ": expected a request line "
-                                           "'<t> <node> <r|w> <object>' or a directive, "
-                                           "got '" << word << "'");
-      DIVA_CHECK_MSG(req.timeUs >= 0.0,
-                     "trace file line " << lineNo << ": arrival time must be >= 0");
+      req.timeUs = *t;
+      DIVA_CHECK_MSG(req.timeUs >= 0.0 && req.timeUs <= sim::kMaxInputTime,
+                     in.where() << "arrival time must be in [0, 2^53]");
       DIVA_CHECK_MSG(req.timeUs >= lastTime,
-                     "trace file line " << lineNo << ": arrival times must be "
-                                           "non-decreasing (" << req.timeUs << " after "
-                                           << lastTime << ")");
+                     in.where() << "arrival times must be non-decreasing (" << req.timeUs
+                                << " after " << lastTime << ")");
       lastTime = req.timeUs;
-      req.node = parseValue<net::NodeId>(ls, lineNo, "node id");
-      DIVA_CHECK_MSG(req.node >= 0, "trace file line " << lineNo
-                                                       << ": node id must be >= 0");
-      std::string op;
-      DIVA_CHECK_MSG(static_cast<bool>(ls >> op),
-                     "trace file line " << lineNo << ": missing op ('r' or 'w')");
+      req.node = in.value<net::NodeId>("node id");
+      DIVA_CHECK_MSG(req.node >= 0, in.where() << "node id must be >= 0");
+      const std::string op = in.word("op ('r' or 'w')");
       DIVA_CHECK_MSG(op == "r" || op == "w",
-                     "trace file line " << lineNo << ": op must be 'r' or 'w' (got '"
-                                        << op << "')");
+                     in.where() << "op must be 'r' or 'w' (got '" << op << "')");
       req.isRead = op == "r";
-      req.object = parseValue<int>(ls, lineNo, "object id");
-      DIVA_CHECK_MSG(req.object >= 0, "trace file line " << lineNo
-                                                         << ": object id must be >= 0");
+      req.object = in.value<int>("object id");
+      DIVA_CHECK_MSG(req.object >= 0, in.where() << "object id must be >= 0");
       if (req.object > maxObject) maxObject = req.object;
-      rejectTrailing(ls, lineNo, "the request");
+      in.end("request");
       trace.requests.push_back(req);
+      continue;
     }
+    in.end(word);
   }
   if (haveObjects) {
     DIVA_CHECK_MSG(maxObject < trace.numObjects,
@@ -112,15 +72,7 @@ Trace parseTrace(const std::string& text) {
 }
 
 Trace loadTraceFile(const std::string& path) {
-  std::ifstream in(path);
-  DIVA_CHECK_MSG(in.good(), "cannot open trace file '" << path << "'");
-  std::ostringstream text;
-  text << in.rdbuf();
-  try {
-    return parseTrace(text.str());
-  } catch (const support::CheckError& e) {
-    throw support::CheckError(path + ": " + e.what());
-  }
+  return support::parseTextFile(path, "trace", parseTrace);
 }
 
 std::string formatTrace(const Trace& trace) {

@@ -13,7 +13,6 @@ namespace diva::serve {
 // scenario formats (docs/serving.md), so recorded or externally
 // generated request streams can drive either strategy:
 //
-//   # comment — '#' starts a comment anywhere; blank lines ignored
 //   trace <name>         (optional; defaults to "file")
 //   objects <N> [bytes]  (optional; object-id space and payload size —
 //                         when omitted, N is derived as max id + 1 and
@@ -23,8 +22,11 @@ namespace diva::serve {
 //                         non-decreasing over the file — issuing node,
 //                         op 'r' or 'w', object id in [0, N))
 //
-// Like its siblings: line-numbered fail-fast errors, trailing tokens
-// rejected, and formatTrace(parseTrace(text)) round-trips exactly.
+// Comments, strict values, trailing tokens and line-numbered errors
+// follow the rules the three text formats share (support/text_file.hpp,
+// docs/workloads.md "Text formats"); arrival times are at most
+// sim::kMaxInputTime, and formatTrace(parseTrace(text)) round-trips
+// exactly.
 // ---------------------------------------------------------------------------
 
 /// One replayed request. Arrival times are open-loop injection instants

@@ -18,9 +18,10 @@ namespace diva::sim {
 /// run is a pure function of its inputs and seeds.
 ///
 /// The pending-event structure lives in `sim::EventQueue` (see
-/// event_queue.hpp): a calendar-style bucket ring for the densely
-/// clustered near future, with a distinct-timestamp heap + hash front
-/// tier for exact ordering and an overflow tier for the far-future tail.
+/// event_queue.hpp): a sorted front tier (a flat array of per-timestamp
+/// runs) at the head of the schedule, a calendar-style bucket ring for the
+/// densely clustered near future, and an overflow tier (a distinct-
+/// timestamp heap + hash) for the far-future tail.
 /// Callbacks live in pooled `EventFn` slots (40-byte inline capture
 /// storage, see event_fn.hpp), so in steady state — once pools, heaps and
 /// table have grown to the simulation's working set — scheduling and

@@ -114,27 +114,4 @@ class WaitGroup {
   Condition cond_;
 };
 
-/// Void specialization helper: a one-shot completion signal.
-class OneShotEvent {
- public:
-  explicit OneShotEvent(Engine& engine) : inner_(engine) {}
-  void resolve() { inner_.resolve(true); }
-  bool resolved() const { return inner_.resolved(); }
-  auto wait() { return WaitAdapter{this}; }
-
- private:
-  struct WaitAdapter {
-    OneShotEvent* self;
-    bool await_ready() const noexcept { return self->inner_.resolved(); }
-    void await_suspend(std::coroutine_handle<> h) { self->waiterShim(h); }
-    void await_resume() const noexcept {}
-  };
-  void waiterShim(std::coroutine_handle<> h) {
-    // Delegate to the OneShot awaiter machinery.
-    auto aw = inner_.wait();
-    aw.await_suspend(h);
-  }
-  OneShot<bool> inner_;
-};
-
 }  // namespace diva::sim

@@ -10,4 +10,11 @@ using Time = double;
 
 inline constexpr Time kTimeZero = 0.0;
 
+/// Ceiling on every time-valued input (think times, arrival intervals,
+/// burst windows, fault offsets, trace arrival times) and on the link-cost
+/// factors that scale per-hop times (edge weights and latencies, degrade
+/// multipliers): 2^53, the exactly representable range above. Inputs
+/// below it keep every sum and product a run forms finite.
+inline constexpr double kMaxInputTime = 9007199254740992.0;
+
 }  // namespace diva::sim

@@ -7,12 +7,12 @@
 namespace diva::workload {
 
 // ---------------------------------------------------------------------------
-// Scenario text format — the workload twin of the PR 3 graph file format,
-// so experiments are declarative files, diffable and committable:
+// Scenario text format — the workload twin of the graph file format, so
+// experiments are declarative files, diffable and committable. Comments,
+// strict values, trailing tokens and line-numbered errors follow the
+// rules the three text formats share (support/text_file.hpp,
+// docs/workloads.md "Text formats"):
 //
-//   # comment — '#' starts a comment anywhere on a line; after a
-//                directive's declared arguments, any trailing token that
-//                is not a comment is an error (blank lines ignored)
 //   scenario <name>        (optional; defaults to "file")
 //   seed <u64>             (optional; default 1)
 //   objects <N> [bytes]    (required; object population, payload size

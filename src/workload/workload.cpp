@@ -9,6 +9,7 @@
 #include "obs/tracer.hpp"
 #include "serve/latency_histogram.hpp"
 #include "serve/trace.hpp"
+#include "sim/time.hpp"
 #include "support/check.hpp"
 #include "support/table.hpp"
 
@@ -72,14 +73,19 @@ void WorkloadSpec::validate() const {
                                 << ")");
     DIVA_CHECK_MSG(ph.hotShift >= 0, "workload '" << name << "' phase '" << ph.name
                                                   << "': hotShift must be >= 0");
-    DIVA_CHECK_MSG(ph.thinkMeanUs >= 0.0, "workload '" << name << "' phase '" << ph.name
-                                                       << "': think time must be >= 0");
+    const std::string ctx = "workload '" + name + "' phase '" + ph.name + "'";
+    // Time-valued inputs stay under sim::kMaxInputTime, so think draws
+    // (up to twice the mean) and phase clocks stay finite.
+    DIVA_CHECK_MSG(ph.thinkMeanUs >= 0.0 && ph.thinkMeanUs <= sim::kMaxInputTime,
+                   ctx << ": think time must be in [0, 2^53] (got " << ph.thinkMeanUs << ")");
     for (const net::FaultEvent& ev : ph.faults) {
-      DIVA_CHECK_MSG(ev.offsetUs >= 0.0, "workload '" << name << "' phase '" << ph.name
-                                                      << "': fault offset must be >= 0");
+      DIVA_CHECK_MSG(ev.offsetUs >= 0.0 && ev.offsetUs <= sim::kMaxInputTime &&
+                         ev.weightMul <= sim::kMaxInputTime &&
+                         ev.latencyMul <= sim::kMaxInputTime,
+                     ctx << ": fault offsets must be in [0, 2^53] and weights/latencies "
+                            "at most 2^53");
     }
     // Open-loop serving parameters (docs/serving.md).
-    const std::string ctx = "workload '" + name + "' phase '" + ph.name + "'";
     ph.arrival.validate(ctx.c_str());
     DIVA_CHECK_MSG(ph.deadlineUs >= 0.0, ctx << ": deadline must be >= 0");
     DIVA_CHECK_MSG(ph.queueLimit >= 0, ctx << ": queue limit must be >= 0");
@@ -318,7 +324,6 @@ struct NodeServePlan {
 
 struct PhaseServePlan {
   bool active = false;
-  bool fromTrace = false;
   double offeredPerSec = 0.0;  ///< nominal aggregate injection rate
   std::vector<NodeServePlan> nodes;
 };
@@ -416,7 +421,6 @@ std::vector<PhaseServePlan> buildServePlans(
     plan.active = true;
     plan.nodes.resize(static_cast<std::size_t>(procs));
     if (!ph.tracePath.empty()) {
-      plan.fromTrace = true;
       const serve::Trace trace = serve::loadTraceFile(ph.tracePath);
       DIVA_CHECK_MSG(trace.numObjects <= spec.numObjects,
                      "workload '" << spec.name << "' phase '" << ph.name << "': trace '"

@@ -17,6 +17,7 @@
 #include "diva/runtime.hpp"
 #include "net/graph_topology.hpp"
 #include "net/topology.hpp"
+#include "support/check.hpp"
 #include "support/rng.hpp"
 
 namespace diva {
@@ -329,6 +330,38 @@ TEST(GraphFile, LoadErrorsNameTheFile) {
   }
 }
 
+TEST(GraphFile, CommentsAnywhereAndRangesCheckedAtTheLine) {
+  // '#' starts a comment anywhere on a line, as in the scenario and
+  // trace formats.
+  const GraphSpec g = net::parseGraph(
+      "graph tri   # a triangle\n"
+      "nodes 3     # three nodes\n"
+      "edge 0 1 2  # weight 2\n"
+      "edge 1 2 1 4#latency 4\n"
+      "edge 2 0\n");
+  EXPECT_EQ(g.name, "tri");
+  ASSERT_EQ(g.edges.size(), 3u);
+  EXPECT_EQ(g.edges[0].weight, 2.0);
+  EXPECT_EQ(g.edges[1].latency, 4.0);
+  // Non-positive or overflowing weights and latencies, and node counts
+  // above kMaxGraphNodes, fail at their line rather than later in
+  // GraphAdjacency with no line number.
+  auto expectLineError = [](const std::string& text, const std::string& needle) {
+    try {
+      (void)net::parseGraph(text);
+      FAIL() << "expected CheckError for: " << text;
+    } catch (const support::CheckError& e) {
+      EXPECT_NE(std::string(e.what()).find(needle), std::string::npos) << e.what();
+    }
+  };
+  expectLineError("nodes 2\nedge 0 1 -1\n", "graph file line 2: edge weight");
+  expectLineError("nodes 2\nedge 0 1 0\n", "graph file line 2: edge weight");
+  expectLineError("nodes 2\n\nedge 0 1 1 0\n", "graph file line 3: edge weight");
+  expectLineError("nodes 2\nedge 0 1 1e308\n", "graph file line 2: edge weight");
+  expectLineError("# big\nnodes 2000000\n", "graph file line 2: node count");
+  expectLineError("nodes 2\nedge 0 1.5\n", "graph file line 2: malformed edge endpoint");
+}
+
 // ---------------------------------------------------------------------------
 // Decomposition on non-uniform partitions
 // ---------------------------------------------------------------------------
@@ -603,8 +636,7 @@ TEST(GraphFile, LatencyFieldRoundTrips) {
   EXPECT_EQ(net::parseGraph(net::formatGraph(g)), g);
 
   EXPECT_THROW((void)net::parseGraph("nodes 2\nedge 0 1 1 slow\n"), support::CheckError);
-  // Non-positive latency parses (the format is syntax-only) but is
-  // rejected when the topology is built, like non-positive weights.
+  // Non-positive latency is rejected (by the parser, at its line).
   EXPECT_THROW(net::GraphTopology(net::parseGraph("nodes 2\nedge 0 1 1 -2\n")),
                support::CheckError);
 }

@@ -276,6 +276,24 @@ TEST(TraceFormat, RejectsMalformedInput) {
   }
 }
 
+TEST(TraceFormat, NegativeSizesAndOverflowingTimesAreRejected) {
+  // `objects 4 -1` used to wrap to a 2^64-1 byte payload; an arrival time
+  // past sim::kMaxInputTime could make a later phase's clock infinite.
+  const char* bad[] = {
+      "objects 4 -1\n0 0 r 0\n",
+      "0 0 r 0\n1e308 0 r 1\n",
+  };
+  for (const char* text : bad) {
+    try {
+      (void)serve::parseTrace(text);
+      ADD_FAILURE() << "expected CheckError for: " << text;
+    } catch (const support::CheckError& e) {
+      EXPECT_NE(std::string(e.what()).find("trace file line "), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(TraceFormat, LoadPrefixesErrorsWithThePath) {
   try {
     serve::loadTraceFile("/nonexistent/zzz.trace");

@@ -1,15 +1,18 @@
 // Tests for the support utilities: hashing/RNG quality properties, the
-// bench table formatter, and the check macros.
+// bench table formatter, the check macros, and the text-format line reader.
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <set>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "support/check.hpp"
 #include "support/rng.hpp"
 #include "support/table.hpp"
+#include "support/text_file.hpp"
 
 namespace diva::support {
 namespace {
@@ -128,6 +131,145 @@ TEST(Check, ThrowsWithLocationAndMessage) {
 TEST(Check, PassesSilently) {
   EXPECT_NO_THROW(DIVA_CHECK(true));
   EXPECT_NO_THROW(DIVA_CHECK_MSG(2 + 2 == 4, "fine"));
+}
+
+// ---------------------------------------------------------------------------
+// LineReader — the shared rules of the graph, scenario and trace formats
+// ---------------------------------------------------------------------------
+
+/// The message of the CheckError `fn` throws ("" if it throws none).
+template <typename Fn>
+std::string errorOf(Fn fn) {
+  try {
+    fn();
+  } catch (const CheckError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(LineReader, SkipsBlankAndCommentLinesAndCutsComments) {
+  const std::string text = "\n# header\n  \t\nalpha 1 # note\n#\nbeta#glued\n   # indented\n";
+  LineReader in(text, "demo");
+  ASSERT_TRUE(in.next());
+  EXPECT_EQ(in.line(), 4);
+  EXPECT_EQ(in.word("key"), "alpha");
+  EXPECT_EQ(in.value<int>("count"), 1);
+  EXPECT_FALSE(in.more());
+  ASSERT_TRUE(in.next());
+  EXPECT_EQ(in.line(), 6);
+  EXPECT_EQ(in.word("key"), "beta");
+  EXPECT_FALSE(in.more());
+  EXPECT_FALSE(in.next());
+}
+
+TEST(LineReader, LastLineNeedsNoNewlineAndCarriageReturnsAreSpace) {
+  LineReader in("a 1\r\nb 2", "demo");
+  ASSERT_TRUE(in.next());
+  EXPECT_EQ(in.word("key"), "a");
+  EXPECT_EQ(in.value<int>("n"), 1);
+  EXPECT_NO_THROW(in.end("a"));
+  ASSERT_TRUE(in.next());
+  EXPECT_EQ(in.word("key"), "b");
+  EXPECT_EQ(in.value<double>("n"), 2.0);
+  EXPECT_FALSE(in.next());
+}
+
+TEST(LineReader, ValuesMustParseAsAWholeToken) {
+  const auto readAs = [](const char* tok, auto type) {
+    LineReader in(tok, "demo");
+    EXPECT_TRUE(in.next());
+    return errorOf([&] { (void)in.value<decltype(type)>("field"); });
+  };
+  EXPECT_NE(readAs("4x", 0).find("malformed field '4x'"), std::string::npos);
+  EXPECT_NE(readAs("1e309", 0.0).find("malformed field '1e309'"), std::string::npos);
+  EXPECT_NE(readAs("nan", 0.0).find("malformed"), std::string::npos);
+  EXPECT_NE(readAs("2147483648", 0).find("malformed"), std::string::npos);
+  EXPECT_NE(readAs("-1", std::uint64_t{0}).find("malformed field '-1'"), std::string::npos);
+  EXPECT_NE(readAs("-0", 0u).find("malformed"), std::string::npos);
+  EXPECT_EQ(readAs("-1", 0), "");
+  EXPECT_EQ(readAs("1e-320", 0.0), "");
+  EXPECT_EQ(readAs("18446744073709551615", std::uint64_t{0}), "");
+  EXPECT_EQ(LineReader::parse<double>("2.5"), 2.5);
+  EXPECT_FALSE(LineReader::parse<int>("2.5").has_value());
+}
+
+TEST(LineReader, MoreReportsARemainingToken) {
+  LineReader in("objects 4   # 64 bytes\n", "demo");
+  ASSERT_TRUE(in.next());
+  EXPECT_TRUE(in.more());
+  (void)in.word("key");
+  EXPECT_TRUE(in.more());
+  EXPECT_EQ(in.value<int>("count"), 4);
+  EXPECT_FALSE(in.more());
+}
+
+TEST(LineReader, EndRejectsTrailingTokens) {
+  LineReader in("rounds 5 reads 0.1\n", "scenario");
+  ASSERT_TRUE(in.next());
+  (void)in.word("key");
+  (void)in.value<int>("count");
+  const std::string what = errorOf([&] { in.end("rounds"); });
+  EXPECT_NE(what.find("scenario file line 1: unexpected trailing token 'reads' after 'rounds'"),
+            std::string::npos)
+      << what;
+}
+
+TEST(LineReader, EveryErrorNamesTheFormatAndLine) {
+  const std::string prefix = "demo file line 3: ";
+  const auto onLine3 = [&](const char* line, auto read) {
+    const std::string text = std::string("first\n\n") + line + "\n";
+    LineReader in(text, "demo");
+    EXPECT_TRUE(in.next());
+    EXPECT_TRUE(in.next());
+    EXPECT_EQ(in.where(), prefix);
+    const std::string what = errorOf([&] { read(in); });
+    EXPECT_NE(what.find(prefix), std::string::npos) << what;
+  };
+  // Missing token, malformed value, negative unsigned, trailing token.
+  onLine3("key", [](LineReader& in) {
+    (void)in.word("key");
+    (void)in.word("name");
+  });
+  onLine3("key 4x", [](LineReader& in) {
+    (void)in.word("key");
+    (void)in.value<int>("n");
+  });
+  onLine3("key -1", [](LineReader& in) {
+    (void)in.word("key");
+    (void)in.value<unsigned>("n");
+  });
+  onLine3("key x", [](LineReader& in) {
+    (void)in.word("key");
+    in.end("key");
+  });
+}
+
+TEST(TextFile, ParseErrorsNameThePathAndWritesRoundTrip) {
+  const std::string path = ::testing::TempDir() + "support_test_text_file.txt";
+  writeTextFile(path, "demo", [](std::ostream& out) { out << "a 1\nb x\n"; });
+  const auto sumOf = [](const std::string& text) {
+    LineReader in(text, "demo");
+    int sum = 0;
+    while (in.next()) {
+      (void)in.word("key");
+      sum += in.value<int>("n");
+    }
+    return sum;
+  };
+  const std::string what = errorOf([&] { (void)parseTextFile(path, "demo", sumOf); });
+  EXPECT_NE(what.find(path + ": "), std::string::npos) << what;
+  EXPECT_NE(what.find("demo file line 2: malformed n 'x'"), std::string::npos) << what;
+  writeTextFile(path, "demo", [](std::ostream& out) { out << "a 1\nb 2"; });
+  EXPECT_EQ(parseTextFile(path, "demo", sumOf), 3);
+  const std::string missing = errorOf([] {
+    (void)parseTextFile("/nonexistent/x.txt", "demo", [](const std::string&) { return 0; });
+  });
+  EXPECT_EQ(missing, "cannot open demo file '/nonexistent/x.txt'");
+  EXPECT_NE(errorOf([] { writeTextFile("/nonexistent/x.txt", "demo", [](std::ostream&) {}); })
+                .find("cannot open demo file"),
+            std::string::npos);
+  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "net/graph_topology.hpp"
@@ -225,6 +226,28 @@ TEST(Scenario, RejectsMalformedInput) {
   EXPECT_THROW(workload::parseScenario("objects 4 -1\nphase p\n"), support::CheckError);
   EXPECT_THROW(workload::parseScenario("seed -1\nobjects 4\nphase p\n"),
                support::CheckError);
+}
+
+TEST(Scenario, TimeInputsThatWouldOverflowSimulatedTimeAreRejected) {
+  // Each of these once passed validation and then made simulated time
+  // non-finite: `think 1e308` doubles to inf in the think-time draw, and
+  // `arrival fixed 1e-310` gives an infinite arrival interval (the runner
+  // printed `wall ms inf` and -1e308 latency percentiles, and exited 0).
+  const std::string head = "objects 4\nphase p\n";
+  const char* bad[] = {
+      "think 1e308\n",
+      "arrival fixed 1e-310\n",
+      "arrival poisson 1e-305\n",
+      "arrival burst 1000 1e308 10\n",
+      "fault 1e308 node-down 1\n",
+      "fault 0 degrade 0 1 1e308 1\n",
+      "reconfig 0 add-node 0 1 1e308\n",
+  };
+  for (const char* line : bad)
+    EXPECT_THROW(workload::parseScenario(head + line), support::CheckError) << line;
+  // The ceiling itself is accepted.
+  EXPECT_NO_THROW(workload::parseScenario(head + "think 9007199254740992\n"));
+  EXPECT_NO_THROW(workload::parseScenario(head + "arrival fixed 1e-9\n"));
 }
 
 TEST(Scenario, InlineCommentsAreAllowedEverywhere) {

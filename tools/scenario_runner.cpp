@@ -71,7 +71,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -80,6 +79,7 @@
 #include "obs/tracer.hpp"
 #include "serve/trace.hpp"
 #include "support/check.hpp"
+#include "support/text_file.hpp"
 #include "workload/scenario.hpp"
 #include "workload/workload.hpp"
 
@@ -308,35 +308,25 @@ int main(int argc, char** argv) {
         workload::runOn(topo, RuntimeConfig::fixedHome(), spec);
 
     if (!traceJsonPath.empty()) {
-      std::ofstream out(traceJsonPath);
-      DIVA_CHECK_MSG(out.good(), "cannot open trace file '" << traceJsonPath << "'");
-      tracer.writeChromeJson(out);
-      out.close();
-      DIVA_CHECK_MSG(out.good(), "failed writing trace file '" << traceJsonPath << "'");
+      support::writeTextFile(traceJsonPath, "trace",
+                             [&](std::ostream& out) { tracer.writeChromeJson(out); });
       std::printf("traced %zu events to %s\n\n", tracer.numRecords(),
                   traceJsonPath.c_str());
     }
     if (!metricsPath.empty()) {
-      const bool json = metricsPath.size() >= 5 &&
-                        metricsPath.compare(metricsPath.size() - 5, 5, ".json") == 0;
-      std::ofstream out(metricsPath);
-      DIVA_CHECK_MSG(out.good(), "cannot open metrics file '" << metricsPath << "'");
-      if (json)
-        sampler.writeJson(out);
-      else
-        sampler.writeCsv(out);
-      out.close();
-      DIVA_CHECK_MSG(out.good(), "failed writing metrics file '" << metricsPath << "'");
+      const bool json = metricsPath.ends_with(".json");
+      support::writeTextFile(metricsPath, "metrics", [&](std::ostream& out) {
+        if (json)
+          sampler.writeJson(out);
+        else
+          sampler.writeCsv(out);
+      });
       std::printf("sampled %zu instants (%zu rows) to %s\n\n", sampler.samplesTaken(),
                   sampler.numRows(), metricsPath.c_str());
     }
-
     if (!capturePath.empty()) {
-      std::ofstream out(capturePath);
-      DIVA_CHECK_MSG(out.good(), "cannot open capture file '" << capturePath << "'");
-      out << serve::formatTrace(captured);
-      out.close();
-      DIVA_CHECK_MSG(out.good(), "failed writing capture file '" << capturePath << "'");
+      support::writeTextFile(capturePath, "capture",
+                             [&](std::ostream& out) { out << serve::formatTrace(captured); });
       std::printf("captured %zu requests to %s\n\n", captured.requests.size(),
                   capturePath.c_str());
     }
