@@ -166,6 +166,62 @@ TEST(GraphTopologyRouting, FatTreeWeightsDecreaseTowardRoot) {
   EXPECT_DOUBLE_EQ(topo.weightedDistance(3, 6), 1.0 + 0.5 + 0.5 + 1.0);
 }
 
+/// FNV-1a digest of every hop (link and target) of every route between
+/// all pairs of `topo`.
+std::uint64_t allRoutesDigest(const net::Topology& topo) {
+  std::uint64_t h = 14695981039346656037ull;
+  auto mix = [&h](std::int64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (static_cast<std::uint64_t>(v) >> (8 * i)) & 0xFF;
+      h *= 1099511628211ull;
+    }
+  };
+  for (NodeId a = 0; a < topo.numNodes(); ++a) {
+    for (NodeId b = 0; b < topo.numNodes(); ++b) {
+      const auto hops = net::routeOf(topo, a, b);
+      mix(static_cast<std::int64_t>(hops.size()));
+      for (const net::Hop& hop : hops) {
+        mix(hop.link);
+        mix(hop.to);
+      }
+    }
+  }
+  return h;
+}
+
+/// A 4×4 grid with unequal weights and latencies, plus chords whose
+/// weight equals a two-hop detour, so every tie-break rule decides some
+/// route: equal weight, then fewer hops, then the lowest-id next hop.
+GraphSpec mixedWeightGraph() {
+  GraphSpec g = net::gridGraph(4, 4);
+  g.name = "mixed4x4";
+  for (std::size_t i = 0; i < g.edges.size(); ++i) {
+    g.edges[i].weight = i % 3 == 0 ? 2.0 : 1.0;
+    g.edges[i].latency = 1.0 + static_cast<double>(i % 4);
+  }
+  g.edges.push_back({0, 5, 2.0, 3.0});
+  g.edges.push_back({10, 15, 0.5, 1.0});
+  g.edges.push_back({3, 6, 3.0, 0.5});
+  return g;
+}
+
+TEST(GraphRouting, RoutesMatchCommittedDigests) {
+  // Goldens recorded before the routing tables moved onto the shared
+  // search kernel (net/graph_search.hpp); a refactor must keep every hop.
+  const std::vector<std::pair<GraphSpec, std::uint64_t>> cases = {
+      {net::ringGraph(11), 0x768ff6b4c5a966c4ull},
+      {net::starGraph(9), 0x93fece879166d4c5ull},
+      {net::gridGraph(5, 9), 0x91011c92c91a8185ull},
+      {net::fatTreeGraph(3, 3), 0x7b286dd7dcbe7a45ull},
+      {net::randomRegularGraph(40, 3, 7), 0xd8c06ba767329805ull},
+      {mixedWeightGraph(), 0xb22cf325f2c93f37ull},
+  };
+  for (const auto& [g, golden] : cases) {
+    const std::uint64_t h = allRoutesDigest(net::GraphTopology(g));
+    EXPECT_EQ(h, golden) << g.name << " route digest 0x" << std::hex << h;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Validation
 // ---------------------------------------------------------------------------

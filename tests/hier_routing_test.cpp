@@ -52,7 +52,8 @@ std::vector<GraphSpec> corpus() {
 
 /// Sampled (from, to) pairs: exhaustive on small graphs, a seeded sample
 /// on large ones — deterministic either way.
-std::vector<std::pair<NodeId, NodeId>> samplePairs(int n, std::uint64_t seed) {
+std::vector<std::pair<NodeId, NodeId>> samplePairs(int n, std::uint64_t seed,
+                                                    int count = 4000) {
   std::vector<std::pair<NodeId, NodeId>> pairs;
   if (n <= 64) {
     for (NodeId a = 0; a < n; ++a)
@@ -60,7 +61,7 @@ std::vector<std::pair<NodeId, NodeId>> samplePairs(int n, std::uint64_t seed) {
     return pairs;
   }
   support::SplitMix64 rng(seed);
-  for (int i = 0; i < 4000; ++i) {
+  for (int i = 0; i < count; ++i) {
     const auto a = static_cast<NodeId>(rng.next() % static_cast<std::uint64_t>(n));
     const auto b = static_cast<NodeId>(rng.next() % static_cast<std::uint64_t>(n));
     pairs.emplace_back(a, b);
@@ -150,6 +151,62 @@ TEST(HierRouting, DeterministicAcrossRebuilds) {
   EXPECT_EQ(t1.totalBallEntries(), t2.totalBallEntries());
   for (const auto& [a, b] : samplePairs(128, 11))
     EXPECT_EQ(net::routeOf(t1, a, b), net::routeOf(t2, a, b)) << a << "->" << b;
+}
+
+/// FNV-1a digest of a hierarchical build: its ball-arena size and every
+/// hop of the routes between `pairs`.
+std::uint64_t hierDigest(const net::HierGraphTopology& topo,
+                         const std::vector<std::pair<NodeId, NodeId>>& pairs) {
+  std::uint64_t h = 14695981039346656037ull;
+  auto mix = [&h](std::int64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (static_cast<std::uint64_t>(v) >> (8 * i)) & 0xFF;
+      h *= 1099511628211ull;
+    }
+  };
+  mix(static_cast<std::int64_t>(topo.totalBallEntries()));
+  for (const auto& [a, b] : pairs) {
+    const auto route = net::routeOf(topo, a, b);
+    mix(static_cast<std::int64_t>(route.size()));
+    for (const net::Hop& hop : route) {
+      mix(hop.link);
+      mix(hop.to);
+    }
+  }
+  return h;
+}
+
+TEST(HierRouting, RoutesMatchCommittedDigests) {
+  // Goldens recorded before balls, spines and landmarks moved onto the
+  // shared search kernel (net/graph_search.hpp). The 4,200-node graph is
+  // above kExactSpineMaxNodes, so its internally disconnected clusters
+  // take the LCA spine fallback; its pairs are sampled sparsely to keep
+  // the sanitizer build fast.
+  static_assert(net::HierGraphTopology::kExactSpineMaxNodes < 4200);
+  struct Case {
+    GraphSpec g;
+    int arity;
+    int pairs;
+    std::uint64_t golden;
+  };
+  const std::vector<Case> cases = {
+      {net::randomRegularGraph(96, 3, 42), 2, 1000, 0xff75ffd50a4d7798ull},
+      {net::randomRegularGraph(96, 3, 42), 4, 1000, 0x9822933ac6dba148ull},
+      {net::randomRegularGraph(96, 3, 42), 16, 1000, 0x6b88e41f80025887ull},
+      {net::gridGraph(16, 17), 2, 1000, 0x5ec048028684b4fcull},
+      {net::gridGraph(16, 17), 4, 1000, 0x3abfab4b842d3a62ull},
+      {net::gridGraph(16, 17), 16, 1000, 0x93934d47f4b03c29ull},
+      {net::fatTreeGraph(4, 4), 2, 1000, 0xdbc80d0210ef0390ull},
+      {net::fatTreeGraph(4, 4), 4, 1000, 0xcfe806ace0ef44c0ull},
+      {net::fatTreeGraph(4, 4), 16, 1000, 0x68051c172ed84800ull},
+      {net::randomRegularGraph(4200, 3, 7), 16, 200, 0x9b1cf9bf30eb1707ull},
+  };
+  for (const Case& c : cases) {
+    const net::HierGraphTopology topo(c.g, c.arity);
+    const std::uint64_t h = hierDigest(topo, samplePairs(c.g.numNodes, 23, c.pairs));
+    EXPECT_EQ(h, c.golden) << c.g.name << " arity " << c.arity << " digest 0x" << std::hex
+                           << h;
+  }
 }
 
 TEST(HierRouting, SparseStateIsFarSmallerThanDenseTables) {

@@ -280,10 +280,39 @@ TEST(TopologyDecomposition, MeshTreeMatchesLegacyDecomposition) {
   });
 }
 
+/// A weighted random-regular graph: unequal weights and latencies.
+net::GraphSpec weightedGraph() {
+  net::GraphSpec g = net::randomRegularGraph(24, 3, 3);
+  g.name = "rr24-weighted";
+  for (std::size_t i = 0; i < g.edges.size(); ++i) {
+    g.edges[i].weight = 0.5 + static_cast<double>(i % 4);
+    g.edges[i].latency = 1.0 + static_cast<double>(i % 3);
+  }
+  return g;
+}
+
+/// A 4×5 grid whose nodes 6 and 13 have left an elastic machine: their
+/// ids stay in the node range with no edges (GraphSpec::allowIsolated).
+net::GraphSpec retiredIdsGraph() {
+  net::GraphSpec g = net::gridGraph(4, 5);
+  g.name = "grid4x5-retired";
+  std::erase_if(g.edges, [](const net::GraphSpec::Edge& e) {
+    return e.u == 6 || e.v == 6 || e.u == 13 || e.v == 13;
+  });
+  g.allowIsolated = true;
+  return g;
+}
+
 TEST(TopologyDecomposition, TreesMatchCommittedDigests) {
   // Goldens recorded from the per-shape builders the shared builder
-  // replaced (the hypercube's subcube split, graph bisection).
+  // replaced (the hypercube's subcube split, graph bisection); the grid,
+  // weighted and retired-id graphs from the BFS bisection before it moved
+  // onto the shared search kernel (net/graph_search.hpp).
   expectTreeDigests({
+      {TopologySpec::graph(net::gridGraph(5, 9)), 0x66038f592d954a85ull},
+      {TopologySpec::graph(weightedGraph()), 0x0ec60d3a68ad81d5ull},
+      {TopologySpec::graph(retiredIdsGraph()), 0x2f30eae7d3183e6cull},
+      {TopologySpec::hierGraph(retiredIdsGraph(), 4), 0x2f30eae7d3183e6cull},
       {TopologySpec::hypercube(0), 0xa3eca47afc4a5fa5ull},
       {TopologySpec::hypercube(5), 0xa245770bac78df33ull},
       {TopologySpec::graph(net::ringGraph(7)), 0x90867fd3c3a63687ull},
