@@ -2,11 +2,10 @@
 
 #include <algorithm>
 #include <limits>
-#include <queue>
 #include <sstream>
-#include <unordered_map>
 #include <unordered_set>
 
+#include "net/graph_search.hpp"
 #include "sim/time.hpp"
 #include "support/rng.hpp"
 #include "support/text_file.hpp"
@@ -50,7 +49,7 @@ GraphAdjacency::GraphAdjacency(const GraphSpec& spec) {
   for (int u = 0; u < n; ++u) {
     auto& list = nbrs[u];
     // Direction slots order neighbors by id — the deterministic numbering
-    // the routing tie-breaks and the partitioner's BFS both rely on.
+    // the routing tie-breaks and the bisection's BFS both rely on.
     std::sort(list.begin(), list.end());
     for (std::size_t i = 1; i < list.size(); ++i) {
       DIVA_CHECK_MSG(list[i].to != list[i - 1].to,
@@ -73,96 +72,43 @@ GraphAdjacency::GraphAdjacency(const GraphSpec& spec) {
 }
 
 // ---------------------------------------------------------------------------
-// GraphTopology — validation, adjacency, routing tables
+// GraphTopology — validation, adjacency, routing table
 // ---------------------------------------------------------------------------
 
-GraphTopology::GraphTopology(std::shared_ptr<const GraphSpec> spec,
-                             std::shared_ptr<const GraphPartitioner> partitioner)
-    : spec_(std::move(spec)), partitioner_(std::move(partitioner)) {
+GraphTopology::GraphTopology(std::shared_ptr<const GraphSpec> spec) : spec_(std::move(spec)) {
   DIVA_CHECK_MSG(spec_ != nullptr, "GraphTopology requires a GraphSpec");
   DIVA_CHECK_MSG(spec_->numNodes >= 1 && spec_->numNodes <= kMaxNodes,
                  "graph '" << spec_->name << "': node count must be in [1, " << kMaxNodes
                            << "] (got " << spec_->numNodes << ")");
-  if (!partitioner_) partitioner_ = std::make_shared<BfsBisectionPartitioner>();
   numNodes_ = spec_->numNodes;
   adj_ = GraphAdjacency(*spec_);
-  buildRoutingTables();
+  buildRoutingTable();
 }
 
-void GraphTopology::buildRoutingTables() {
+void GraphTopology::buildRoutingTable() {
   const int n = numNodes_;
-  const int deg = adj_.degree;
-  const NodeId* adj = adj_.adj.data();
-  const double* weightOf = adj_.weightOfSlot.data();
   nextDir_.assign(static_cast<std::size_t>(n) * n, -1);
-  hops_.assign(static_cast<std::size_t>(n) * n, 0);
-
   // One deterministic Dijkstra per destination t fills column t of the
-  // tables: nextDir_[s][t] is s's parent direction in the shortest-path
-  // tree rooted at t. Ties (equal weighted distance) prefer fewer hops,
-  // then the lowest-id neighbor, so routes are unique. Every updater of a
-  // node is strictly closer to t (weights are positive), hence already
-  // popped and final — so the hop counts recorded here are exactly the
-  // lengths of the chains appendRoute later walks.
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  std::vector<double> dist(static_cast<std::size_t>(n));
-  std::vector<std::uint32_t> hop(static_cast<std::size_t>(n));
-  using QEntry = std::pair<double, NodeId>;  // pops by (distance, node id)
-  std::priority_queue<QEntry, std::vector<QEntry>, std::greater<QEntry>> queue;
-
+  // table: nextDir_[s][t] is s's direction toward its parent in the
+  // shortest-path tree rooted at t.
+  GraphSearch search(adj_);
   for (NodeId t = 0; t < n; ++t) {
-    std::fill(dist.begin(), dist.end(), kInf);
-    std::fill(hop.begin(), hop.end(), 0u);
-    dist[t] = 0.0;
-    queue.push({0.0, t});
-    while (!queue.empty()) {
-      const auto [du, u] = queue.top();
-      queue.pop();
-      if (du > dist[u]) continue;  // stale entry
-      for (int dir = 0; dir < deg; ++dir) {
-        const NodeId v = adj[static_cast<std::size_t>(u) * deg + dir];
-        if (v < 0) break;  // slots are packed: the first -1 ends the list
-        if (v == t) continue;
-        // Relax v → u: v routes toward t through u.
-        const double w = weightOf[static_cast<std::size_t>(u) * deg + dir];
-        const double cand = dist[u] + w;
-        const std::uint32_t candHops = hop[u] + 1;
-        std::int16_t& cell = nextDir_[static_cast<std::size_t>(v) * n + t];
-        const bool strictly = cand < dist[v];
-        bool better = strictly;
-        if (!better && cand == dist[v]) {
-          if (candHops < hop[v]) {
-            better = true;
-          } else if (candHops == hop[v] && cell >= 0) {
-            // Same weight and hops: keep the lowest-id next hop (equals
-            // the lowest direction slot — neighbors are sorted by id).
-            better = u < adj[static_cast<std::size_t>(v) * deg + cell];
-          }
-        }
-        if (!better) continue;
-        dist[v] = cand;
-        hop[v] = candHops;
-        const NodeId* vAdj = adj + static_cast<std::size_t>(v) * deg;
-        int vd = 0;
-        while (vAdj[vd] != u) ++vd;
-        cell = static_cast<std::int16_t>(vd);
-        // Tie-break-only updates keep dist[v]: an entry is already queued.
-        if (strictly) queue.push({cand, v});
-      }
-    }
+    search.shortestPaths(t, nullptr, [](NodeId) { return true; });
     for (NodeId s = 0; s < n; ++s) {
+      if (s != t && search.reached(s)) {
+        nextDir_[static_cast<std::size_t>(s) * n + t] =
+            static_cast<std::int16_t>(adj_.dirTo(s, search.parent(s)));
+        continue;
+      }
       // Elastic machines keep retired nodes as edgeless entries
       // (GraphSpec::allowIsolated); only the non-isolated nodes must form
       // one connected component.
       const bool exempt =
           spec_->allowIsolated &&
           (adj_.degree == 0 || adj_.neighbor(s, 0) < 0 || adj_.neighbor(t, 0) < 0);
-      DIVA_CHECK_MSG(s == t || exempt || dist[s] < kInf,
+      DIVA_CHECK_MSG(s == t || exempt,
                      "graph '" << spec_->name << "' is not connected (node " << s
                                << " cannot reach node " << t << ")");
-      DIVA_CHECK_MSG(hop[s] <= std::numeric_limits<std::uint16_t>::max(),
-                     "route longer than 65535 hops");
-      hops_[static_cast<std::size_t>(s) * n + t] = static_cast<std::uint16_t>(hop[s]);
     }
   }
 }
@@ -179,101 +125,47 @@ double GraphTopology::weightedDistance(NodeId a, NodeId b) const {
 }
 
 // ---------------------------------------------------------------------------
-// BFS-grown balanced bisection
+// BFS-grown balanced bisection and graph decomposition
 // ---------------------------------------------------------------------------
 
-void BfsBisectionPartitioner::bisect(const Topology& topo,
-                                     const std::vector<NodeId>& cluster,
-                                     std::vector<NodeId>& a, std::vector<NodeId>& b) const {
-  const std::size_t size = cluster.size();
-  DIVA_CHECK(size >= 2);
-  const std::size_t target = (size + 1) / 2;
-
-  // All scratch is keyed by cluster members, never sized by the whole
-  // machine: the recursive decomposition calls bisect Θ(n) times, and
-  // O(numNodes) scratch per call made decomposition quadratic — fatal at
-  // the 100k-node scale the hierarchical topology exists for.
-  std::unordered_set<NodeId> inCluster(size * 2);
-  for (NodeId p : cluster) inCluster.insert(p);
-
-  // Seed: the node of the cluster farthest (in cluster-restricted hops)
-  // from its lowest id, ties to the lowest id. Growing from a peripheral
-  // node keeps the grown half compact instead of ring-shaped.
-  std::unordered_map<NodeId, int> depth(size * 2);
-  std::queue<NodeId> queue;
-  depth.emplace(cluster.front(), 0);
-  queue.push(cluster.front());
-  NodeId seed = cluster.front();
-  int seedDepth = 0;
-  while (!queue.empty()) {
-    const NodeId u = queue.front();
-    queue.pop();
-    const int du = depth.find(u)->second;
-    if (du > seedDepth || (du == seedDepth && u < seed)) {
-      seed = u;
-      seedDepth = du;
-    }
-    for (int dir = 0; dir < topo.degree(); ++dir) {
-      const NodeId v = topo.neighbor(u, dir);
-      if (v < 0) continue;  // generic Topology slots need not be packed
-      if (!inCluster.count(v) || !depth.emplace(v, du + 1).second) continue;
-      queue.push(v);
-    }
-  }
+void bisectBfs(GraphSearch& search, const std::vector<NodeId>& cluster, std::vector<NodeId>& a,
+               std::vector<NodeId>& b) {
+  DIVA_CHECK(cluster.size() >= 2);
+  const std::size_t target = (cluster.size() + 1) / 2;
+  // Seed: a peripheral node, so the grown half is compact, not ring-shaped.
+  search.sweep(cluster);
+  const NodeId seed = search.farthest(cluster.front());
 
   // Grow half the cluster breadth-first from the seed; a disconnected
   // remainder restarts from its lowest id so every node is placed.
-  std::unordered_set<NodeId> taken(size * 2);
   a.clear();
   b.clear();
-  std::queue<NodeId> grow;
-  grow.push(seed);
-  taken.insert(seed);
-  while (a.size() < target) {
-    if (grow.empty()) {
-      for (NodeId p : cluster) {
-        if (taken.insert(p).second) {
-          grow.push(p);
-          break;
-        }
-      }
-    }
-    const NodeId u = grow.front();
-    grow.pop();
+  const auto take = [&](NodeId u) {
     a.push_back(u);
-    for (int dir = 0; dir < topo.degree(); ++dir) {
-      const NodeId v = topo.neighbor(u, dir);
-      if (v < 0) continue;  // generic Topology slots need not be packed
-      if (!inCluster.count(v) || !taken.insert(v).second) continue;
-      grow.push(v);
-    }
-  }
+    return a.size() < target;
+  };
+  search.sweep(cluster);
+  search.bfs(seed, take);
+  for (std::size_t i = 0; a.size() < target; ++i)
+    if (!search.reached(cluster[i])) search.bfs(cluster[i], take);
   std::sort(a.begin(), a.end());
   for (NodeId p : cluster) {
     if (!std::binary_search(a.begin(), a.end(), p)) b.push_back(p);
   }
 }
 
-// ---------------------------------------------------------------------------
-// Graph decomposition
-// ---------------------------------------------------------------------------
-
-std::unique_ptr<GraphClusterTree> decomposeGraph(const Topology& topo, DecompParams params,
-                                                 const GraphPartitioner& partitioner) {
-  const int n = topo.numNodes();
+std::unique_ptr<GraphClusterTree> decomposeGraph(const GraphAdjacency& g, DecompParams params) {
   std::vector<NodeId> attached;
-  attached.reserve(static_cast<std::size_t>(n));
-  for (NodeId p = 0; p < n; ++p) {
-    bool linked = false;
-    for (int dir = 0; dir < topo.degree() && !linked; ++dir) linked = topo.neighbor(p, dir) >= 0;
-    if (linked) attached.push_back(p);
-  }
+  attached.reserve(static_cast<std::size_t>(g.numNodes));
+  for (NodeId p = 0; p < g.numNodes; ++p)
+    if (g.degree > 0 && g.neighbor(p, 0) >= 0) attached.push_back(p);
   if (attached.empty())
-    for (NodeId p = 0; p < n; ++p) attached.push_back(p);  // single-node machines
+    for (NodeId p = 0; p < g.numNodes; ++p) attached.push_back(p);  // single-node machines
+  GraphSearch search(g);
   return std::make_unique<GraphClusterTree>(
-      GraphShape{}, std::move(attached), n, params,
+      GraphShape{}, std::move(attached), g.numNodes, params,
       [&](const std::vector<NodeId>& c, std::vector<NodeId>& a, std::vector<NodeId>& b) {
-        partitioner.bisect(topo, c, a, b);
+        bisectBfs(search, c, a, b);
       });
 }
 

@@ -10,7 +10,7 @@
 
 namespace diva::net {
 
-class GraphTopology;
+class GraphSearch;
 
 /// Hard bound on generated/parsed graph sizes — far above the dense
 /// GraphTopology's own table bound (`GraphTopology::kMaxNodes`), because
@@ -21,7 +21,7 @@ inline constexpr int kMaxGraphNodes = 1 << 20;
 /// Packed adjacency of a GraphSpec, shared by the dense GraphTopology and
 /// the hierarchical HierGraphTopology: per-node direction slots order
 /// neighbors by ascending id (the deterministic numbering every routing
-/// tie-break and the partitioner's BFS rely on), padded to the maximum
+/// tie-break and the bisection's BFS rely on), padded to the maximum
 /// degree with -1. Construction validates the spec — ids in range, no
 /// self-loops or duplicate edges, positive weights/latencies — and throws
 /// CheckError otherwise. Connectivity is *not* checked here; each
@@ -42,50 +42,33 @@ struct GraphAdjacency {
   double weightOf(NodeId n, int dir) const {
     return weightOfSlot[static_cast<std::size_t>(n) * degree + dir];
   }
+  /// Direction slot of the link n → to; `to` must be a neighbor of n.
+  int dirTo(NodeId n, NodeId to) const {
+    int dir = 0;
+    while (neighbor(n, dir) != to) ++dir;
+    return dir;
+  }
 };
 
-/// Swappable strategy behind graph `decompose()`: how to split a cluster
-/// of a network into two halves. The decomposition tree is built by
-/// recursive bisection (ℓ-ary levels fix log2(ℓ) bisections per tree
-/// level, exactly like the mesh and hypercube trees), so the partitioner
-/// only ever answers the two-way question. It sees the network through
-/// the base `Topology` interface (numNodes/degree/neighbor), so the same
-/// partitioner serves the dense GraphTopology and the hierarchical
-/// HierGraphTopology.
-///
-/// Contract: `bisect` distributes every node of `cluster` (sorted
-/// ascending, size ≥ 2) into `a` and `b`, both non-empty and balanced to
-/// within one node (|a| = ⌈|cluster|/2⌉), each returned sorted ascending,
-/// deterministically for a given (topology, cluster). Implementations
-/// must keep per-call work O(|cluster|·degree), not O(numNodes) — the
-/// recursion calls bisect Θ(n) times, and anything per-call-linear in the
-/// whole machine turns decomposition quadratic at 100k nodes.
-class GraphPartitioner {
- public:
-  virtual ~GraphPartitioner() = default;
-  virtual void bisect(const Topology& topo, const std::vector<NodeId>& cluster,
-                      std::vector<NodeId>& a, std::vector<NodeId>& b) const = 0;
-};
-
-/// Default partitioner: BFS-grown balanced bisection. The half containing
-/// the seed is grown breadth-first from a peripheral node of the cluster
-/// (the node farthest from the cluster's lowest id, ties to the lowest
-/// id), visiting neighbors in ascending-id order; if the cluster is
-/// disconnected the growth restarts from the lowest remaining id. Cheap,
-/// deterministic, and keeps at least one half connected — good enough
-/// cluster locality for the access-tree strategy without an external
-/// partitioning library.
-class BfsBisectionPartitioner final : public GraphPartitioner {
- public:
-  void bisect(const Topology& topo, const std::vector<NodeId>& cluster,
-              std::vector<NodeId>& a, std::vector<NodeId>& b) const override;
-};
+/// BFS-grown balanced bisection of `cluster` (sorted ascending, size ≥ 2)
+/// into `a` and `b`, each returned sorted ascending, |a| = ⌈|cluster|/2⌉.
+/// The grown half `a` starts at a peripheral node of the cluster (the node
+/// farthest in cluster-restricted hops from the cluster's lowest id, ties
+/// to the lowest id) and takes neighbors in ascending-id order; if the
+/// cluster is disconnected the growth restarts from the lowest remaining
+/// id. Cheap, deterministic, and keeps at least one half connected —
+/// good enough cluster locality for the access-tree strategy without an
+/// external partitioning library. Costs O(|cluster|·degree) on
+/// `search`'s stamped scratch, never O(numNodes): the recursive
+/// decomposition calls it Θ(n) times.
+void bisectBfs(GraphSearch& search, const std::vector<NodeId>& cluster, std::vector<NodeId>& a,
+               std::vector<NodeId>& b);
 
 /// General-graph clusters as a `BisectionTree` shape: a cluster is its
-/// processors, sorted ascending. Bisection is the topology's
-/// `GraphPartitioner`, so clusters are arbitrary node sets (sizes need not
-/// be powers of the arity, children of one node may differ in size) —
-/// the non-node-symmetric decompositions strategies must not assume away.
+/// processors, sorted ascending. Bisection is `bisectBfs`, so clusters
+/// are arbitrary node sets (sizes need not be powers of the arity,
+/// children of one node may differ in size) — the non-node-symmetric
+/// decompositions strategies must not assume away.
 /// The Regular embedding keeps the index of the parent's host within the
 /// parent's member list, folded into the child's size: the general-graph
 /// analogue of the mesh's (i mod m1, j mod m2) rule.
@@ -107,18 +90,16 @@ struct GraphShape {
 
 using GraphClusterTree = BisectionTree<GraphShape>;
 
-/// Cluster tree of `topo` by recursive bisection with `partitioner`. The
-/// tree covers the nodes attached to the network: every node of a
-/// connected graph, but not the retired (edgeless) nodes of an elastic
-/// machine, whose leafOf/rankOf stay -1 (docs/faults.md).
-std::unique_ptr<GraphClusterTree> decomposeGraph(const Topology& topo, DecompParams params,
-                                                 const GraphPartitioner& partitioner);
+/// Cluster tree of graph `g` by recursive `bisectBfs`. The tree covers
+/// the nodes attached to the network: every node of a connected graph,
+/// but not the retired (edgeless) nodes of an elastic machine, whose
+/// leafOf/rankOf stay -1 (docs/faults.md).
+std::unique_ptr<GraphClusterTree> decomposeGraph(const GraphAdjacency& g, DecompParams params);
 
-/// An arbitrary connected network, routed from precomputed all-pairs
-/// tables: construction runs one deterministic shortest-path search per
-/// node (Dijkstra over the edge weights; plain BFS when all weights are
-/// equal) and stores a dense next-direction table plus the hop count of
-/// every chosen route. `appendRoute` then walks the table —
+/// An arbitrary connected network, routed from a precomputed all-pairs
+/// table: construction runs one deterministic Dijkstra over the edge
+/// weights per node (net/graph_search.hpp) and stores a dense
+/// next-direction table. `appendRoute` then walks the table —
 /// arithmetic-and-load only, no allocation beyond the caller's buffer —
 /// so general graphs ride the same allocation-free hot path as the
 /// closed-form shapes.
@@ -132,17 +113,13 @@ class GraphTopology final : public Topology {
  public:
   /// Validates the spec (connected, ids in range, no self-loops or
   /// duplicate edges, positive weights, ≤ kMaxNodes nodes) and builds the
-  /// routing tables; throws CheckError otherwise. A custom partitioner
-  /// may be supplied for decompose(); the default is BFS bisection.
-  explicit GraphTopology(std::shared_ptr<const GraphSpec> spec,
-                         std::shared_ptr<const GraphPartitioner> partitioner = nullptr);
-  explicit GraphTopology(GraphSpec spec,
-                         std::shared_ptr<const GraphPartitioner> partitioner = nullptr)
-      : GraphTopology(std::make_shared<const GraphSpec>(std::move(spec)),
-                      std::move(partitioner)) {}
+  /// routing table; throws CheckError otherwise.
+  explicit GraphTopology(std::shared_ptr<const GraphSpec> spec);
+  explicit GraphTopology(GraphSpec spec)
+      : GraphTopology(std::make_shared<const GraphSpec>(std::move(spec))) {}
 
-  /// Dense n×n tables put a practical bound on machine size (4096 nodes ≈
-  /// 96 MB of tables); the paper's experiments stop at 1024.
+  /// The dense n×n table puts a practical bound on machine size (4096
+  /// nodes ≈ 32 MB of table); the paper's experiments stop at 1024.
   static constexpr int kMaxNodes = 4096;
 
   TopologyKind kind() const override { return TopologyKind::Graph; }
@@ -153,15 +130,6 @@ class GraphTopology final : public Topology {
   NodeId neighbor(NodeId n, int dir) const override {
     if (dir < 0 || dir >= adj_.degree) return -1;
     return adj_.neighbor(n, dir);
-  }
-
-  NodeId nextHop(NodeId from, NodeId to) const override {
-    if (from == to) return from;
-    return neighborInDir(from, dirToward(from, to));
-  }
-
-  int distance(NodeId a, NodeId b) const override {
-    return hops_[static_cast<std::size_t>(a) * numNodes_ + b];
   }
 
   void appendRoute(NodeId from, NodeId to, RouteVec& out) const override {
@@ -186,35 +154,30 @@ class GraphTopology final : public Topology {
   double weightedDistance(NodeId a, NodeId b) const;
 
   std::unique_ptr<ClusterTree> decompose(DecompParams params) const override {
-    return decomposeGraph(*this, params, *partitioner_);
+    return decomposeGraph(adj_, params);
   }
 
   const GraphSpec& graphSpec() const { return *spec_; }
-  const GraphPartitioner& partitioner() const { return *partitioner_; }
 
   // Structural reconfiguration (docs/faults.md): the Network edits a copy
   // of the current graph and asks for a rebuilt topology of the same kind.
   const GraphSpec* graph() const override { return spec_.get(); }
   std::unique_ptr<Topology> withGraph(GraphSpec g) const override {
-    return std::make_unique<GraphTopology>(std::move(g), partitioner_);
+    return std::make_unique<GraphTopology>(std::move(g));
   }
 
  private:
-  friend class BfsBisectionPartitioner;
-
   int dirToward(NodeId from, NodeId to) const {
     return nextDir_[static_cast<std::size_t>(from) * numNodes_ + to];
   }
   NodeId neighborInDir(NodeId n, int dir) const { return adj_.neighbor(n, dir); }
 
-  void buildRoutingTables();
+  void buildRoutingTable();
 
   std::shared_ptr<const GraphSpec> spec_;
-  std::shared_ptr<const GraphPartitioner> partitioner_;
   int numNodes_ = 0;
   GraphAdjacency adj_;                  ///< packed, id-ordered direction slots
   std::vector<std::int16_t> nextDir_;   ///< [from * n + to] → direction, -1 on diagonal
-  std::vector<std::uint16_t> hops_;     ///< [from * n + to] → hop count of the route
 };
 
 // ---------------------------------------------------------------------------

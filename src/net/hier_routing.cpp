@@ -2,34 +2,24 @@
 
 #include <algorithm>
 #include <limits>
-#include <queue>
-#include <unordered_map>
+
+#include "net/graph_search.hpp"
 
 namespace diva::net {
 
-namespace {
-constexpr double kInf = std::numeric_limits<double>::infinity();
-}
-
-HierGraphTopology::HierGraphTopology(std::shared_ptr<const GraphSpec> spec,
-                                     int routingArity,
-                                     std::shared_ptr<const GraphPartitioner> partitioner)
-    : spec_(std::move(spec)),
-      partitioner_(std::move(partitioner)),
-      routingArity_(routingArity) {
+HierGraphTopology::HierGraphTopology(std::shared_ptr<const GraphSpec> spec, int routingArity)
+    : spec_(std::move(spec)), routingArity_(routingArity) {
   DIVA_CHECK_MSG(spec_ != nullptr, "HierGraphTopology requires a GraphSpec");
   DIVA_CHECK_MSG(isSupportedArity(routingArity_),
                  "hierarchical routing arity must be 2, 4 or 16 (got " << routingArity_
                                                                        << ")");
-  if (!partitioner_) partitioner_ = std::make_shared<BfsBisectionPartitioner>();
   adj_ = GraphAdjacency(*spec_);
-  // The routing tree sees this topology through the base interface, which
-  // only needs the adjacency built above — routing state comes after.
-  tree_ = decomposeGraph(*this, DecompParams{routingArity_, 1}, *partitioner_);
+  tree_ = decomposeGraph(adj_, DecompParams{routingArity_, 1});
   DIVA_CHECK_MSG(tree_->maxDepth() + 1 <= kMaxChainDepth,
                  "routing tree deeper than " << kMaxChainDepth << " levels");
-  buildLandmarks();
-  buildBalls();
+  GraphSearch search(adj_);
+  buildLandmarks(search);
+  buildBalls(search);
 }
 
 TopologySpec HierGraphTopology::spec() const {
@@ -40,62 +30,24 @@ TopologySpec HierGraphTopology::spec() const {
 // Landmarks: double-BFS pseudo-center of each cluster
 // ---------------------------------------------------------------------------
 
-void HierGraphTopology::buildLandmarks() {
+void HierGraphTopology::buildLandmarks(GraphSearch& search) {
   const int tn = tree_->numNodes();
   landmark_.assign(static_cast<std::size_t>(tn), -1);
-  // Cluster-local scratch (same O(|cluster|) discipline as the
-  // partitioner): maps instead of machine-sized arrays.
-  std::unordered_map<NodeId, int> depth;
-  std::unordered_map<NodeId, NodeId> parent;
-  std::queue<NodeId> q;
   for (int i = 0; i < tn; ++i) {
     const std::vector<NodeId>& mem = tree_->cluster(i);
-    if (mem.size() == 1) {
-      landmark_[i] = mem.front();
-      continue;
-    }
-    auto inCluster = [&](NodeId v) {
-      return std::binary_search(mem.begin(), mem.end(), v);
-    };
-    // BFS over the cluster-restricted subgraph; returns the farthest
-    // reached node (ties to the lowest id).
-    auto bfs = [&](NodeId src, bool trackParent) {
-      depth.clear();
-      parent.clear();
-      depth.emplace(src, 0);
-      q.push(src);
-      NodeId far = src;
-      int farD = 0;
-      while (!q.empty()) {
-        const NodeId u = q.front();
-        q.pop();
-        const int du = depth.find(u)->second;
-        if (du > farD || (du == farD && u < far)) {
-          far = u;
-          farD = du;
-        }
-        for (int dir = 0; dir < adj_.degree; ++dir) {
-          const NodeId v = adj_.neighbor(u, dir);
-          if (v < 0) break;  // GraphAdjacency slots are packed
-          if (!inCluster(v) || !depth.emplace(v, du + 1).second) continue;
-          if (trackParent) parent.emplace(v, u);
-          q.push(v);
-        }
-      }
-      return far;
-    };
-    const NodeId u = bfs(mem.front(), false);
-    if (depth.size() != mem.size()) {
-      // The cluster is internally disconnected (its halves only meet
-      // outside it) — no center exists; fall back to the lowest id.
-      landmark_[i] = mem.front();
-      continue;
-    }
-    NodeId w = bfs(u, true);
+    landmark_[i] = mem.front();
+    if (mem.size() == 1) continue;
+    // Two BFS over the cluster-restricted subgraph. An internally
+    // disconnected cluster (its halves only meet outside it) has no
+    // center; it keeps the lowest id.
+    search.sweep(mem);
+    const NodeId u = search.farthest(mem.front());
+    if (search.reachedCount() != mem.size()) continue;
+    search.sweep(mem);
+    NodeId w = search.farthest(u);
     // Walk halfway back along the u–w path: the midpoint of (an
     // approximation of) the cluster diameter, i.e. a pseudo-center.
-    for (int step = depth.find(w)->second / 2; step > 0; --step)
-      w = parent.find(w)->second;
+    for (std::uint32_t step = search.hops(w) / 2; step > 0; --step) w = search.parent(w);
     landmark_[i] = w;
   }
 }
@@ -104,86 +56,8 @@ void HierGraphTopology::buildLandmarks() {
 // Balls: bounded deterministic Dijkstra around each landmark
 // ---------------------------------------------------------------------------
 
-void HierGraphTopology::growBall(NodeId lm, std::size_t entryCap, const NodeId* clusterBegin,
-                                 const NodeId* clusterEnd, NodeId stopAt) {
-  const int deg = adj_.degree;
-  const NodeId* adj = adj_.adj.data();
-  const double* weightOf = adj_.weightOfSlot.data();
-  ++epoch_;
-  auto touch = [&](NodeId v) {
-    if (ver_[v] != epoch_) {
-      ver_[v] = epoch_;
-      dist_[v] = kInf;
-      hop_[v] = 0;
-      dirToLm_[v] = -1;
-    }
-  };
-  auto inScope = [&](NodeId v) {
-    return clusterBegin == nullptr || std::binary_search(clusterBegin, clusterEnd, v);
-  };
-
-  using QEntry = std::pair<double, NodeId>;  // pops by (distance, node id)
-  std::priority_queue<QEntry, std::vector<QEntry>, std::greater<QEntry>> queue;
-  touch(lm);
-  dist_[lm] = 0.0;
-  queue.push({0.0, lm});
-
-  const std::size_t firstEntry = ball_.size();
-  while (!queue.empty()) {
-    const auto [du, u] = queue.top();
-    queue.pop();
-    if (du > dist_[u]) continue;  // stale entry
-    // The ball is a prefix of the deterministic pop order, so every
-    // node's next hop toward the landmark (its parent, popped strictly
-    // earlier) is also in the ball — the persistence property routing
-    // relies on. The cap is HARD: on expanders ball population grows
-    // exponentially with radius, so reachability of anything outside the
-    // prefix is the spine paths' job (buildBalls), never the prefix's.
-    if (ball_.size() - firstEntry >= entryCap) break;
-    ball_.push_back(BallEntry{u, dirToLm_[u]});
-    if (u == stopAt) break;
-    for (int dir = 0; dir < deg; ++dir) {
-      const NodeId v = adj[static_cast<std::size_t>(u) * deg + dir];
-      if (v < 0) break;
-      if (v == lm || !inScope(v)) continue;
-      touch(v);
-      // Same deterministic tie-breaking as the dense tables: strictly
-      // shorter, else fewer hops, else the lowest-id next hop.
-      const double cand = dist_[u] + weightOf[static_cast<std::size_t>(u) * deg + dir];
-      const std::uint32_t candHops = hop_[u] + 1;
-      const bool strictly = cand < dist_[v];
-      bool better = strictly;
-      if (!better && cand == dist_[v]) {
-        if (candHops < hop_[v]) {
-          better = true;
-        } else if (candHops == hop_[v] && dirToLm_[v] >= 0) {
-          better = u < adj[static_cast<std::size_t>(v) * deg + dirToLm_[v]];
-        }
-      }
-      if (!better) continue;
-      dist_[v] = cand;
-      hop_[v] = candHops;
-      const NodeId* vAdj = adj + static_cast<std::size_t>(v) * deg;
-      int vd = 0;
-      while (vAdj[vd] != u) ++vd;
-      dirToLm_[v] = static_cast<std::int16_t>(vd);
-      if (strictly) queue.push({cand, v});
-    }
-  }
-}
-
-std::vector<NodeId> HierGraphTopology::backtrackPath(NodeId src, NodeId dst) const {
-  // dirToLm_ holds, for every node the last search touched, the first-hop
-  // direction toward that search's source; walking it from dst yields the
-  // dst→src path, reversed here to src→dst.
-  std::vector<NodeId> path;
-  for (NodeId v = dst; v != src; v = adj_.neighbor(v, dirToLm_[v])) path.push_back(v);
-  path.push_back(src);
-  std::reverse(path.begin(), path.end());
-  return path;
-}
-
-void HierGraphTopology::buildSpinePaths(std::vector<std::vector<NodeId>>& spine,
+void HierGraphTopology::buildSpinePaths(GraphSearch& search,
+                                        std::vector<std::vector<NodeId>>& spine,
                                         const std::vector<NodeId>& sptParent,
                                         const std::vector<std::uint32_t>& sptDepth) {
   // One cluster-restricted Dijkstra per internal tree node, from its
@@ -213,61 +87,74 @@ void HierGraphTopology::buildSpinePaths(std::vector<std::vector<NodeId>>& spine,
     up.insert(up.end(), down.rbegin(), down.rend());
     return up;
   };
+  // The last search's src→dst path, both inclusive.
+  auto searchPath = [&](NodeId src, NodeId dst) {
+    std::vector<NodeId> path;
+    for (NodeId v = dst; v != src; v = search.parent(v)) path.push_back(v);
+    path.push_back(src);
+    std::reverse(path.begin(), path.end());
+    return path;
+  };
 
   const bool exactFallback = adj_.numNodes <= kExactSpineMaxNodes;
-  const std::size_t unbounded = std::numeric_limits<std::size_t>::max();
   std::vector<std::int32_t> missing;
   for (int p = 0; p < tn; ++p) {
     if (kids[static_cast<std::size_t>(p)].empty()) continue;
-    const std::vector<NodeId>& mem = tree_->cluster(p);
-    // A throwaway prefix: we only want the scratch arrays (dist/dir)
-    // filled for the whole cluster, not ball entries.
-    const std::size_t mark = ball_.size();
-    growBall(landmark_[p], unbounded, mem.data(), mem.data() + mem.size(), -1);
-    ball_.resize(mark);
-    // Snapshot every reached child before any fallback search clobbers
-    // this cluster's scratch.
+    const NodeId lm = landmark_[p];
+    search.shortestPaths(lm, &tree_->cluster(p), [](NodeId) { return true; });
+    // Take every reached child before any fallback search clobbers this
+    // cluster's results.
     missing.clear();
     for (std::int32_t c : kids[static_cast<std::size_t>(p)]) {
-      const NodeId target = landmark_[c];
-      if (ver_[target] == epoch_ && dist_[target] < kInf)
-        spine[static_cast<std::size_t>(c)] = backtrackPath(landmark_[p], target);
+      if (search.reached(landmark_[c]))
+        spine[static_cast<std::size_t>(c)] = searchPath(lm, landmark_[c]);
       else
         missing.push_back(c);
     }
     for (std::int32_t c : missing) {
       const NodeId target = landmark_[c];
       if (exactFallback) {
-        growBall(landmark_[p], unbounded, nullptr, nullptr, target);
-        ball_.resize(mark);
-        DIVA_CHECK_MSG(ver_[target] == epoch_ && dist_[target] < kInf,
-                       "no path from landmark " << landmark_[p] << " to landmark "
-                                                << target << " — graph '" << spec_->name
+        search.shortestPaths(lm, nullptr, [&](NodeId u) { return u != target; });
+        DIVA_CHECK_MSG(search.reached(target),
+                       "no path from landmark " << lm << " to landmark " << target
+                                                << " — graph '" << spec_->name
                                                 << "' is not connected");
-        spine[static_cast<std::size_t>(c)] = backtrackPath(landmark_[p], target);
+        spine[static_cast<std::size_t>(c)] = searchPath(lm, target);
       } else {
-        spine[static_cast<std::size_t>(c)] = lcaPath(landmark_[p], target);
+        spine[static_cast<std::size_t>(c)] = lcaPath(lm, target);
       }
     }
   }
 }
 
-void HierGraphTopology::buildBalls() {
+void HierGraphTopology::buildBalls(GraphSearch& search) {
   const int n = adj_.numNodes;
   const int tn = tree_->numNodes();
-  dist_.assign(static_cast<std::size_t>(n), kInf);
-  hop_.assign(static_cast<std::size_t>(n), 0);
-  dirToLm_.assign(static_cast<std::size_t>(n), -1);
-  ver_.assign(static_cast<std::size_t>(n), 0);
-
   ball_.clear();
   ballBegin_.assign(static_cast<std::size_t>(tn) + 1, 0);
+  const auto byNode = [](const BallEntry& a, const BallEntry& b) { return a.node < b.node; };
+  // Appends the first `cap` nodes the Dijkstra around `lm` pops, each with
+  // its first-hop direction toward lm. The ball is a prefix of the
+  // deterministic pop order, so every node's next hop toward the
+  // landmark (its parent, popped strictly earlier) is also in the ball —
+  // the persistence property routing relies on. The cap is HARD: on
+  // expanders ball population grows exponentially with radius, so
+  // reachability of anything outside the prefix is the spine paths' job,
+  // never the prefix's.
+  const auto growBall = [&](NodeId lm, std::size_t cap) {
+    const std::size_t first = ball_.size();
+    search.shortestPaths(lm, nullptr, [&](NodeId u) {
+      if (ball_.size() - first >= cap) return false;
+      const NodeId up = search.parent(u);
+      ball_.push_back(BallEntry{u, static_cast<std::int16_t>(up < 0 ? -1 : adj_.dirTo(u, up))});
+      return true;
+    });
+  };
 
   // Root first (tree node 0): the full shortest-path tree, doubling as
   // the connectivity check and as the LCA structure spine fallbacks use.
   DIVA_CHECK_MSG(tree_->parent(0) < 0, "routing tree root is not node 0");
-  const std::size_t unbounded = std::numeric_limits<std::size_t>::max();
-  growBall(landmark_[0], unbounded, nullptr, nullptr, -1);
+  growBall(landmark_[0], std::numeric_limits<std::size_t>::max());
   // A reconfigured (allowIsolated) spec keeps retired, edgeless ids in the
   // node range; connectivity is required only of the attached nodes.
   std::size_t attached = static_cast<std::size_t>(n);
@@ -283,27 +170,25 @@ void HierGraphTopology::buildBalls() {
   std::vector<NodeId> sptParent(static_cast<std::size_t>(n));
   std::vector<std::uint32_t> sptDepth(static_cast<std::size_t>(n));
   for (NodeId v = 0; v < n; ++v) {
-    sptParent[v] = dirToLm_[v] < 0 ? v : adj_.neighbor(v, dirToLm_[v]);
-    sptDepth[v] = hop_[v];
+    const bool reached = search.reached(v) && search.parent(v) >= 0;
+    sptParent[v] = reached ? search.parent(v) : v;
+    sptDepth[v] = reached ? search.hops(v) : 0;
   }
-  std::sort(ball_.begin(), ball_.end(),
-            [](const BallEntry& a, const BallEntry& b) { return a.node < b.node; });
+  std::sort(ball_.begin(), ball_.end(), byNode);
   ballBegin_[1] = ball_.size();
 
-  // Spine paths next (they clobber the same scratch the balls use).
+  // Spine paths next (they clobber the search results the balls use).
   std::vector<std::vector<NodeId>> spine(static_cast<std::size_t>(tn));
-  buildSpinePaths(spine, sptParent, sptDepth);
+  buildSpinePaths(search, spine, sptParent, sptDepth);
   sptParent = {};
   sptDepth = {};
 
   for (int i = 1; i < tn; ++i) {
-    const NodeId lm = landmark_[i];
     const std::size_t cap = static_cast<std::size_t>(std::max(
         kBallMinEntries, kBallEntryFactor * static_cast<int>(tree_->cluster(i).size())));
     const std::size_t first = ball_.size();
-    growBall(lm, cap, nullptr, nullptr, -1);
-    std::sort(ball_.begin() + static_cast<std::ptrdiff_t>(first), ball_.end(),
-              [](const BallEntry& a, const BallEntry& b) { return a.node < b.node; });
+    growBall(landmark_[i], cap);
+    std::sort(ball_.begin() + static_cast<std::ptrdiff_t>(first), ball_.end(), byNode);
     // Inject the spine path (parent's landmark → lm): nodes not already
     // in the prefix get the along-path direction toward lm. This is what
     // restores ball(C) ∋ landmark(parent(C)) — the invariant the chain
@@ -312,26 +197,16 @@ void HierGraphTopology::buildBalls() {
     const std::size_t sorted = ball_.size();
     for (std::size_t j = 0; j + 1 < path.size(); ++j) {
       const NodeId v = path[j];
-      const NodeId next = path[j + 1];
       const auto* b = ball_.data() + first;
       const auto* e = ball_.data() + sorted;
       const auto* it = std::lower_bound(
           b, e, v, [](const BallEntry& a, NodeId x) { return a.node < x; });
       if (it != e && it->node == v) continue;  // prefix direction wins
-      const NodeId* vAdj = adj_.adj.data() + static_cast<std::size_t>(v) * adj_.degree;
-      int vd = 0;
-      while (vAdj[vd] != next) ++vd;
-      ball_.push_back(BallEntry{v, static_cast<std::int16_t>(vd)});
+      ball_.push_back(BallEntry{v, static_cast<std::int16_t>(adj_.dirTo(v, path[j + 1]))});
     }
-    std::sort(ball_.begin() + static_cast<std::ptrdiff_t>(first), ball_.end(),
-              [](const BallEntry& a, const BallEntry& b) { return a.node < b.node; });
+    std::sort(ball_.begin() + static_cast<std::ptrdiff_t>(first), ball_.end(), byNode);
     ballBegin_[i + 1] = ball_.size();
   }
-  // The per-ball Dijkstra scratch is construction-only state.
-  dist_ = {};
-  hop_ = {};
-  dirToLm_ = {};
-  ver_ = {};
 }
 
 std::size_t HierGraphTopology::routingBytes() const {
@@ -352,66 +227,33 @@ int HierGraphTopology::findDir(int treeNode, NodeId node) const {
   return it->dir;
 }
 
-int HierGraphTopology::chainOf(NodeId dst, int* chain) const {
-  int len = 0;
-  for (int t = tree_->leafOf(dst); t >= 0; t = tree_->parent(t)) chain[len++] = t;
-  DIVA_CHECK_MSG(len > 0,
-                 "hierarchical route to node " << dst << ", which has left the machine");
-  return len;
-}
-
-int HierGraphTopology::dirTowardChain(NodeId cur, const int* chain, int chainLen) const {
-  // Deepest chain cluster whose ball holds `cur` wins; a -1 hit (cur *is*
-  // that landmark) keeps scanning — some deeper ball is guaranteed to
-  // contain a landmark node before its own level is reached.
-  for (int i = 0; i < chainLen; ++i) {
-    const int dir = findDir(chain[i], cur);
-    if (dir >= 0) return dir;
-  }
-  DIVA_CHECK_MSG(false, "hierarchical routing found no visible ball at node " << cur);
-  return -1;
-}
-
-NodeId HierGraphTopology::nextHop(NodeId from, NodeId to) const {
-  if (from == to) return from;
-  int chain[kMaxChainDepth];
-  const int chainLen = chainOf(to, chain);
-  return adj_.neighbor(from, dirTowardChain(from, chain, chainLen));
-}
-
 void HierGraphTopology::appendRoute(NodeId from, NodeId to, RouteVec& out) const {
   if (from == to) return;
+  // The ancestor chain of dst's leaf, deepest first.
   int chain[kMaxChainDepth];
-  const int chainLen = chainOf(to, chain);
+  int chainLen = 0;
+  for (int t = tree_->leafOf(to); t >= 0; t = tree_->parent(t)) chain[chainLen++] = t;
+  DIVA_CHECK_MSG(chainLen > 0,
+                 "hierarchical route to node " << to << ", which has left the machine");
   NodeId cur = from;
   // The (chain depth, distance-to-landmark) potential proves termination;
   // the budget turns a potential-violating bug into a crisp failure
   // instead of an unbounded route buffer.
   int budget = 8 * adj_.numNodes + 16;
   while (cur != to) {
-    const int dir = dirTowardChain(cur, chain, chainLen);
+    // Deepest chain cluster whose ball holds `cur` wins; a -1 hit (cur
+    // *is* that landmark) keeps scanning — some deeper ball is
+    // guaranteed to contain a landmark node before its own level is
+    // reached.
+    int dir = -1;
+    for (int i = 0; i < chainLen && dir < 0; ++i) dir = findDir(chain[i], cur);
+    DIVA_CHECK_MSG(dir >= 0, "hierarchical routing found no visible ball at node " << cur);
     const NodeId next = adj_.neighbor(cur, dir);
     out.push_back(Hop{linkIndex(cur, dir), next});
     cur = next;
     DIVA_CHECK_MSG(--budget >= 0,
                    "hierarchical route " << from << "→" << to << " did not converge");
   }
-}
-
-int HierGraphTopology::distance(NodeId a, NodeId b) const {
-  if (a == b) return 0;
-  int chain[kMaxChainDepth];
-  const int chainLen = chainOf(b, chain);
-  NodeId cur = a;
-  int hops = 0;
-  int budget = 8 * adj_.numNodes + 16;
-  while (cur != b) {
-    cur = adj_.neighbor(cur, dirTowardChain(cur, chain, chainLen));
-    ++hops;
-    DIVA_CHECK_MSG(--budget >= 0,
-                   "hierarchical route " << a << "→" << b << " did not converge");
-  }
-  return hops;
 }
 
 }  // namespace diva::net

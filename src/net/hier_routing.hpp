@@ -42,21 +42,18 @@ namespace diva::net {
 /// shortest paths — the differential suite (tests/hier_routing_test.cpp)
 /// bounds the measured stretch against the dense Dijkstra oracle.
 ///
-/// The Topology contract holds: appendRoute/nextHop/distance agree with
-/// each other, routes are deterministic and allocation-free; only the
-/// "routes are shortest" guarantee of the closed-form shapes is relaxed.
+/// The Topology contract holds: routes are deterministic and
+/// allocation-free; only the "routes are shortest" guarantee of the
+/// closed-form shapes is relaxed.
 class HierGraphTopology final : public Topology {
  public:
   /// Validates the spec and builds landmarks + balls; throws CheckError
   /// on invalid specs or a disconnected graph. `routingArity` ∈ {2,4,16}
   /// is the internal tree's arity (16 = shallow chains, the default); it
   /// is independent of the arity strategies later pass to decompose().
-  explicit HierGraphTopology(std::shared_ptr<const GraphSpec> spec, int routingArity = 16,
-                             std::shared_ptr<const GraphPartitioner> partitioner = nullptr);
-  explicit HierGraphTopology(GraphSpec spec, int routingArity = 16,
-                             std::shared_ptr<const GraphPartitioner> partitioner = nullptr)
-      : HierGraphTopology(std::make_shared<const GraphSpec>(std::move(spec)), routingArity,
-                          std::move(partitioner)) {}
+  explicit HierGraphTopology(std::shared_ptr<const GraphSpec> spec, int routingArity = 16);
+  explicit HierGraphTopology(GraphSpec spec, int routingArity = 16)
+      : HierGraphTopology(std::make_shared<const GraphSpec>(std::move(spec)), routingArity) {}
 
   /// Ball sizing: a hard cap of kBallEntryFactor × |cluster| entries
   /// (≥ kBallMinEntries) per ball. Memory is Θ(n · kBallEntryFactor ·
@@ -85,20 +82,13 @@ class HierGraphTopology final : public Topology {
     return adj_.neighbor(n, dir);
   }
 
-  NodeId nextHop(NodeId from, NodeId to) const override;
-
-  /// Hop count of the deterministic *hierarchical* route — consistent
-  /// with appendRoute, ≥ the shortest-path distance. Computed by walking
-  /// the route (tests/analysis; not a hot-path query).
-  int distance(NodeId a, NodeId b) const override;
-
   void appendRoute(NodeId from, NodeId to, RouteVec& out) const override;
 
   double linkWeight(int link) const override { return adj_.weightOfSlot[link]; }
   double linkLatency(int link) const override { return adj_.latencyOfSlot[link]; }
 
   std::unique_ptr<ClusterTree> decompose(DecompParams params) const override {
-    return decomposeGraph(*this, params, *partitioner_);
+    return decomposeGraph(adj_, params);
   }
 
   const GraphSpec& graphSpec() const { return *spec_; }
@@ -108,7 +98,7 @@ class HierGraphTopology final : public Topology {
   // of the current graph and asks for a rebuilt topology of the same kind.
   const GraphSpec* graph() const override { return spec_.get(); }
   std::unique_ptr<Topology> withGraph(GraphSpec g) const override {
-    return std::make_unique<HierGraphTopology>(std::move(g), routingArity_, partitioner_);
+    return std::make_unique<HierGraphTopology>(std::move(g), routingArity_);
   }
 
   // -- Introspection for the differential tests, benches and docs --------
@@ -127,46 +117,26 @@ class HierGraphTopology final : public Topology {
     std::int16_t dir;  ///< first-hop direction toward the landmark; -1 at it
   };
 
-  void buildLandmarks();
-  void buildBalls();
+  void buildLandmarks(GraphSearch& search);
+  void buildBalls(GraphSearch& search);
   /// One cluster-restricted Dijkstra per internal tree node, extracting
   /// each child's shortest ℓ_parent → ℓ_child path into `spine`; an
   /// internally disconnected cluster falls back to the root-SPT tree
   /// path through the LCA (any simple path keeps routing live).
-  void buildSpinePaths(std::vector<std::vector<NodeId>>& spine,
+  void buildSpinePaths(GraphSearch& search, std::vector<std::vector<NodeId>>& spine,
                        const std::vector<NodeId>& sptParent,
                        const std::vector<std::uint32_t>& sptDepth);
-  /// Bounded deterministic Dijkstra around `lm` appending pop-order
-  /// entries to ball_. A non-null [clusterBegin, clusterEnd) (sorted)
-  /// restricts the search to those nodes; `stopAt` ≥ 0 ends the search
-  /// right after that node pops.
-  void growBall(NodeId lm, std::size_t entryCap, const NodeId* clusterBegin,
-                const NodeId* clusterEnd, NodeId stopAt);
-  /// Reads the last search's scratch: the src→dst path, both inclusive.
-  std::vector<NodeId> backtrackPath(NodeId src, NodeId dst) const;
   /// Direction stored for `node` in `treeNode`'s ball, -1 at the landmark
   /// itself, -2 when the node is outside the ball.
   int findDir(int treeNode, NodeId node) const;
-  /// Fills `chain` deepest-first with the ancestors of dst's leaf;
-  /// returns the chain length.
-  int chainOf(NodeId dst, int* chain) const;
-  int dirTowardChain(NodeId cur, const int* chain, int chainLen) const;
 
   std::shared_ptr<const GraphSpec> spec_;
-  std::shared_ptr<const GraphPartitioner> partitioner_;
   int routingArity_;
   GraphAdjacency adj_;
   std::unique_ptr<GraphClusterTree> tree_;
   std::vector<NodeId> landmark_;        ///< per tree node
   std::vector<BallEntry> ball_;         ///< all balls, each sorted by node id
   std::vector<std::uint64_t> ballBegin_;  ///< per tree node; [i, i+1) slices ball_
-
-  // Dijkstra scratch, versioned so per-ball reset is O(1) not O(n).
-  std::vector<double> dist_;
-  std::vector<std::uint32_t> hop_;
-  std::vector<std::int16_t> dirToLm_;
-  std::vector<std::uint32_t> ver_;
-  std::uint32_t epoch_ = 0;
 };
 
 }  // namespace diva::net

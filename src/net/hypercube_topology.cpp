@@ -8,16 +8,6 @@ HypercubeTopology::HypercubeTopology(int dims) : dims_(dims) {
   DIVA_CHECK_MSG(dims >= 0 && dims <= 20, "hypercube dimension out of range");
 }
 
-int HypercubeTopology::distance(NodeId a, NodeId b) const {
-  return std::popcount(static_cast<std::uint32_t>(a ^ b));
-}
-
-NodeId HypercubeTopology::nextHop(NodeId from, NodeId to) const {
-  if (from == to) return from;
-  const int bit = std::countr_zero(static_cast<std::uint32_t>(from ^ to));
-  return from ^ (NodeId{1} << bit);
-}
-
 void HypercubeTopology::appendRoute(NodeId from, NodeId to, RouteVec& out) const {
   // Pure-arithmetic e-cube walk: flip differing bits lowest-first. At most
   // `dims_` hops, so routes stay within the inline buffer up to 2^16 nodes.

@@ -60,8 +60,6 @@ class HypercubeTopology final : public Topology {
     return n ^ (NodeId{1} << dir);
   }
 
-  NodeId nextHop(NodeId from, NodeId to) const override;
-  int distance(NodeId a, NodeId b) const override;
   void appendRoute(NodeId from, NodeId to, RouteVec& out) const override;
 
   std::unique_ptr<ClusterTree> decompose(DecompParams params) const override {

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <cstdlib>
 #include <memory>
 
 #include "net/bisection_tree.hpp"
@@ -143,20 +142,6 @@ class MeshTopology : public Topology {
       case Grid::North: return c.row > 0 ? n - grid_.cols() : -1;
       default: return -1;
     }
-  }
-
-  NodeId nextHop(NodeId from, NodeId to) const override {
-    const Coord src = grid_.coordOf(from), dst = grid_.coordOf(to);
-    if (src.col != dst.col) return src.col < dst.col ? from + 1 : from - 1;
-    if (src.row != dst.row)
-      return src.row < dst.row ? from + grid_.cols() : from - grid_.cols();
-    return from;
-  }
-
-  /// Manhattan distance (the length of every shortest path).
-  int distance(NodeId a, NodeId b) const override {
-    const Coord ca = grid_.coordOf(a), cb = grid_.coordOf(b);
-    return std::abs(ca.row - cb.row) + std::abs(ca.col - cb.col);
   }
 
   /// Dimension-by-dimension order routing, exactly as assumed by the

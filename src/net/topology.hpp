@@ -247,12 +247,11 @@ class ClusterTree {
 /// accounting, deterministic oblivious routing, and the hierarchical
 /// decomposition the data-management strategies build their trees from.
 ///
-/// Routing contract: `appendRoute` emits a unique deterministic valid
-/// path from `from` to `to` (empty when equal); the hop count always
-/// equals `distance(from, to)`, and `nextHop` returns the first node of
-/// that path. The closed-form shapes and dense GraphTopology route
-/// shortest paths; HierGraphTopology trades shortest for sparse routing
-/// state and guarantees only a bounded stretch (docs/routing.md).
+/// Routing contract: `appendRoute`, the one route query, emits a unique
+/// deterministic valid path from `from` to `to` (empty when equal). The
+/// closed-form shapes and dense GraphTopology route shortest paths;
+/// HierGraphTopology trades shortest for sparse routing state and
+/// guarantees only a bounded stretch (docs/routing.md).
 /// Implementations must keep `appendRoute` allocation-free apart from
 /// the output buffer — it runs once per simulated message.
 class Topology {
@@ -283,14 +282,8 @@ class Topology {
   /// Neighbor of `n` along direction slot `dir`, or -1 when absent.
   virtual NodeId neighbor(NodeId n, int dir) const = 0;
 
-  /// First node after `from` on the route to `to` (`from` when equal).
-  virtual NodeId nextHop(NodeId from, NodeId to) const = 0;
-
-  /// Length of the route from `a` to `b` in hops.
-  virtual int distance(NodeId a, NodeId b) const = 0;
-
-  /// Append the deterministic shortest route onto `out` (see contract
-  /// above). Hot path: must not allocate beyond `out` itself.
+  /// Append the deterministic route onto `out` (see contract above).
+  /// Hot path: must not allocate beyond `out` itself.
   virtual void appendRoute(NodeId from, NodeId to, RouteVec& out) const = 0;
 
   /// Relative streaming cost of directed link slot `link`: a message
@@ -323,8 +316,8 @@ class Topology {
   /// over an edited copy of it; closed-form shapes return null — the
   /// Network rejects reconfiguration on them with a clear error.
   virtual const GraphSpec* graph() const { return nullptr; }
-  /// A fresh topology of the same kind (same routing mode, partitioner,
-  /// hier arity) over `g`. Null when unsupported.
+  /// A fresh topology of the same kind (same routing mode and hier
+  /// arity) over `g`. Null when unsupported.
   virtual std::unique_ptr<Topology> withGraph(GraphSpec g) const {
     (void)g;
     return nullptr;
@@ -332,7 +325,8 @@ class Topology {
 };
 
 /// Construct a topology from its spec; throws CheckError on invalid
-/// dimensions (non-positive grid sides, hypercube dims outside [0, 20]).
+/// dimensions (non-positive grid sides or grids of more than
+/// kMaxGraphNodes nodes, hypercube dims outside [0, 20]).
 std::unique_ptr<Topology> makeTopology(const TopologySpec& spec);
 
 /// The canonical 2-ary leaf order of a topology, used to assign logical

@@ -22,12 +22,6 @@ RingPlan planRing(int from, int to, int size) {
 
 }  // namespace
 
-int TorusTopology::distance(NodeId a, NodeId b) const {
-  const Coord ca = grid_.coordOf(a), cb = grid_.coordOf(b);
-  return planRing(ca.col, cb.col, grid_.cols()).count +
-         planRing(ca.row, cb.row, grid_.rows()).count;
-}
-
 void TorusTopology::appendRoute(NodeId from, NodeId to, RouteVec& out) const {
   // Arithmetic-only dimension-order walk (columns then rows), mirroring
   // the mesh hot path: no allocation beyond the caller's buffer.
@@ -56,20 +50,6 @@ void TorusTopology::appendRoute(NodeId from, NodeId to, RouteVec& out) const {
     cur = next;
     row = nr;
   }
-}
-
-NodeId TorusTopology::nextHop(NodeId from, NodeId to) const {
-  if (from == to) return from;
-  const int rows = grid_.rows(), cols = grid_.cols();
-  const Coord src = grid_.coordOf(from), dst = grid_.coordOf(to);
-  if (src.col != dst.col) {
-    const RingPlan p = planRing(src.col, dst.col, cols);
-    const int nc = p.forward ? (src.col + 1) % cols : (src.col + cols - 1) % cols;
-    return from + (nc - src.col);
-  }
-  const RingPlan p = planRing(src.row, dst.row, rows);
-  const int nr = p.forward ? (src.row + 1) % rows : (src.row + rows - 1) % rows;
-  return from + (nr - src.row) * cols;
 }
 
 }  // namespace diva::net

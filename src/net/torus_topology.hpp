@@ -34,8 +34,6 @@ class TorusTopology final : public MeshTopology {
     return nb == n ? -1 : nb;  // a size-1 ring has no wrap link, not a self-loop
   }
 
-  NodeId nextHop(NodeId from, NodeId to) const override;
-  int distance(NodeId a, NodeId b) const override;
   void appendRoute(NodeId from, NodeId to, RouteVec& out) const override;
 };
 

@@ -138,7 +138,7 @@ TEST(CanonicalLeafOrder, IsAPermutationAndLocal) {
   // decomposition, rank neighbours share a small submesh). The first and
   // second half occupy disjoint halves of the mesh.
   for (int w = 0; w + 1 < 64; ++w)
-    EXPECT_LE(m.distance(order[w], order[w + 1]), 8);
+    EXPECT_LE(routeOf(m, order[w], order[w + 1]).size(), 8u);
 }
 
 class EmbeddingProperty : public ::testing::TestWithParam<EmbeddingKind> {};

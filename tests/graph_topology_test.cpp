@@ -1,5 +1,5 @@
 // Tests for the general-graph topology: table-driven routing validity
-// (route follows real links, hop count == distance, weighted routes pick
+// (route follows real links, hop count == BFS distance, weighted routes pick
 // the cheaper path), the partition-based ClusterTree on non-uniform
 // clusters, the generators, the text file format, and end-to-end strategy
 // runs on irregular instances (ring, star, random-regular).
@@ -15,6 +15,7 @@
 
 #include "diva/machine.hpp"
 #include "diva/runtime.hpp"
+#include "net/graph_search.hpp"
 #include "net/graph_topology.hpp"
 #include "net/topology.hpp"
 #include "support/check.hpp"
@@ -44,14 +45,40 @@ bool inCluster(const net::ClusterTree& tree, int treeNode, NodeId p) {
 // Routing
 // ---------------------------------------------------------------------------
 
+/// Hop distances from `src` to every node by BFS over `neighbor()`: an
+/// oracle independent of the routing tables.
+std::vector<int> bfsHops(const net::Topology& topo, NodeId src) {
+  std::vector<int> dist(static_cast<std::size_t>(topo.numNodes()), -1);
+  std::vector<NodeId> queue{src};
+  dist[src] = 0;
+  for (std::size_t i = 0; i < queue.size(); ++i) {
+    const NodeId u = queue[i];
+    for (int dir = 0; dir < topo.degree(); ++dir) {
+      const NodeId v = topo.neighbor(u, dir);
+      if (v < 0 || dist[v] >= 0) continue;
+      dist[v] = dist[u] + 1;
+      queue.push_back(v);
+    }
+  }
+  return dist;
+}
+
+/// Hop count of the route from a to b.
+int routeHops(const net::Topology& topo, NodeId a, NodeId b) {
+  return static_cast<int>(net::routeOf(topo, a, b).size());
+}
+
 TEST(GraphTopologyRouting, RoutesFollowLinksAndMatchDistance) {
   for (const auto& g : irregularInstances()) {
     const auto topo = net::makeTopology(TopologySpec::graph(g));
     const int n = topo->numNodes();
     for (NodeId a = 0; a < n; ++a) {
+      // Every instance has unit weights or is a tree, so weight-shortest
+      // routes are hop-shortest too.
+      const std::vector<int> shortest = bfsHops(*topo, a);
       for (NodeId b = 0; b < n; ++b) {
         const auto hops = net::routeOf(*topo, a, b);
-        ASSERT_EQ(static_cast<int>(hops.size()), topo->distance(a, b))
+        ASSERT_EQ(static_cast<int>(hops.size()), shortest[b])
             << g.name << " " << a << "->" << b;
         NodeId cur = a;
         for (const net::Hop& h : hops) {
@@ -64,7 +91,6 @@ TEST(GraphTopologyRouting, RoutesFollowLinksAndMatchDistance) {
           cur = h.to;
         }
         ASSERT_EQ(cur, b) << g.name;
-        ASSERT_EQ(topo->nextHop(a, b), hops.empty() ? a : hops.front().to);
       }
     }
   }
@@ -78,15 +104,15 @@ TEST(GraphTopologyRouting, UnitWeightRoutesAreShortestPaths) {
   for (NodeId a = 0; a < 11; ++a) {
     for (NodeId b = 0; b < 11; ++b) {
       const int fwd = (b - a + 11) % 11;
-      EXPECT_EQ(ring->distance(a, b), std::min(fwd, 11 - fwd));
-      EXPECT_EQ(ring->distance(a, b), ring->distance(b, a));
+      EXPECT_EQ(routeHops(*ring, a, b), std::min(fwd, 11 - fwd));
+      EXPECT_EQ(routeHops(*ring, a, b), routeHops(*ring, b, a));
     }
   }
 
   const auto star = net::makeTopology(TopologySpec::graph(net::starGraph(8)));
   for (NodeId a = 0; a < 8; ++a)
     for (NodeId b = 0; b < 8; ++b)
-      EXPECT_EQ(star->distance(a, b), a == b ? 0 : (a == 0 || b == 0) ? 1 : 2);
+      EXPECT_EQ(routeHops(*star, a, b), a == b ? 0 : (a == 0 || b == 0) ? 1 : 2);
 }
 
 TEST(GraphTopologyRouting, RoutesAreNextHopConsistentAndDeterministic) {
@@ -95,33 +121,29 @@ TEST(GraphTopologyRouting, RoutesAreNextHopConsistentAndDeterministic) {
   const net::GraphTopology again(g);
   for (NodeId a = 0; a < 24; ++a) {
     for (NodeId b = 0; b < 24; ++b) {
-      // Following nextHop step by step reproduces appendRoute's hops.
+      // Suffix property: the rest of the route is the route of the rest,
+      // so routing from any node on the way follows the same hops.
       const auto hops = net::routeOf(topo, a, b);
-      NodeId cur = a;
-      for (const net::Hop& h : hops) {
-        EXPECT_EQ(topo.nextHop(cur, b), h.to);
-        // Suffix property: the rest of the route is the route of the rest.
-        EXPECT_EQ(topo.distance(h.to, b), topo.distance(cur, b) - 1);
-        cur = h.to;
+      for (std::size_t i = 0; i < hops.size(); ++i) {
+        const std::vector<net::Hop> rest(hops.begin() + static_cast<std::ptrdiff_t>(i) + 1,
+                                         hops.end());
+        EXPECT_EQ(net::routeOf(topo, hops[i].to, b), rest);
       }
       // Construction is deterministic: a second build routes identically.
-      EXPECT_EQ(again.nextHop(a, b), topo.nextHop(a, b));
+      EXPECT_EQ(net::routeOf(again, a, b), hops);
     }
   }
 }
 
 TEST(GraphTopologyRouting, WeightedRoutingPrefersCheaperPath) {
-  // Square 0-1-2-3 with a heavy direct edge 0-3: the weighted route
-  // 0→3 must detour 0→1... no — 0-1,1-2,2-3 cost 3×1, direct 0-3 costs 5
-  // via its weight, so the 3-hop detour wins and distance() reports its
-  // hop count.
+  // Square 0-1-2-3 with a heavy direct edge 0-3: 0-1,1-2,2-3 cost 3×1,
+  // the direct 0-3 costs 5 via its weight, so the 3-hop detour wins.
   GraphSpec g;
   g.name = "weighted-square";
   g.numNodes = 4;
   g.edges = {{0, 1, 1.0}, {1, 2, 1.0}, {2, 3, 1.0}, {0, 3, 5.0}};
   const net::GraphTopology topo(g);
 
-  EXPECT_EQ(topo.distance(0, 3), 3);
   EXPECT_DOUBLE_EQ(topo.weightedDistance(0, 3), 3.0);
   const auto hops = net::routeOf(topo, 0, 3);
   ASSERT_EQ(hops.size(), 3u);
@@ -145,7 +167,7 @@ TEST(GraphTopologyRouting, WeightedRoutingPrefersCheaperPath) {
   tie.numNodes = 4;
   tie.edges = {{0, 1, 1.0}, {0, 2, 1.0}, {1, 3, 1.0}, {2, 3, 1.0}};
   const net::GraphTopology diamond(tie);
-  EXPECT_EQ(diamond.nextHop(0, 3), 1);  // both 2-hop paths weigh 2; id 1 < 2
+  EXPECT_EQ(net::routeOf(diamond, 0, 3).front().to, 1);  // both 2-hop paths weigh 2; 1 < 2
 }
 
 TEST(GraphTopologyRouting, FatTreeWeightsDecreaseTowardRoot) {
@@ -162,7 +184,7 @@ TEST(GraphTopologyRouting, FatTreeWeightsDecreaseTowardRoot) {
     }
   }
   // Leaf-to-leaf routes go through the tree (unique paths).
-  EXPECT_EQ(topo.distance(3, 6), 4);
+  EXPECT_EQ(routeHops(topo, 3, 6), 4);
   EXPECT_DOUBLE_EQ(topo.weightedDistance(3, 6), 1.0 + 0.5 + 0.5 + 1.0);
 }
 
@@ -503,11 +525,12 @@ TEST(GraphDecomposition, TreesPartitionEmbedAndStayBalanced) {
 
 TEST(GraphDecomposition, BfsBisectionIsBalancedToWithinOneNode) {
   const net::GraphTopology topo(net::randomRegularGraph(30, 3, 5));
-  const net::BfsBisectionPartitioner part;
+  const net::GraphAdjacency adj(topo.graphSpec());
+  net::GraphSearch search(adj);
   std::vector<NodeId> cluster(30);
   for (NodeId p = 0; p < 30; ++p) cluster[p] = p;
   std::vector<NodeId> a, b;
-  part.bisect(topo, cluster, a, b);
+  net::bisectBfs(search, cluster, a, b);
   EXPECT_EQ(a.size(), 15u);
   EXPECT_EQ(b.size(), 15u);
   EXPECT_TRUE(std::is_sorted(a.begin(), a.end()));
@@ -518,7 +541,7 @@ TEST(GraphDecomposition, BfsBisectionIsBalancedToWithinOneNode) {
 
   // Odd split: the larger half is the grown one, by exactly one node.
   std::vector<NodeId> odd(cluster.begin(), cluster.begin() + 7);
-  part.bisect(topo, odd, a, b);
+  net::bisectBfs(search, odd, a, b);
   EXPECT_EQ(a.size(), 4u);
   EXPECT_EQ(b.size(), 3u);
 
@@ -532,26 +555,6 @@ TEST(GraphDecomposition, BfsBisectionIsBalancedToWithinOneNode) {
       EXPECT_LE(std::abs(sa - sb), 1) << "unbalanced bisection at node " << i;
     }
   }
-}
-
-TEST(GraphDecomposition, CustomPartitionerIsPluggable) {
-  // A deliberately naive partitioner: split the sorted cluster down the
-  // middle by id. Verifies decompose() honors the injected strategy.
-  class SplitByIdPartitioner final : public net::GraphPartitioner {
-   public:
-    void bisect(const net::Topology&, const std::vector<NodeId>& cluster,
-                std::vector<NodeId>& a, std::vector<NodeId>& b) const override {
-      const std::size_t half = (cluster.size() + 1) / 2;
-      a.assign(cluster.begin(), cluster.begin() + half);
-      b.assign(cluster.begin() + half, cluster.end());
-    }
-  };
-
-  const net::GraphTopology topo(net::ringGraph(8),
-                                std::make_shared<SplitByIdPartitioner>());
-  const auto tree = topo.decompose(net::DecompParams{2, 1});
-  // With the id-splitter, rank order is id order.
-  for (NodeId p = 0; p < 8; ++p) EXPECT_EQ(tree->rankOf(p), p);
 }
 
 // ---------------------------------------------------------------------------
@@ -662,8 +665,9 @@ TEST(GraphTopologyEndToEnd, LinkLatenciesScaleSimulatedTimeOnly) {
   GraphSpec g = net::ringGraph(6);
   g.edges[0].latency = 50.0;  // edge 0-1 stays on the shortest route
   const net::GraphTopology topo{g};
-  EXPECT_EQ(topo.nextHop(0, 2), 1);
-  EXPECT_EQ(topo.distance(0, 2), 2);
+  const auto route = net::routeOf(topo, 0, 2);
+  ASSERT_EQ(route.size(), 2u);
+  EXPECT_EQ(route.front().to, 1);
   // linkLatency surfaces the per-slot term; other topologies default 1.0.
   bool sawHetero = false;
   for (int l = 0; l < topo.numLinkSlots(); ++l) sawHetero |= topo.linkLatency(l) == 50.0;

@@ -1,5 +1,5 @@
 // Tests for the pluggable topology layer: routing validity across every
-// topology (link-sequence correctness, hop count == distance, torus
+// topology (link-sequence correctness, hop count == BFS distance, torus
 // wraparound direction, hypercube bit flips), decomposition/embedding
 // sanity, fail-fast construction, and end-to-end strategy runs on every
 // network shape.
@@ -43,14 +43,39 @@ bool inCluster(const net::ClusterTree& tree, int treeNode, NodeId p) {
 // Routing
 // ---------------------------------------------------------------------------
 
+/// Hop distances from `src` to every node by BFS over `neighbor()`: an
+/// oracle independent of the topology's own routing.
+std::vector<int> bfsHops(const net::Topology& topo, NodeId src) {
+  std::vector<int> dist(static_cast<std::size_t>(topo.numNodes()), -1);
+  std::vector<NodeId> queue{src};
+  dist[src] = 0;
+  for (std::size_t i = 0; i < queue.size(); ++i) {
+    const NodeId u = queue[i];
+    for (int dir = 0; dir < topo.degree(); ++dir) {
+      const NodeId v = topo.neighbor(u, dir);
+      if (v < 0 || dist[v] >= 0) continue;
+      dist[v] = dist[u] + 1;
+      queue.push_back(v);
+    }
+  }
+  return dist;
+}
+
+/// Hop count of the route from a to b.
+int routeHops(const net::Topology& topo, NodeId a, NodeId b) {
+  return static_cast<int>(net::routeOf(topo, a, b).size());
+}
+
 TEST(TopologyRouting, RoutesFollowLinksAndMatchDistance) {
   for (const auto& spec : allShapes()) {
     const auto topo = net::makeTopology(spec);
     const int n = topo->numNodes();
     for (NodeId a = 0; a < n; ++a) {
+      const std::vector<int> shortest = bfsHops(*topo, a);
       for (NodeId b = 0; b < n; ++b) {
         const auto hops = net::routeOf(*topo, a, b);
-        ASSERT_EQ(static_cast<int>(hops.size()), topo->distance(a, b))
+        // Every shape here routes shortest paths.
+        ASSERT_EQ(static_cast<int>(hops.size()), shortest[b])
             << spec.describe() << " " << a << "->" << b;
         NodeId cur = a;
         for (const net::Hop& h : hops) {
@@ -65,8 +90,6 @@ TEST(TopologyRouting, RoutesFollowLinksAndMatchDistance) {
           cur = h.to;
         }
         ASSERT_EQ(cur, b) << spec.describe();
-        // nextHop is the first node of the route (or `a` when trivial).
-        ASSERT_EQ(topo->nextHop(a, b), hops.empty() ? a : hops.front().to);
       }
     }
   }
@@ -77,16 +100,19 @@ TEST(TopologyRouting, TorusWraparoundPicksShorterDirection) {
   auto at = [&](int r, int c) { return static_cast<NodeId>(r * 6 + c); };
 
   // (0,0) -> (0,5): one hop West around the wrap, not five hops East.
-  EXPECT_EQ(topo->distance(at(0, 0), at(0, 5)), 1);
-  EXPECT_EQ(topo->nextHop(at(0, 0), at(0, 5)), at(0, 5));
+  auto route = net::routeOf(*topo, at(0, 0), at(0, 5));
+  ASSERT_EQ(route.size(), 1u);
+  EXPECT_EQ(route.front().to, at(0, 5));
 
   // (0,0) -> (3,0): one hop North around the wrap.
-  EXPECT_EQ(topo->distance(at(0, 0), at(3, 0)), 1);
-  EXPECT_EQ(topo->nextHop(at(0, 0), at(3, 0)), at(3, 0));
+  route = net::routeOf(*topo, at(0, 0), at(3, 0));
+  ASSERT_EQ(route.size(), 1u);
+  EXPECT_EQ(route.front().to, at(3, 0));
 
   // (0,1) -> (0,4): tie on the 6-ring (3 either way) breaks East.
-  EXPECT_EQ(topo->distance(at(0, 1), at(0, 4)), 3);
-  EXPECT_EQ(topo->nextHop(at(0, 1), at(0, 4)), at(0, 2));
+  route = net::routeOf(*topo, at(0, 1), at(0, 4));
+  ASSERT_EQ(route.size(), 3u);
+  EXPECT_EQ(route.front().to, at(0, 2));
 
   // A size-1 ring has no wrap link — neighbor() must not report a
   // self-loop.
@@ -99,8 +125,8 @@ TEST(TopologyRouting, TorusWraparoundPicksShorterDirection) {
   const auto meshTopo = net::makeTopology(TopologySpec::mesh2d(4, 6));
   for (NodeId a = 0; a < 24; ++a) {
     for (NodeId b = 0; b < 24; ++b) {
-      EXPECT_EQ(topo->distance(a, b), topo->distance(b, a));
-      EXPECT_LE(topo->distance(a, b), meshTopo->distance(a, b));
+      EXPECT_EQ(routeHops(*topo, a, b), routeHops(*topo, b, a));
+      EXPECT_LE(routeHops(*topo, a, b), routeHops(*meshTopo, a, b));
     }
   }
 }
