@@ -83,15 +83,15 @@ int ClusterTree::childToward(int treeNode, NodeId p) const {
 std::unique_ptr<Topology> makeTopology(const TopologySpec& spec) {
   switch (spec.kind) {
     case TopologyKind::Mesh2D:
-      DIVA_CHECK_MSG(spec.a >= 1 && spec.b >= 1,
-                     "mesh2d sides must be positive (got " << spec.a << "x" << spec.b
-                                                           << ")");
-      return std::make_unique<MeshTopology>(spec.a, spec.b);
     case TopologyKind::Torus2D:
-      DIVA_CHECK_MSG(spec.a >= 1 && spec.b >= 1,
-                     "torus2d sides must be positive (got " << spec.a << "x" << spec.b
-                                                            << ")");
-      return std::make_unique<TorusTopology>(spec.a, spec.b);
+      DIVA_CHECK_MSG(spec.a >= 1 && spec.b >= 1 &&
+                         static_cast<std::int64_t>(spec.a) * spec.b <= kMaxGraphNodes,
+                     topologyKindName(spec.kind)
+                         << " sides must be positive with at most " << kMaxGraphNodes
+                         << " nodes (got " << spec.a << "x" << spec.b << ")");
+      if (spec.kind == TopologyKind::Torus2D)
+        return std::make_unique<TorusTopology>(spec.a, spec.b);
+      return std::make_unique<MeshTopology>(spec.a, spec.b);
     case TopologyKind::Hypercube:
       DIVA_CHECK_MSG(spec.a >= 0 && spec.a <= 20,
                      "hypercube dimension must be in [0, 20] (got " << spec.a << ")");

@@ -8,9 +8,10 @@ namespace diva::net {
 
 TopologySpec topologyByName(const std::string& name, int rows, int cols,
                             bool requireGrid) {
-  DIVA_CHECK_MSG(rows >= 1 && cols >= 1,
-                 "topologyByName: rows/cols must be positive (got " << rows << "x"
-                                                                    << cols << ")");
+  DIVA_CHECK_MSG(rows >= 1 && cols >= 1 &&
+                     static_cast<std::int64_t>(rows) * cols <= kMaxGraphNodes,
+                 "topologyByName: rows/cols must be positive with at most "
+                     << kMaxGraphNodes << " nodes (got " << rows << "x" << cols << ")");
   const int procs = rows * cols;
   if (name == "mesh2d") return TopologySpec::mesh2d(rows, cols);
   if (name == "torus2d") return TopologySpec::torus2d(rows, cols);

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <optional>
 
+#include "net/graph_topology.hpp"
 #include "obs/metrics.hpp"
 #include "obs/sampler.hpp"
 #include "obs/tracer.hpp"
@@ -42,12 +43,15 @@ void WorkloadSpec::validate() const {
                    "workload '" << name << "': phase name '" << ph.name
                                 << "' must be one whitespace-free token");
   }
-  DIVA_CHECK_MSG(numObjects >= 1,
-                 "workload '" << name << "': numObjects must be positive (got "
-                              << numObjects << ")");
-  DIVA_CHECK_MSG(objectBytes >= 1,
-                 "workload '" << name << "': objectBytes must be positive");
-  DIVA_CHECK_MSG(procs >= 0, "workload '" << name << "': procs must be >= 0");
+  DIVA_CHECK_MSG(numObjects >= 1 && numObjects <= kMaxObjects,
+                 "workload '" << name << "': numObjects must be in [1, " << kMaxObjects
+                              << "] (got " << numObjects << ")");
+  DIVA_CHECK_MSG(objectBytes >= 1 && objectBytes <= kMaxPayloadBytes / numObjects,
+                 "workload '" << name << "': objectBytes must be positive, with at most "
+                              << kMaxPayloadBytes << " bytes over all objects");
+  DIVA_CHECK_MSG(procs >= 0 && procs <= net::kMaxGraphNodes,
+                 "workload '" << name << "': procs must be in [0, " << net::kMaxGraphNodes
+                              << "] (got " << procs << ")");
   DIVA_CHECK_MSG(topology.empty() || singleToken(topology),
                  "workload '" << name << "': topology name '" << topology
                               << "' must be one whitespace-free token");

@@ -101,6 +101,12 @@ struct WorkloadSpec {
   std::string topology;
   std::vector<PhaseSpec> phases;
 
+  /// Size ceilings: run() allocates every object's payload at setup, so
+  /// larger populations fail with a CheckError here instead of running
+  /// the host out of memory. `procs` is capped at net::kMaxGraphNodes.
+  static constexpr int kMaxObjects = 1 << 20;
+  static constexpr std::uint64_t kMaxPayloadBytes = std::uint64_t{1} << 30;  ///< all objects
+
   /// Fail fast on nonsensical parameters; throws CheckError.
   void validate() const;
 

@@ -250,6 +250,32 @@ TEST(Scenario, TimeInputsThatWouldOverflowSimulatedTimeAreRejected) {
   EXPECT_NO_THROW(workload::parseScenario(head + "arrival fixed 1e-9\n"));
 }
 
+TEST(Scenario, SizeInputsAboveTheCapsAreRejected) {
+  // Each reproducer once passed validation; the run then aborted with
+  // bad_alloc or length_error while allocating objects or processors.
+  // Nothing here builds a machine or allocates a payload.
+  const char* bad[] = {
+      "objects 2000000000\nphase p\n",
+      "objects 4\nprocs 2000000000\nphase p\n",
+      "objects 1048577\nphase p\n",
+      "objects 1024 1048577\nphase p\n",
+      "objects 1 1073741825\nphase p\n",
+      "objects 4\nprocs 1048577\nphase p\n",
+  };
+  for (const char* text : bad)
+    EXPECT_THROW(workload::parseScenario(text), support::CheckError) << text;
+  // The ceilings themselves are accepted.
+  EXPECT_NO_THROW(workload::parseScenario("objects 1048576 1024\nprocs 1048576\nphase p\n"));
+  EXPECT_NO_THROW(workload::parseScenario("objects 1 1073741824\nphase p\n"));
+  // A machine-size flag cannot get around the procs cap: grids above
+  // kMaxGraphNodes nodes are rejected before anything is allocated.
+  EXPECT_THROW((void)net::makeTopology(net::TopologySpec::mesh2d(40000, 50000)),
+               support::CheckError);
+  EXPECT_THROW((void)net::makeTopology(net::TopologySpec::torus2d(1024, 1025)),
+               support::CheckError);
+  EXPECT_NO_THROW((void)net::makeTopology(net::TopologySpec::mesh2d(1024, 1024)));
+}
+
 TEST(Scenario, InlineCommentsAreAllowedEverywhere) {
   const WorkloadSpec spec = workload::parseScenario(
       "objects 4 128   # population, payload\n"

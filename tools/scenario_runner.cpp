@@ -105,7 +105,7 @@ int usage(const char* argv0) {
 /// still a valid mesh).
 void gridShape(int procs, int& rows, int& cols) {
   rows = 1;
-  for (int r = 1; r * r <= procs; ++r)
+  for (int r = 1; r <= procs / r; ++r)
     if (procs % r == 0) rows = r;
   cols = procs / rows;
 }
