@@ -59,6 +59,13 @@ GraphAdjacency::GraphAdjacency(const GraphSpec& spec) {
     degree = std::max(degree, static_cast<int>(list.size()));
   }
 
+  // Every node is padded to the maximum degree, so a hub makes the slot
+  // arrays n × degree long: refuse before allocating them.
+  const auto slots = static_cast<std::int64_t>(n) * degree;
+  DIVA_CHECK_MSG(slots <= kMaxAdjacencySlots,
+                 "graph '" << spec.name << "': " << n << " nodes padded to max degree "
+                           << degree << " need " << slots
+                           << " direction slots, above the budget of " << kMaxAdjacencySlots);
   adj.assign(static_cast<std::size_t>(n) * degree, -1);
   weightOfSlot.assign(static_cast<std::size_t>(n) * degree, 1.0);
   latencyOfSlot.assign(static_cast<std::size_t>(n) * degree, 1.0);

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <algorithm>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -18,14 +19,22 @@ class GraphSearch;
 /// same GraphSpecs at 100k+ nodes.
 inline constexpr int kMaxGraphNodes = 1 << 20;
 
+/// Budget on `GraphAdjacency`'s padded direction slots (nodes × max
+/// degree; 20 bytes each, so about 320 MB at the cap). Far above every
+/// committed graph (100k nodes of degree 4) and just above a dense
+/// 4096-node star (4096 × 4095), it stops a large hub-and-spoke graph
+/// from exhausting memory before any routing state is built.
+inline constexpr std::int64_t kMaxAdjacencySlots = std::int64_t{1} << 24;
+
 /// Packed adjacency of a GraphSpec, shared by the dense GraphTopology and
 /// the hierarchical HierGraphTopology: per-node direction slots order
 /// neighbors by ascending id (the deterministic numbering every routing
 /// tie-break and the bisection's BFS rely on), padded to the maximum
 /// degree with -1. Construction validates the spec — ids in range, no
-/// self-loops or duplicate edges, positive weights/latencies — and throws
-/// CheckError otherwise. Connectivity is *not* checked here; each
-/// topology's routing build proves it as a side effect.
+/// self-loops or duplicate edges, positive weights/latencies, at most
+/// `kMaxAdjacencySlots` padded slots — and throws CheckError otherwise.
+/// Connectivity is *not* checked here; each topology's routing build
+/// proves it as a side effect.
 struct GraphAdjacency {
   GraphAdjacency() = default;
   explicit GraphAdjacency(const GraphSpec& spec);

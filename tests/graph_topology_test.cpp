@@ -7,9 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <fstream>
 #include <memory>
 #include <set>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -268,6 +270,22 @@ TEST(GraphTopologyValidation, RejectsMalformedGraphs) {
 
   EXPECT_THROW((void)net::makeTopology(TopologySpec{net::TopologyKind::Graph, 0, 0, nullptr}),
                support::CheckError);
+}
+
+TEST(GraphTopologyValidation, OversizedSlotTableIsRejectedBeforeAllocating) {
+  // Direction slots are padded to the maximum degree, so a 4,100-node
+  // star needs 4,100 × 4,099 slots — just above the budget. The check
+  // throws, naming the degree, before the slot arrays are allocated.
+  // The budget still admits the dense topology's largest star (4,096
+  // nodes) and leaves 16× headroom over the 100k-node degree-4 graphs.
+  static_assert(std::int64_t{4096} * 4095 <= net::kMaxAdjacencySlots);
+  static_assert(std::int64_t{100'000} * 4 * 16 <= net::kMaxAdjacencySlots);
+  try {
+    (void)net::GraphAdjacency(net::starGraph(4100));
+    FAIL() << "oversized slot table accepted";
+  } catch (const support::CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find("max degree 4099"), std::string::npos) << e.what();
+  }
 }
 
 TEST(GraphTopologyValidation, SpecEqualityIsStructural) {
