@@ -1,5 +1,7 @@
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -56,24 +58,41 @@ namespace diva::sim {
 ///
 /// ## Bucket width
 ///
-/// The width is auto-tuned from the schedule itself: the first
-/// `kCalibrationSamples` pushes run entirely through the sorted tier
-/// (exactly the PR 1 queue) while the queue observes the spacing between
-/// each pushed timestamp and the dispatch cursor. The width then becomes
-/// the smallest observed positive spacing — the schedule's quantum, e.g.
-/// the hop latency — clamped below by `2·maxSpacing/kNumBuckets` so the
-/// window always covers a typical scheduling horizon. A schedule that
-/// never yields a positive spacing (all events at one instant) simply
-/// never activates the ring and keeps the PR 1 behavior.
+/// The width is estimated from the head of the schedule, in the manner of
+/// Brown's calendar queue (CACM 1988): until the ring activates, every
+/// push runs through the sorted front tier (exactly the PR 1 queue) while
+/// the queue records the spacing between successive distinct timestamps
+/// as they are dispatched. Once `kCalibrationSamples` positive gaps are
+/// in, the width becomes their median — the schedule's quantum (e.g. the
+/// hop latency) on integer-quantized schedules, the typical head spacing
+/// otherwise. Push-to-cursor spacing plays no part, so a burst of far-
+/// future events queued up front (an open-loop arrival schedule) cannot
+/// inflate the width. A schedule that never yields a positive gap (all
+/// events at one instant) never activates the ring and keeps the PR 1
+/// behavior.
+///
+/// On activation the ring starts at the dispatch cursor: the front tier
+/// keeps only the runs in the cursor's bucket, and every later run moves
+/// — as a whole FIFO list, so order among equal times holds by
+/// construction — into its ring bucket or, beyond the window, into a new
+/// overflow group.
 ///
 /// Steady state is allocation-free: callback slots (64 bytes: 40-byte
 /// inline capture + ops pointer + FIFO link + timestamp) and time groups
 /// recycle through slab pools, the run array recycles its capacity, the
 /// overflow heap and hash table only grow, and the ring is a fixed
-/// array. Destroying the queue mid-run reclaims every pending capture
+/// array, allocated once when it activates (so an engine that never
+/// calibrates, or is built and torn down in set-up, never pays for it).
+/// Destroying the queue mid-run reclaims every pending capture
 /// (the slot pool owns them).
 class EventQueue {
  public:
+  /// Ring size (a power of two). The window spans kNumBuckets widths; at
+  /// a sub-µs median gap it must still reach the 250–500 µs horizons of
+  /// think times and lock waits, or those pushes fall to the overflow
+  /// tier.
+  static constexpr std::size_t kNumBuckets = 4096;
+
   /// One pending event: its callback, the link to the next event in its
   /// FIFO list (same-time group or ring bucket), and its timestamp.
   struct Slot {
@@ -101,11 +120,6 @@ class EventQueue {
     table_.resize(kInitialTableSize);
     tableMask_ = kInitialTableSize - 1;
     tableShift_ = 64 - std::countr_zero(std::uint64_t{kInitialTableSize});
-    ring_.resize(kNumBuckets);
-    for (Bucket& b : ring_) {
-      b.head = nullptr;
-      b.tailLink = &b.head;
-    }
   }
   EventQueue(const EventQueue&) = delete;
   EventQueue& operator=(const EventQueue&) = delete;
@@ -141,7 +155,7 @@ class EventQueue {
     r.head = slot->next;
     runIdx_ += static_cast<std::size_t>(r.head == nullptr);  // run exhausted
     --pending_;
-    if (!ringActive_) cursor_ = std::bit_cast<Time>(slot->timeBits);
+    if (!ringActive_) calibrate(std::bit_cast<Time>(slot->timeBits));
     timeBitsOut = slot->timeBits;
     out = std::move(slot->fn);
     if (spare_ == nullptr) {
@@ -156,10 +170,11 @@ class EventQueue {
 
   /// Pre-size every growable structure for a burst of `events` pending
   /// events (worst case: all timestamps distinct): both sorted heaps, the
-  /// hash table, and the slot/group pools. The bucket ring is a fixed
-  /// array and never grows. After this, pushing and draining `events`
-  /// events performs no allocation even from a cold queue.
+  /// hash table, the slot/group pools, and the fixed bucket ring. After
+  /// this, pushing and draining `events` events performs no allocation
+  /// even from a cold queue, ring activation included.
   void reserve(std::size_t events) {
+    allocateRing();
     runs_.reserve(events);
     overflowHeap_.reserve(events);
     // The table grows when (count + 1) * 2 exceeds its size; cover the
@@ -175,7 +190,9 @@ class EventQueue {
   /// the bucket ring, distinct-timestamp runs in the sorted front tier,
   /// and far-future groups in the overflow heap. O(1) — the sorted tiers
   /// are counted in distinct timestamps, not events, precisely so no hot
-  /// push/pop pays for a per-event count.
+  /// push/pop pays for a per-event count. These describe the host
+  /// structure, not the model: a change to calibration or tiering moves
+  /// them and nothing simulated.
   struct Occupancy {
     std::size_t ringEvents = 0;
     std::size_t frontRuns = 0;
@@ -188,7 +205,6 @@ class EventQueue {
  private:
   static constexpr std::size_t kInitialCapacity = 256;
   static constexpr std::size_t kInitialTableSize = 256;  // power of two
-  static constexpr std::size_t kNumBuckets = 512;        // power of two
   static constexpr std::size_t kRingMask = kNumBuckets - 1;
   static constexpr int kCalibrationSamples = 256;
   /// Virtual bucket indices are kept far below 2^53 so the double →
@@ -241,14 +257,13 @@ class EventQueue {
 
   void route(Time t, Slot* slot) {
     if (!ringActive_) {
-      calibrate(t);
       frontInsert(slot);
       ++stats_.sortedPushes;
       return;
     }
     const double vbD = t * invWidth_;
     if (vbD >= ringEndVbD_) {
-      enqueueOverflow(slot->timeBits, slot);
+      enqueueOverflow(slot->timeBits, slot, slot);
       ++stats_.overflowPushes;
       return;
     }
@@ -262,59 +277,105 @@ class EventQueue {
       ++stats_.sortedPushes;
       return;
     }
-    Bucket& b = ring_[(ringHeadIdx_ + (vb - ringStartVb_)) & kRingMask];
-    *b.tailLink = slot;
-    b.tailLink = &slot->next;
+    ringAppend(vb, slot, slot);
     ++ringCount_;
   }
 
-  /// Pre-activation: observe the spacing between pushed timestamps and
-  /// the dispatch cursor; once enough positive samples accumulate, pick
-  /// the width and place the ring just past everything already queued
-  /// (which all sits in the front tier, so the existing backlog drains
-  /// through the exact PR 1 path).
+  /// Append the list `head`…`tail` to virtual bucket `vb` (inside the
+  /// window).
+  void ringAppend(std::uint64_t vb, Slot* head, Slot* tail) {
+    Bucket& b = ring_[(ringHeadIdx_ + (vb - ringStartVb_)) & kRingMask];
+    *b.tailLink = head;
+    b.tailLink = &tail->next;
+  }
+
+  /// Pre-activation, on every dispatch of time `t`: record the gap to
+  /// the previously dispatched distinct time; once enough positive gaps
+  /// accumulate, activate the ring at `t`. (`cursor_` starts as NaN, so
+  /// the first dispatch records no gap.)
   void calibrate(Time t) {
-    const double d = t - cursor_;
-    if (d <= 0.0 || !std::isfinite(d)) return;
-    if (d < minPosDelta_) minPosDelta_ = d;
-    if (d > maxDelta_) maxDelta_ = d;
-    if (++samples_ < kCalibrationSamples) return;
-    double w = minPosDelta_;
-    const double spread = maxDelta_ * 2.0 / static_cast<double>(kNumBuckets);
-    if (spread > w) w = spread;
-    if (!(w > 0.0) || !std::isfinite(w)) return;  // degenerate; stay sorted
-    // Largest queued timestamp: the run array is sorted, so it is the
-    // last run's (non-negative doubles order by bit pattern).
-    std::uint64_t maxBits = std::bit_cast<std::uint64_t>(t);
-    if (runIdx_ < runs_.size() && runs_.back().timeBits > maxBits) {
-      maxBits = runs_.back().timeBits;
-    }
-    const Time maxTime = std::bit_cast<Time>(maxBits);
-    while (maxTime / w >= kMaxVb) w *= 1024.0;  // keep vb integer-exact
+    const double gap = t - cursor_;
+    cursor_ = t;
+    if (!(gap > 0.0) || !std::isfinite(gap)) return;
+    gaps_[samples_] = gap;
+    if (++samples_ == kCalibrationSamples) activateRing();
+  }
+
+  /// Width = median dispatch gap; the ring starts just past the cursor's
+  /// bucket, and the backlog beyond it leaves the front tier.
+  void activateRing() {
+    allocateRing();
+    auto mid = gaps_.begin() + kCalibrationSamples / 2;
+    std::nth_element(gaps_.begin(), mid, gaps_.end());
+    double w = *mid;
+    while (cursor_ / w >= kMaxVb) w *= 1024.0;  // keep vb integer-exact
     width_ = w;
     invWidth_ = 1.0 / w;
     stats_.bucketWidthUs = w;
-    ringStartVb_ = static_cast<std::uint64_t>(maxTime * invWidth_) + 1;
+    ringStartVb_ = static_cast<std::uint64_t>(cursor_ * invWidth_) + 1;
     ringEndVbD_ = endOfWindow();
     ringHeadIdx_ = 0;
     ringActive_ = true;
+    placeBacklog();
+  }
+
+  void allocateRing() {
+    if (!ring_.empty()) return;
+    ring_.resize(kNumBuckets);
+    for (Bucket& b : ring_) {
+      b.head = nullptr;
+      b.tailLink = &b.head;
+    }
+  }
+
+  /// Move every front-tier run whose bucket lies at or beyond
+  /// `ringStartVb_` (a suffix of the sorted run array) to its ring bucket,
+  /// or past the window into a fresh overflow group — whole lists, in
+  /// time order, so each bucket list stays in insertion order.
+  void placeBacklog() {
+    const double startVbD = static_cast<double>(static_cast<std::int64_t>(ringStartVb_));
+    std::size_t keep = runs_.size();
+    while (keep > runIdx_ &&
+           std::bit_cast<Time>(runs_[keep - 1].timeBits) * invWidth_ >= startVbD) {
+      --keep;
+    }
+    for (std::size_t i = keep; i < runs_.size(); ++i) {
+      const Run& r = runs_[i];
+      const double vbD = std::bit_cast<Time>(r.timeBits) * invWidth_;
+      if (vbD >= ringEndVbD_) {
+        enqueueOverflow(r.timeBits, r.head, r.tail);
+        continue;
+      }
+      ringAppend(static_cast<std::uint64_t>(static_cast<std::int64_t>(vbD)), r.head, r.tail);
+      for (const Slot* s = r.head; s != nullptr; s = s->next) ++ringCount_;
+    }
+    runs_.resize(keep);
   }
 
   /// The front tier ran dry but events remain: recycle the run array,
-  /// then slide the window, moving the next non-empty bucket into the
-  /// front tier and splicing overflow groups whose time has entered the
-  /// window into their bucket. Only reachable once the ring is active
-  /// (before that, every pending event lives in the front tier).
+  /// then slide the window past the next non-empty bucket (a tight scan
+  /// of bucket heads, so a fine width costs little on sparse stretches),
+  /// move that bucket into the front tier and splice overflow groups
+  /// whose time has entered the window into their bucket. Only reachable
+  /// once the ring is active (before that, every pending event lives in
+  /// the front tier).
   void refillFront() {
     runs_.clear();  // every run before runIdx_ was consumed; keep capacity
     runIdx_ = 0;
     while (runs_.empty()) {
-      if (ringCount_ == 0) jumpToOverflow();
-      Bucket& b = ring_[ringHeadIdx_];
-      ++ringStartVb_;
-      ringEndVbD_ += 1.0;  // exact: integer-valued doubles below 2^53
-      ringHeadIdx_ = (ringHeadIdx_ + 1) & kRingMask;
-      if (b.head != nullptr) takeBucket(b);
+      if (ringCount_ == 0) {
+        jumpToOverflow();
+        continue;
+      }
+      std::size_t i = ringHeadIdx_;
+      while (ring_[i].head == nullptr) i = (i + 1) & kRingMask;  // ringCount_ > 0
+      const std::size_t step = ((i - ringHeadIdx_) & kRingMask) + 1;
+      ringStartVb_ += step;
+      ringEndVbD_ += static_cast<double>(step);  // exact: integers below 2^53
+      ringHeadIdx_ = (ringHeadIdx_ + step) & kRingMask;
+      takeBucket(ring_[i]);
+      // Overflow times lie at or beyond the old window end, hence after
+      // the bucket just taken: splicing them now keeps time order.
       migrateOverflow();
     }
   }
@@ -438,11 +499,8 @@ class EventQueue {
       // Eager migration keeps every overflow time at or beyond the window
       // end, so vb >= ringStartVb_ always holds; the guard only shields
       // the index arithmetic if that invariant were ever violated.
-      const std::uint64_t off = vb >= ringStartVb_ ? vb - ringStartVb_ : 0;
       Group* g = n.group;
-      Bucket& b = ring_[(ringHeadIdx_ + off) & kRingMask];
-      *b.tailLink = g->head;
-      b.tailLink = &g->tail->next;
+      ringAppend(vb >= ringStartVb_ ? vb : ringStartVb_, g->head, g->tail);
       std::size_t count = 0;
       for (const Slot* s = g->head; s != nullptr; s = s->next) ++count;
       ringCount_ += count;
@@ -453,19 +511,20 @@ class EventQueue {
     }
   }
 
-  /// One fused probe walk: find the live overflow group for this
-  /// timestamp or claim the empty slot the walk ends on. (Growing first
-  /// may be spurious when the key turns out to exist — harmless and
-  /// rare.)
-  void enqueueOverflow(std::uint64_t timeBits, Slot* slot) {
+  /// Append the list `head`…`tail` (one slot on a push, a whole run on
+  /// activation) to the overflow group for this timestamp. One fused
+  /// probe walk: find the live group or claim the empty slot the walk
+  /// ends on. (Growing first may be spurious when the key turns out to
+  /// exist — harmless and rare.)
+  void enqueueOverflow(std::uint64_t timeBits, Slot* head, Slot* tail) {
     if ((tableCount_ + 1) * 2 > tableMask_ + 1) tableGrow();
     const std::size_t mask = tableMask_;
     std::size_t i = tableHome(timeBits);
     while (table_[i].group != nullptr) {
       if (table_[i].key == timeBits) {
         Group* g = table_[i].group;
-        g->tail->next = slot;
-        g->tail = slot;
+        g->tail->next = head;
+        g->tail = tail;
         return;
       }
       i = (i + 1) & mask;
@@ -476,7 +535,8 @@ class EventQueue {
     } else {
       g = groups_.acquire();
     }
-    g->head = g->tail = slot;
+    g->head = head;
+    g->tail = tail;
     g->tableIdx = i;
     table_[i] = TableEntry{timeBits, g};
     ++tableCount_;
@@ -599,9 +659,8 @@ class EventQueue {
   double width_ = 0.0;              ///< bucket width, µs
   double invWidth_ = 0.0;
 
-  // Calibration state (dead once ringActive_).
-  double minPosDelta_ = std::numeric_limits<double>::infinity();
-  double maxDelta_ = 0.0;
+  // Calibration state (dead once ringActive_): positive dispatch gaps.
+  std::array<double, kCalibrationSamples> gaps_{};
   int samples_ = 0;
 
   /// Slab pools; their teardown destroys any captures still pending when
@@ -613,7 +672,8 @@ class EventQueue {
   Slot* spare_ = nullptr;        ///< most recently emptied slot, ready to reuse
   Group* spareGroup_ = nullptr;  ///< ditto for time groups
   std::size_t pending_ = 0;
-  Time cursor_ = kTimeZero;  ///< last popped time (calibration reference)
+  /// Last dispatched time while calibrating; NaN before the first pop.
+  Time cursor_ = std::numeric_limits<double>::quiet_NaN();
   Stats stats_;
 };
 

@@ -197,6 +197,37 @@ TEST(Alloc, ReservePreSizesQueueForColdBurst) {
   EXPECT_EQ(fired, 4096);
 }
 
+TEST(Alloc, ReservedPreloadedBurstActivatesWithoutAllocating) {
+  // An open-loop phase on a cold engine: a burst of far-future arrivals
+  // is queued before the engine runs, and unit-spaced events at the head
+  // of the schedule calibrate the bucket ring. Activation moves the burst
+  // out of the front tier into ring buckets and overflow groups. With
+  // Engine::reserve sized for every pending event, none of it —
+  // activation, backlog re-placement, draining — allocates.
+  constexpr int kHead = 512;
+  constexpr int kEvents = 4096;
+  sim::Engine e;
+  e.reserve(kEvents);
+  int fired = 0;
+  sim::EventQueue::Occupancy afterActivation{};
+  const std::uint64_t before = allocCount();
+  for (int i = 0; i < kEvents; ++i) {
+    // Arrivals: distinct times over ~10 s, pushed out of order (37 is
+    // coprime to the 3,584 arrival slots).
+    const double t = i < kHead ? static_cast<double>(i)
+                               : 1e6 + 2791.0 * static_cast<double>((i * 37) % (kEvents - kHead));
+    e.scheduleAt(t, [&fired, &afterActivation, &e] {
+      if (++fired == kHead) afterActivation = e.queueOccupancy();
+    });
+  }
+  e.run();
+  EXPECT_EQ(allocCount() - before, 0u) << "reserved pre-loaded burst allocated";
+  EXPECT_EQ(fired, kEvents);
+  EXPECT_GT(e.queueStats().bucketWidthUs, 0.0) << "ring never activated";
+  EXPECT_EQ(afterActivation.overflowGroups, static_cast<std::size_t>(kEvents - kHead))
+      << "the burst was not re-placed into the overflow tier";
+}
+
 // Relay churn: every node forwards each arriving message to a
 // pseudo-random next node on the protocol channel — cycling through
 // remote and deliberately local (src == dst) sends. Exercises remote

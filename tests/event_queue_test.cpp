@@ -151,16 +151,138 @@ TEST(EventQueue, MatchesPriorityQueueOracleOnMixedSchedules) {
 }
 
 // ---------------------------------------------------------------------------
+// Open-loop shape: a pre-loaded far-future burst, then hop churn
+// ---------------------------------------------------------------------------
+
+/// An open-loop driver's schedule: every arrival of a phase is queued
+/// before the engine runs (node-major, ascending per node, so the pushes
+/// interleave in time), spread over seconds; the work itself is chains
+/// of 5 µs hops, some hops re-entrantly pushing a same-time event. Each
+/// event is (id, hops left); children derive purely from the id, so the
+/// engine and the oracle run the identical schedule.
+struct HopChurn {
+  static constexpr int kNodes = 64;
+  static constexpr int kArrivalsPerNode = 64;
+  static constexpr int kSeedChains = 8;
+  static constexpr int kSeedHops = 3000;
+  static constexpr int kArrivalHops = 20;
+
+  /// Distinct arrival times in [1 s, 11 s), in push order.
+  static std::vector<double> arrivals() {
+    std::vector<double> times;
+    for (int node = 0; node < kNodes; ++node) {
+      double t = 1e6;
+      support::SplitMix64 rng(static_cast<std::uint64_t>(node) + 1);
+      for (int i = 0; i < kArrivalsPerNode; ++i) {
+        t += 1.0 + rng.uniform() * 2.0 * 1e7 / kArrivalsPerNode;
+        times.push_back(t + static_cast<double>(node) * 1e-3);  // distinct across nodes
+      }
+    }
+    return times;
+  }
+
+  /// Children of event `id` with `hops` left, as (delta, hops) pairs.
+  template <typename Schedule>
+  static void expand(int id, int hops, Schedule&& schedule) {
+    if (hops == 0) return;
+    schedule(5.0, hops - 1);
+    support::SplitMix64 rng(support::hashCombine(0x5eedu, static_cast<std::uint64_t>(id)));
+    if (rng.below(8) == 0) schedule(0.0, 0);  // re-entrant, same instant
+  }
+};
+
+TEST(EventQueue, PreloadedBurstThenHopChurnRidesTheRing) {
+  const std::vector<double> arrivals = HopChurn::arrivals();
+
+  std::vector<std::pair<int, double>> realLog;
+  double realEnd = 0.0;
+  EventQueue::Stats atActivation{};
+  EventQueue::Stats final{};
+  {
+    Engine e;
+    int nextId = 0;
+    struct Fire {
+      Engine* e;
+      std::vector<std::pair<int, double>>* log;
+      int* nextId;
+      EventQueue::Stats* atActivation;
+      int id;
+      int hops;
+      void operator()() const {
+        if (atActivation->bucketWidthUs == 0.0 && e->queueStats().bucketWidthUs > 0.0) {
+          *atActivation = e->queueStats();
+        }
+        log->emplace_back(id, e->now());
+        HopChurn::expand(id, hops, [&](double delta, int childHops) {
+          e->scheduleAfter(delta, Fire{e, log, nextId, atActivation, (*nextId)++, childHops});
+        });
+      }
+    };
+    for (const double t : arrivals) {
+      e.scheduleAt(t, Fire{&e, &realLog, &nextId, &atActivation, nextId++,
+                           HopChurn::kArrivalHops});
+    }
+    for (int c = 0; c < HopChurn::kSeedChains; ++c) {
+      e.scheduleAt(static_cast<double>(c), Fire{&e, &realLog, &nextId, &atActivation,
+                                                nextId++, HopChurn::kSeedHops});
+    }
+    realEnd = e.run();
+    final = e.queueStats();
+  }
+
+  std::vector<std::pair<int, double>> oracleLog;
+  double oracleEnd = 0.0;
+  {
+    OracleEngine e;
+    std::vector<int> hopsOf;
+    for (const double t : arrivals) {
+      e.scheduleAt(t, static_cast<int>(hopsOf.size()));
+      hopsOf.push_back(HopChurn::kArrivalHops);
+    }
+    for (int c = 0; c < HopChurn::kSeedChains; ++c) {
+      e.scheduleAt(static_cast<double>(c), static_cast<int>(hopsOf.size()));
+      hopsOf.push_back(HopChurn::kSeedHops);
+    }
+    e.run([&](int id) {
+      oracleLog.emplace_back(id, e.now());
+      HopChurn::expand(id, hopsOf[static_cast<std::size_t>(id)], [&](double delta, int childHops) {
+        e.scheduleAt(e.now() + delta, static_cast<int>(hopsOf.size()));
+        hopsOf.push_back(childHops);
+      });
+    });
+    oracleEnd = e.now();
+  }
+
+  ASSERT_EQ(realLog.size(), oracleLog.size());
+  for (std::size_t i = 0; i < realLog.size(); ++i) {
+    ASSERT_EQ(realLog[i].first, oracleLog[i].first) << "firing order diverged at event " << i;
+    ASSERT_EQ(realLog[i].second, oracleLog[i].second) << "clock diverged at event " << i;
+  }
+  EXPECT_EQ(realEnd, oracleEnd);
+
+  // The burst must not size the ring: once it activates, the 5 µs hops
+  // land in ring buckets and only the re-entrant same-instant pushes (one
+  // hop in eight) take the sorted front tier.
+  ASSERT_GT(atActivation.bucketWidthUs, 0.0) << "ring never activated";
+  EXPECT_LE(atActivation.bucketWidthUs, 5.0);
+  const std::uint64_t ring = final.ringPushes - atActivation.ringPushes;
+  const std::uint64_t sorted = final.sortedPushes - atActivation.sortedPushes;
+  EXPECT_GT(ring, 4 * sorted) << "ring " << ring << ", sorted " << sorted;
+}
+
+// ---------------------------------------------------------------------------
 // FIFO-among-equals across tier boundaries
 // ---------------------------------------------------------------------------
 
 /// Drives the engine past calibration with a dense schedule so the bucket
 /// ring is active, then returns the calibrated width (sanity-checked so
-/// the boundary tests below know which tier a given delta lands in).
+/// the boundary tests below know which tier a given delta lands in). The
+/// schedule spans 300 distinct unit-spaced times: calibration needs 256
+/// positive dispatch gaps.
 double activateRing(Engine& e) {
   int fired = 0;
   for (int i = 0; i < 400; ++i) {
-    e.scheduleAt(static_cast<double>(i % 40), [&fired] { ++fired; });
+    e.scheduleAt(static_cast<double>(i % 300), [&fired] { ++fired; });
   }
   e.run();
   const double w = e.queueStats().bucketWidthUs;
@@ -171,9 +293,9 @@ double activateRing(Engine& e) {
 TEST(EventQueue, FifoPreservedWhenOverflowMigratesIntoRing) {
   Engine e;
   const double w = activateRing(e);
-  // The window covers 512 buckets; pick a target far beyond it so the
-  // first event provably enters the overflow tier.
-  const double horizon = w * 512.0;
+  // The window covers kNumBuckets buckets; pick a target far beyond it
+  // so the first event provably enters the overflow tier.
+  const double horizon = w * static_cast<double>(EventQueue::kNumBuckets);
   const double target = e.now() + horizon * 4.0 + 1000.0;
   ASSERT_LT(e.now() + horizon, target);
 
