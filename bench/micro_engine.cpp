@@ -324,7 +324,10 @@ BENCHMARK(BM_WorkloadReconfig);
 // are all on the measured path. Items = messages, and the run-total p99
 // latency (simulated µs — a model property, not host time) is exported
 // as a counter: `workload_openloop_messages_per_sec` and
-// `workload_openloop_p99_us` in BENCH_engine.json.
+// `workload_openloop_p99_us` in BENCH_engine.json. Each phase queues all
+// its arrivals before the engine runs, so the queue-tier counters show
+// whether that burst pushed the hop traffic off the O(1) ring
+// (`workload_openloop_ring_push_share`).
 void BM_WorkloadOpenLoop(benchmark::State& state) {
   workload::WorkloadSpec spec;
   spec.name = "bench-openloop";
@@ -341,15 +344,21 @@ void BM_WorkloadOpenLoop(benchmark::State& state) {
   spec.phases.push_back(drift);
   std::uint64_t sent = 0;
   double p99Us = 0.0;
+  sim::EventQueue::Stats qs{};
   for (auto _ : state) {
     Machine m(net::TopologySpec::mesh2d(8, 8));
     Runtime rt(m, RuntimeConfig::accessTree(4, 1, spec.seed));
     const workload::WorkloadReport r = workload::run(m, rt, spec);
     sent += m.net.messagesSent();
     p99Us = r.serve.p99Us;
+    qs = m.engine.queueStats();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(sent));
   state.counters["p99_us"] = p99Us;
+  const double pushes =
+      static_cast<double>(qs.ringPushes + qs.sortedPushes + qs.overflowPushes);
+  state.counters["ring_push_share"] = static_cast<double>(qs.ringPushes) / pushes;
+  state.counters["bucket_width_us"] = qs.bucketWidthUs;
 }
 BENCHMARK(BM_WorkloadOpenLoop);
 

@@ -191,6 +191,11 @@ entry = {
     # simulated µs, a model property pinned against drift, not host time.
     "workload_openloop_messages_per_sec": round(rate("BM_WorkloadOpenLoop")),
     "workload_openloop_p99_us": round(bench("BM_WorkloadOpenLoop")["p99_us"], 2),
+    # Share of the open-loop run's pushes that took the O(1) bucket ring:
+    # a deterministic count ratio. A queue whose ring the pre-loaded
+    # arrival burst can mis-size drops to a few percent (docs/architecture.md).
+    "workload_openloop_ring_push_share":
+        round(bench("BM_WorkloadOpenLoop")["ring_push_share"], 4),
     # Derived pipeline metric + event-queue tier occupancy, from the mesh
     # churn's benchmark counters (see docs/benchmarks.md).
     "events_per_message": round(mesh["events_per_message"], 2),

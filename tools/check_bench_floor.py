@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Assert a BENCH_engine.json entry stays above generous throughput floors.
+"""Assert a BENCH_engine.json entry stays above generous throughput floors
+(plus a ceiling on a simulated latency and a floor on a queue-tier share).
 
 CI smoke guard: catches order-of-magnitude engine regressions (an
 accidental O(n log n) -> O(n^2), a lost fast path), NOT run-to-run noise —
@@ -87,6 +88,12 @@ def main() -> int:
     # every box — bit-deterministic — so a ceiling catches protocol or
     # scheduling changes that silently degrade serving latency.
     p99_ceiling_us = 100_000.0
+    # Queue-tier count ratio, not host perf: the share of the open-loop
+    # bench's event pushes that took the O(1) bucket ring. Deterministic;
+    # 0.06 when the queue sized its ring from the pre-loaded arrival
+    # burst (every hop then went through the sorted tier), 0.93 since it
+    # calibrates on the dispatch head.
+    ring_share_floor = 0.5
     with open(path) as f:
         doc = json.load(f)
     if label not in doc:
@@ -102,11 +109,16 @@ def main() -> int:
     if p99 is not None and p99 > p99_ceiling_us:
         failures.append(
             f"workload_openloop_p99_us={p99:,} above ceiling {p99_ceiling_us:,}")
+    share = entry["workload_openloop_ring_push_share"]
+    if share < ring_share_floor:
+        failures.append(
+            f"workload_openloop_ring_push_share={share} below floor {ring_share_floor}")
     if failures:
         print("bench floor violated: " + "; ".join(failures), file=sys.stderr)
         return 1
     print("bench floors ok: " +
-          ", ".join(f"{key}={entry[key]:,}" for key in floors))
+          ", ".join(f"{key}={entry[key]:,}" for key in floors) +
+          f", workload_openloop_ring_push_share={share}")
     return 0
 
 
