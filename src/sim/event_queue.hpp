@@ -60,16 +60,16 @@ namespace diva::sim {
 ///
 /// The width is estimated from the head of the schedule, in the manner of
 /// Brown's calendar queue (CACM 1988): until the ring activates, every
-/// push runs through the sorted front tier (exactly the PR 1 queue) while
-/// the queue records the spacing between successive distinct timestamps
-/// as they are dispatched. Once `kCalibrationSamples` positive gaps are
+/// push runs through the sorted front tier alone while the queue records
+/// the spacing between successive distinct timestamps as they are
+/// dispatched. Once `kCalibrationSamples` positive gaps are
 /// in, the width becomes their median — the schedule's quantum (e.g. the
 /// hop latency) on integer-quantized schedules, the typical head spacing
 /// otherwise. Push-to-cursor spacing plays no part, so a burst of far-
 /// future events queued up front (an open-loop arrival schedule) cannot
 /// inflate the width. A schedule that never yields a positive gap (all
-/// events at one instant) never activates the ring and keeps the PR 1
-/// behavior.
+/// events at one instant) never activates the ring and stays on the
+/// sorted front tier.
 ///
 /// On activation the ring starts at the dispatch cursor: the front tier
 /// keeps only the runs in the cursor's bucket, and every later run moves

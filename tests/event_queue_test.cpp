@@ -154,7 +154,7 @@ TEST(EventQueue, MatchesPriorityQueueOracleOnMixedSchedules) {
 // Open-loop shape: a pre-loaded far-future burst, then hop churn
 // ---------------------------------------------------------------------------
 
-/// An open-loop driver's schedule: every arrival of a phase is queued
+/// An open-loop workload's schedule: every arrival of a phase is queued
 /// before the engine runs (node-major, ascending per node, so the pushes
 /// interleave in time), spread over seconds; the work itself is chains
 /// of 5 µs hops, some hops re-entrantly pushing a same-time event. Each
