@@ -24,15 +24,15 @@ void Sampler::bindMachine(const Machine& m) {
   r.gauge("engine/pending_events",
           [mp] { return static_cast<double>(mp->engine.pendingEvents()); });
   // Queue occupancy tiers (sim/event_queue.hpp): ring events, sorted
-  // front runs, far-future overflow groups.
+  // front runs, far-heap events.
   r.gauge("engine/queue_ring_events", [mp] {
     return static_cast<double>(mp->engine.queueOccupancy().ringEvents);
   });
   r.gauge("engine/queue_front_runs", [mp] {
     return static_cast<double>(mp->engine.queueOccupancy().frontRuns);
   });
-  r.gauge("engine/queue_overflow_groups", [mp] {
-    return static_cast<double>(mp->engine.queueOccupancy().overflowGroups);
+  r.gauge("engine/queue_overflow_events", [mp] {
+    return static_cast<double>(mp->engine.queueOccupancy().overflowEvents);
   });
   r.gauge("net/messages_sent",
           [mp] { return static_cast<double>(mp->net.messagesSent()); });

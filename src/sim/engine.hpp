@@ -20,13 +20,14 @@ namespace diva::sim {
 /// The pending-event structure lives in `sim::EventQueue` (see
 /// event_queue.hpp): a sorted front tier (a flat array of per-timestamp
 /// runs) at the head of the schedule, a calendar-style bucket ring for the
-/// densely clustered near future, and an overflow tier (a distinct-
-/// timestamp heap + hash) for the far-future tail.
+/// densely clustered near future, and a far heap of per-event
+/// (time, push sequence) nodes for the tail beyond the ring's window —
+/// and for the whole schedule until the ring has calibrated.
 /// Callbacks live in pooled `EventFn` slots (40-byte inline capture
-/// storage, see event_fn.hpp), so in steady state — once pools, heaps and
-/// table have grown to the simulation's working set — scheduling and
-/// dispatching an event allocates nothing, and destroying the engine
-/// mid-run reclaims every pending capture.
+/// storage, see event_fn.hpp), so in steady state — once the slot pool,
+/// run array and far heap have grown to the simulation's working set —
+/// scheduling and dispatching an event allocates nothing, and destroying
+/// the engine mid-run reclaims every pending capture.
 class Engine {
  public:
   Engine() = default;
@@ -57,10 +58,10 @@ class Engine {
     scheduleAt(t, [h] { h.resume(); });
   }
 
-  /// Pre-size the queue for a known burst of `events` pending events
-  /// (worst case: all timestamps distinct): sorted heaps, hash table and
-  /// slot/group pools all grow up front (the bucket ring is fixed-size),
-  /// so the burst never grows a structure mid-run.
+  /// Pre-size the queue for a known burst of `events` pending events:
+  /// the far heap, run array and slot pool grow up front and the
+  /// fixed-size bucket ring is allocated, so the burst never grows a
+  /// structure mid-run.
   void reserve(std::size_t events) { queue_.reserve(events); }
 
   /// Run until the event queue drains. Returns the final simulated time.
@@ -69,9 +70,9 @@ class Engine {
     while (!queue_.empty()) {
       // The callback is moved out and its slot recycled before it runs,
       // so it is free to schedule — including at the current time, which
-      // re-forms a fresh group behind this one. If it throws (fail-fast
-      // checks propagate out of run()), invokeAndReset still destroys
-      // the capture and the queue stays consistent.
+      // lands behind every event already pending at it. If it throws
+      // (fail-fast checks propagate out of run()), invokeAndReset still
+      // destroys the capture and the queue stays consistent.
       std::uint64_t timeBits;
       queue_.popFrontInto(fn, timeBits);
       now_ = std::bit_cast<Time>(timeBits);

@@ -52,14 +52,14 @@ struct PhaseSpec {
   /// actually meet.
   /// Phases with faults leave all RNG draws untouched, so the fault-free
   /// access stream is bit-identical.
-  net::FaultPlan faults;
+  net::FaultPlan faults{};
   /// Open-loop serving (docs/serving.md). When the arrival kind is not
   /// None the phase runs open loop: each processor issues `rounds`
   /// requests at pre-generated arrival instants regardless of service
   /// progress, and latency is measured from the SCHEDULED arrival —
   /// queueing delay counts. Kind::None (the default) keeps the classic
   /// closed loop; closed-loop runs are byte-identical to before.
-  serve::ArrivalSpec arrival;
+  serve::ArrivalSpec arrival{};
   /// SLO deadline in µs: served requests whose latency exceeds it count
   /// as `late` in the report (0 = no deadline).
   double deadlineUs = 0.0;
@@ -71,7 +71,7 @@ struct PhaseSpec {
   /// and accesses come from this request-trace file instead of the
   /// generator — `rounds`, `zipfS`, `hotShift`, `readFraction`,
   /// `thinkMeanUs` and `arrival` must stay at their defaults.
-  std::string tracePath;
+  std::string tracePath{};
 
   /// True iff this phase runs open loop (generated arrivals or a trace).
   bool openLoop() const { return arrival.open() || !tracePath.empty(); }

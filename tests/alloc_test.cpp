@@ -89,7 +89,7 @@ TEST(Alloc, EngineEventChurnIsAllocationFreeInSteadyState) {
     }
   };
   sim::Engine e;
-  // Warm-up: grows the heaps, hash table and slot pool to working depth
+  // Warm-up: grows the far heap, run array and slot pool to working depth
   // (and calibrates the bucket ring).
   std::uint64_t budget = 50'000;
   for (std::uint64_t i = 0; i < 512; ++i) {
@@ -179,9 +179,9 @@ TEST(Alloc, UncalibratedSameInstantChainsStayAllocationFree) {
 }
 
 TEST(Alloc, ReservePreSizesQueueForColdBurst) {
-  // Engine::reserve must pre-size everything growable — both sorted
-  // heaps, the hash table, and the slot/group pools — so a known burst
-  // on a *cold* engine allocates nothing at all, warm-up included.
+  // Engine::reserve must pre-size everything growable — the far heap,
+  // the run array, the slot pool and the ring — so a known burst on a
+  // *cold* engine allocates nothing at all, warm-up included.
   sim::Engine e;
   e.reserve(4096);
   int fired = 0;
@@ -200,10 +200,11 @@ TEST(Alloc, ReservePreSizesQueueForColdBurst) {
 TEST(Alloc, ReservedPreloadedBurstActivatesWithoutAllocating) {
   // An open-loop phase on a cold engine: a burst of far-future arrivals
   // is queued before the engine runs, and unit-spaced events at the head
-  // of the schedule calibrate the bucket ring. Activation moves the burst
-  // out of the front tier into ring buckets and overflow groups. With
-  // Engine::reserve sized for every pending event, none of it —
-  // activation, backlog re-placement, draining — allocates.
+  // of the schedule calibrate the bucket ring. Until then every event
+  // waits in the far heap; activation moves the head events inside the
+  // window into ring buckets and leaves the burst in the heap. With
+  // Engine::reserve sized for every pending event (heap, runs, slots and
+  // ring), none of it — activation, migration, draining — allocates.
   constexpr int kHead = 512;
   constexpr int kEvents = 4096;
   sim::Engine e;
@@ -224,7 +225,7 @@ TEST(Alloc, ReservedPreloadedBurstActivatesWithoutAllocating) {
   EXPECT_EQ(allocCount() - before, 0u) << "reserved pre-loaded burst allocated";
   EXPECT_EQ(fired, kEvents);
   EXPECT_GT(e.queueStats().bucketWidthUs, 0.0) << "ring never activated";
-  EXPECT_EQ(afterActivation.overflowGroups, static_cast<std::size_t>(kEvents - kHead))
+  EXPECT_EQ(afterActivation.overflowEvents, static_cast<std::size_t>(kEvents - kHead))
       << "the burst was not re-placed into the overflow tier";
 }
 

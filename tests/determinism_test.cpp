@@ -233,8 +233,9 @@ TEST(DeterminismGolden, ScenarioDeliveriesAndReportsMatchCommittedDigests) {
     const ScenarioFingerprint f = scenarioFingerprint(spec, g.file, rc);
     const std::string strategy =
         g.arity ? AccessTreeStrategy::variantName(g.arity, g.leafSize) : "fixed home";
-    if (file == "shift.scenario")
+    if (file == "shift.scenario") {
       EXPECT_GT(f.evictions, 0u) << g.file << " under " << strategy << " never evicted";
+    }
     EXPECT_EQ(f.deliveries, g.deliveries) << g.file << " under " << strategy
                                           << ": delivery trace hash changed: 0x"
                                           << std::hex << f.deliveries;

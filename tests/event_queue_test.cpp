@@ -2,7 +2,7 @@
 // sim::Engine (sim/event_queue.hpp): a randomized differential test
 // against a std::priority_queue oracle, and targeted FIFO-among-equals
 // checks across the queue's tier boundaries (bucket ring, sorted front
-// tier, overflow heap).
+// tier, far heap).
 
 #include <gtest/gtest.h>
 
@@ -64,7 +64,7 @@ class OracleEngine {
 /// schedules children whose deltas mix the schedule shapes the tiers are
 /// built for — dense quantized near-future times (bucket ring), re-entrant
 /// zero deltas (sorted front tier), far-future spikes (overflow), and
-/// repeated exact timestamps (FIFO groups). Both engines run the same
+/// repeated exact timestamps (FIFO among equals). Both engines run the same
 /// generator, so any divergence in firing order or clocks is a queue bug.
 struct Scenario {
   std::uint64_t seed;
@@ -158,8 +158,11 @@ TEST(EventQueue, MatchesPriorityQueueOracleOnMixedSchedules) {
 /// before the engine runs (node-major, ascending per node, so the pushes
 /// interleave in time), spread over seconds; the work itself is chains
 /// of 5 µs hops, some hops re-entrantly pushing a same-time event. Each
-/// event is (id, hops left); children derive purely from the id, so the
-/// engine and the oracle run the identical schedule.
+/// arrival also schedules a twin at its node's next arrival time, so two
+/// events share that far-future instant (an arrival marker and a serve
+/// coroutine's wake). Each event is (id, hops left); children derive
+/// purely from the id, so the engine and the oracle run the identical
+/// schedule.
 struct HopChurn {
   static constexpr int kNodes = 64;
   static constexpr int kArrivalsPerNode = 64;
@@ -179,6 +182,12 @@ struct HopChurn {
       }
     }
     return times;
+  }
+
+  /// Arrival `id` (its index in arrivals()) has a twin unless it is its
+  /// node's last; the twin fires at arrivals()[id + 1] with no hops.
+  static bool hasTwin(int id) {
+    return id < kNodes * kArrivalsPerNode && (id + 1) % kArrivalsPerNode != 0;
   }
 
   /// Children of event `id` with `hops` left, as (delta, hops) pairs.
@@ -203,6 +212,7 @@ TEST(EventQueue, PreloadedBurstThenHopChurnRidesTheRing) {
     int nextId = 0;
     struct Fire {
       Engine* e;
+      const std::vector<double>* arrivals;
       std::vector<std::pair<int, double>>* log;
       int* nextId;
       EventQueue::Stats* atActivation;
@@ -214,17 +224,22 @@ TEST(EventQueue, PreloadedBurstThenHopChurnRidesTheRing) {
         }
         log->emplace_back(id, e->now());
         HopChurn::expand(id, hops, [&](double delta, int childHops) {
-          e->scheduleAfter(delta, Fire{e, log, nextId, atActivation, (*nextId)++, childHops});
+          e->scheduleAfter(delta,
+                           Fire{e, arrivals, log, nextId, atActivation, (*nextId)++, childHops});
         });
+        if (HopChurn::hasTwin(id)) {
+          e->scheduleAt((*arrivals)[static_cast<std::size_t>(id) + 1],
+                        Fire{e, arrivals, log, nextId, atActivation, (*nextId)++, 0});
+        }
       }
     };
     for (const double t : arrivals) {
-      e.scheduleAt(t, Fire{&e, &realLog, &nextId, &atActivation, nextId++,
+      e.scheduleAt(t, Fire{&e, &arrivals, &realLog, &nextId, &atActivation, nextId++,
                            HopChurn::kArrivalHops});
     }
     for (int c = 0; c < HopChurn::kSeedChains; ++c) {
-      e.scheduleAt(static_cast<double>(c), Fire{&e, &realLog, &nextId, &atActivation,
-                                                nextId++, HopChurn::kSeedHops});
+      e.scheduleAt(static_cast<double>(c), Fire{&e, &arrivals, &realLog, &nextId,
+                                                &atActivation, nextId++, HopChurn::kSeedHops});
     }
     realEnd = e.run();
     final = e.queueStats();
@@ -249,6 +264,10 @@ TEST(EventQueue, PreloadedBurstThenHopChurnRidesTheRing) {
         e.scheduleAt(e.now() + delta, static_cast<int>(hopsOf.size()));
         hopsOf.push_back(childHops);
       });
+      if (HopChurn::hasTwin(id)) {
+        e.scheduleAt(arrivals[static_cast<std::size_t>(id) + 1], static_cast<int>(hopsOf.size()));
+        hopsOf.push_back(0);
+      }
     });
     oracleEnd = e.now();
   }
@@ -382,6 +401,18 @@ TEST(EventQueue, InfiniteTimestampsFireLastInFifoOrder) {
   // yields infinite stream times): it must sort after every finite time
   // and stay FIFO among equals, and must not poison the window-jump
   // arithmetic once the ring is active.
+  {
+    // Pushed before the ring calibrates, so they wait in the far heap
+    // through activation and drain after every finite time.
+    Engine pre;
+    std::vector<int> preOrder;
+    const double inf = std::numeric_limits<double>::infinity();
+    pre.scheduleAt(inf, [&] { preOrder.push_back(97); });
+    pre.scheduleAt(inf, [&] { preOrder.push_back(98); });
+    activateRing(pre);
+    EXPECT_EQ(preOrder, (std::vector<int>{97, 98}));
+    EXPECT_EQ(pre.now(), inf);
+  }
   Engine e;
   activateRing(e);
   std::vector<int> order;

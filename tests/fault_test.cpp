@@ -410,7 +410,8 @@ workload::WorkloadSpec smallSpec() {
   spec.numObjects = 8;
   spec.objectBytes = 128;
   spec.seed = 11;
-  spec.phases.push_back(workload::PhaseSpec{"p0", 6, 0.8, 1.0, 0, 50.0, true, {}});
+  spec.phases.push_back(workload::PhaseSpec{
+      .name = "p0", .rounds = 6, .readFraction = 0.8, .zipfS = 1.0, .thinkMeanUs = 50.0});
   return spec;
 }
 

@@ -338,7 +338,8 @@ TEST(ObsSampler, WorkloadRunEmitsPerLinkCongestionRows) {
   spec.numObjects = 8;
   spec.objectBytes = 64;
   spec.seed = 7;
-  spec.phases.push_back(PhaseSpec{"only", 6, 0.5, 0.0, 0, 50.0, true, {}});
+  spec.phases.push_back(PhaseSpec{
+      .name = "only", .rounds = 6, .readFraction = 0.5, .thinkMeanUs = 50.0});
   obs::Sampler sampler;
   workload::RunOptions opts;
   opts.sampler = &sampler;
@@ -393,7 +394,7 @@ TEST(ObsReport, JsonSharesTheTextReportsSourceOfTruth) {
   spec.numObjects = 8;
   spec.objectBytes = 64;
   spec.seed = 7;
-  spec.phases.push_back(PhaseSpec{"only", 4, 0.5, 0.0, 0, 0.0, true, {}});
+  spec.phases.push_back(PhaseSpec{.name = "only", .rounds = 4, .readFraction = 0.5});
   const workload::WorkloadReport r = workload::runOn(
       net::TopologySpec::mesh2d(2, 2), RuntimeConfig::accessTree(4), spec);
   const std::string json = workload::reportJson(r);

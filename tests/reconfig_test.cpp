@@ -620,8 +620,9 @@ TEST(ReconfigWorkload, ClosedLoopRetiredNodesRemainingRoundsAreNeverOffered) {
     EXPECT_GT(issued[kRetiringNode], 0) << r.strategy;
     EXPECT_LT(issued[kRetiringNode], kRetireRounds) << r.strategy;
     for (int node = 0; node < 16; ++node) {
-      if (node != kRetiringNode)
+      if (node != kRetiringNode) {
         EXPECT_EQ(issued[static_cast<std::size_t>(node)], kRetireRounds) << r.strategy;
+      }
     }
     // Its remaining rounds count neither as served nor as failed.
     EXPECT_EQ(p.reads + p.writes, captured.requests.size()) << r.strategy;
@@ -658,7 +659,8 @@ TEST(ReconfigWorkload, ReconfigFreeReportOmitsReconfigSection) {
   workload::WorkloadSpec spec;
   spec.name = "flat";
   spec.numObjects = 8;
-  spec.phases.push_back(workload::PhaseSpec{"p0", 4, 0.8, 1.0, 0, 50.0, true, {}});
+  spec.phases.push_back(workload::PhaseSpec{
+      .name = "p0", .rounds = 4, .readFraction = 0.8, .zipfS = 1.0, .thinkMeanUs = 50.0});
   const workload::WorkloadReport r = workload::runOn(
       net::TopologySpec::mesh2d(4, 4), RuntimeConfig::fixedHome(), spec);
   EXPECT_FALSE(r.reconfigured);
@@ -672,7 +674,8 @@ TEST(TraceCapture, CaptureThenReplayMatchesOpCounts) {
   spec.numObjects = 8;
   spec.objectBytes = 128;
   spec.seed = 5;
-  spec.phases.push_back(workload::PhaseSpec{"p0", 4, 0.5, 1.0, 0, 20.0, true, {}});
+  spec.phases.push_back(workload::PhaseSpec{
+      .name = "p0", .rounds = 4, .readFraction = 0.5, .zipfS = 1.0, .thinkMeanUs = 20.0});
 
   serve::Trace captured;
   workload::RunOptions opts;
@@ -688,7 +691,9 @@ TEST(TraceCapture, CaptureThenReplayMatchesOpCounts) {
     EXPECT_GE(req.node, 0);
     EXPECT_LT(req.node, 4);
     EXPECT_LT(req.object, 8);
-    if (i > 0) EXPECT_GE(req.timeUs, captured.requests[i - 1].timeUs);
+    if (i > 0) {
+      EXPECT_GE(req.timeUs, captured.requests[i - 1].timeUs);
+    }
     capturedReads += req.isRead ? 1u : 0u;
   }
 

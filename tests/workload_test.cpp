@@ -119,8 +119,7 @@ TEST(Zipf, RejectsBadParameters) {
   // integral exponent takes the exact-arithmetic (bit-stable) path.
   WorkloadSpec spec;
   spec.numObjects = 4;
-  spec.phases.push_back(PhaseSpec{"p", 1, 1.0, ZipfSampler::kMaxExponent + 1.0, 0, 0.0,
-                                  true, {}});
+  spec.phases.push_back(PhaseSpec{.name = "p", .zipfS = ZipfSampler::kMaxExponent + 1.0});
   EXPECT_THROW(spec.validate(), support::CheckError);
   spec.phases[0].zipfS = ZipfSampler::kMaxExponent;
   spec.validate();
@@ -164,9 +163,12 @@ WorkloadSpec sampleSpec() {
   spec.cacheBytes = 8192;
   spec.seed = 1234567;
   spec.procs = 16;
-  spec.phases.push_back(PhaseSpec{"warm", 3, 1.0, 0.0, 0, 0.0, true, {}});
-  spec.phases.push_back(PhaseSpec{"hot", 9, 0.75, 1.0, 0, 250.0, true, {}});
-  spec.phases.push_back(PhaseSpec{"drift", 7, 0.25, 2.0, 48, 125.5, false, {}});
+  spec.phases.push_back(PhaseSpec{.name = "warm", .rounds = 3});
+  spec.phases.push_back(PhaseSpec{
+      .name = "hot", .rounds = 9, .readFraction = 0.75, .zipfS = 1.0, .thinkMeanUs = 250.0});
+  spec.phases.push_back(PhaseSpec{
+      .name = "drift", .rounds = 7, .readFraction = 0.25, .zipfS = 2.0, .hotShift = 48,
+      .thinkMeanUs = 125.5, .barrier = false});
   return spec;
 }
 
@@ -313,8 +315,9 @@ WorkloadSpec hotspotSpec() {
   spec.numObjects = 64;
   spec.objectBytes = 512;
   spec.seed = 42;
-  spec.phases.push_back(PhaseSpec{"warm", 2, 1.0, 0.0, 0, 0.0, true, {}});
-  spec.phases.push_back(PhaseSpec{"hot", 12, 0.9, 1.0, 0, 100.0, true, {}});
+  spec.phases.push_back(PhaseSpec{.name = "warm", .rounds = 2});
+  spec.phases.push_back(PhaseSpec{
+      .name = "hot", .rounds = 12, .readFraction = 0.9, .zipfS = 1.0, .thinkMeanUs = 100.0});
   return spec;
 }
 
@@ -359,7 +362,7 @@ TEST(WorkloadDriver, GrowsPastDefaultPhaseBudget) {
   for (int p = 0; p < Stats::kMaxPhases + 4; ++p) {
     std::string name = "p";  // two-step append sidesteps a GCC 12 -Wrestrict false positive
     name += std::to_string(p);
-    spec.phases.push_back(PhaseSpec{std::move(name), 1, 0.5, 0.0, 0, 0.0, true, {}});
+    spec.phases.push_back(PhaseSpec{.name = std::move(name), .readFraction = 0.5});
   }
   const workload::WorkloadReport r =
       workload::runOn(net::TopologySpec::mesh2d(2, 2), RuntimeConfig::fixedHome(), spec);
@@ -373,7 +376,7 @@ TEST(WorkloadDriver, ValidatesSpec) {
   EXPECT_THROW(workload::runOn(net::TopologySpec::mesh2d(2, 2),
                                RuntimeConfig::fixedHome(), spec),
                support::CheckError);
-  spec.phases.push_back(PhaseSpec{"p", 1, 2.0, 0.0, 0, 0.0, true, {}});  // bad fraction
+  spec.phases.push_back(PhaseSpec{.name = "p", .readFraction = 2.0});  // bad fraction
   EXPECT_THROW(spec.validate(), support::CheckError);
 }
 
