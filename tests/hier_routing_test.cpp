@@ -165,7 +165,10 @@ TEST(HierRouting, RoutesMatchCommittedDigests) {
   // shared search kernel (net/graph_search.hpp). The 4,200-node graph is
   // above kExactSpineMaxNodes, so its internally disconnected clusters
   // take the LCA spine fallback; its pairs are sampled sparsely to keep
-  // the sanitizer build fast.
+  // the sanitizer build fast. The 1,024-node 4-regular graph at arity 16
+  // is the benchmark's elastic_hier machine; about 565 of its spine
+  // children are missed by their parent's cluster-restricted search and
+  // take the exact whole-graph fallback.
   static_assert(net::HierGraphTopology::kExactSpineMaxNodes < 4200);
   struct Case {
     GraphSpec g;
@@ -184,6 +187,7 @@ TEST(HierRouting, RoutesMatchCommittedDigests) {
       {net::fatTreeGraph(4, 4), 4, 1000, 0xcfe806ace0ef44c0ull},
       {net::fatTreeGraph(4, 4), 16, 1000, 0x68051c172ed84800ull},
       {net::randomRegularGraph(4200, 3, 7), 16, 200, 0x9b1cf9bf30eb1707ull},
+      {net::randomRegularGraph(1024, 4, 1), 16, 1000, 0x98dcffa3f5921046ull},
   };
   for (const Case& c : cases) {
     const net::HierGraphTopology topo(c.g, c.arity);
