@@ -7,6 +7,7 @@
 
 #include "net/graph_search.hpp"
 #include "sim/time.hpp"
+#include "support/parallel.hpp"
 #include "support/rng.hpp"
 #include "support/text_file.hpp"
 
@@ -97,27 +98,35 @@ void GraphTopology::buildRoutingTable() {
   nextDir_.assign(static_cast<std::size_t>(n) * n, -1);
   // One deterministic Dijkstra per destination t fills column t of the
   // table: nextDir_[s][t] is s's direction toward its parent in the
-  // shortest-path tree rooted at t.
-  GraphSearch search(adj_);
-  for (NodeId t = 0; t < n; ++t) {
-    search.shortestPaths(t, nullptr, [](NodeId) { return true; });
-    for (NodeId s = 0; s < n; ++s) {
-      if (s != t && search.reached(s)) {
-        nextDir_[static_cast<std::size_t>(s) * n + t] =
-            static_cast<std::int16_t>(adj_.dirTo(s, search.parent(s)));
-        continue;
-      }
-      // Elastic machines keep retired nodes as edgeless entries
-      // (GraphSpec::allowIsolated); only the non-isolated nodes must form
-      // one connected component.
-      const bool exempt =
-          spec_->allowIsolated &&
-          (adj_.degree == 0 || adj_.neighbor(s, 0) < 0 || adj_.neighbor(t, 0) < 0);
-      DIVA_CHECK_MSG(s == t || exempt,
-                     "graph '" << spec_->name << "' is not connected (node " << s
-                               << " cannot reach node " << t << ")");
-    }
-  }
+  // shortest-path tree rooted at t. Columns are independent, so workers
+  // take them in blocks of kColumnBlock — one cache line of int16
+  // entries per row — each worker on its own search scratch; the table
+  // is the serial loop's at any worker count.
+  constexpr std::size_t kColumnBlock = 32;
+  const std::size_t blocks = (static_cast<std::size_t>(n) + kColumnBlock - 1) / kColumnBlock;
+  support::parallelFor(
+      support::hardwareWorkers(), blocks, [&] { return GraphSearch(adj_); },
+      [&](GraphSearch& search, std::size_t block) {
+        const auto end = static_cast<NodeId>(
+            std::min(static_cast<std::size_t>(n), (block + 1) * kColumnBlock));
+        for (auto t = static_cast<NodeId>(block * kColumnBlock); t < end; ++t) {
+          search.shortestPaths(t, nullptr, [](NodeId) { return true; });
+          for (NodeId s = 0; s < n; ++s) {
+            if (s != t && search.reached(s)) {
+              nextDir_[static_cast<std::size_t>(s) * n + t] =
+                  static_cast<std::int16_t>(adj_.dirTo(s, search.parent(s)));
+              continue;
+            }
+            // Elastic machines keep retired nodes as edgeless entries
+            // (GraphSpec::allowIsolated); only the non-isolated nodes must
+            // form one connected component.
+            const bool exempt = spec_->allowIsolated && (adj_.isolated(s) || adj_.isolated(t));
+            DIVA_CHECK_MSG(s == t || exempt,
+                           "graph '" << spec_->name << "' is not connected (node " << s
+                                     << " cannot reach node " << t << ")");
+          }
+        }
+      });
 }
 
 double GraphTopology::weightedDistance(NodeId a, NodeId b) const {
@@ -165,7 +174,7 @@ std::unique_ptr<GraphClusterTree> decomposeGraph(const GraphAdjacency& g, Decomp
   std::vector<NodeId> attached;
   attached.reserve(static_cast<std::size_t>(g.numNodes));
   for (NodeId p = 0; p < g.numNodes; ++p)
-    if (g.degree > 0 && g.neighbor(p, 0) >= 0) attached.push_back(p);
+    if (!g.isolated(p)) attached.push_back(p);
   if (attached.empty())
     for (NodeId p = 0; p < g.numNodes; ++p) attached.push_back(p);  // single-node machines
   GraphSearch search(g);

@@ -51,6 +51,10 @@ struct GraphAdjacency {
   double weightOf(NodeId n, int dir) const {
     return weightOfSlot[static_cast<std::size_t>(n) * degree + dir];
   }
+  /// A node with no link at all. Slots are packed, so an empty slot 0
+  /// means no neighbor; elastic machines keep retired nodes this way
+  /// (GraphSpec::allowIsolated).
+  bool isolated(NodeId n) const { return degree == 0 || neighbor(n, 0) < 0; }
   /// Direction slot of the link n → to; `to` must be a neighbor of n.
   int dirTo(NodeId n, NodeId to) const {
     int dir = 0;
@@ -107,8 +111,8 @@ std::unique_ptr<GraphClusterTree> decomposeGraph(const GraphAdjacency& g, Decomp
 
 /// An arbitrary connected network, routed from a precomputed all-pairs
 /// table: construction runs one deterministic Dijkstra over the edge
-/// weights per node (net/graph_search.hpp) and stores a dense
-/// next-direction table. `appendRoute` then walks the table —
+/// weights per node (net/graph_search.hpp), on worker threads, and
+/// stores a dense next-direction table. `appendRoute` then walks the table —
 /// arithmetic-and-load only, no allocation beyond the caller's buffer —
 /// so general graphs ride the same allocation-free hot path as the
 /// closed-form shapes.

@@ -1,9 +1,9 @@
 #include "net/hier_routing.hpp"
 
 #include <algorithm>
-#include <limits>
 
 #include "net/graph_search.hpp"
+#include "support/parallel.hpp"
 
 namespace diva::net {
 
@@ -56,23 +56,31 @@ void HierGraphTopology::buildLandmarks(GraphSearch& search) {
 // Balls: bounded deterministic Dijkstra around each landmark
 // ---------------------------------------------------------------------------
 
-void HierGraphTopology::buildSpinePaths(GraphSearch& search,
-                                        std::vector<std::vector<NodeId>>& spine,
+void HierGraphTopology::buildSpinePaths(std::vector<std::vector<NodeId>>& spine,
                                         const std::vector<NodeId>& sptParent,
-                                        const std::vector<std::uint32_t>& sptDepth) {
+                                        const std::vector<std::uint32_t>& sptDepth) const {
   // One cluster-restricted Dijkstra per internal tree node, from its
   // landmark: extracts, for each child C, the shortest path
   // landmark(parent) → landmark(C). Restricting the search to the
   // parent's cluster keeps the total work O(Σ|cluster|) = O(n · depth).
   // A cluster whose halves only meet outside it (internally
   // disconnected — common for the leftover half of a BFS bisection on
-  // expanders) falls back to the unique root-SPT tree path via the LCA:
-  // O(path length), never a graph search — a per-child whole-graph
-  // search here is what made construction quadratic at 100k nodes.
+  // expanders) leaves some children unreached. Up to kExactSpineMaxNodes
+  // they take one more search per parent, unrestricted, which stops
+  // when the last unreached child's landmark pops: weights are positive,
+  // so a popped node's path is final and equals what a search for that
+  // child alone would give. Above it they take the unique root-SPT tree
+  // path via the LCA: O(path length), never a graph search — a
+  // whole-graph search per parent is what made construction quadratic
+  // at 100k nodes. Parents are independent and each writes only its own
+  // children's spines, so they run on worker threads.
   const int tn = tree_->numNodes();
   std::vector<std::vector<std::int32_t>> kids(static_cast<std::size_t>(tn));
   for (int i = 0; i < tn; ++i)
     if (tree_->parent(i) >= 0) kids[static_cast<std::size_t>(tree_->parent(i))].push_back(i);
+  std::vector<std::int32_t> parents;
+  for (int p = 0; p < tn; ++p)
+    if (!kids[static_cast<std::size_t>(p)].empty()) parents.push_back(p);
 
   auto lcaPath = [&](NodeId a, NodeId b) {
     std::vector<NodeId> up, down;
@@ -88,7 +96,7 @@ void HierGraphTopology::buildSpinePaths(GraphSearch& search,
     return up;
   };
   // The last search's src→dst path, both inclusive.
-  auto searchPath = [&](NodeId src, NodeId dst) {
+  auto searchPath = [](const GraphSearch& search, NodeId src, NodeId dst) {
     std::vector<NodeId> path;
     for (NodeId v = dst; v != src; v = search.parent(v)) path.push_back(v);
     path.push_back(src);
@@ -96,77 +104,92 @@ void HierGraphTopology::buildSpinePaths(GraphSearch& search,
     return path;
   };
 
+  struct Worker {
+    GraphSearch search;
+    std::vector<std::int32_t> missing;  ///< children the cluster search did not reach
+  };
   const bool exactFallback = adj_.numNodes <= kExactSpineMaxNodes;
-  std::vector<std::int32_t> missing;
-  for (int p = 0; p < tn; ++p) {
-    if (kids[static_cast<std::size_t>(p)].empty()) continue;
-    const NodeId lm = landmark_[p];
-    search.shortestPaths(lm, &tree_->cluster(p), [](NodeId) { return true; });
-    // Take every reached child before any fallback search clobbers this
-    // cluster's results.
-    missing.clear();
-    for (std::int32_t c : kids[static_cast<std::size_t>(p)]) {
-      if (search.reached(landmark_[c]))
-        spine[static_cast<std::size_t>(c)] = searchPath(lm, landmark_[c]);
-      else
-        missing.push_back(c);
-    }
-    for (std::int32_t c : missing) {
-      const NodeId target = landmark_[c];
-      if (exactFallback) {
-        search.shortestPaths(lm, nullptr, [&](NodeId u) { return u != target; });
-        DIVA_CHECK_MSG(search.reached(target),
-                       "no path from landmark " << lm << " to landmark " << target
-                                                << " — graph '" << spec_->name
-                                                << "' is not connected");
-        spine[static_cast<std::size_t>(c)] = searchPath(lm, target);
-      } else {
-        spine[static_cast<std::size_t>(c)] = lcaPath(lm, target);
-      }
-    }
-  }
+  support::parallelFor(
+      support::hardwareWorkers(), parents.size(), [&] { return Worker{GraphSearch(adj_), {}}; },
+      [&](Worker& w, std::size_t item) {
+        const std::int32_t p = parents[item];
+        const NodeId lm = landmark_[p];
+        w.search.shortestPaths(lm, &tree_->cluster(p), [](NodeId) { return true; });
+        // Take every reached child before the fallback search clobbers
+        // this cluster's results.
+        w.missing.clear();
+        for (std::int32_t c : kids[static_cast<std::size_t>(p)]) {
+          if (w.search.reached(landmark_[c]))
+            spine[static_cast<std::size_t>(c)] = searchPath(w.search, lm, landmark_[c]);
+          else
+            w.missing.push_back(c);
+        }
+        if (w.missing.empty()) return;
+        if (!exactFallback) {
+          for (std::int32_t c : w.missing)
+            spine[static_cast<std::size_t>(c)] = lcaPath(lm, landmark_[c]);
+          return;
+        }
+        std::size_t left = w.missing.size();
+        w.search.shortestPaths(lm, nullptr, [&](NodeId u) {
+          for (std::int32_t c : w.missing)
+            if (landmark_[c] == u) return --left > 0;
+          return true;
+        });
+        for (std::int32_t c : w.missing) {
+          const NodeId target = landmark_[c];
+          DIVA_CHECK_MSG(w.search.reached(target),
+                         "no path from landmark " << lm << " to landmark " << target
+                                                  << " — graph '" << spec_->name
+                                                  << "' is not connected");
+          spine[static_cast<std::size_t>(c)] = searchPath(w.search, lm, target);
+        }
+      });
 }
 
 void HierGraphTopology::buildBalls(GraphSearch& search) {
   const int n = adj_.numNodes;
   const int tn = tree_->numNodes();
-  ball_.clear();
   ballBegin_.assign(static_cast<std::size_t>(tn) + 1, 0);
   const auto byNode = [](const BallEntry& a, const BallEntry& b) { return a.node < b.node; };
-  // Appends the first `cap` nodes the Dijkstra around `lm` pops, each with
-  // its first-hop direction toward lm. The ball is a prefix of the
-  // deterministic pop order, so every node's next hop toward the
-  // landmark (its parent, popped strictly earlier) is also in the ball —
-  // the persistence property routing relies on. The cap is HARD: on
-  // expanders ball population grows exponentially with radius, so
-  // reachability of anything outside the prefix is the spine paths' job,
-  // never the prefix's.
-  const auto growBall = [&](NodeId lm, std::size_t cap) {
-    const std::size_t first = ball_.size();
-    search.shortestPaths(lm, nullptr, [&](NodeId u) {
-      if (ball_.size() - first >= cap) return false;
-      const NodeId up = search.parent(u);
-      ball_.push_back(BallEntry{u, static_cast<std::int16_t>(up < 0 ? -1 : adj_.dirTo(u, up))});
+  // Writes to `out` the first `cap` nodes the Dijkstra around `lm` pops,
+  // each with its first-hop direction toward lm, and returns how many.
+  // The ball is a prefix of the deterministic pop order, so every node's
+  // next hop toward the landmark (its parent, popped strictly earlier) is
+  // also in the ball — the persistence property routing relies on. The
+  // cap is HARD: on expanders ball population grows exponentially with
+  // radius, so reachability of anything outside the prefix is the spine
+  // paths' job, never the prefix's.
+  const auto growBall = [&](GraphSearch& s, NodeId lm, std::size_t cap, BallEntry* out) {
+    std::size_t size = 0;
+    s.shortestPaths(lm, nullptr, [&](NodeId u) {
+      if (size >= cap) return false;
+      const NodeId up = s.parent(u);
+      out[size++] = BallEntry{u, static_cast<std::int16_t>(up < 0 ? -1 : adj_.dirTo(u, up))};
       return true;
     });
+    return size;
   };
 
-  // Root first (tree node 0): the full shortest-path tree, doubling as
-  // the connectivity check and as the LCA structure spine fallbacks use.
-  DIVA_CHECK_MSG(tree_->parent(0) < 0, "routing tree root is not node 0");
-  growBall(landmark_[0], std::numeric_limits<std::size_t>::max());
   // A reconfigured (allowIsolated) spec keeps retired, edgeless ids in the
-  // node range; connectivity is required only of the attached nodes.
+  // node range; connectivity is required only of the attached nodes, and
+  // no search from a tree node's landmark reaches more than those.
   std::size_t attached = static_cast<std::size_t>(n);
   if (spec_->allowIsolated) {
     attached = 0;
     for (NodeId v = 0; v < n; ++v)
-      if (adj_.degree > 0 && adj_.neighbor(v, 0) >= 0) ++attached;
+      if (!adj_.isolated(v)) ++attached;
     if (attached == 0) attached = static_cast<std::size_t>(n);  // edgeless machine
   }
-  DIVA_CHECK_MSG(ball_.size() == attached,
+
+  // Root first (tree node 0): the full shortest-path tree, doubling as
+  // the connectivity check and as the LCA structure spine fallbacks use.
+  DIVA_CHECK_MSG(tree_->parent(0) < 0, "routing tree root is not node 0");
+  ball_.resize(attached);
+  const std::size_t rootSize = growBall(search, landmark_[0], attached, ball_.data());
+  DIVA_CHECK_MSG(rootSize == attached,
                  "graph '" << spec_->name << "' is not connected (root ball reached "
-                           << ball_.size() << " of " << attached << " nodes)");
+                           << rootSize << " of " << attached << " nodes)");
   std::vector<NodeId> sptParent(static_cast<std::size_t>(n));
   std::vector<std::uint32_t> sptDepth(static_cast<std::size_t>(n));
   for (NodeId v = 0; v < n; ++v) {
@@ -177,36 +200,58 @@ void HierGraphTopology::buildBalls(GraphSearch& search) {
   std::sort(ball_.begin(), ball_.end(), byNode);
   ballBegin_[1] = ball_.size();
 
-  // Spine paths next (they clobber the search results the balls use).
   std::vector<std::vector<NodeId>> spine(static_cast<std::size_t>(tn));
-  buildSpinePaths(search, spine, sptParent, sptDepth);
+  buildSpinePaths(spine, sptParent, sptDepth);
   sptParent = {};
   sptDepth = {};
 
-  for (int i = 1; i < tn; ++i) {
-    const std::size_t cap = static_cast<std::size_t>(std::max(
+  // Every other ball grows on a worker thread into its own slice of
+  // ball_, sized from a bound known up front: the prefix holds
+  // min(cap, attached) entries and the spine adds at most its length
+  // minus the landmark. One serial pass then closes the gaps.
+  const auto capOf = [&](int i) {
+    return static_cast<std::size_t>(std::max(
         kBallMinEntries, kBallEntryFactor * static_cast<int>(tree_->cluster(i).size())));
-    const std::size_t first = ball_.size();
-    growBall(landmark_[i], cap);
-    std::sort(ball_.begin() + static_cast<std::ptrdiff_t>(first), ball_.end(), byNode);
-    // Inject the spine path (parent's landmark → lm): nodes not already
-    // in the prefix get the along-path direction toward lm. This is what
-    // restores ball(C) ∋ landmark(parent(C)) — the invariant the chain
-    // induction needs — without the prefix having to reach that far.
-    const std::vector<NodeId>& path = spine[static_cast<std::size_t>(i)];
-    const std::size_t sorted = ball_.size();
-    for (std::size_t j = 0; j + 1 < path.size(); ++j) {
-      const NodeId v = path[j];
-      const auto* b = ball_.data() + first;
-      const auto* e = ball_.data() + sorted;
-      const auto* it = std::lower_bound(
-          b, e, v, [](const BallEntry& a, NodeId x) { return a.node < x; });
-      if (it != e && it->node == v) continue;  // prefix direction wins
-      ball_.push_back(BallEntry{v, static_cast<std::int16_t>(adj_.dirTo(v, path[j + 1]))});
-    }
-    std::sort(ball_.begin() + static_cast<std::ptrdiff_t>(first), ball_.end(), byNode);
-    ballBegin_[i + 1] = ball_.size();
+  };
+  std::vector<std::size_t> sliceBegin(static_cast<std::size_t>(tn) + 1, ball_.size());
+  for (int i = 1; i < tn; ++i)
+    sliceBegin[i + 1] = sliceBegin[i] + std::min(capOf(i), attached) +
+                        spine[static_cast<std::size_t>(i)].size() - 1;
+  ball_.resize(sliceBegin[tn]);
+  std::vector<std::size_t> ballSize(static_cast<std::size_t>(tn), 0);
+  support::parallelFor(
+      support::hardwareWorkers(), static_cast<std::size_t>(tn - 1),
+      [&] { return GraphSearch(adj_); },
+      [&](GraphSearch& s, std::size_t item) {
+        const int i = static_cast<int>(item) + 1;
+        BallEntry* first = ball_.data() + sliceBegin[i];
+        const std::size_t grown = growBall(s, landmark_[i], capOf(i), first);
+        std::sort(first, first + grown, byNode);
+        // Inject the spine path (parent's landmark → lm): nodes not
+        // already in the prefix get the along-path direction toward lm.
+        // This is what restores ball(C) ∋ landmark(parent(C)) — the
+        // invariant the chain induction needs — without the prefix having
+        // to reach that far.
+        const std::vector<NodeId>& path = spine[static_cast<std::size_t>(i)];
+        std::size_t size = grown;
+        for (std::size_t j = 0; j + 1 < path.size(); ++j) {
+          const NodeId v = path[j];
+          const BallEntry* it = std::lower_bound(
+              first, first + grown, v, [](const BallEntry& a, NodeId x) { return a.node < x; });
+          if (it != first + grown && it->node == v) continue;  // prefix direction wins
+          first[size++] = BallEntry{v, static_cast<std::int16_t>(adj_.dirTo(v, path[j + 1]))};
+        }
+        if (size > grown) std::sort(first, first + size, byNode);
+        ballSize[i] = size;
+      });
+  for (int i = 1; i < tn; ++i) {
+    const auto from = ball_.begin() + static_cast<std::ptrdiff_t>(sliceBegin[i]);
+    if (sliceBegin[i] != ballBegin_[i])
+      std::copy(from, from + static_cast<std::ptrdiff_t>(ballSize[i]),
+                ball_.begin() + static_cast<std::ptrdiff_t>(ballBegin_[i]));
+    ballBegin_[i + 1] = ballBegin_[i] + ballSize[i];
   }
+  ball_.resize(ballBegin_[tn]);
 }
 
 std::size_t HierGraphTopology::routingBytes() const {

@@ -62,11 +62,11 @@ class HierGraphTopology final : public Topology {
   static constexpr int kBallEntryFactor = 12;
   static constexpr int kBallMinEntries = 256;
   /// Spine paths for internally disconnected clusters: up to this many
-  /// graph nodes they come from an exact early-exit Dijkstra (the
-  /// differential-corpus regime, where stretch is measured against the
-  /// dense oracle); beyond it, from the root-SPT tree path through the
-  /// LCA — O(path length) instead of a Θ(n)-pop search per child, which
-  /// is what keeps 100k-node construction near-linear.
+  /// graph nodes they come from one exact early-exit Dijkstra per parent
+  /// (the differential-corpus regime, where stretch is measured against
+  /// the dense oracle); beyond it, from the root-SPT tree path through
+  /// the LCA — O(path length) instead of a Θ(n)-pop search per parent,
+  /// which is what keeps 100k-node construction near-linear.
   static constexpr int kExactSpineMaxNodes = 4096;
   /// Ancestor chains are walked on the per-message hot path from a fixed
   /// stack buffer; 64 levels covers a 2-ary tree over kMaxGraphNodes.
@@ -118,14 +118,17 @@ class HierGraphTopology final : public Topology {
   };
 
   void buildLandmarks(GraphSearch& search);
+  /// Grows the root ball on `search`, then the spines and every other
+  /// ball on worker threads, each ball into its own slice of ball_.
   void buildBalls(GraphSearch& search);
-  /// One cluster-restricted Dijkstra per internal tree node, extracting
-  /// each child's shortest ℓ_parent → ℓ_child path into `spine`; an
-  /// internally disconnected cluster falls back to the root-SPT tree
-  /// path through the LCA (any simple path keeps routing live).
-  void buildSpinePaths(GraphSearch& search, std::vector<std::vector<NodeId>>& spine,
+  /// Each child's shortest ℓ_parent → ℓ_child path into `spine`: one
+  /// cluster-restricted Dijkstra per internal tree node, on worker
+  /// threads; children it misses take one unrestricted search per parent
+  /// (exact) or, above kExactSpineMaxNodes, the root-SPT tree path
+  /// through the LCA (any simple path keeps routing live).
+  void buildSpinePaths(std::vector<std::vector<NodeId>>& spine,
                        const std::vector<NodeId>& sptParent,
-                       const std::vector<std::uint32_t>& sptDepth);
+                       const std::vector<std::uint32_t>& sptDepth) const;
   /// Direction stored for `node` in `treeNode`'s ball, -1 at the landmark
   /// itself, -2 when the node is outside the ball.
   int findDir(int treeNode, NodeId node) const;

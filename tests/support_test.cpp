@@ -1,15 +1,21 @@
 // Tests for the support utilities: hashing/RNG quality properties, the
-// bench table formatter, the check macros, and the text-format line reader.
+// bench table formatter, the check macros, the text-format line reader and
+// the parallel loop of the topology builds.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "support/check.hpp"
+#include "support/parallel.hpp"
 #include "support/rng.hpp"
 #include "support/table.hpp"
 #include "support/text_file.hpp"
@@ -270,6 +276,91 @@ TEST(TextFile, ParseErrorsNameThePathAndWritesRoundTrip) {
                 .find("cannot open demo file"),
             std::string::npos);
   std::remove(path.c_str());
+}
+
+// ---------------------------------------------------------------------------
+// parallelFor — the worker loop behind the graph topologies' builds
+// ---------------------------------------------------------------------------
+
+constexpr std::size_t kItems = 1000;
+constexpr int kWorkerCounts[] = {1, 2, 7};
+
+TEST(ParallelFor, RunsEveryItemExactlyOnce) {
+  for (const int workers : kWorkerCounts) {
+    std::vector<std::atomic<int>> runs(kItems);
+    parallelFor(workers, kItems, [] { return 0; },
+                [&](int&, std::size_t i) { runs[i].fetch_add(1); });
+    for (std::size_t i = 0; i < kItems; ++i) {
+      EXPECT_EQ(runs[i].load(), 1) << "item " << i << ", " << workers << " workers";
+    }
+  }
+}
+
+TEST(ParallelFor, BuildsEachWorkersStateOnce) {
+  struct State {
+    int id;
+  };
+  for (const int workers : kWorkerCounts) {
+    std::atomic<int> built{0};
+    std::vector<std::thread::id> builder(static_cast<std::size_t>(workers));
+    std::vector<int> stateOf(kItems, -1);
+    std::vector<char> onBuilder(kItems, 0);
+    parallelFor(
+        workers, kItems,
+        [&] {
+          const int id = built.fetch_add(1);
+          if (id < workers) builder[static_cast<std::size_t>(id)] = std::this_thread::get_id();
+          return State{id};
+        },
+        [&](State& s, std::size_t i) {
+          stateOf[i] = s.id;
+          onBuilder[i] = s.id < workers &&
+                         builder[static_cast<std::size_t>(s.id)] == std::this_thread::get_id();
+        });
+    EXPECT_GE(built.load(), 1);
+    EXPECT_LE(built.load(), workers);
+    for (std::size_t i = 0; i < kItems; ++i) {
+      EXPECT_TRUE(onBuilder[i]) << "item " << i << " ran on state " << stateOf[i]
+                                << " away from the thread that built it";
+    }
+  }
+  // One worker runs inline on the caller's thread.
+  const std::thread::id caller = std::this_thread::get_id();
+  std::set<std::thread::id> ran;
+  parallelFor(1, kItems, [] { return 0; },
+              [&](int&, std::size_t) { ran.insert(std::this_thread::get_id()); });
+  EXPECT_EQ(ran, std::set<std::thread::id>{caller});
+}
+
+TEST(ParallelFor, RethrowsTheLowestFailingIndex) {
+  for (const int workers : kWorkerCounts) {
+    std::vector<std::atomic<int>> runs(kItems);
+    std::string what;
+    try {
+      parallelFor(workers, kItems, [] { return 0; }, [&](int&, std::size_t i) {
+        runs[i].fetch_add(1);
+        // Item 500 fails last in time: later items fail while it sleeps.
+        if (i == 500) std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        if (i == 500 || i == 600 || i == 999)
+          throw std::runtime_error("item " + std::to_string(i));
+      });
+    } catch (const std::runtime_error& e) {
+      what = e.what();
+    }
+    EXPECT_EQ(what, "item 500") << workers << " workers";
+    for (std::size_t i = 0; i < 500; ++i) {
+      EXPECT_EQ(runs[i].load(), 1) << "item " << i << ", " << workers << " workers";
+    }
+  }
+}
+
+TEST(ParallelFor, ZeroItemsRunNothing) {
+  for (const int workers : kWorkerCounts) {
+    int built = 0, ran = 0;
+    parallelFor(workers, 0, [&] { return ++built; }, [&](int&, std::size_t) { ++ran; });
+    EXPECT_EQ(built, 0);
+    EXPECT_EQ(ran, 0);
+  }
 }
 
 }  // namespace
