@@ -99,9 +99,10 @@ void GraphTopology::buildRoutingTable() {
   // One deterministic Dijkstra per destination t fills column t of the
   // table: nextDir_[s][t] is s's direction toward its parent in the
   // shortest-path tree rooted at t. Columns are independent, so workers
-  // take them in blocks of kColumnBlock — one cache line of int16
-  // entries per row — each worker on its own search scratch; the table
-  // is the serial loop's at any worker count.
+  // take them in blocks of kColumnBlock, which keeps most of each
+  // worker's row writes on cache lines no other worker touches; each
+  // worker has its own search scratch, and the table is the serial
+  // loop's at any worker count.
   constexpr std::size_t kColumnBlock = 32;
   const std::size_t blocks = (static_cast<std::size_t>(n) + kColumnBlock - 1) / kColumnBlock;
   support::parallelFor(

@@ -9,17 +9,28 @@
 #include <thread>
 #include <vector>
 
+#if defined(__linux__)
+#include <sched.h>
+#endif
+
 namespace diva::support {
 
-/// Worker count for a parallel build phase: the machine's hardware
-/// threads, at least 1. `parallelFor` clamps it to the item count.
+/// Worker count for a parallel build phase: the CPUs this process may
+/// run on (its affinity mask on Linux, else the hardware threads), at
+/// least 1. `parallelFor` clamps it to the item count. A CPU-time quota
+/// without a CPU set is not seen, so such a process starts one worker
+/// per CPU of the host.
 inline int hardwareWorkers() {
+#if defined(__linux__)
+  cpu_set_t usable;
+  if (sched_getaffinity(0, sizeof usable, &usable) == 0) return std::max(1, CPU_COUNT(&usable));
+#endif
   return static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
 }
 
 /// Runs `body(state, i)` for every i in [0, count) on up to `workers`
-/// threads, the caller being worker 0; with one worker (or one item)
-/// nothing is spawned and the loop runs inline. Each worker builds its
+/// threads, the caller being worker 0, so one worker (or one item)
+/// spawns nothing and runs the loop inline. Each worker builds its
 /// state once, with `makeState()`, before its first item, and claims
 /// items in ascending order from one shared counter, so the body must
 /// write only what item i owns. The call returns after every worker has
@@ -34,13 +45,7 @@ inline int hardwareWorkers() {
 template <typename MakeState, typename Body>
 void parallelFor(int workers, std::size_t count, MakeState&& makeState, Body&& body) {
   if (count == 0) return;
-  const std::size_t threads = std::clamp<std::size_t>(
-      static_cast<std::size_t>(std::max(workers, 1)), 1, count);
-  if (threads == 1) {
-    auto state = makeState();
-    for (std::size_t i = 0; i < count; ++i) body(state, i);
-    return;
-  }
+  const std::size_t threads = std::min(static_cast<std::size_t>(std::max(workers, 1)), count);
 
   struct Failure {
     std::size_t index = std::numeric_limits<std::size_t>::max();
