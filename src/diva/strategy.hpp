@@ -70,8 +70,7 @@ class Strategy {
   /// transaction in flight are deferred until that variable is quiet, in
   /// the shared DeferredWork queue (diva/deferred_work.hpp). A node that
   /// recovers needs no hook: it rejoins with the cold caches repair left.
-  /// Default: strategies without fault support ignore liveness.
-  virtual void onNodeDown(NodeId p) { (void)p; }
+  virtual void onNodeDown(NodeId p) = 0;
 
   /// The machine was structurally reconfigured (nodes/links added or
   /// removed — a new reconfiguration epoch; docs/faults.md). The strategy
@@ -81,8 +80,7 @@ class Strategy {
   /// variables with a transaction in flight until they are quiet
   /// (forwarding serves them meanwhile) in the same DeferredWork queue as
   /// repairs, which drain first (diva/deferred_work.hpp).
-  /// Default: strategies without reconfiguration support ignore epochs.
-  virtual void onReconfig() {}
+  virtual void onReconfig() = 0;
 };
 
 }  // namespace diva

@@ -95,20 +95,16 @@ sim::Time Network::postInternal(Message&& msg) {
     if (done == engine_->now() && dispatchDepth_ == 0) {
       // Zero-cost state step on an idle CPU (cost models with
       // stateLookupUs == 0): the dispatch is due at the current instant,
-      // so deliver inline — no pooled box, no queue round-trip. Only
+      // so deliver inline — no pooled flight, no queue round-trip. Only
       // from outside a handler: a local post *from* a handler takes the
       // queued path so zero-cost relay chains drain iteratively instead
       // of recursing one stack frame per message.
       dispatchOrEnqueue(std::move(msg));
       return done;
     }
-    Message* boxed = messagePool_.acquire();
-    *boxed = std::move(msg);
-    engine_->scheduleAt(done, [this, boxed] {
-      Message m = std::move(*boxed);
-      messagePool_.release(boxed);
-      dispatchOrEnqueue(std::move(m));
-    });
+    Flight* f = flightPool_.acquire();
+    f->msg = std::move(msg);
+    engine_->scheduleAt(done, [this, f] { land(f); });
     return done;
   }
 
@@ -172,17 +168,19 @@ void Network::hop(Flight* f) {
     const sim::Time arrival = start + streamTime;
     engine_->scheduleAt(arrival, [this, f] {
       const sim::Time handleAt = reserveCpu(f->msg.dst, cost_.recvOverheadUs);
-      engine_->scheduleAt(handleAt, [this, f] {
-        Message m = std::move(f->msg);
-        flightPool_.release(f);
-        dispatchOrEnqueue(std::move(m));
-      });
+      engine_->scheduleAt(handleAt, [this, f] { land(f); });
     });
   } else {
     ++f->idx;
     f->headReady = start + linkHopLatencyUs_[h.link];
     engine_->scheduleAt(f->headReady, [this, f] { hop(f); });
   }
+}
+
+void Network::land(Flight* f) {
+  Message m = std::move(f->msg);
+  flightPool_.release(f);
+  dispatchOrEnqueue(std::move(m));
 }
 
 void Network::setNodeUp(NodeId n, bool up, int line) {
@@ -315,22 +313,17 @@ sim::Task<Message> Network::recv(NodeId node, Channel channel) {
   // the mailbox table eagerly — a coroutine body would defer the check
   // (and its CheckError) until first resume inside the event loop.
   mailboxSlot(node, channel);
-  return recvOn(*this, node, channel);
+  return recvOn(node, channel);
 }
 
-sim::Task<Message> Network::recvOn(Network& net, NodeId node, Channel channel) {
-  // The Network first parameter routes this coroutine's frame into the
-  // network-owned frame pool (see sim/task.hpp): mailbox-heavy loops call
-  // recv once per message, and after warm-up those frames recycle instead
-  // of hitting the heap.
-  //
+sim::Task<Message> Network::recvOn(NodeId node, Channel channel) {
   // Hold (node, channel) and recompute the dense slot at every touch, not
   // a Mailbox reference or a cached slot index: the table may be resized
   // by other channels appearing — or re-strided by the machine growing —
   // while this coroutine is suspended. The Mailbox (queue and this
   // coroutine's waiter registration) moves as a unit, so recomputing the
   // one multiply-add re-finds it wherever it landed.
-  while (net.mailboxes_[net.slotOf(node, channel)].queue.empty()) {
+  while (mailboxes_[slotOf(node, channel)].queue.empty()) {
     struct WaitAwaiter {
       Network* net;
       NodeId node;
@@ -341,9 +334,9 @@ sim::Task<Message> Network::recvOn(Network& net, NodeId node, Channel channel) {
       }
       void await_resume() const noexcept {}
     };
-    co_await WaitAwaiter{&net, node, channel};
+    co_await WaitAwaiter{this, node, channel};
   }
-  co_return net.mailboxes_[net.slotOf(node, channel)].queue.take_front();
+  co_return mailboxes_[slotOf(node, channel)].queue.take_front();
 }
 
 // ---------------------------------------------------------------------------

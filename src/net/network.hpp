@@ -15,7 +15,6 @@
 #include "sim/engine.hpp"
 #include "sim/task.hpp"
 #include "support/check.hpp"
-#include "support/frame_pool.hpp"
 #include "support/object_pool.hpp"
 #include "support/ring_buffer.hpp"
 #include "support/small_vec.hpp"
@@ -45,12 +44,13 @@ namespace diva::net {
 /// coroutines. Congestion statistics are recorded per link crossing and
 /// are completely independent of the time model.
 ///
-/// Hot-path storage: in-flight state (`Flight`, boxed local `Message`s)
-/// comes from recycling slab pools owned by the Network, routes are
-/// computed by the topology straight into per-flight inline buffers,
-/// handler / mailbox dispatch indexes dense per-(channel, node) vectors,
-/// and `recv` coroutine frames recycle through a frame pool — so in
-/// steady state moving a message end to end allocates nothing.
+/// Hot-path storage: in-flight state (`Flight`, which also carries local
+/// messages to their delayed dispatch) comes from a recycling slab pool
+/// owned by the Network, routes are computed by the topology straight
+/// into per-flight inline buffers, handler / mailbox dispatch indexes
+/// dense per-(channel, node) vectors, and `recv` coroutine frames recycle
+/// through the thread's frame pool (sim/task.hpp) — so in steady state
+/// moving a message end to end allocates nothing.
 class Network {
  public:
   using Handler = std::function<void(Message&&)>;
@@ -263,11 +263,9 @@ class Network {
   using DeliveryProbe = std::function<void(sim::Time, NodeId, Channel)>;
   void setDeliveryProbe(DeliveryProbe probe) { deliveryProbe_ = std::move(probe); }
 
-  /// Frame recycling for the `recv` coroutines (see sim/task.hpp).
-  support::FramePool& coroFramePool() { return framePool_; }
-
  private:
-  /// In-flight message state, pooled and recycled. Field order is the hot
+  /// In-flight message state, pooled and recycled. A local (src == dst)
+  /// message rides one too, using only `msg`. Field order is the hot
   /// path's: a hop event reads headReady/idx/wire and one route entry, so
   /// they share the flight's first cache line (with the route's inline
   /// header and first hops right behind); the message — only needed again
@@ -289,6 +287,8 @@ class Network {
 
   sim::Time postInternal(Message&& msg);
   void hop(Flight* f);
+  /// Hand a flight's message to its destination and recycle the flight.
+  void land(Flight* f);
   void dispatchOrEnqueue(Message&& msg);
   /// Node a flight's head currently sits at (src before the first hop).
   NodeId flightAt(const Flight* f) const {
@@ -296,9 +296,7 @@ class Network {
   }
   void rerouteOrPark(Flight* f);
   void retryParked();
-  /// Static (not a member) so the Network is the coroutine's first
-  /// parameter: that is what routes the frame into `coroFramePool()`.
-  static sim::Task<Message> recvOn(Network& net, NodeId node, Channel channel);
+  sim::Task<Message> recvOn(NodeId node, Channel channel);
 
   // Structural reconfiguration internals (network.cpp has the epoch walk).
   void scheduleReconfigNotify();
@@ -341,8 +339,6 @@ class Network {
   Channel mailboxChannels_ = 0;     ///< channels covered by mailboxes_
   int dispatchDepth_ = 0;           ///< handlers currently executing
   support::ObjectPool<Flight> flightPool_;
-  support::ObjectPool<Message> messagePool_;
-  support::FramePool framePool_;
   std::uint64_t messagesSent_ = 0;
   DeliveryProbe deliveryProbe_;  ///< empty unless a trace consumer taps in
   obs::Tracer* tracer_ = nullptr;

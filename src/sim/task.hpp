@@ -1,84 +1,46 @@
 #pragma once
 
-#include <concepts>
 #include <coroutine>
 #include <cstddef>
 #include <cstdio>
 #include <exception>
-#include <new>
 #include <optional>
+#include <type_traits>
 #include <utility>
 
 #include "support/frame_pool.hpp"
 
 namespace diva::sim {
 
-/// Lazy coroutine task. `Task<T>` is the return type of every simulated
-/// activity that can suspend (node programs, DIVA operations). Tasks are
-/// cold-start: nothing runs until the task is awaited (or detached via
-/// `spawn`). On completion the awaiting coroutine is resumed symmetrically.
-///
-/// Error model: the simulator is deterministic and single-threaded; an
-/// exception escaping a coroutine indicates a bug in the library or the
-/// application program, so we fail fast instead of propagating.
-template <typename T = void>
-class [[nodiscard]] Task;
-
 namespace detail {
 
-/// A coroutine owner that recycles its coroutines' frames: expose a
-/// `coroFramePool()` accessor and take the owner as the coroutine's first
-/// parameter (e.g. `Network`'s mailbox receive). Frames of such
-/// coroutines are drawn from the owner's pool instead of the heap, so
-/// awaiting the same operation in a loop stops allocating after warm-up.
-template <typename T>
-concept HasFramePool = requires(T& t) {
-  { t.coroFramePool() } -> std::same_as<support::FramePool&>;
-};
-
-/// Every Task frame is prefixed with its origin (pool or heap) and total
-/// size, because the frame deallocation function receives no context.
-/// The header is padded to the default new alignment, which is also the
-/// strictest alignment coroutine frames get from any allocator.
-struct FrameHeader {
-  support::FramePool* pool;
-  std::size_t size;
-};
-inline constexpr std::size_t kFrameHeaderSize =
-    (sizeof(FrameHeader) + __STDCPP_DEFAULT_NEW_ALIGNMENT__ - 1) /
-    __STDCPP_DEFAULT_NEW_ALIGNMENT__ * __STDCPP_DEFAULT_NEW_ALIGNMENT__;
-
-inline void* allocFrame(support::FramePool* pool, std::size_t n) {
-  const std::size_t total = n + kFrameHeaderSize;
-  void* raw = pool != nullptr ? pool->allocate(total) : ::operator new(total);
-  *static_cast<FrameHeader*>(raw) = FrameHeader{pool, total};
-  return static_cast<std::byte*>(raw) + kFrameHeaderSize;
+/// The pool every coroutine frame of this thread is drawn from. Reads,
+/// writes, locks, barriers and mailbox receives each create a frame per
+/// call, so after warm-up the frames of a loop recycle instead of
+/// hitting the heap.
+///
+/// Leaked on purpose: a frame can still be live while thread-local and
+/// static objects are destroyed at exit (a task parked in a static or a
+/// thread-local owner), and freeing it must still find the pool. Parked
+/// blocks stay reachable from the pool, so leak checkers see no leak.
+/// Only the thread that first creates a coroutine instantiates a pool;
+/// the topology-build workers (support/parallel.hpp) never do.
+inline support::FramePool& framePool() {
+  thread_local support::FramePool* pool = new support::FramePool;
+  return *pool;
 }
 
-inline void freeFrame(void* p) noexcept {
-  void* raw = static_cast<std::byte*>(p) - kFrameHeaderSize;
-  const FrameHeader h = *static_cast<FrameHeader*>(raw);
-  if (h.pool != nullptr) {
-    h.pool->deallocate(raw, h.size);
-  } else {
-    ::operator delete(raw);
+/// Frame allocation for every promise type. The compiler passes the
+/// frame size to the sized delete, so no header tracks it.
+struct PooledFrame {
+  static void* operator new(std::size_t n) { return framePool().allocate(n); }
+  static void operator delete(void* p, std::size_t n) noexcept {
+    framePool().deallocate(p, n);
   }
-}
+};
 
-struct PromiseBase {
+struct PromiseBase : PooledFrame {
   std::coroutine_handle<> continuation;
-
-  // Frame allocation: overload resolution for a coroutine's frame first
-  // tries (size, parameters...); the constrained overload wins exactly
-  // when the first parameter is a pool-owning object, everything else
-  // falls back to the plain form on the global heap.
-  static void* operator new(std::size_t n) { return allocFrame(nullptr, n); }
-  template <typename Owner, typename... Args>
-    requires HasFramePool<Owner>
-  static void* operator new(std::size_t n, Owner& owner, Args&...) {
-    return allocFrame(&owner.coroFramePool(), n);
-  }
-  static void operator delete(void* p) noexcept { freeFrame(p); }
 
   struct FinalAwaiter {
     bool await_ready() const noexcept { return false; }
@@ -98,60 +60,40 @@ struct PromiseBase {
   }
 };
 
-}  // namespace detail
-
+/// Where a finished task leaves its result.
 template <typename T>
-class [[nodiscard]] Task {
- public:
-  struct promise_type : detail::PromiseBase {
-    std::optional<T> value;
-    Task get_return_object() {
-      return Task{std::coroutine_handle<promise_type>::from_promise(*this)};
-    }
-    template <typename U>
-    void return_value(U&& v) {
-      value.emplace(std::forward<U>(v));
-    }
-  };
-
-  Task(Task&& other) noexcept : handle_(std::exchange(other.handle_, nullptr)) {}
-  Task(const Task&) = delete;
-  Task& operator=(const Task&) = delete;
-  Task& operator=(Task&& other) noexcept {
-    if (this != &other) {
-      destroy();
-      handle_ = std::exchange(other.handle_, nullptr);
-    }
-    return *this;
+struct ReturnSlot {
+  std::optional<T> value;
+  template <typename U>
+  void return_value(U&& v) {
+    value.emplace(std::forward<U>(v));
   }
-  ~Task() { destroy(); }
-
-  bool await_ready() const noexcept { return false; }
-  std::coroutine_handle<> await_suspend(std::coroutine_handle<> cont) noexcept {
-    handle_.promise().continuation = cont;
-    return handle_;
-  }
-  T await_resume() { return std::move(*handle_.promise().value); }
-
- private:
-  friend struct promise_type;
-  template <typename>
-  friend struct TaskAccess;
-  explicit Task(std::coroutine_handle<promise_type> h) : handle_(h) {}
-  void destroy() {
-    if (handle_) handle_.destroy();
-  }
-  std::coroutine_handle<promise_type> handle_;
 };
 
 template <>
-class [[nodiscard]] Task<void> {
+struct ReturnSlot<void> {
+  void return_void() noexcept {}
+};
+
+}  // namespace detail
+
+/// Lazy coroutine task. `Task<T>` is the return type of every simulated
+/// activity that can suspend (node programs, DIVA operations). Tasks are
+/// cold-start: nothing runs until the task is awaited (or detached via
+/// `spawn`). On completion the awaiting coroutine is resumed symmetrically.
+/// Value and void tasks share this one template; every frame, whatever its
+/// `T`, comes from the thread's frame pool (`detail::framePool`).
+///
+/// Error model: the simulator is deterministic and single-threaded; an
+/// exception escaping a coroutine indicates a bug in the library or the
+/// application program, so we fail fast instead of propagating.
+template <typename T = void>
+class [[nodiscard]] Task {
  public:
-  struct promise_type : detail::PromiseBase {
+  struct promise_type : detail::PromiseBase, detail::ReturnSlot<T> {
     Task get_return_object() {
       return Task{std::coroutine_handle<promise_type>::from_promise(*this)};
     }
-    void return_void() noexcept {}
   };
 
   Task(Task&& other) noexcept : handle_(std::exchange(other.handle_, nullptr)) {}
@@ -171,10 +113,11 @@ class [[nodiscard]] Task<void> {
     handle_.promise().continuation = cont;
     return handle_;
   }
-  void await_resume() noexcept {}
+  T await_resume() {
+    if constexpr (!std::is_void_v<T>) return std::move(*handle_.promise().value);
+  }
 
  private:
-  friend struct promise_type;
   explicit Task(std::coroutine_handle<promise_type> h) : handle_(h) {}
   void destroy() {
     if (handle_) handle_.destroy();
@@ -187,7 +130,7 @@ namespace detail {
 /// Self-destroying wrapper used by `spawn`: runs eagerly, frame frees
 /// itself at completion.
 struct Detached {
-  struct promise_type {
+  struct promise_type : PooledFrame {
     Detached get_return_object() { return {}; }
     std::suspend_never initial_suspend() noexcept { return {}; }
     std::suspend_never final_suspend() noexcept { return {}; }

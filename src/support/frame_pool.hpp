@@ -6,15 +6,17 @@
 
 namespace diva::support {
 
-/// Size-bucketed freelist for coroutine frames (and other fixed-shape
-/// blocks that churn at a stable working-set size). Blocks are rounded up
-/// to 64-byte classes; a freed block parks on its class's freelist and the
-/// next allocation of that class pops it — so steady-state churn performs
-/// zero heap traffic after warm-up. Oversized blocks fall through to the
-/// global heap. Everything parked is released on destruction; blocks still
-/// outstanding are the caller's to free (the pool never tracks them).
+/// Size-bucketed freelist for coroutine frames: every `sim::Task` and
+/// `spawn` frame of a thread comes from one such pool (sim/task.hpp).
+/// Blocks are rounded up to 64-byte classes; a freed block parks on its
+/// class's freelist and the next allocation of that class pops it — so
+/// steady-state churn performs zero heap traffic after warm-up. Blocks
+/// larger than kMaxPooled fall through to the global heap. Everything
+/// parked is released on destruction; blocks still outstanding are the
+/// caller's to free (the pool never tracks them). Callers pass the block
+/// size back on free, as a sized operator delete receives it.
 ///
-/// Single-threaded by design, like the simulator that uses it.
+/// Single-threaded by design: one pool per thread, never shared.
 class FramePool {
  public:
   static constexpr std::size_t kGranularity = 64;
@@ -48,7 +50,7 @@ class FramePool {
   void deallocate(void* p, std::size_t n) {
     const std::size_t b = bucketOf(n);
     if (b >= kNumBuckets) {
-      ::operator delete(p);
+      ::operator delete(p, n);
       return;
     }
     auto* node = static_cast<FreeNode*>(p);

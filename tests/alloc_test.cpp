@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "diva/machine.hpp"
+#include "diva/runtime.hpp"
 #include "net/graph_topology.hpp"
 #include "obs/tracer.hpp"
 #include "serve/latency_histogram.hpp"
@@ -232,9 +233,9 @@ TEST(Alloc, ReservedPreloadedBurstActivatesWithoutAllocating) {
 // Relay churn: every node forwards each arriving message to a
 // pseudo-random next node on the protocol channel — cycling through
 // remote and deliberately local (src == dst) sends. Exercises remote
-// flights (pooled, inline routes), local messages (pooled boxes) and
-// dense handler dispatch. 8×8 keeps every route within the 16-hop inline
-// capacity.
+// flights (pooled, inline routes), local messages (carried by the same
+// pooled flights) and dense handler dispatch. 8×8 keeps every route
+// within the 16-hop inline capacity.
 void registerRelayHandlers(Machine& m, std::uint64_t& budget) {
   const NodeId procs = static_cast<NodeId>(m.numProcs());
   for (NodeId p = 0; p < procs; ++p) {
@@ -306,8 +307,8 @@ TEST(Alloc, GraphRoutedMessageChurnIsAllocationFreeInSteadyState) {
 
 // Mailbox-heavy steady state: a token circulates a ring of coroutines
 // that each loop `recv` → `post`. Every recv call is a fresh coroutine,
-// so without the network's frame pool this would allocate one frame per
-// received message; with it, the frames recycle and the whole loop runs
+// so without the frame pool this would allocate one frame per received
+// message; with it, the frames recycle and the whole loop runs
 // allocation-free at working depth.
 TEST(Alloc, RecvCoroutineFramesRecycleInSteadyState) {
   Machine m(4, 4);
@@ -330,7 +331,7 @@ TEST(Alloc, RecvCoroutineFramesRecycleInSteadyState) {
   };
 
   // Warm-up: grows the frame pool to one frame per concurrently-suspended
-  // recv, plus the flight/message pools and mailbox rings.
+  // recv, plus the flight pool and mailbox rings.
   spawnRing(8);
   m.engine.run();
 
@@ -339,6 +340,35 @@ TEST(Alloc, RecvCoroutineFramesRecycleInSteadyState) {
   const std::uint64_t before = allocCount();
   m.engine.run();
   EXPECT_EQ(allocCount() - before, 0u) << "recv coroutine frames hit the heap";
+}
+
+// Read hits on a warm cache: each `Runtime::read` call is a fresh
+// coroutine frame even when the value is cached at the reader, so hits
+// stay off the heap only if every coroutine frame — not just `recv`'s —
+// recycles through the frame pool.
+TEST(Alloc, WarmCacheReadHitsAllocateNothing) {
+  Machine m(4, 4);
+  Runtime rt(m, RuntimeConfig::accessTree());
+  const NodeId p = 5;
+  const VarId x = rt.createVarFree(p, makeRawValue(64));  // p holds the only copy
+  auto readLoop = [](Runtime& r, NodeId node, VarId var, int n,
+                     std::uint64_t& bytes) -> sim::Task<> {
+    for (int i = 0; i < n; ++i) {
+      const Value v = co_await r.read(node, var);
+      bytes += v->size();
+    }
+  };
+  std::uint64_t bytes = 0;
+  sim::spawn(readLoop(rt, p, x, 16, bytes));  // warm-up: the pool's frame classes
+  m.engine.run();
+
+  const std::uint64_t hitsBefore = m.stats.ops.readHits;
+  const std::uint64_t before = allocCount();
+  sim::spawn(readLoop(rt, p, x, 4096, bytes));
+  m.engine.run();
+  EXPECT_EQ(allocCount() - before, 0u) << "read-hit coroutine frames hit the heap";
+  EXPECT_EQ(m.stats.ops.readHits - hitsBefore, 4096u);
+  EXPECT_EQ(bytes, (16u + 4096u) * 64u);
 }
 
 // A *disabled* tracer attached to the machine leaves the hot path
@@ -399,8 +429,8 @@ TEST(Alloc, TeardownWithPendingEventsLeaksNothing) {
   const std::int64_t baseline = outstanding();
   {
     Machine m(8, 8);
-    // In-flight remote messages with heap-owning bodies, local boxed
-    // messages, and an oversized capture on the raw engine — all still
+    // In-flight remote messages with heap-owning bodies, a pending local
+    // message, and an oversized capture on the raw engine — all still
     // pending when the machine is destroyed.
     for (int i = 0; i < 32; ++i) {
       m.net.post(net::Message{static_cast<NodeId>(i % 64),

@@ -5,12 +5,14 @@
 
 #include <array>
 #include <cmath>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
 #include "sim/engine.hpp"
 #include "sim/sync.hpp"
 #include "sim/task.hpp"
+#include "support/frame_pool.hpp"
 
 namespace diva::sim {
 namespace {
@@ -188,6 +190,24 @@ TEST(Task, NestedTasksReturnValues) {
   e.run();
   EXPECT_EQ(result, 84);
   EXPECT_DOUBLE_EQ(e.now(), 20.0);
+}
+
+TEST(Task, OversizedFrameFallsThroughToTheHeap) {
+  // A frame larger than FramePool::kMaxPooled bypasses the pool's size
+  // classes: it must still run across a suspension, complete and be
+  // freed. Under ASan a size mismatch between the frame's allocation and
+  // its sized delete fails here, and an unfreed frame leaks.
+  Engine e;
+  std::uint64_t sum = 0;
+  spawn([](Engine& eng, std::uint64_t& out) -> Task<> {
+    std::array<std::uint8_t, 2 * support::FramePool::kMaxPooled> buf{};
+    for (std::size_t i = 0; i < buf.size(); ++i) buf[i] = static_cast<std::uint8_t>(i);
+    co_await eng.delay(1.0);  // buf lives across the suspension, so in the frame
+    for (const std::uint8_t v : buf) out += v;
+  }(e, sum));
+  EXPECT_EQ(sum, 0u);
+  e.run();
+  EXPECT_EQ(sum, 2 * support::FramePool::kMaxPooled / 256 * (255u * 256u / 2u));
 }
 
 TEST(Task, ManyConcurrentTasksInterleaveDeterministically) {

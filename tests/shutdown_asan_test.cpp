@@ -1,7 +1,7 @@
 // Shutdown-leak proof, run under AddressSanitizer + LeakSanitizer (see
 // tests/CMakeLists.txt): a Machine is destroyed while messages are still
 // in flight — flights mid-route with spilled-capable route buffers,
-// boxed local messages, queued mailbox payloads, pending coroutine
+// pending local messages, queued mailbox payloads, pending coroutine
 // resumptions and an oversized event capture. In the seed, the raw
 // `new Message` / `new Flight` captures queued on the engine were simply
 // dropped on teardown; the pooled design reclaims them, and LSan verifies
@@ -40,7 +40,7 @@ int main() {
                               net::kProtocolChannel, 4096,
                               std::vector<int>(128, i)});
     }
-    // Local (src == dst) boxed message and a mailbox-bound message with no
+    // Local (src == dst) message and a mailbox-bound message with no
     // handler, both owning heap payloads.
     m.net.post(net::Message{7, 7, net::kSyncChannel, 0, std::vector<int>(16, 7)});
     m.net.post(net::Message{1, 1, net::kFirstAppChannel, 0, std::vector<int>(16, 1)});
