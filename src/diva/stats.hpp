@@ -18,13 +18,10 @@ namespace diva {
 /// time. Everything here is an observer — it never influences the run.
 class Stats {
  public:
-  /// Phases available without growth; `ensurePhases` extends past this.
-  static constexpr int kMaxPhases = 8;
-
+  /// Phase storage starts at one phase and grows as `setPhase` enters
+  /// later ones; a phase never entered reads as 0.
   explicit Stats(const net::Topology& topo)
-      : links(topo.numLinkSlots(), kMaxPhases),
-        computeUs_(kMaxPhases, 0.0),
-        wallUs_(kMaxPhases, 0.0) {}
+      : links(topo.numLinkSlots()), computeUs_(1, 0.0), wallUs_(1, 0.0) {}
 
   net::LinkStats links;
 
@@ -64,32 +61,27 @@ class Stats {
     }
   } ops;
 
+  /// Enter phase `p`, growing phase storage to cover it; growth appends
+  /// zeroed slots and never moves counts.
   void setPhase(int p, sim::Time now) {
+    links.setPhase(p);  // validates p
     wallUs_[phase_] += now - phaseStart_;
+    if (static_cast<std::size_t>(p) >= wallUs_.size()) {
+      computeUs_.resize(static_cast<std::size_t>(p) + 1, 0.0);
+      wallUs_.resize(static_cast<std::size_t>(p) + 1, 0.0);
+    }
     phase_ = p;
     phaseStart_ = now;
-    links.setPhase(p);
   }
   int currentPhase() const { return phase_; }
-  int numPhases() const { return static_cast<int>(wallUs_.size()); }
-
-  /// Grow phase-scoped storage (link cells, wall/compute accumulators) to
-  /// at least `n` phases. Workloads with more phases than kMaxPhases call
-  /// this once up front; growth appends zeroed slots, never moves counts.
-  void ensurePhases(int n) {
-    if (n <= numPhases()) return;
-    links.ensurePhases(n);
-    computeUs_.resize(static_cast<std::size_t>(n), 0.0);
-    wallUs_.resize(static_cast<std::size_t>(n), 0.0);
-  }
 
   /// Charge `us` of application compute to the current phase.
   void addCompute(double us) { computeUs_[phase_] += us; }
 
-  double computeUs(int phase) const { return computeUs_[phase]; }
+  double computeUs(int phase) const { return phaseValue(computeUs_, phase); }
   /// Simulated wall time spent while `phase` was current (closed via
   /// setPhase / closePhases).
-  double wallUs(int phase) const { return wallUs_[phase]; }
+  double wallUs(int phase) const { return phaseValue(wallUs_, phase); }
 
   void closePhases(sim::Time now) {
     wallUs_[phase_] += now - phaseStart_;
@@ -107,6 +99,10 @@ class Stats {
   }
 
  private:
+  static double phaseValue(const std::vector<double>& v, int phase) {
+    return static_cast<std::size_t>(phase) < v.size() ? v[static_cast<std::size_t>(phase)] : 0.0;
+  }
+
   int phase_ = 0;
   sim::Time phaseStart_ = 0;
   std::vector<double> computeUs_;

@@ -103,8 +103,6 @@ class HierGraphTopology final : public Topology {
 
   // -- Introspection for the differential tests, benches and docs --------
 
-  /// The internal routing tree (distinct from any decompose() result).
-  const GraphClusterTree& routingTree() const { return *tree_; }
   /// Total ball entries across all tree nodes — the sparse-state size the
   /// memory-vs-n table in docs/routing.md reports.
   std::size_t totalBallEntries() const { return ball_.size(); }

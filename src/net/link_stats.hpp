@@ -21,27 +21,23 @@ class LinkStats {
  public:
   static constexpr int kAllPhases = -1;
 
-  LinkStats(int numLinkSlots, int numPhases)
-      : slots_(numLinkSlots), phases_(std::max(1, numPhases)) {
-    cells_.assign(static_cast<std::size_t>(phases_) * slots_, Cell{});
-  }
+  /// Starts with one phase; `setPhase` grows the phase dimension to cover
+  /// the phases entered, and a phase never entered reads as 0.
+  explicit LinkStats(int numLinkSlots)
+      : slots_(numLinkSlots), cells_(static_cast<std::size_t>(numLinkSlots)) {}
 
   int numPhases() const { return phases_; }
   int currentPhase() const { return phase_; }
 
+  /// Enter phase `p`. The cell layout is phase-major, so growing the phase
+  /// dimension appends zeroed cells without moving existing counts.
   void setPhase(int p) {
-    DIVA_CHECK(p >= 0 && p < phases_);
+    DIVA_CHECK(p >= 0);
+    if (p >= phases_) {
+      phases_ = p + 1;
+      cells_.resize(static_cast<std::size_t>(phases_) * slots_, Cell{});
+    }
     phase_ = p;
-  }
-
-  /// Grow the phase dimension to at least `n` phases. The cell layout is
-  /// phase-major, so growth appends zeroed cells without moving existing
-  /// counts. Lets long multi-phase workloads exceed the default phase
-  /// budget the Stats object was built with.
-  void ensurePhases(int n) {
-    if (n <= phases_) return;
-    phases_ = n;
-    cells_.resize(static_cast<std::size_t>(phases_) * slots_, Cell{});
   }
 
   /// Hot path (once per link crossing): message count and byte count live
@@ -104,7 +100,8 @@ class LinkStats {
 
   std::uint64_t cellOver(std::uint64_t Cell::* field, int link, int phase) const {
     if (phase != kAllPhases)
-      return cells_[static_cast<std::size_t>(phase) * slots_ + link].*field;
+      return phase < phases_ ? cells_[static_cast<std::size_t>(phase) * slots_ + link].*field
+                             : 0;
     std::uint64_t s = 0;
     for (int p = 0; p < phases_; ++p)
       s += cells_[static_cast<std::size_t>(p) * slots_ + link].*field;
@@ -122,7 +119,7 @@ class LinkStats {
   }
 
   int slots_;
-  int phases_;
+  int phases_ = 1;
   int phase_ = 0;
   std::vector<Cell> cells_;
 };

@@ -1,6 +1,7 @@
 #include "net/network.hpp"
 
 #include <algorithm>
+#include <type_traits>
 #include <unordered_map>
 
 namespace diva::net {
@@ -8,26 +9,13 @@ namespace diva::net {
 namespace {
 /// Channels are small dense integers by construction (the library reserves
 /// the first 16, applications hand out consecutive values above that); the
-/// dense per-(channel, node) dispatch tables rely on it.
+/// channel-indexed port table relies on it.
 constexpr Channel kMaxChannels = 1u << 16;
 
 /// Directed endpoint pair as a map key (node ids are 31-bit).
 std::uint64_t pairKey(NodeId from, NodeId to) {
   return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(from)) << 32) |
          static_cast<std::uint32_t>(to);
-}
-
-/// Re-stride a dense channel-major table (slot = channel * stride + node)
-/// for a larger node stride; new nodes' slots are value-initialized.
-template <typename T>
-void restrideTable(std::vector<T>& table, std::size_t oldN, std::size_t newN,
-                   Channel channels) {
-  std::vector<T> grown(static_cast<std::size_t>(channels) * newN);
-  for (Channel c = 0; c < channels; ++c)
-    for (std::size_t n = 0; n < oldN; ++n)
-      grown[static_cast<std::size_t>(c) * newN + n] =
-          std::move(table[static_cast<std::size_t>(c) * oldN + n]);
-  table = std::move(grown);
 }
 }  // namespace
 
@@ -38,8 +26,7 @@ Network::Network(sim::Engine& engine, const Topology& topology, CostModel cost,
       cost_(cost),
       stats_(&stats),
       shape_(topology) {
-  const std::size_t n = nodeCount();
-  cpuFreeAt_.assign(n, sim::kTimeZero);
+  cpuFreeAt_.assign(nodeCount(), sim::kTimeZero);
   linkFreeAt_.assign(static_cast<std::size_t>(topology.numLinkSlots()), sim::kTimeZero);
   linkUsPerByte_.resize(linkFreeAt_.size());
   linkHopLatencyUs_.resize(linkFreeAt_.size());
@@ -49,38 +36,29 @@ Network::Network(sim::Engine& engine, const Topology& topology, CostModel cost,
         topology.linkLatency(l) * cost_.hopLatencyUs;
   }
   linkAlive_.assign(linkFreeAt_.size(), 1);
-  // The library protocol channels exist on every machine; size for them up
-  // front so the common dispatch never grows mid-run.
-  handlers_.resize(static_cast<std::size_t>(kFirstAppChannel) * n);
-  handlerChannels_ = kFirstAppChannel;
-  mailboxes_.resize(static_cast<std::size_t>(kFirstAppChannel) * n);
-  mailboxChannels_ = kFirstAppChannel;
+}
+
+Network::Port& Network::port(Channel channel) {
+  // Growing ports_ must move each Port's rows, never copy them: a running
+  // handler lives in one of those row buffers.
+  static_assert(std::is_nothrow_move_constructible_v<Port>);
+  DIVA_CHECK_MSG(channel < kMaxChannels, "channel out of dense-table range");
+  if (channel >= ports_.size()) ports_.resize(static_cast<std::size_t>(channel) + 1);
+  return ports_[channel];
+}
+
+Network::Mailbox& Network::mailbox(NodeId node, Channel channel) {
+  DIVA_CHECK(node >= 0 && static_cast<std::size_t>(node) < nodeCount());
+  std::vector<Mailbox>& row = port(channel).mailboxes;
+  if (row.empty()) row.resize(nodeCount());
+  return row[static_cast<std::size_t>(node)];
 }
 
 void Network::setHandler(NodeId node, Channel channel, Handler handler) {
   DIVA_CHECK(node >= 0 && static_cast<std::size_t>(node) < nodeCount());
-  DIVA_CHECK_MSG(channel < kMaxChannels, "channel out of dense-table range");
-  if (channel >= handlerChannels_) {
-    // Growing the table moves every registered handler; a handler that is
-    // currently executing must not be moved out from under itself (the
-    // map-based design this replaced was reference-stable). Registering
-    // on already-covered channels from inside a handler stays legal.
-    DIVA_CHECK_MSG(dispatchDepth_ == 0,
-                   "cannot register a new channel from inside a handler");
-    handlerChannels_ = channel + 1;
-    handlers_.resize(static_cast<std::size_t>(handlerChannels_) * nodeCount());
-  }
-  handlers_[slotOf(node, channel)] = std::move(handler);
-}
-
-std::size_t Network::mailboxSlot(NodeId node, Channel channel) {
-  DIVA_CHECK(node >= 0 && static_cast<std::size_t>(node) < nodeCount());
-  DIVA_CHECK_MSG(channel < kMaxChannels, "channel out of dense-table range");
-  if (channel >= mailboxChannels_) {
-    mailboxChannels_ = channel + 1;
-    mailboxes_.resize(static_cast<std::size_t>(mailboxChannels_) * nodeCount());
-  }
-  return slotOf(node, channel);
+  std::vector<Handler>& row = port(channel).handlers;
+  if (row.empty()) row.resize(nodeCount());
+  row[static_cast<std::size_t>(node)] = std::move(handler);
 }
 
 sim::Time Network::postInternal(Message&& msg) {
@@ -92,16 +70,6 @@ sim::Time Network::postInternal(Message&& msg) {
     // Local "message": a function call on the host processor. No startup,
     // no link traffic; costs one state-machine step.
     const sim::Time done = reserveCpu(msg.src, cost_.stateLookupUs);
-    if (done == engine_->now() && dispatchDepth_ == 0) {
-      // Zero-cost state step on an idle CPU (cost models with
-      // stateLookupUs == 0): the dispatch is due at the current instant,
-      // so deliver inline — no pooled flight, no queue round-trip. Only
-      // from outside a handler: a local post *from* a handler takes the
-      // queued path so zero-cost relay chains drain iteratively instead
-      // of recursing one stack frame per message.
-      dispatchOrEnqueue(std::move(msg));
-      return done;
-    }
     Flight* f = flightPool_.acquire();
     f->msg = std::move(msg);
     engine_->scheduleAt(done, [this, f] { land(f); });
@@ -117,14 +85,7 @@ sim::Time Network::postInternal(Message&& msg) {
   f->epoch = topoEpoch_;
   f->headReady = injected;
   topo_->appendRoute(f->msg.src, f->msg.dst, f->path);
-  if (injected == engine_->now()) {
-    // The head is ready now (cost models with sendOverheadUs == 0 and an
-    // idle CPU): fuse the injection event into the first hop instead of
-    // a scheduleAt(now, …) round-trip through the queue.
-    hop(f);
-  } else {
-    engine_->scheduleAt(injected, [this, f] { hop(f); });
-  }
+  engine_->scheduleAt(injected, [this, f] { hop(f); });
   return injected;
 }
 
@@ -287,10 +248,12 @@ void Network::retryParked() {
 
 void Network::dispatchOrEnqueue(Message&& msg) {
   if (deliveryProbe_) deliveryProbe_(engine_->now(), msg.dst, msg.channel);
-  if (msg.channel < handlerChannels_) {
-    Handler& h = handlers_[slotOf(msg.dst, msg.channel)];
+  if (msg.channel < ports_.size() && !ports_[msg.channel].handlers.empty()) {
+    // The row's buffer stays put while the handler runs: other channels'
+    // first use moves only Ports, and node growth waits for dispatchDepth_.
+    Handler& h = ports_[msg.channel].handlers[static_cast<std::size_t>(msg.dst)];
     if (h) {
-      ++dispatchDepth_;  // guards the reference against table growth
+      ++dispatchDepth_;
       try {
         h(std::move(msg));
       } catch (...) {
@@ -301,7 +264,7 @@ void Network::dispatchOrEnqueue(Message&& msg) {
       return;
     }
   }
-  Mailbox& box = mailboxes_[mailboxSlot(msg.dst, msg.channel)];
+  Mailbox& box = mailbox(msg.dst, msg.channel);
   box.queue.push_back(std::move(msg));
   if (!box.waiters.empty()) {
     engine_->resumeAt(engine_->now(), box.waiters.take_front());
@@ -309,34 +272,33 @@ void Network::dispatchOrEnqueue(Message&& msg) {
 }
 
 sim::Task<Message> Network::recv(NodeId node, Channel channel) {
-  // Plain function, not a coroutine: validates (node, channel) and grows
-  // the mailbox table eagerly — a coroutine body would defer the check
-  // (and its CheckError) until first resume inside the event loop.
-  mailboxSlot(node, channel);
+  // Plain function, not a coroutine: validates (node, channel) and creates
+  // the mailbox row eagerly — a coroutine body would defer the check (and
+  // its CheckError) until first resume inside the event loop.
+  mailbox(node, channel);
   return recvOn(node, channel);
 }
 
 sim::Task<Message> Network::recvOn(NodeId node, Channel channel) {
-  // Hold (node, channel) and recompute the dense slot at every touch, not
-  // a Mailbox reference or a cached slot index: the table may be resized
-  // by other channels appearing — or re-strided by the machine growing —
-  // while this coroutine is suspended. The Mailbox (queue and this
-  // coroutine's waiter registration) moves as a unit, so recomputing the
-  // one multiply-add re-finds it wherever it landed.
-  while (mailboxes_[slotOf(node, channel)].queue.empty()) {
+  // Hold (node, channel) and re-find the Mailbox at every touch, not a
+  // reference: the machine growing resizes the row while this coroutine
+  // is suspended. The Mailbox (queue and this coroutine's waiter
+  // registration) moves as a unit, so the lookup finds it wherever it
+  // landed.
+  while (mailbox(node, channel).queue.empty()) {
     struct WaitAwaiter {
       Network* net;
       NodeId node;
       Channel channel;
       bool await_ready() const noexcept { return false; }
       void await_suspend(std::coroutine_handle<> h) {
-        net->mailboxes_[net->slotOf(node, channel)].waiters.push_back(h);
+        net->mailbox(node, channel).waiters.push_back(h);
       }
       void await_resume() const noexcept {}
     };
     co_await WaitAwaiter{this, node, channel};
   }
-  co_return mailboxes_[slotOf(node, channel)].queue.take_front();
+  co_return mailbox(node, channel).queue.take_front();
 }
 
 // ---------------------------------------------------------------------------
@@ -386,9 +348,8 @@ void Network::commitReconfig() {
       tracer_->endAsync(obs::kCatReconfig, obs::Tracer::kMachineTrack, "epoch", id);
   }
   openEpochSpans_.clear();
-  // Install the very topology object strategies decomposed at the epoch —
-  // their new trees must stay valid, and a tree must not outlive the
-  // topology that built it.
+  // Install the very topology object strategies decomposed at the epoch,
+  // rather than rebuilding the same graph a second time.
   installTopology(std::move(targetTopo_));
 }
 
@@ -450,15 +411,17 @@ void Network::installTopology(std::unique_ptr<Topology> built) {
   if (newN != oldN) {
     DIVA_CHECK(newN > oldN);  // ids are append-only; removal only retires
     cpuFreeAt_.resize(newN, sim::kTimeZero);
-    // Dense dispatch slots are channel * numNodes + node: a larger node
-    // stride moves every Mailbox/Handler. Safe here — no handler is
-    // executing, and suspended recv coroutines re-derive their slot from
+    // Growing a row moves its Mailboxes/Handlers. Safe here: no handler is
+    // executing, and suspended recv coroutines re-find their Mailbox from
     // (node, channel) at every touch.
-    restrideTable(handlers_, oldN, newN, handlerChannels_);
-    restrideTable(mailboxes_, oldN, newN, mailboxChannels_);
+    for (Port& p : ports_) {
+      if (!p.handlers.empty()) p.handlers.resize(newN);
+      if (!p.mailboxes.empty()) p.mailboxes.resize(newN);
+    }
   }
+  // The superseded shape's link state has been carried across; free it.
   topo_ = built.get();
-  ownedTopos_.push_back(std::move(built));
+  installedTopo_ = std::move(built);
   ++topoEpoch_;
   retryParked();  // new links may reconnect parked flights
 }

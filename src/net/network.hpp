@@ -47,10 +47,18 @@ namespace diva::net {
 /// Hot-path storage: in-flight state (`Flight`, which also carries local
 /// messages to their delayed dispatch) comes from a recycling slab pool
 /// owned by the Network, routes are computed by the topology straight
-/// into per-flight inline buffers, handler / mailbox dispatch indexes
-/// dense per-(channel, node) vectors, and `recv` coroutine frames recycle
-/// through the thread's frame pool (sim/task.hpp) — so in steady state
-/// moving a message end to end allocates nothing.
+/// into per-flight inline buffers, handler / mailbox dispatch indexes a
+/// per-channel row with one slot per node, and `recv` coroutine frames
+/// recycle through the thread's frame pool (sim/task.hpp) — so in steady
+/// state moving a message end to end allocates nothing. A channel's rows
+/// exist only once it is used: its handler row from the first
+/// `setHandler`, its mailbox row from the first `recv` or mailbox
+/// delivery on it.
+///
+/// Topology lifetime: the Network owns every shape it rebuilds and keeps
+/// only the installed one (plus, in a remove-node handoff window, the
+/// target). Cluster trees hold only value data, so a tree decomposed from
+/// a superseded shape stays valid after the shape is freed.
 class Network {
  public:
   using Handler = std::function<void(Message&&)>;
@@ -64,14 +72,16 @@ class Network {
   const CostModel& cost() const { return cost_; }
   LinkStats& stats() { return *stats_; }
 
-  /// Register the protocol handler for (node, channel). Handlers run as
-  /// events on the node's CPU after the receive overhead has been charged.
+  /// Register the protocol handler for (node, channel); `nullptr` clears
+  /// it. Handlers run as events on the node's CPU after the receive
+  /// overhead has been charged, and may register handlers themselves.
   void setHandler(NodeId node, Channel channel, Handler handler);
 
   /// Fire-and-forget send from a protocol handler or setup code: charges
   /// the startup on the source CPU and injects the message. Local
   /// messages (src == dst) skip the network and the startup overheads —
-  /// they model a plain function call on the host.
+  /// they model a plain function call on the host, dispatched as an
+  /// event after one state-lookup step on its CPU.
   ///
   /// Note: rvalue-reference parameters (rather than by-value) keep
   /// non-trivial temporaries out of coroutine frames, sidestepping a
@@ -233,8 +243,8 @@ class Network {
   /// The shape strategies should decompose after an epoch: excludes
   /// retired nodes even while their links are still installed for
   /// in-flight traffic. Identical to topology() outside a remove-node
-  /// handoff window. Trees built from it stay valid until the *next*
-  /// epoch (the Network keeps superseded topologies alive).
+  /// handoff window. Freed when superseded; trees built from it hold
+  /// only value data and outlive it.
   const Topology& targetTopology() const {
     return targetTopo_ ? *targetTopo_ : *topo_;
   }
@@ -285,6 +295,15 @@ class Network {
     support::RingBuffer<std::coroutine_handle<>> waiters;
   };
 
+  /// One channel's dispatch state. Each row is empty until the channel is
+  /// first used that way, then holds one slot per node. Growing `ports_`
+  /// moves Ports but not the row buffers, so a running handler is never
+  /// moved by another channel's first use.
+  struct Port {
+    std::vector<Handler> handlers;   ///< empty slot = unregistered
+    std::vector<Mailbox> mailboxes;
+  };
+
   sim::Time postInternal(Message&& msg);
   void hop(Flight* f);
   /// Hand a flight's message to its destination and recycle the flight.
@@ -303,19 +322,17 @@ class Network {
   void deliverReconfig();
   /// Swap in a rebuilt topology: carries per-link FIFO backlog, liveness
   /// and degrade state across by (from, to) endpoint pair, remaps the
-  /// congestion counters, grows the per-node tables and re-strides the
-  /// dispatch tables on node growth, then bumps topoEpoch_ and retries
-  /// parked flights. Only from outside a handler.
+  /// congestion counters, grows the per-node tables and dispatch rows on
+  /// node growth, frees the superseded shape, then bumps topoEpoch_ and
+  /// retries parked flights. Only from outside a handler.
   void installTopology(std::unique_ptr<Topology> built);
 
-  /// Dense dispatch slot for (node, channel). Channel-major layout —
-  /// `channel * numNodes + node` — so discovering a new channel appends a
-  /// block of slots without disturbing existing indices (important:
-  /// suspended `recv` coroutines hold slot indices across awaits).
-  std::size_t slotOf(NodeId node, Channel channel) const {
-    return static_cast<std::size_t>(channel) * nodeCount() + static_cast<std::size_t>(node);
-  }
-  std::size_t mailboxSlot(NodeId node, Channel channel);
+  /// The dispatch state of `channel`, created empty on first use.
+  Port& port(Channel channel);
+  /// The mailbox of (node, channel), creating the channel's row on first
+  /// use. Never hold the reference across a suspension: node growth
+  /// resizes the row.
+  Mailbox& mailbox(NodeId node, Channel channel);
   std::size_t nodeCount() const { return static_cast<std::size_t>(shape_.numNodes()); }
 
   sim::Engine* engine_;
@@ -333,11 +350,8 @@ class Network {
   /// cached for the same reason (exactly hopLatencyUs on homogeneous
   /// machines, so existing models are numerically unchanged).
   std::vector<double> linkHopLatencyUs_;
-  std::vector<Handler> handlers_;   ///< channel-major, empty = unregistered
-  std::vector<Mailbox> mailboxes_;  ///< channel-major
-  Channel handlerChannels_ = 0;     ///< channels covered by handlers_
-  Channel mailboxChannels_ = 0;     ///< channels covered by mailboxes_
-  int dispatchDepth_ = 0;           ///< handlers currently executing
+  std::vector<Port> ports_;  ///< by channel, up to the highest one used
+  int dispatchDepth_ = 0;    ///< handlers currently executing
   support::ObjectPool<Flight> flightPool_;
   std::uint64_t messagesSent_ = 0;
   DeliveryProbe deliveryProbe_;  ///< empty unless a trace consumer taps in
@@ -364,9 +378,8 @@ class Network {
   int reconfigEpoch_ = 0;          ///< delivered epochs (listener batches)
   bool notifyScheduled_ = false;   ///< coalesced epoch event pending this instant
   std::vector<ReconfigListener> reconfigListeners_;  ///< token-indexed
-  std::vector<std::unique_ptr<Topology>> ownedTopos_;  ///< rebuilt shapes, kept
-                                                       ///< alive for old trees
-  std::unique_ptr<Topology> targetTopo_;  ///< see targetTopology()
+  std::unique_ptr<Topology> installedTopo_;  ///< topo_ once rebuilt; null before
+  std::unique_ptr<Topology> targetTopo_;     ///< see targetTopology()
 };
 
 }  // namespace diva::net

@@ -166,8 +166,8 @@ struct TopologySpec {
 ///
 /// Concrete trees are produced by `Topology::decompose()` through the one
 /// `BisectionTree` builder (net/bisection_tree.hpp) and keep the geometry
-/// needed to embed tree nodes onto processors; a tree must not outlive
-/// the topology that created it.
+/// needed to embed tree nodes onto processors as value data, so a tree
+/// may outlive the topology that created it.
 class ClusterTree {
  public:
   struct Node {
@@ -308,7 +308,7 @@ class Topology {
   }
 
   /// Build the hierarchical cluster tree for `params`. The returned tree
-  /// references this topology and must not outlive it.
+  /// holds no reference to this topology and may outlive it.
   virtual std::unique_ptr<ClusterTree> decompose(DecompParams params) const = 0;
 
   /// Structural reconfiguration support (docs/faults.md). Graph-backed

@@ -70,13 +70,6 @@ class ObjectPool {
     for (T* p : held) release(p);
   }
 
-  /// Objects currently constructed (live + free), for diagnostics.
-  std::size_t constructedCount() const {
-    std::size_t n = 0;
-    for (const Slab& slab : slabs_) n += slab.used;
-    return n;
-  }
-
  private:
   struct Slab {
     T* data;

@@ -631,7 +631,6 @@ WorkloadReport run(Machine& m, Runtime& rt, const WorkloadSpec& spec,
   DIVA_CHECK_MSG(m.engine.idle(), "workload::run requires a quiescent engine");
   const int procs = m.net.numNodes();
   const int numPhases = static_cast<int>(spec.phases.size());
-  m.stats.ensurePhases(numPhases);
 
   // Replay the fault plans against the evolving shape (spec.procs is a
   // suggestion; add-node grows the id space mid-run): every event is

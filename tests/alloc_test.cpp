@@ -4,7 +4,8 @@
 // messages end to end must perform zero heap allocations. Also proves the
 // pending-event leak fix without a sanitizer: tearing a machine down with
 // messages still in flight returns the outstanding-allocation count to
-// its pre-construction level.
+// its pre-construction level, and bounds the set-up state a machine
+// holds: bytes allocated at construction, blocks kept across epochs.
 //
 // This lives in its own test binary: replacing the global allocator must
 // not perturb the rest of the suite.
@@ -32,6 +33,7 @@ namespace {
 
 std::atomic<std::uint64_t> gAllocs{0};
 std::atomic<std::uint64_t> gFrees{0};
+std::atomic<std::uint64_t> gBytes{0};  ///< requested bytes, never decremented
 
 }  // namespace
 
@@ -40,12 +42,14 @@ std::atomic<std::uint64_t> gFrees{0};
 // taken at points where no framework allocation can interleave.
 void* operator new(std::size_t n) {
   gAllocs.fetch_add(1, std::memory_order_relaxed);
+  gBytes.fetch_add(n, std::memory_order_relaxed);
   if (void* p = std::malloc(n)) return p;
   throw std::bad_alloc{};
 }
 void* operator new[](std::size_t n) { return ::operator new(n); }
 void* operator new(std::size_t n, std::align_val_t a) {
   gAllocs.fetch_add(1, std::memory_order_relaxed);
+  gBytes.fetch_add(n, std::memory_order_relaxed);
   if (void* p = std::aligned_alloc(static_cast<std::size_t>(a),
                                    (n + static_cast<std::size_t>(a) - 1) &
                                        ~(static_cast<std::size_t>(a) - 1))) {
@@ -72,6 +76,7 @@ namespace {
 using net::NodeId;
 
 std::uint64_t allocCount() { return gAllocs.load(std::memory_order_relaxed); }
+std::uint64_t allocBytes() { return gBytes.load(std::memory_order_relaxed); }
 std::int64_t outstanding() {
   return static_cast<std::int64_t>(gAllocs.load(std::memory_order_relaxed)) -
          static_cast<std::int64_t>(gFrees.load(std::memory_order_relaxed));
@@ -423,6 +428,37 @@ TEST(Alloc, LatencyHistogramRecordingNeverAllocates) {
   (void)h.quantile(1.0);
   other.merge(h);
   EXPECT_EQ(allocCount(), before) << "latency recording allocated";
+}
+
+// A bare machine holds no dispatch state for channels nothing uses: a
+// channel's handler and mailbox rows appear on its first use, and phase
+// storage grows with the phases entered. A 4,096-node mesh then costs
+// its per-node and per-link tables, well under 2 MB.
+TEST(Alloc, BareMachineSetUpStaysSmall) {
+  const std::uint64_t before = allocBytes();
+  {
+    Machine m(64, 64);
+    EXPECT_LT(allocBytes() - before, std::uint64_t{2} << 20)
+        << "constructing a 64x64 machine allocated too much";
+  }
+}
+
+// The Network keeps only the installed topology: once an epoch's link
+// state has been carried across, the superseded shape is freed, so a
+// machine that keeps growing holds the same number of live blocks after
+// every committed epoch.
+TEST(Alloc, ReconfigurationEpochsKeepOneTopology) {
+  Machine m(net::TopologySpec::graph(net::randomRegularGraph(256, 4, 1)));
+  auto grow = [&m] {
+    m.net.addNode(0);
+    m.engine.run();
+    m.net.commitReconfig();
+  };
+  grow();
+  const std::int64_t afterFirst = outstanding();
+  for (int epoch = 2; epoch <= 6; ++epoch) grow();
+  EXPECT_EQ(m.net.reconfigEpoch(), 6);
+  EXPECT_EQ(outstanding(), afterFirst) << "superseded topologies are still alive";
 }
 
 TEST(Alloc, TeardownWithPendingEventsLeaksNothing) {

@@ -32,7 +32,7 @@ using sim::Task;
 struct NetFixture {
   explicit NetFixture(int rows = 4, int cols = 4)
       : topo(rows, cols),
-        stats(topo.numLinkSlots(), 1),
+        stats(topo.numLinkSlots()),
         net(engine, topo, net::CostModel::gcel(), stats) {}
   sim::Engine engine;
   net::MeshTopology topo;
@@ -60,7 +60,7 @@ TEST(Fault, FlightParksWhenCutOffAndResumesOnHeal) {
   // Ring of 4: node 2 is unreachable once both its links are dead.
   sim::Engine engine;
   net::GraphTopology topo(net::ringGraph(4));
-  net::LinkStats stats(topo.numLinkSlots(), 1);
+  net::LinkStats stats(topo.numLinkSlots());
   net::Network net(engine, topo, net::CostModel::gcel(), stats);
   double arrived = -1.0;
   net.setHandler(2, net::kFirstAppChannel, [&](net::Message&&) {
@@ -144,7 +144,7 @@ TEST(Fault, CrashingTheLastLiveMemberThrowsWhileARetiredNodeIsUp) {
   // to re-home onto.
   sim::Engine engine;
   net::GraphTopology topo(net::ringGraph(4));
-  net::LinkStats stats(topo.numLinkSlots(), 1);
+  net::LinkStats stats(topo.numLinkSlots());
   net::Network net(engine, topo, net::CostModel::gcel(), stats);
   net.removeNode(3);
   engine.run();

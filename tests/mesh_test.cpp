@@ -95,7 +95,7 @@ INSTANTIATE_TEST_SUITE_P(Shapes, RouteProperty,
 
 TEST(LinkStats, CongestionIsMaxTotalIsSum) {
   MeshTopology m(2, 2);
-  LinkStats s(m.numLinkSlots(), 2);
+  LinkStats s(m.numLinkSlots());
   const int l0 = m.linkIndex(0, Grid::East);
   const int l1 = m.linkIndex(0, Grid::South);
   s.record(l0, 100);
@@ -109,7 +109,7 @@ TEST(LinkStats, CongestionIsMaxTotalIsSum) {
 
 TEST(LinkStats, PhasesAreScoped) {
   MeshTopology m(2, 2);
-  LinkStats s(m.numLinkSlots(), 3);
+  LinkStats s(m.numLinkSlots());
   const int l = m.linkIndex(0, Grid::East);
   s.setPhase(0);
   s.record(l, 10);
@@ -119,13 +119,15 @@ TEST(LinkStats, PhasesAreScoped) {
   EXPECT_EQ(s.congestionBytes(0), 10u);
   EXPECT_EQ(s.congestionBytes(2), 60u);
   EXPECT_EQ(s.congestionBytes(1), 0u);
+  EXPECT_EQ(s.congestionBytes(7), 0u);  // never entered, never stored
+  EXPECT_EQ(s.numPhases(), 3);
   EXPECT_EQ(s.congestionBytes(), 70u);  // all phases
   EXPECT_EQ(s.congestionMessages(2), 2u);
 }
 
 TEST(LinkStats, ResetClearsEverything) {
   MeshTopology m(2, 2);
-  LinkStats s(m.numLinkSlots(), 2);
+  LinkStats s(m.numLinkSlots());
   s.record(0, 5);
   s.reset();
   EXPECT_EQ(s.totalBytes(), 0u);

@@ -35,7 +35,7 @@ using sim::Task;
 TEST(Reconfig, GrowRewireShrinkUpdatesMembership) {
   sim::Engine engine;
   net::GraphTopology topo(net::ringGraph(8));
-  net::LinkStats stats(topo.numLinkSlots(), 1);
+  net::LinkStats stats(topo.numLinkSlots());
   net::Network net(engine, topo, net::CostModel::gcel(), stats);
   EXPECT_EQ(net.numMembers(), 8);
   EXPECT_EQ(net.reconfigEpoch(), 0);
@@ -74,7 +74,7 @@ TEST(Reconfig, GrowRewireShrinkUpdatesMembership) {
 TEST(Reconfig, DisconnectingRemovalThrows) {
   sim::Engine engine;
   net::GraphTopology topo(net::gridGraph(1, 3));  // path 0-1-2: 1 is a bridge node
-  net::LinkStats stats(topo.numLinkSlots(), 1);
+  net::LinkStats stats(topo.numLinkSlots());
   net::Network net(engine, topo, net::CostModel::gcel(), stats);
   EXPECT_THROW(net.removeNode(1), support::CheckError);
   EXPECT_THROW(net.removeLink(0, 1), support::CheckError);
@@ -87,7 +87,7 @@ TEST(Reconfig, DisconnectingRemovalThrows) {
 TEST(Reconfig, FirstMemberFromWrapsAndSkipsRejectedNodes) {
   sim::Engine engine;
   net::GraphTopology topo(net::ringGraph(8));
-  net::LinkStats stats(topo.numLinkSlots(), 1);
+  net::LinkStats stats(topo.numLinkSlots());
   net::Network net(engine, topo, net::CostModel::gcel(), stats);
   net.removeNode(6);         // retired: never a successor
   net.setNodeUp(7, false);   // down: a member, rejected by liveness predicates

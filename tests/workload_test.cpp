@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "diva/machine.hpp"
 #include "net/graph_topology.hpp"
 #include "net/topology_env.hpp"
 #include "support/check.hpp"
@@ -354,12 +355,12 @@ TEST(WorkloadDriver, SameSeedSameReportBytes) {
   EXPECT_EQ(workload::formatReport(a), workload::formatReport(b));
 }
 
-TEST(WorkloadDriver, GrowsPastDefaultPhaseBudget) {
+TEST(WorkloadDriver, PhaseStorageGrowsWithThePhasesRun) {
   WorkloadSpec spec;
   spec.name = "many-phases";
   spec.numObjects = 8;
   spec.seed = 3;
-  for (int p = 0; p < Stats::kMaxPhases + 4; ++p) {
+  for (int p = 0; p < 12; ++p) {
     std::string name = "p";  // two-step append sidesteps a GCC 12 -Wrestrict false positive
     name += std::to_string(p);
     spec.phases.push_back(PhaseSpec{.name = std::move(name), .readFraction = 0.5});
@@ -368,6 +369,23 @@ TEST(WorkloadDriver, GrowsPastDefaultPhaseBudget) {
       workload::runOn(net::TopologySpec::mesh2d(2, 2), RuntimeConfig::fixedHome(), spec);
   ASSERT_EQ(r.phases.size(), spec.phases.size());
   for (const auto& pr : r.phases) EXPECT_EQ(pr.reads + pr.writes, 4u);
+}
+
+TEST(WorkloadDriver, PhasesNeverEnteredReadZero) {
+  // Barnes–Hut reads every phase it defines; one a run skipped (or never
+  // reached) must read as 0, not index past the storage entered so far.
+  Machine m(2, 2);
+  m.stats.setPhase(3, 10.0);
+  m.stats.addCompute(5.0);
+  m.stats.closePhases(25.0);
+  EXPECT_DOUBLE_EQ(m.stats.wallUs(0), 10.0);
+  EXPECT_DOUBLE_EQ(m.stats.wallUs(3), 15.0);
+  EXPECT_DOUBLE_EQ(m.stats.computeUs(3), 5.0);
+  for (const int skipped : {1, 2, 4, 9}) {
+    EXPECT_DOUBLE_EQ(m.stats.wallUs(skipped), 0.0);
+    EXPECT_DOUBLE_EQ(m.stats.computeUs(skipped), 0.0);
+    EXPECT_EQ(m.stats.links.congestionMessages(skipped), 0u);
+  }
 }
 
 TEST(WorkloadDriver, ValidatesSpec) {
