@@ -179,11 +179,18 @@ std::unique_ptr<GraphClusterTree> decomposeGraph(const GraphAdjacency& g, Decomp
   if (attached.empty())
     for (NodeId p = 0; p < g.numNodes; ++p) attached.push_back(p);  // single-node machines
   GraphSearch search(g);
-  return std::make_unique<GraphClusterTree>(
+  auto tree = std::make_unique<GraphClusterTree>(
       GraphShape{}, std::move(attached), g.numNodes, params,
       [&](const std::vector<NodeId>& c, std::vector<NodeId>& a, std::vector<NodeId>& b) {
         bisectBfs(search, c, a, b);
       });
+  // The Regular embedding locates a host by its index in each member list.
+  for (int i = 0; i < tree->numNodes(); ++i) {
+    const std::vector<NodeId>& c = tree->cluster(i);
+    DIVA_CHECK_MSG(std::adjacent_find(c.begin(), c.end(), std::greater_equal<>()) == c.end(),
+                   "graph cluster " << i << " is not strictly ascending");
+  }
+  return tree;
 }
 
 // ---------------------------------------------------------------------------

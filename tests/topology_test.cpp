@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <memory>
 #include <numeric>
@@ -346,6 +347,76 @@ TEST(TopologyDecomposition, TreesMatchCommittedDigests) {
       {TopologySpec::graph(net::fatTreeGraph(3, 3)), 0x3ea766cbef7436f7ull},
       {TopologySpec::hierGraph(net::randomRegularGraph(64, 4, 1), 4), 0x84be4df4256d98ddull},
   });
+}
+
+/// The graph shapes whose Regular-embedding hosts are pinned below:
+/// write_shift's graph, a ring, a grid, a hierarchical-routing graph and
+/// an elastic machine's retired ids.
+std::vector<TopologySpec> regularHostGraphs() {
+  return {TopologySpec::graph(net::randomRegularGraph(256, 4, 1)),
+          TopologySpec::graph(net::ringGraph(11)), TopologySpec::graph(net::gridGraph(5, 9)),
+          TopologySpec::hierGraph(net::randomRegularGraph(64, 4, 1), 4),
+          TopologySpec::graph(retiredIdsGraph())};
+}
+
+TEST(TopologyDecomposition, RegularGraphHostsMatchCommittedDigests) {
+  // Every tree node's Regular host for variables 0..63, at arities 2, 4
+  // and 16. Goldens recorded from the recursive search of the parent's
+  // host in the parent's member list.
+  const std::vector<std::uint64_t> goldens = {0x8321ca5762bfe93cull, 0x8fed4d8d1da65ccbull,
+                                              0x88f6b377c7d9de3dull, 0x380a272c47fa323eull,
+                                              0xbe789686aa71642full};
+  const auto specs = regularHostGraphs();
+  ASSERT_EQ(specs.size(), goldens.size());
+  for (std::size_t s = 0; s < specs.size(); ++s) {
+    const auto topo = net::makeTopology(specs[s]);
+    std::uint64_t h = 14695981039346656037ull;
+    for (const int arity : {2, 4, 16}) {
+      const auto tree = topo->decompose(net::DecompParams{arity, 1});
+      for (int i = 0; i < tree->numNodes(); ++i) {
+        for (std::uint64_t x = 0; x < 64; ++x) {
+          const auto host = static_cast<std::uint64_t>(
+              tree->hostOf(i, x, net::EmbeddingKind::Regular, 0x5eedull));
+          for (int b = 0; b < 8; ++b) {
+            h ^= (host >> (8 * b)) & 0xFF;
+            h *= 1099511628211ull;
+          }
+        }
+      }
+    }
+    EXPECT_EQ(h, goldens[s]) << specs[s].describe() << " host digest 0x" << std::hex << h;
+  }
+}
+
+TEST(TopologyDecomposition, RegularGraphHostKeepsParentRankModuloChildSize) {
+  // The graph analogue of the mesh's (i mod m1, j mod m2): a node's host
+  // sits at the parent host's index in the parent cluster, reduced modulo
+  // the node's own cluster size.
+  auto indexIn = [](const std::vector<NodeId>& c, NodeId p) {
+    const auto it = std::find(c.begin(), c.end(), p);
+    return it == c.end() ? -1 : static_cast<int>(it - c.begin());
+  };
+  for (const auto& spec : regularHostGraphs()) {
+    const auto topo = net::makeTopology(spec);
+    for (const int arity : {2, 4, 16}) {
+      const auto built = topo->decompose(net::DecompParams{arity, 1});
+      const auto* tree = dynamic_cast<const net::GraphClusterTree*>(built.get());
+      ASSERT_NE(tree, nullptr) << spec.describe();
+      for (std::uint64_t x = 0; x < 16; ++x) {
+        for (int i = 1; i < tree->numNodes(); ++i) {
+          const int parent = tree->parent(i);
+          const auto& c = tree->cluster(i);
+          const int rank = indexIn(c, tree->hostOf(i, x, net::EmbeddingKind::Regular, 3));
+          const int parentRank = indexIn(
+              tree->cluster(parent), tree->hostOf(parent, x, net::EmbeddingKind::Regular, 3));
+          ASSERT_GE(rank, 0) << spec.describe() << " node " << i << " hosted outside";
+          ASSERT_GE(parentRank, 0);
+          EXPECT_EQ(rank, parentRank % static_cast<int>(c.size()))
+              << spec.describe() << " arity " << arity << " node " << i << " x " << x;
+        }
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
