@@ -29,12 +29,19 @@ namespace diva::net {
 ///     NodeId proc(const Cluster& unit) const;       // processor of a 1-cluster
 ///     NodeId pick(const Cluster& c, std::uint64_t key) const;  // uniform member
 ///     NodeId follow(const Cluster& parent, NodeId parentHost,
-///                   const Cluster& child) const;
+///                   const Cluster& child) const;  // optional, see below
 ///
 /// `pick` hashes a tree node into its cluster (the Random embedding, and
 /// the Regular embedding's root); `follow` is the Regular embedding's
-/// rule that a child keeps its parent host's relative position. The
-/// constructor's `bisect(cluster, a, b)` splits a cluster of ≥ 2
+/// rule that a child keeps its parent host's relative position. A shape
+/// whose clusters are strictly ascending member lists leaves `follow`
+/// out: its relative position is the host's index in the list, so a
+/// node's Regular host is `cluster[rank]`, where `rank` is the root's
+/// index `hashBelow(key, size)` (its `pick` must draw exactly that)
+/// reduced modulo each cluster size on the way down — an O(depth) loop
+/// with no search.
+///
+/// The constructor's `bisect(cluster, a, b)` splits a cluster of ≥ 2
 /// processors into two non-empty halves. It runs only during
 /// construction, so it may borrow the topology or a partitioner; the
 /// finished tree keeps only `Shape` and the clusters.
@@ -52,6 +59,8 @@ class BisectionTree final : public ClusterTree {
     clusters_.reserve(static_cast<std::size_t>(2) * numProcs);
     build(std::move(all), -1, -1, 0, params, bisect);
     finalize(numProcs);
+    if constexpr (!kFollows)
+      DIVA_CHECK_MSG(maxDepth_ < kMaxFoldDepth, "cluster tree too deep for the rank fold");
   }
 
   /// The cluster of a tree node.
@@ -64,12 +73,27 @@ class BisectionTree final : public ClusterTree {
     if (kind == EmbeddingKind::Random)
       return shape_.pick(
           c, support::hashCombine(seed, varKey, static_cast<std::uint64_t>(treeNode)));
-    const int parent = nodes_[treeNode].parent;
-    if (parent < 0) return shape_.pick(c, support::hashCombine(seed, varKey));
-    return shape_.follow(clusters_[parent], hostOf(parent, varKey, kind, seed), c);
+    if constexpr (kFollows) {
+      const int parent = nodes_[treeNode].parent;
+      if (parent < 0) return shape_.pick(c, support::hashCombine(seed, varKey));
+      return shape_.follow(clusters_[parent], hostOf(parent, varKey, kind, seed), c);
+    } else {
+      std::uint32_t sizes[kMaxFoldDepth];  // cluster sizes, treeNode up to below the root
+      int depth = 0;
+      for (int t = treeNode; nodes_[t].parent >= 0; t = nodes_[t].parent)
+        sizes[depth++] = static_cast<std::uint32_t>(nodes_[t].size);
+      auto rank = static_cast<std::uint32_t>(support::hashBelow(
+          support::hashCombine(seed, varKey), static_cast<std::uint64_t>(nodes_[0].size)));
+      while (depth > 0) rank %= sizes[--depth];
+      return c[rank];
+    }
   }
 
  private:
+  static constexpr bool kFollows =
+      requires(const Shape& s, const Cluster& c, NodeId h) { s.follow(c, h, c); };
+  static constexpr int kMaxFoldDepth = 64;
+
   template <typename Bisect>
   int build(Cluster&& c, int parent, int indexInParent, int depth, const DecompParams& params,
             Bisect& bisect) {

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -82,9 +81,11 @@ void bisectBfs(GraphSearch& search, const std::vector<NodeId>& cluster, std::vec
 /// are arbitrary node sets (sizes need not be powers of the arity,
 /// children of one node may differ in size) — the non-node-symmetric
 /// decompositions strategies must not assume away.
-/// The Regular embedding keeps the index of the parent's host within the
-/// parent's member list, folded into the child's size: the general-graph
-/// analogue of the mesh's (i mod m1, j mod m2) rule.
+/// With no `follow`, the Regular embedding keeps the index of the
+/// parent's host within the parent's member list, folded into the child's
+/// size (the rank fold in `BisectionTree::hostOf`): the general-graph
+/// analogue of the mesh's (i mod m1, j mod m2) rule. `decomposeGraph`
+/// checks that every cluster is strictly ascending, which the fold needs.
 struct GraphShape {
   using Cluster = std::vector<NodeId>;
 
@@ -93,11 +94,6 @@ struct GraphShape {
   static NodeId proc(const Cluster& c) { return c.front(); }
   static NodeId pick(const Cluster& c, std::uint64_t key) {
     return c[support::hashBelow(key, c.size())];
-  }
-  static NodeId follow(const Cluster& parent, NodeId parentHost, const Cluster& child) {
-    const auto rel = static_cast<std::size_t>(
-        std::lower_bound(parent.begin(), parent.end(), parentHost) - parent.begin());
-    return child[rel % child.size()];
   }
 };
 
