@@ -15,6 +15,12 @@ std::uint64_t waitKey(VarId lock, NodeId p) {
   DIVA_CHECK(static_cast<std::uint64_t>(p) < kMaxProcs);
   return lock * kMaxProcs + static_cast<std::uint64_t>(p);
 }
+
+/// Injective (lock, tree node) key of `TreeLockService::states_`.
+std::uint64_t stateKey(VarId lock, std::int32_t node) {
+  DIVA_CHECK(lock >> 32 == 0);
+  return lock << 32 | static_cast<std::uint32_t>(node);
+}
 }  // namespace
 
 // ===========================================================================
@@ -31,39 +37,43 @@ NodeId TreeLockService::hostOf(std::int32_t node, VarId lock) const {
 }
 
 void TreeLockService::registerLockFree(VarId lock, NodeId creator) {
-  anchorProc_[lock] = creator;
+  locks_[lock].anchor = creator;
 }
 
 void TreeLockService::rebuild(const net::ClusterTree& tree) {
-  for (const auto& [lock, perNode] : states_)
-    for (const auto& [node, st] : perNode)
-      DIVA_CHECK_MSG(st.reqQ.empty() && !st.inUse && !st.asked,
-                     "lock " << lock << " busy across a reconfiguration epoch");
+  for (const auto& [key, st] : states_)
+    DIVA_CHECK_MSG(st.reqQ.empty() && !st.inUse && !st.asked,
+                   "lock " << (key >> 32) << " busy across a reconfiguration epoch");
   tree_ = &tree;
   states_.clear();  // holder pointers are rebuilt lazily against the new tree
-  for (auto& [lock, anchor] : anchorProc_) {
-    if (tree.leafOf(anchor) >= 0) continue;
+  for (auto& [lock, rec] : locks_) {
+    rec.nodes.clear();
+    if (tree.leafOf(rec.anchor) >= 0) continue;
     // The anchor left the machine: the token restarts at the next member.
-    anchor = net_.firstMemberFrom(anchor + 1,
-                                  [&](NodeId q) { return tree.leafOf(q) >= 0; });
+    rec.anchor = net_.firstMemberFrom(rec.anchor + 1,
+                                      [&](NodeId q) { return tree.leafOf(q) >= 0; });
   }
 }
 
-std::int32_t TreeLockService::defaultHolderDir(VarId lock, std::int32_t node) const {
-  const auto it = anchorProc_.find(lock);
-  DIVA_CHECK_MSG(it != anchorProc_.end(), "lock " << lock << " never registered");
-  const std::int32_t leaf = tree_->leafOf(it->second);
-  DIVA_CHECK_MSG(leaf >= 0, "lock " << lock << "'s anchor is not in the tree");
+std::int32_t TreeLockService::defaultHolderDir(NodeId anchor, std::int32_t node) const {
+  const std::int32_t leaf = tree_->leafOf(anchor);
+  DIVA_CHECK_MSG(leaf >= 0, "lock anchor " << anchor << " is not in the tree");
   if (leaf == node) return kSelf;
   // Token starts at the anchor's leaf: point into the subtree containing
   // it, or to the parent when it lies outside ours.
-  const int child = tree_->childToward(node, it->second);
+  const int child = tree_->childToward(node, anchor);
   return child >= 0 ? child : tree_->node(node).parent;
 }
 
 TreeLockService::NodeState& TreeLockService::stateOf(VarId lock, std::int32_t node) {
-  NodeState& st = states_[lock][node];
-  if (st.holderDir == -3) st.holderDir = defaultHolderDir(lock, node);
+  const std::uint64_t key = stateKey(lock, node);
+  if (const auto it = states_.find(key); it != states_.end()) return it->second;
+  const auto rec = locks_.find(lock);
+  DIVA_CHECK_MSG(rec != locks_.end(), "lock " << lock << " never registered");
+  const std::int32_t holderDir = defaultHolderDir(rec->second.anchor, node);
+  NodeState& st = states_[key];
+  st.holderDir = holderDir;
+  rec->second.nodes.push_back(node);
   return st;
 }
 
@@ -108,7 +118,7 @@ void TreeLockService::handleMessage(net::Message&& msg) {
       NodeState& st = stateOf(b.lock, b.atNode);
       DIVA_CHECK_MSG(st.holderDir == kSelf && st.inUse, "release without holding");
       st.inUse = false;
-      grantNext(b.lock, b.atNode);
+      grantNext(b.lock, b.atNode, st);
       return;
     }
   }
@@ -128,7 +138,7 @@ void TreeLockService::onRequest(VarId lock, std::int32_t node, std::int32_t from
   NodeState& st = stateOf(lock, node);
   st.reqQ.push_back(from);
   if (st.holderDir == kSelf) {
-    if (!st.inUse) grantNext(lock, node);
+    if (!st.inUse) grantNext(lock, node, st);
     return;
   }
   if (!st.asked) {
@@ -141,11 +151,10 @@ void TreeLockService::onToken(VarId lock, std::int32_t node) {
   NodeState& st = stateOf(lock, node);
   st.asked = false;
   st.holderDir = kSelf;
-  grantNext(lock, node);
+  grantNext(lock, node, st);
 }
 
-void TreeLockService::grantNext(VarId lock, std::int32_t node) {
-  NodeState& st = stateOf(lock, node);
+void TreeLockService::grantNext(VarId lock, std::int32_t node, NodeState& st) {
   DIVA_CHECK(st.holderDir == kSelf && !st.inUse);
   if (st.reqQ.empty()) return;
   const std::int32_t next = st.reqQ.front();
@@ -170,9 +179,10 @@ void TreeLockService::grantNext(VarId lock, std::int32_t node) {
 }
 
 void TreeLockService::checkIdle(VarId lock) const {
-  const auto it = states_.find(lock);
-  if (it == states_.end()) return;  // never contended: trivially idle
-  for (const auto& [node, st] : it->second) {
+  const auto it = locks_.find(lock);
+  if (it == locks_.end()) return;  // not a lock
+  for (const std::int32_t node : it->second.nodes) {  // untouched nodes are idle
+    const NodeState& st = states_.at(stateKey(lock, node));
     DIVA_CHECK_MSG(st.reqQ.empty(), "pending lock request at tree node " << node);
     DIVA_CHECK_MSG(!st.inUse, "lock still held at tree node " << node);
     DIVA_CHECK_MSG(!st.asked, "dangling lock request at tree node " << node);

@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <deque>
 #include <unordered_map>
+#include <vector>
 
 #include "diva/stats.hpp"
 #include "diva/types.hpp"
@@ -27,7 +28,8 @@ class LockService {
   virtual sim::Task<void> release(NodeId p, VarId lock) = 0;
   virtual void registerLockFree(VarId lock, NodeId creator) = 0;
   virtual void handleMessage(net::Message&& msg) = 0;
-  /// Quiescence check: no holder, no queued requests (tests).
+  /// Quiescence check: no holder, no queued requests. Throws CheckError
+  /// otherwise; `Runtime::checkAllInvariants` runs it on every variable.
   virtual void checkIdle(VarId lock) const = 0;
 };
 
@@ -61,7 +63,7 @@ class TreeLockService final : public LockService {
   static constexpr std::int32_t kSelf = -2;  ///< holderDir: token is here / request is local
 
   struct NodeState {
-    std::int32_t holderDir = -3;      ///< tree node toward token; kSelf if here; -3 unset
+    std::int32_t holderDir = kSelf;   ///< tree node toward token; kSelf if here
     bool asked = false;               ///< a request toward the token is outstanding
     bool inUse = false;               ///< leaf only: the local app holds the token
     std::deque<std::int32_t> reqQ;    ///< pending requests (neighbor node or kSelf)
@@ -73,11 +75,23 @@ class TreeLockService final : public LockService {
     std::int32_t fromNode = kSelf;
   };
 
+  /// Per-lock bookkeeping, created at registration.
+  struct LockRecord {
+    /// Processor whose leaf holds the token when the lock's state is
+    /// (re)built lazily — the creator, until reconfiguration moves it.
+    NodeId anchor = -1;
+    /// Tree nodes with an entry in `states_`, so checkIdle visits only them.
+    std::vector<std::int32_t> nodes;
+  };
+
+  /// The state of `lock` at tree node `node`, created on first use with
+  /// its holder pointer aimed at the anchor's leaf.
   NodeState& stateOf(VarId lock, std::int32_t node);
-  std::int32_t defaultHolderDir(VarId lock, std::int32_t node) const;
+  std::int32_t defaultHolderDir(NodeId anchor, std::int32_t node) const;
   void onRequest(VarId lock, std::int32_t node, std::int32_t from);
   void onToken(VarId lock, std::int32_t node);
-  void grantNext(VarId lock, std::int32_t node);
+  /// Pass the token held (and not in use) at `node` to its next requester.
+  void grantNext(VarId lock, std::int32_t node, NodeState& st);
   /// Posts a `k` message for `lock` over the tree edge fromNode → toNode
   /// (fromNode == kSelf: the local app's request at leaf toNode).
   void send(Body::K k, VarId lock, std::int32_t fromNode, std::int32_t toNode);
@@ -88,10 +102,10 @@ class TreeLockService final : public LockService {
   const net::ClusterTree* tree_;  ///< swapped by rebuild() across epochs
   net::EmbeddingKind embedding_;
   std::uint64_t seed_;
-  std::unordered_map<VarId, std::unordered_map<std::int32_t, NodeState>> states_;
-  /// Processor whose leaf holds the token when a lock's state is (re)built
-  /// lazily — the creator, until reconfiguration moves it to a member.
-  std::unordered_map<VarId, NodeId> anchorProc_;
+  /// Raymond state of every (lock, tree node) touched since the last
+  /// rebuild, keyed by `stateKey`.
+  std::unordered_map<std::uint64_t, NodeState> states_;
+  std::unordered_map<VarId, LockRecord> locks_;
   std::unordered_map<std::uint64_t, sim::OneShot<bool>*> waiting_;  ///< (lock,proc) → acquire
 };
 

@@ -148,7 +148,10 @@ sim::Task<void> Runtime::lock(NodeId p, VarId x) { return locks_->acquire(p, x);
 sim::Task<void> Runtime::unlock(NodeId p, VarId x) { return locks_->release(p, x); }
 
 void Runtime::checkAllInvariants() const {
-  for (VarId x : liveVars_) strategy_->checkInvariants(x);
+  for (VarId x : liveVars_) {
+    strategy_->checkInvariants(x);
+    locks_->checkIdle(x);
+  }
 }
 
 }  // namespace diva

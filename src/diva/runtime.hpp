@@ -122,6 +122,7 @@ class Runtime {
   // --- introspection ---------------------------------------------------
   Value peek(VarId x) const { return strategy_->peek(x); }
   void checkInvariants(VarId x) const { strategy_->checkInvariants(x); }
+  /// Strategy invariants and lock idleness of every live variable.
   void checkAllInvariants() const;
   Strategy& strategy() { return *strategy_; }
   const Strategy& strategy() const { return *strategy_; }

@@ -177,6 +177,31 @@ TEST_P(SyncTest, ManyLocksIndependent) {
   EXPECT_EQ(total, 64);
 }
 
+TEST_P(SyncTest, InvariantsFailWhileALockIsHeldOrQueued) {
+  Machine m(4, 4);
+  Runtime rt(m, GetParam());
+  const VarId lk = rt.createVarFree(9, makeValue<int>(0), /*withLock=*/true);
+  auto lockOn = [](Runtime& r, NodeId n, VarId l) -> Task<> { co_await r.lock(n, l); };
+  auto unlockOn = [](Runtime& r, NodeId n, VarId l) -> Task<> { co_await r.unlock(n, l); };
+  rt.checkAllInvariants();  // registered, never taken
+
+  sim::spawn(lockOn(rt, 2, lk));
+  m.engine.run();
+  EXPECT_THROW(rt.checkAllInvariants(), support::CheckError) << "held lock passed";
+
+  sim::spawn(lockOn(rt, 14, lk));  // queues behind processor 2
+  m.engine.run();
+  EXPECT_THROW(rt.checkAllInvariants(), support::CheckError) << "queued lock passed";
+
+  sim::spawn(unlockOn(rt, 2, lk));  // hands the lock to processor 14
+  m.engine.run();
+  EXPECT_THROW(rt.checkAllInvariants(), support::CheckError) << "handed-on lock passed";
+
+  sim::spawn(unlockOn(rt, 14, lk));
+  m.engine.run();
+  rt.checkAllInvariants();
+}
+
 INSTANTIATE_TEST_SUITE_P(Strategies, SyncTest,
                          ::testing::Values(RuntimeConfig::accessTree(4, 1),
                                            RuntimeConfig::accessTree(2, 1),
