@@ -179,6 +179,7 @@ class AccessTreeStrategy final : public Strategy {
     /// the (possibly already migrated or destroyed) variable state.
     std::int32_t ctx = 0;
   };
+  static_assert(net::MessageBody::kInline<AtBody>, "protocol bodies must travel inline");
 
   // --- protocol engine ---
   /// The one request entry of read and write: registers transaction

@@ -45,6 +45,7 @@ class BarrierService {
     std::int32_t atNode = -1;
     std::uint64_t round = 0;
   };
+  static_assert(net::MessageBody::kInline<Body>, "barrier bodies must travel inline");
 
   void onComplete(std::int32_t node, std::uint64_t round);
   void releaseSubtree(std::int32_t node, std::uint64_t round);

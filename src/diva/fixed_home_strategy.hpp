@@ -96,6 +96,7 @@ class FixedHomeStrategy final : public Strategy {
     NodeId requester = -1;
     Value value;
   };
+  static_assert(net::MessageBody::kInline<FhBody>, "protocol bodies must travel inline");
 
   struct PendingOp {
     sim::OneShot<Value>* done = nullptr;

@@ -74,6 +74,7 @@ class TreeLockService final : public LockService {
     std::int32_t atNode = -1;
     std::int32_t fromNode = kSelf;
   };
+  static_assert(net::MessageBody::kInline<Body>, "lock bodies must travel inline");
 
   /// Per-lock bookkeeping, created at registration.
   struct LockRecord {
@@ -127,6 +128,7 @@ class CentralLockService final : public LockService {
     VarId lock = kInvalidVar;
     NodeId requester = -1;
   };
+  static_assert(net::MessageBody::kInline<Body>, "lock bodies must travel inline");
   struct LockState {
     bool held = false;
     std::deque<NodeId> queue;

@@ -19,6 +19,7 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <memory>
 #include <new>
 #include <vector>
 
@@ -308,6 +309,69 @@ TEST(Alloc, GraphRoutedMessageChurnIsAllocationFreeInSteadyState) {
   EXPECT_EQ(allocCount() - before, 0u)
       << "steady-state graph-routed churn allocated on the message path";
   EXPECT_EQ(budget, 0u);
+}
+
+// Protocol-sized bodies: relay churn whose messages carry a 24-byte body
+// the size of a lock message and a 48-byte one shaped like the fixed
+// home's (plain fields around a shared value pointer), each hop swapping
+// one for the other. Both travel in the message's inline buffer, so
+// after warm-up the bodies add no allocation to the message path.
+struct LockSizedBody {
+  std::uint64_t lock = 0;
+  std::int32_t atNode = 0;
+  std::int32_t fromNode = 0;
+  std::uint8_t k = 0;
+};
+struct FhSizedBody {
+  std::uint8_t k = 0;
+  std::uint64_t var = 0;
+  std::uint64_t txn = 0;
+  NodeId requester = -1;
+  std::shared_ptr<const int> value;
+};
+
+TEST(Alloc, ProtocolSizedBodiesTravelWithoutAllocating) {
+  Machine m(8, 8);
+  const NodeId procs = static_cast<NodeId>(m.numProcs());
+  const auto value = std::make_shared<const int>(7);
+  std::uint64_t budget = 20'000;
+  std::uint64_t seen = 0;  // folds every body field, so none is dead
+  for (NodeId p = 0; p < procs; ++p) {
+    m.net.setHandler(p, net::kProtocolChannel, [&](net::Message&& msg) {
+      if (budget == 0) return;
+      --budget;
+      const NodeId next = static_cast<NodeId>((msg.dst * 13 + budget % 3) % procs);
+      if (msg.payloadBytes == sizeof(LockSizedBody)) {
+        const auto b = msg.take<LockSizedBody>();
+        seen += b.lock + static_cast<std::uint64_t>(b.atNode);
+        m.net.post(net::Message{msg.dst, next, net::kProtocolChannel, sizeof(FhSizedBody),
+                                FhSizedBody{1, b.lock, budget, msg.dst, value}});
+      } else {
+        const auto b = msg.take<FhSizedBody>();
+        seen += b.var + static_cast<std::uint64_t>(*b.value);
+        m.net.post(net::Message{msg.dst, next, net::kProtocolChannel, sizeof(LockSizedBody),
+                                LockSizedBody{b.var + 1, next, msg.dst, 2}});
+      }
+    });
+  }
+  auto inject = [&] {
+    for (NodeId p = 0; p < procs; ++p) {
+      m.net.post(net::Message{p, static_cast<NodeId>((p + procs / 2) % procs),
+                              net::kProtocolChannel, sizeof(LockSizedBody),
+                              LockSizedBody{static_cast<std::uint64_t>(p), p, -1, 0}});
+    }
+  };
+  inject();
+  m.engine.run();  // warm-up: pools, routes, link tables
+  ASSERT_EQ(budget, 0u);
+
+  budget = 20'000;
+  inject();
+  const std::uint64_t before = allocCount();
+  m.engine.run();
+  EXPECT_EQ(allocCount() - before, 0u) << "protocol-sized bodies allocated on the message path";
+  EXPECT_EQ(budget, 0u);
+  EXPECT_GT(seen, 0u);
 }
 
 // Mailbox-heavy steady state: a token circulates a ring of coroutines
