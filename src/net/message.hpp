@@ -67,8 +67,6 @@ class MessageBody {
 
   ~MessageBody() { reset(); }
 
-  bool hasValue() const noexcept { return ops_ != nullptr; }
-
   /// The stored `T`, or null when the body is empty or holds another type.
   template <typename T>
   T* get() noexcept {
