@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <sstream>
+#include <utility>
 
 namespace diva {
 
@@ -25,33 +26,51 @@ std::string AccessTreeStrategy::name() const {
   return variantName(params_.arity, params_.leafSize);
 }
 
-const AccessTreeStrategy::TreeState* AccessTreeStrategy::findState(
-    VarId x, std::int32_t node) const {
-  const auto vit = states_.find(x);
-  if (vit == states_.end()) return nullptr;
-  const auto nit = vit->second.nodes.find(node);
-  return nit == vit->second.nodes.end() ? nullptr : &nit->second;
+AccessTreeStrategy::TreeState& AccessTreeStrategy::stateOf(VarState& vs, VarId x,
+                                                           std::int32_t node) {
+  const auto [it, inserted] = nodeStates_.try_emplace(varNodeKey(x, node));
+  if (inserted) {
+    it->second.listPos = static_cast<std::uint32_t>(vs.nodes.size());
+    vs.nodes.push_back(node);
+  }
+  return it->second;
 }
 
-void AccessTreeStrategy::setCopyEdge(VarId x, TreeState& st, std::int32_t node,
-                                     std::int32_t nb, bool held) const {
-  if (treeOf(x).node(node).parent == nb) {
+void AccessTreeStrategy::eraseIfDefault(VarState& vs, VarId x, std::int32_t node) {
+  const auto it = nodeStates_.find(varNodeKey(x, node));
+  if (it == nodeStates_.end() || !it->second.isDefault()) return;
+  // Swap-remove from the variable's list, re-indexing the node moved in.
+  const std::uint32_t pos = it->second.listPos;
+  const std::int32_t moved = vs.nodes.back();
+  vs.nodes[pos] = moved;
+  vs.nodes.truncate(vs.nodes.size() - 1);
+  nodeStates_.erase(it);
+  if (moved != node) nodeStates_.at(varNodeKey(x, moved)).listPos = pos;
+}
+
+void AccessTreeStrategy::eraseStates(VarState& vs, VarId x) {
+  for (std::int32_t node : vs.nodes) nodeStates_.erase(varNodeKey(x, node));
+  vs.nodes.clear();
+}
+
+void AccessTreeStrategy::setCopyEdge(const net::ClusterTree& t, TreeState& st,
+                                     std::int32_t node, std::int32_t nb, bool held) {
+  if (t.node(node).parent == nb) {
     st.parentCopy = held;
   } else if (held) {
-    st.childCopyMask |= childBit(x, nb);
+    st.childCopyMask |= childBit(t, nb);
   } else {
-    st.childCopyMask &= ~childBit(x, nb);
+    st.childCopyMask &= ~childBit(t, nb);
   }
 }
 
-std::uint32_t AccessTreeStrategy::childBit(VarId x, std::int32_t child) const {
-  const int idx = treeOf(x).node(child).indexInParent;
+std::uint32_t AccessTreeStrategy::childBit(const net::ClusterTree& t, std::int32_t child) {
+  const int idx = t.node(child).indexInParent;
   DIVA_CHECK(idx >= 0 && idx < 32);
   return 1u << idx;
 }
 
-void AccessTreeStrategy::clearCopy(VarId x, std::int32_t node) {
-  const NodeId host = hostOf(node, x);
+void AccessTreeStrategy::clearCopy(VarId x, std::int32_t node, NodeId host) {
   NodeCache::Entry* e = caches_[host].peek(x);
   DIVA_CHECK_MSG(e, "clearCopy without a cached copy");
   auto& nodes = e->copyNodes;
@@ -60,16 +79,6 @@ void AccessTreeStrategy::clearCopy(VarId x, std::int32_t node) {
   *it = nodes.back();  // the list is unordered: swap-remove
   nodes.truncate(nodes.size() - 1);
   if (nodes.empty()) caches_[host].erase(x);
-}
-
-void AccessTreeStrategy::eraseIfDefault(VarId x, std::int32_t node) {
-  auto vit = states_.find(x);
-  if (vit == states_.end()) return;
-  auto nit = vit->second.nodes.find(node);
-  if (nit == vit->second.nodes.end()) return;
-  const TreeState& st = nit->second;
-  if (st.kind == TreeState::Kind::Up && st.childCopyMask == 0 && !st.parentCopy)
-    vit->second.nodes.erase(nit);
 }
 
 // ---------------------------------------------------------------------------
@@ -106,16 +115,17 @@ void AccessTreeStrategy::postClimb(NodeId p, VarId x, std::uint64_t txn, bool is
   b.txn = txn;
   b.requester = p;
   b.ctx = vs.ctx;
-  b.atNode = treeOf(x).leafOf(p);
+  const net::ClusterTree& t = treeOf(vs);
+  b.atNode = t.leafOf(p);
   NodeId entry = p;
   if (b.atNode < 0) {
     // p joined the machine after this variable's tree was built — the
     // variable is mid-handoff on a superseded context, its migration
     // deferred until it falls quiet. Enter the old tree through a
     // deterministic proxy leaf; the p→proxy hop is the forwarding cost.
-    entry = liveLeafFrom(treeOf(x), p + 1);
+    entry = liveLeafFrom(t, p + 1);
     b.requester = entry;
-    b.atNode = treeOf(x).leafOf(entry);
+    b.atNode = t.leafOf(entry);
     ++stats_.ops.forwardedOps;
   }
   DIVA_CHECK_MSG(b.atNode >= 0, "requester " << p << " is not in variable " << x
@@ -138,7 +148,7 @@ void AccessTreeStrategy::seedComponent(VarState& vs, VarId x, NodeId owner,
   const std::int32_t leaf = t.leafOf(owner);
   DIVA_CHECK_MSG(leaf >= 0, "owner " << owner << " is not in variable " << x
                                      << "'s access tree");
-  TreeState& st = vs.nodes[leaf];
+  TreeState& st = stateOf(vs, x, leaf);
   st.kind = TreeState::Kind::Copy;
   st.downChild = -1;
   const NodeCache::Entry* held = caches_[owner].peek(x);
@@ -150,7 +160,7 @@ void AccessTreeStrategy::seedComponent(VarState& vs, VarId x, NodeId owner,
   // Mark the path from the root to the component (data tracking invariant).
   std::int32_t child = leaf;
   for (std::int32_t a = t.parent(leaf); a >= 0; a = t.parent(a)) {
-    TreeState& as = vs.nodes[a];
+    TreeState& as = stateOf(vs, x, a);
     as.kind = TreeState::Kind::Down;
     as.downChild = child;
     child = a;
@@ -193,10 +203,11 @@ bool AccessTreeStrategy::markRootPath(VarId x, NodeId owner) {
 void AccessTreeStrategy::destroyVarFree(VarId x) {
   auto it = states_.find(x);
   if (it == states_.end()) return;
-  DIVA_CHECK_MSG(!it->second.coord && it->second.relays.empty(),
-                 "destroying a variable with a write in flight");
-  for (const auto& [node, st] : it->second.nodes)
-    if (st.kind == TreeState::Kind::Copy) clearCopy(x, node);
+  VarState& vs = it->second;
+  DIVA_CHECK_MSG(!vs.coord && vs.relays == 0, "destroying a variable with a write in flight");
+  for (std::int32_t node : vs.nodes)
+    if (findState(x, node)->kind == TreeState::Kind::Copy) clearCopy(x, node, hostOf(node, x));
+  eraseStates(vs, x);
   states_.erase(it);
   deferred_.erase(x);
 }
@@ -204,10 +215,10 @@ void AccessTreeStrategy::destroyVarFree(VarId x) {
 std::int32_t AccessTreeStrategy::topCopy(VarId x) const {
   const auto it = states_.find(x);
   DIVA_CHECK_MSG(it != states_.end(), "peek of unregistered variable");
-  const net::ClusterTree& t = treeOf(x);
+  const net::ClusterTree& t = treeOf(it->second);
   std::int32_t top = -1;
-  for (const auto& [node, st] : it->second.nodes)
-    if (st.kind == TreeState::Kind::Copy &&
+  for (std::int32_t node : it->second.nodes)
+    if (findState(x, node)->kind == TreeState::Kind::Copy &&
         (top < 0 || t.depthOf(node) < t.depthOf(top)))
       top = node;
   DIVA_CHECK_MSG(top >= 0, "variable has no copies");
@@ -233,13 +244,19 @@ void AccessTreeStrategy::handleMessage(net::Message&& msg) {
   const auto vit = states_.find(b.var);
   VarState* vs = vit == states_.end() ? nullptr : &vit->second;
   if (vs) renew(*vs);
+  // Climb, Data, Inval and InvalAck belong to an operation in flight,
+  // which keeps its variable registered.
+  auto busy = [&]() -> VarState& {
+    DIVA_CHECK_MSG(vs, "protocol message for unregistered variable " << b.var);
+    return *vs;
+  };
   switch (b.k) {
-    case AtBody::K::Climb: onClimb(std::move(b)); break;
-    case AtBody::K::Data: onData(std::move(b)); break;
-    case AtBody::K::Inval: onInval(std::move(b)); break;
-    case AtBody::K::InvalAck: onInvalAck(std::move(b)); break;
-    case AtBody::K::Mark: onMark(std::move(b)); break;
-    case AtBody::K::CopyDrop: onCopyDrop(std::move(b)); break;
+    case AtBody::K::Climb: onClimb(busy(), msg.dst, std::move(b)); break;
+    case AtBody::K::Data: onData(busy(), msg.dst, std::move(b)); break;
+    case AtBody::K::Inval: onInval(busy(), msg.dst, std::move(b)); break;
+    case AtBody::K::InvalAck: onInvalAck(busy(), msg.dst, std::move(b)); break;
+    case AtBody::K::Mark: onMark(msg.dst, std::move(b)); break;
+    case AtBody::K::CopyDrop: onCopyDrop(vs, std::move(b)); break;
     case AtBody::K::Recover:
     case AtBody::K::Migrate:
       // Cost-only: repair and migration mutate tree state and caches
@@ -253,26 +270,24 @@ void AccessTreeStrategy::handleMessage(net::Message&& msg) {
   if (vs) renew(*vs);
 }
 
-void AccessTreeStrategy::forward(AtBody&& b, std::int32_t fromTreeNode,
-                                 std::int32_t toTreeNode, std::uint64_t payloadBytes) {
+void AccessTreeStrategy::forward(AtBody&& b, NodeId src, std::int32_t toTreeNode,
+                                 std::uint64_t payloadBytes) {
   // Host resolution uses the context stamped into the message, not the
   // variable's current one: a cost-only Mark may still be travelling on a
   // predecessor tree after its variable migrated (or was destroyed).
   const net::ClusterTree& t = *ctxs_[static_cast<std::size_t>(b.ctx)];
-  const VarId x = b.var;
-  const NodeId src = t.hostOf(fromTreeNode, x, params_.embedding, params_.seed);
-  const NodeId dst = t.hostOf(toTreeNode, x, params_.embedding, params_.seed);
+  const NodeId dst = t.hostOf(toTreeNode, b.var, params_.embedding, params_.seed);
   b.atNode = toTreeNode;
   net_.post(net::Message{src, dst, net::kProtocolChannel, payloadBytes, std::move(b)});
 }
 
-void AccessTreeStrategy::onClimb(AtBody&& b) {
+void AccessTreeStrategy::onClimb(VarState& vs, NodeId at, AtBody&& b) {
   const std::int32_t node = b.atNode;
   const TreeState* st = findState(b.var, node);
   const TreeState::Kind kind = st ? st->kind : TreeState::Kind::Up;
 
   if (kind == TreeState::Kind::Copy) {
-    serveAt(node, std::move(b));
+    serveAt(vs, node, at, std::move(b));
     return;
   }
   if (kind == TreeState::Kind::Down) {
@@ -280,7 +295,7 @@ void AccessTreeStrategy::onClimb(AtBody&& b) {
     b.descending = true;
     b.path.push_back(node);
     const std::uint64_t payload = b.isWrite ? b.value->size() : 0;
-    forward(std::move(b), node, next, payload);
+    forward(std::move(b), at, next, payload);
     return;
   }
   // Kind::Up — no information here.
@@ -291,28 +306,27 @@ void AccessTreeStrategy::onClimb(AtBody&& b) {
     ++b.retries;
     DIVA_CHECK_MSG(b.retries < kMaxRetries, "access tree climb livelock");
   }
-  const std::int32_t parent = treeOf(b.var).parent(node);
+  const std::int32_t parent = treeOf(vs).parent(node);
   DIVA_CHECK_MSG(parent >= 0, "climb reached the root without finding data "
                                   << "(unregistered variable " << b.var << "?)");
   b.path.push_back(node);
   const std::uint64_t payload = b.isWrite ? b.value->size() : 0;
-  forward(std::move(b), node, parent, payload);
+  forward(std::move(b), at, parent, payload);
 }
 
-void AccessTreeStrategy::serveAt(std::int32_t node, AtBody&& b) {
+void AccessTreeStrategy::serveAt(VarState& vs, std::int32_t node, NodeId at, AtBody&& b) {
   b.path.push_back(node);
   if (!b.isWrite) {
-    const NodeId host = hostOf(node, b.var);
-    NodeCache::Entry* e = caches_[host].touch(b.var);
+    NodeCache::Entry* e = caches_[at].touch(b.var);
     DIVA_CHECK_MSG(e && e->value, "copy holder without cached value");
-    sendData(b.var, b.txn, b.requester, false, e->value, std::move(b.path));
+    sendData(vs, at, b.var, b.txn, b.requester, false, e->value, std::move(b.path));
     return;
   }
-  startInvalidation(node, std::move(b));
+  startInvalidation(vs, node, at, std::move(b));
 }
 
-void AccessTreeStrategy::sendData(VarId x, std::uint64_t txn, NodeId requester,
-                                  bool isWrite, Value v,
+void AccessTreeStrategy::sendData(VarState& vs, NodeId at, VarId x, std::uint64_t txn,
+                                  NodeId requester, bool isWrite, Value v,
                                   std::vector<std::int32_t> path) {
   if (path.size() == 1) {
     // The server is the requester's entry leaf — a writer's own copy, or
@@ -324,11 +338,10 @@ void AccessTreeStrategy::sendData(VarId x, std::uint64_t txn, NodeId requester,
   }
   const std::int32_t server = path.back();
   const std::int32_t next = path[path.size() - 2];
-  VarState& vs = states_.at(x);
   // The server learns that its path neighbour is about to hold a copy —
   // unless a write is in flight, in which case the deposits downstream
   // will be skipped anyway (versioning) and no mark must be left.
-  if (!vs.coord) setCopyEdge(x, stateOf(x, server), server, next, true);
+  if (!vs.coord) setCopyEdge(treeOf(vs), stateOf(vs, x, server), server, next, true);
 
   AtBody d;
   d.k = AtBody::K::Data;
@@ -342,14 +355,13 @@ void AccessTreeStrategy::sendData(VarId x, std::uint64_t txn, NodeId requester,
   d.idx = static_cast<std::int32_t>(path.size()) - 2;
   d.path = std::move(path);
   const std::uint64_t payload = d.value->size();
-  forward(std::move(d), server, next, payload);
+  forward(std::move(d), at, next, payload);
 }
 
-void AccessTreeStrategy::depositCopy(VarId x, std::int32_t node, const Value& v,
-                                     std::int32_t towardServer,
+void AccessTreeStrategy::depositCopy(VarState& vs, VarId x, std::int32_t node, NodeId host,
+                                     const Value& v, std::int32_t towardServer,
                                      std::int32_t towardRequester) {
-  TreeState& st = stateOf(x, node);
-  const NodeId host = hostOf(node, x);
+  TreeState& st = stateOf(vs, x, node);
   if (st.kind != TreeState::Kind::Copy) {
     st.kind = TreeState::Kind::Copy;
     st.downChild = -1;
@@ -365,22 +377,22 @@ void AccessTreeStrategy::depositCopy(VarId x, std::int32_t node, const Value& v,
     DIVA_CHECK(e);
     e->value = v;
   }
-  setCopyEdge(x, st, node, towardServer, true);
-  if (towardRequester >= 0) setCopyEdge(x, st, node, towardRequester, true);
+  const net::ClusterTree& t = treeOf(vs);
+  setCopyEdge(t, st, node, towardServer, true);
+  if (towardRequester >= 0) setCopyEdge(t, st, node, towardRequester, true);
   maybeEvictAt(host);
 }
 
-void AccessTreeStrategy::onData(AtBody&& b) {
+void AccessTreeStrategy::onData(VarState& vs, NodeId at, AtBody&& b) {
   const std::int32_t node = b.path[b.idx];
   DIVA_CHECK(node == b.atNode);
-  const VarState& vs = states_.at(b.var);
   // A read response that raced a write delivers its (old) value but must
   // not leave copies behind: the read linearizes before the write.
   const bool depositsEnabled = b.version == vs.committedVersion && !vs.coord;
   if (depositsEnabled) {
     const std::int32_t towardServer = b.path[b.idx + 1];
     const std::int32_t towardRequester = b.idx > 0 ? b.path[b.idx - 1] : -1;
-    depositCopy(b.var, node, b.value, towardServer, towardRequester);
+    depositCopy(vs, b.var, node, at, b.value, towardServer, towardRequester);
   }
 
   if (b.idx == 0) {
@@ -392,14 +404,14 @@ void AccessTreeStrategy::onData(AtBody&& b) {
   --b.idx;
   const std::int32_t next = b.path[b.idx];
   const std::uint64_t payload = b.value->size();
-  forward(std::move(b), node, next, payload);
+  forward(std::move(b), at, next, payload);
 }
 
-void AccessTreeStrategy::startInvalidation(std::int32_t uNode, AtBody&& b) {
-  VarState& vs = states_[b.var];
+void AccessTreeStrategy::startInvalidation(VarState& vs, std::int32_t uNode, NodeId at,
+                                           AtBody&& b) {
   DIVA_CHECK_MSG(!vs.coord, "concurrent writes to one variable are not allowed "
                                 << "(variable " << b.var << ")");
-  TreeState& st = stateOf(b.var, uNode);
+  TreeState& st = stateOf(vs, b.var, uNode);
 
   InvalCoord c;
   c.var = b.var;
@@ -407,39 +419,37 @@ void AccessTreeStrategy::startInvalidation(std::int32_t uNode, AtBody&& b) {
   c.requester = b.requester;
   c.value = std::move(b.value);
   c.path = std::move(b.path);
-  c.pendingAcks = floodInval(b.var, uNode, st, -1, b.ctx);
+  c.pendingAcks = floodInval(b.var, uNode, at, st, -1, b.ctx);
   st.parentCopy = false;
   st.childCopyMask = 0;
 
   if (c.pendingAcks == 0) {
-    finishWrite(vs, std::move(c));
+    finishWrite(vs, at, std::move(c));
   } else {
     vs.coord.emplace(std::move(c));
   }
 }
 
-void AccessTreeStrategy::onInval(AtBody&& b) {
+void AccessTreeStrategy::onInval(VarState& vs, NodeId at, AtBody&& b) {
   const std::int32_t node = b.atNode;
   const std::int32_t from = b.fromNode;
-  VarState& vs = states_[b.var];
-  TreeState& st = vs.nodes[node];
-  if (st.kind != TreeState::Kind::Copy) {
+  TreeState* stp = findState(b.var, node);
+  if (!stp || stp->kind != TreeState::Kind::Copy) {
     // The copy is already gone (eviction or skipped deposit raced the
     // flood): acknowledge without forwarding, flagging the stale mask so
     // the sender can heal it.
-    sendInvalAck(b.var, node, from, b.ctx, false);
+    sendInvalAck(b.var, node, at, from, b.ctx, false);
     return;
   }
+  TreeState& st = *stp;
   ++stats_.ops.invalidations;
 
-  RelayState rs;
-  rs.ackTo = from;
-  rs.pendingAcks = floodInval(b.var, node, st, from, b.ctx);
+  const int pendingAcks = floodInval(b.var, node, at, st, from, b.ctx);
 
   // Drop the copy and point toward the writer (restores the root-path
   // marking invariant; see DESIGN.md §5).
-  clearCopy(b.var, node);
-  if (from == treeOf(b.var).parent(node)) {
+  clearCopy(b.var, node, at);
+  if (from == treeOf(vs).parent(node)) {
     st.kind = TreeState::Kind::Up;
     st.downChild = -1;
   } else {
@@ -449,29 +459,30 @@ void AccessTreeStrategy::onInval(AtBody&& b) {
   st.parentCopy = false;
   st.childCopyMask = 0;
 
-  if (rs.pendingAcks == 0) {
-    sendInvalAck(b.var, node, from, b.ctx, true);
-    eraseIfDefault(b.var, node);
+  if (pendingAcks == 0) {
+    sendInvalAck(b.var, node, at, from, b.ctx, true);
+    eraseIfDefault(vs, b.var, node);
   } else {
-    vs.relays[node] = rs;
+    st.relayAcks = static_cast<std::uint16_t>(pendingAcks);
+    st.relayAckTo = from;
+    ++vs.relays;
   }
 }
 
-void AccessTreeStrategy::onInvalAck(AtBody&& b) {
+void AccessTreeStrategy::onInvalAck(VarState& vs, NodeId at, AtBody&& b) {
   const std::int32_t node = b.atNode;
-  VarState& vs = states_[b.var];
-  if (!b.ackHadCopy) {
+  TreeState* st = findState(b.var, node);
+  if (!b.ackHadCopy && st) {
     // The flood edge pointed at a node without a copy (a read deposit
     // was skipped after the mark was set): heal the stale mask bit.
-    setCopyEdge(b.var, vs.nodes[node], node, b.fromNode, false);
+    setCopyEdge(treeOf(vs), *st, node, b.fromNode, false);
   }
-  auto rit = vs.relays.find(node);
-  if (rit != vs.relays.end()) {
-    if (--rit->second.pendingAcks == 0) {
-      const std::int32_t to = rit->second.ackTo;
-      vs.relays.erase(rit);
-      sendInvalAck(b.var, node, to, b.ctx, true);
-      eraseIfDefault(b.var, node);
+  if (st && st->relayAcks > 0) {
+    if (--st->relayAcks == 0) {
+      --vs.relays;
+      const std::int32_t to = std::exchange(st->relayAckTo, -1);
+      sendInvalAck(b.var, node, at, to, b.ctx, true);
+      eraseIfDefault(vs, b.var, node);
     }
     return;
   }
@@ -480,13 +491,13 @@ void AccessTreeStrategy::onInvalAck(AtBody&& b) {
   if (--vs.coord->pendingAcks == 0) {
     InvalCoord c = std::move(*vs.coord);
     vs.coord.reset();
-    finishWrite(vs, std::move(c));
+    finishWrite(vs, at, std::move(c));
   }
 }
 
-int AccessTreeStrategy::floodInval(VarId x, std::int32_t node, const TreeState& st,
+int AccessTreeStrategy::floodInval(VarId x, std::int32_t node, NodeId at, const TreeState& st,
                                    std::int32_t except, std::int32_t ctx) {
-  const net::ClusterTree::Node& nd = treeOf(x).node(node);
+  const net::ClusterTree::Node& nd = ctxs_[static_cast<std::size_t>(ctx)]->node(node);
   int flooded = 0;
   auto flood = [&](std::int32_t nb) {
     if (nb == except) return;
@@ -495,7 +506,7 @@ int AccessTreeStrategy::floodInval(VarId x, std::int32_t node, const TreeState& 
     iv.var = x;
     iv.fromNode = node;
     iv.ctx = ctx;
-    forward(std::move(iv), node, nb, 0);
+    forward(std::move(iv), at, nb, 0);
     ++flooded;
   };
   if (st.parentCopy) flood(nd.parent);
@@ -509,7 +520,7 @@ int AccessTreeStrategy::floodInval(VarId x, std::int32_t node, const TreeState& 
   return flooded;
 }
 
-void AccessTreeStrategy::sendInvalAck(VarId x, std::int32_t node, std::int32_t to,
+void AccessTreeStrategy::sendInvalAck(VarId x, std::int32_t node, NodeId at, std::int32_t to,
                                       std::int32_t ctx, bool hadCopy) {
   AtBody ack;
   ack.k = AtBody::K::InvalAck;
@@ -517,22 +528,19 @@ void AccessTreeStrategy::sendInvalAck(VarId x, std::int32_t node, std::int32_t t
   ack.fromNode = node;
   ack.ctx = ctx;
   ack.ackHadCopy = hadCopy;
-  forward(std::move(ack), node, to, 0);
+  forward(std::move(ack), at, to, 0);
 }
 
-void AccessTreeStrategy::finishWrite(VarState& vs, InvalCoord&& c) {
+void AccessTreeStrategy::finishWrite(VarState& vs, NodeId at, InvalCoord&& c) {
   DIVA_CHECK(c.var != kInvalidVar);
   ++vs.committedVersion;
-  const std::int32_t u = c.path.back();
-  const NodeId host = hostOf(u, c.var);
-  NodeCache::Entry* e = caches_[host].peek(c.var);
+  NodeCache::Entry* e = caches_[at].touch(c.var);
   DIVA_CHECK_MSG(e && !e->copyNodes.empty(), "writer target lost its copy");
   e->value = c.value;
-  caches_[host].touch(c.var);
-  sendData(c.var, c.txn, c.requester, true, std::move(c.value), std::move(c.path));
+  sendData(vs, at, c.var, c.txn, c.requester, true, std::move(c.value), std::move(c.path));
 }
 
-void AccessTreeStrategy::onMark(AtBody&& b) {
+void AccessTreeStrategy::onMark(NodeId at, AtBody&& b) {
   // Cost-only: the directory was updated at registration; this message
   // stream just accounts for the marking traffic up the root path. The
   // tree is taken from the message's context — the variable may already
@@ -541,16 +549,16 @@ void AccessTreeStrategy::onMark(AtBody&& b) {
   const std::int32_t parent = ctxs_[static_cast<std::size_t>(b.ctx)]->parent(node);
   if (parent < 0) return;
   b.fromNode = node;
-  forward(std::move(b), node, parent, 0);
+  forward(std::move(b), at, parent, 0);
 }
 
-void AccessTreeStrategy::onCopyDrop(AtBody&& b) {
+void AccessTreeStrategy::onCopyDrop(VarState* vs, AtBody&& b) {
   // Cost-only: the survivor's mask was healed at eviction time (see
   // tryEvict). Kept idempotent for robustness. A drop from a superseded
   // context is stale — the migration wiped that component wholesale.
-  auto vit = states_.find(b.var);
-  if (vit == states_.end() || vit->second.ctx != b.ctx) return;
-  setCopyEdge(b.var, vit->second.nodes[b.atNode], b.atNode, b.fromNode, false);
+  if (!vs || vs->ctx != b.ctx) return;
+  if (TreeState* st = findState(b.var, b.atNode))
+    setCopyEdge(treeOf(*vs), *st, b.atNode, b.fromNode, false);
 }
 
 // ---------------------------------------------------------------------------
@@ -559,18 +567,23 @@ void AccessTreeStrategy::onCopyDrop(AtBody&& b) {
 
 bool AccessTreeStrategy::tryEvict(NodeId p, VarId x) {
   NodeCache::Entry* e = caches_[p].peek(x);
-  if (!e) return false;
+  return e && tryEvict(p, x, *e);
+}
+
+bool AccessTreeStrategy::tryEvict(NodeId p, VarId x, NodeCache::Entry& e) {
+  // Nothing that decides x's evictability has happened since this entry
+  // was last refused (see VarState::generation): the answer is unchanged.
+  // The counter the entry points at is x's own, still alive.
+  if (e.refusedGen && *e.refusedGen == e.refusedAt) return false;
   auto vit = states_.find(x);
   if (vit == states_.end()) return false;
   VarState& vs = vit->second;
-  // Nothing that decides x's evictability has happened since this entry
-  // was last refused (see VarState::generation): the answer is unchanged.
-  if (e->refusedAt == vs.generation) return false;
   auto refuse = [&] {
-    e->refusedAt = vs.generation;
+    e.refusedGen = &vs.generation;
+    e.refusedAt = vs.generation;
     return false;
   };
-  if (vs.coord || !vs.relays.empty()) return refuse();  // write in flight
+  if (vs.coord || vs.relays > 0) return refuse();  // write in flight
   if (vs.activeOps > 0) return refuse();  // transaction path references copies
 
   // S = the tree nodes of x's component hosted at p (the entry's copy-node
@@ -579,17 +592,17 @@ bool AccessTreeStrategy::tryEvict(NodeId p, VarId x) {
   //  (a) S is connected within the tree (unique node whose parent ∉ S), and
   //  (b) exactly one copy-edge leaves S — the rest of the component stays
   //      connected, attached at that edge.
-  const auto& hosted = e->copyNodes;
+  const auto& hosted = e.copyNodes;
   auto inS = [&](std::int32_t n) {
     return std::find(hosted.begin(), hosted.end(), n) != hosted.end();
   };
 
-  const net::ClusterTree& t = treeOf(x);
+  const net::ClusterTree& t = treeOf(vs);
   int topsInS = 0;
   int boundaryEdges = 0;
   std::int32_t boundaryInside = -1, boundaryOutside = -1;
   for (std::int32_t s : hosted) {
-    const TreeState& st = vs.nodes.at(s);
+    const TreeState& st = nodeStates_.at(varNodeKey(x, s));
     const net::ClusterTree::Node& nd = t.node(s);
     if (nd.parent < 0 || !inS(nd.parent)) ++topsInS;
     if (st.parentCopy && !inS(nd.parent)) {
@@ -628,7 +641,7 @@ bool AccessTreeStrategy::tryEvict(NodeId p, VarId x) {
 
   // Re-point every dropped node toward the surviving component.
   for (std::int32_t s : hosted) {
-    TreeState& st = vs.nodes.at(s);
+    TreeState& st = nodeStates_.at(varNodeKey(x, s));
     if (boundaryOutside == s || isAncestor(s, boundaryOutside)) {
       // Survivors hang below: mark Down toward them.
       std::int32_t towards = boundaryOutside;
@@ -643,7 +656,7 @@ bool AccessTreeStrategy::tryEvict(NodeId p, VarId x) {
     st.childCopyMask = 0;
   }
 
-  const support::SmallVec<std::int32_t, 4> dropped = std::move(e->copyNodes);
+  const support::SmallVec<std::int32_t, 4> dropped = std::move(e.copyNodes);
   caches_[p].erase(x);
   ++stats_.ops.evictions;
   renew(vs);  // the component changed shape: other hosts may now evict
@@ -651,19 +664,21 @@ bool AccessTreeStrategy::tryEvict(NodeId p, VarId x) {
   // Heal the survivor's mask immediately in simulator state (avoiding a
   // window in which another eviction could trust the stale bit); the
   // notification message still travels for its cost.
-  setCopyEdge(x, vs.nodes.at(boundaryOutside), boundaryOutside, boundaryInside, false);
+  setCopyEdge(t, nodeStates_.at(varNodeKey(x, boundaryOutside)), boundaryOutside,
+              boundaryInside, false);
   AtBody drop;
   drop.k = AtBody::K::CopyDrop;
   drop.var = x;
   drop.fromNode = boundaryInside;
   drop.ctx = vs.ctx;
-  forward(std::move(drop), boundaryInside, boundaryOutside, 0);
-  for (std::int32_t s : dropped) eraseIfDefault(x, s);
+  forward(std::move(drop), p, boundaryOutside, 0);  // boundaryInside ∈ S is hosted at p
+  for (std::int32_t s : dropped) eraseIfDefault(vs, x, s);
   return true;
 }
 
 void AccessTreeStrategy::maybeEvictAt(NodeId p) {
-  if (!caches_[p].evictUntilFits([&](VarId v) { return tryEvict(p, v); }))
+  if (!caches_[p].evictUntilFits(
+          [&](VarId v, NodeCache::Entry& e) { return tryEvict(p, v, e); }))
     ++stats_.ops.evictionFailures;
 }
 
@@ -680,7 +695,7 @@ bool AccessTreeStrategy::varQuiet(const VarState& vs) const {
   // activeOps covers every read/write from issue to coroutine retirement,
   // which subsumes in-flight Climb/Data; coord/relays cover invalidation
   // floods. Cost-only traffic (Mark/CopyDrop/Recover) never needs quiet.
-  return !vs.coord && vs.relays.empty() && vs.activeOps == 0;
+  return !vs.coord && vs.relays == 0 && vs.activeOps == 0;
 }
 
 void AccessTreeStrategy::onNodeDown(NodeId p) {
@@ -691,7 +706,7 @@ void AccessTreeStrategy::onNodeDown(NodeId p) {
   for (const auto& [x, vs] : states_) {
     bool touches = caches_[p].peek(x) != nullptr;
     for (auto it = vs.nodes.begin(); !touches && it != vs.nodes.end(); ++it)
-      touches = it->second.kind == TreeState::Kind::Copy && hostOf(it->first, x) == p;
+      touches = findState(x, *it)->kind == TreeState::Kind::Copy && hostOf(*it, x) == p;
     if (touches) affected.push_back(x);
   }
   std::sort(affected.begin(), affected.end());
@@ -713,15 +728,15 @@ void AccessTreeStrategy::reseed(VarId x, int ctx, NodeId owner, const Value& v, 
                                 Post&& post) {
   VarState& vs = states_.at(x);
   std::vector<std::int32_t> copies;
-  for (const auto& [n, st] : vs.nodes)
-    if (st.kind == TreeState::Kind::Copy) copies.push_back(n);
+  for (std::int32_t n : vs.nodes)
+    if (findState(x, n)->kind == TreeState::Kind::Copy) copies.push_back(n);
   std::sort(copies.begin(), copies.end());
   std::vector<NodeId> hosts;
   for (std::int32_t n : copies) {
     hosts.push_back(hostOf(n, x));
-    clearCopy(x, n);
+    clearCopy(x, n, hosts.back());
   }
-  vs.nodes.clear();
+  eraseStates(vs, x);
   vs.ctx = ctx;
   seedComponent(vs, x, owner, v);
   ++vs.committedVersion;  // any still-queued deposit version is stale now
@@ -811,7 +826,7 @@ void AccessTreeStrategy::checkInvariants(VarId x) const {
   DIVA_CHECK_MSG(vit != states_.end(), "unregistered variable " << x);
   const VarState& vs = vit->second;
   DIVA_CHECK_MSG(!vs.coord, "write still in flight");
-  DIVA_CHECK_MSG(vs.relays.empty(), "invalidation relays still in flight");
+  DIVA_CHECK_MSG(vs.relays == 0, "invalidation relays still in flight");
   DIVA_CHECK_MSG(vs.activeOps == 0, "operations still in flight");
   DIVA_CHECK_MSG(!deferred_.parked(x), "repair or migration still parked for variable "
                                            << x << " at quiescence");
@@ -820,10 +835,17 @@ void AccessTreeStrategy::checkInvariants(VarId x) const {
                                                 "access tree at quiescence");
   const net::ClusterTree& t = *ctxs_[static_cast<std::size_t>(vs.ctx)];
 
+  // The variable's node list and the state table agree.
+  for (std::size_t i = 0; i < vs.nodes.size(); ++i) {
+    const TreeState* st = findState(x, vs.nodes[i]);
+    DIVA_CHECK_MSG(st && st->listPos == i,
+                   "state list out of step with the table at tree node " << vs.nodes[i]);
+  }
+
   // Collect the copy component.
   std::vector<std::int32_t> copies;
-  for (const auto& [n, st] : vs.nodes)
-    if (st.kind == TreeState::Kind::Copy) copies.push_back(n);
+  for (std::int32_t n : vs.nodes)
+    if (findState(x, n)->kind == TreeState::Kind::Copy) copies.push_back(n);
   DIVA_CHECK_MSG(!copies.empty(), "variable " << x << " lost all copies");
 
   // Unique topmost node; every other copy's parent is also a copy
@@ -854,8 +876,8 @@ void AccessTreeStrategy::checkInvariants(VarId x) const {
       child = a;
     }
   }
-  for (const auto& [n, st] : vs.nodes) {
-    if (st.kind != TreeState::Kind::Down) continue;
+  for (std::int32_t n : vs.nodes) {
+    if (findState(x, n)->kind != TreeState::Kind::Down) continue;
     const bool onRootPath =
         std::find(rootPath.begin(), rootPath.end(), n) != rootPath.end();
     DIVA_CHECK_MSG(onRootPath, "stale Down pointer at tree node " << n);
@@ -868,7 +890,7 @@ void AccessTreeStrategy::checkInvariants(VarId x) const {
   DIVA_CHECK(ref && ref->value);
   std::unordered_map<NodeId, std::vector<std::int32_t>> hostNodes;
   for (std::int32_t n : copies) {
-    const TreeState& st = vs.nodes.at(n);
+    const TreeState& st = *findState(x, n);
     const auto& nd = t.node(n);
     // Masks are "may have a copy": they must cover every actual copy
     // neighbour (or invalidation floods would miss copies); stray extra
@@ -878,7 +900,7 @@ void AccessTreeStrategy::checkInvariants(VarId x) const {
       DIVA_CHECK_MSG(st.parentCopy, "parentCopy mask missing at " << n);
     std::uint32_t expect = 0;
     for (std::int32_t ch : nd.children)
-      if (isCopy(ch)) expect |= childBit(x, ch);
+      if (isCopy(ch)) expect |= childBit(t, ch);
     DIVA_CHECK_MSG((st.childCopyMask & expect) == expect,
                    "childCopyMask incomplete at " << n);
     hostNodes[hostOf(n, x)].push_back(n);

@@ -14,6 +14,7 @@
 #include "net/network.hpp"
 #include "net/topology.hpp"
 #include "sim/sync.hpp"
+#include "support/small_vec.hpp"
 
 namespace diva {
 
@@ -85,27 +86,29 @@ class AccessTreeStrategy final : public Strategy {
 
   /// Try to evict `x` from processor `p`'s cache if the tree invariants
   /// allow it (the copy is a fringe node of its component and not the
-  /// last copy). Returns true if evicted. Costs O(copy nodes of `x` at
-  /// `p`), and O(1) while `x`'s generation still equals the one at which
-  /// this entry was last refused.
+  /// last copy). Returns true if evicted.
   bool tryEvict(NodeId p, VarId x) override;
 
   void onNodeDown(NodeId p) override;
   void onReconfig() override;
 
  private:
-  /// Per-(variable, tree-node) protocol state.
+  /// Per-(variable, tree-node) protocol state, one slot of nodeStates_.
   struct TreeState {
     enum class Kind : std::uint8_t { Up, Down, Copy };
     Kind kind = Kind::Up;
+    bool parentCopy = false;         ///< parent holds a copy
+    /// Invalidation relay: flood edges this node still waits on before it
+    /// acknowledges toward `relayAckTo` (0 = not relaying).
+    std::uint16_t relayAcks = 0;
     std::int32_t downChild = -1;     ///< tree node toward the component (Kind::Down)
     std::uint32_t childCopyMask = 0; ///< children (by indexInParent) holding copies
-    bool parentCopy = false;         ///< parent holds a copy
-  };
+    std::int32_t relayAckTo = -1;    ///< tree node to ack once our flood subtree is done
+    std::uint32_t listPos = 0;       ///< index of this node in VarState::nodes
 
-  struct RelayState {
-    int pendingAcks = 0;
-    std::int32_t ackTo = -1;  ///< tree node to ack once our flood subtree is done
+    bool isDefault() const {
+      return kind == Kind::Up && childCopyMask == 0 && !parentCopy && relayAcks == 0;
+    }
   };
 
   /// Coordinator state of an in-flight write's invalidation multicast.
@@ -119,9 +122,11 @@ class AccessTreeStrategy final : public Strategy {
   };
 
   struct VarState {
-    std::unordered_map<std::int32_t, TreeState> nodes;
+    /// The tree nodes that have a slot in nodeStates_, in no particular
+    /// (but deterministic) order; each slot's listPos indexes this list.
+    support::SmallVec<std::int32_t, 6> nodes;
     std::optional<InvalCoord> coord;  ///< at most one write in flight per variable
-    std::unordered_map<std::int32_t, RelayState> relays;
+    int relays = 0;                   ///< tree nodes with relayAcks > 0
     /// Tree context (index into ctxs_) this variable's access tree lives
     /// on. Equals the strategy's current context except during a
     /// reconfiguration handoff window, when a busy variable keeps
@@ -143,7 +148,11 @@ class AccessTreeStrategy final : public Strategy {
     /// registration, postClimb, retire, reseed, a successful eviction,
     /// and the handling of each protocol message for `x` (at entry and
     /// at exit). A cache entry refused at the current generation is
-    /// refused again without a check.
+    /// refused again without a check: the entry points at this counter
+    /// (NodeCache::Entry::refusedGen). That pointer never dangles: every
+    /// access-tree cache entry lists at least one copy node (clearCopy
+    /// erases it with its last one), and destroyVarFree and reseed clear
+    /// every copy, so all of `x`'s entries are gone before its VarState.
     std::uint64_t generation = 0;
   };
 
@@ -182,55 +191,87 @@ class AccessTreeStrategy final : public Strategy {
   static_assert(net::MessageBody::kInline<AtBody>, "protocol bodies must travel inline");
 
   // --- protocol engine ---
+  // Handlers take the variable's state and `at`, the processor the
+  // message was delivered to. Every message is posted to the host of its
+  // `atNode` on the tree context it carries: forward() and markRootPath
+  // compute that host, and postClimb posts to the processor whose
+  // (single-processor) leaf it enters. Climb, Data, Inval and InvalAck
+  // only travel while their variable is busy, which defers any migration,
+  // so that context is the variable's own. Hence `at` == hostOf(atNode),
+  // and no handler recomputes it.
   /// The one request entry of read and write: registers transaction
   /// `txn`'s issue (activeOps) and posts its Climb from `p`'s leaf — or,
   /// when `p` joined after `x`'s tree was built, from a proxy leaf.
   void postClimb(NodeId p, VarId x, std::uint64_t txn, bool isWrite, Value v);
   /// Retires transaction `txn` on `x` once its coroutine resumes.
   void retire(std::uint64_t txn, VarId x);
-  void onClimb(AtBody&& b);
-  void onData(AtBody&& b);
-  void onInval(AtBody&& b);
-  void onInvalAck(AtBody&& b);
-  void onMark(AtBody&& b);
-  void onCopyDrop(AtBody&& b);
+  void onClimb(VarState& vs, NodeId at, AtBody&& b);
+  void onData(VarState& vs, NodeId at, AtBody&& b);
+  void onInval(VarState& vs, NodeId at, AtBody&& b);
+  void onInvalAck(VarState& vs, NodeId at, AtBody&& b);
+  void onMark(NodeId at, AtBody&& b);
+  void onCopyDrop(VarState* vs, AtBody&& b);
 
-  void serveAt(std::int32_t node, AtBody&& b);
-  void startInvalidation(std::int32_t uNode, AtBody&& b);
-  void finishWrite(VarState& vs, InvalCoord&& c);
-  void sendData(VarId x, std::uint64_t txn, NodeId requester, bool isWrite, Value v,
-                std::vector<std::int32_t> path);
-  void depositCopy(VarId x, std::int32_t node, const Value& v,
+  void serveAt(VarState& vs, std::int32_t node, NodeId at, AtBody&& b);
+  void startInvalidation(VarState& vs, std::int32_t uNode, NodeId at, AtBody&& b);
+  /// Commits the write coordinated at tree node c.path.back(), hosted at `at`.
+  void finishWrite(VarState& vs, NodeId at, InvalCoord&& c);
+  /// Sends the Data response from the serving tree node path.back(),
+  /// hosted at `at`, back along `path`.
+  void sendData(VarState& vs, NodeId at, VarId x, std::uint64_t txn, NodeId requester,
+                bool isWrite, Value v, std::vector<std::int32_t> path);
+  void depositCopy(VarState& vs, VarId x, std::int32_t node, NodeId at, const Value& v,
                    std::int32_t towardServer, std::int32_t towardRequester);
-  /// Floods Inval from `node` (tree context `ctx`) along every copy edge
-  /// of `st` except toward `except`; returns the number of edges flooded.
-  int floodInval(VarId x, std::int32_t node, const TreeState& st, std::int32_t except,
-                 std::int32_t ctx);
-  void sendInvalAck(VarId x, std::int32_t node, std::int32_t to, std::int32_t ctx,
+  /// Floods Inval from `node` (hosted at `at`, tree context `ctx`) along
+  /// every copy edge of `st` except toward `except`; returns the number
+  /// of edges flooded.
+  int floodInval(VarId x, std::int32_t node, NodeId at, const TreeState& st,
+                 std::int32_t except, std::int32_t ctx);
+  void sendInvalAck(VarId x, std::int32_t node, NodeId at, std::int32_t to, std::int32_t ctx,
                     bool hadCopy);
-  void forward(AtBody&& b, std::int32_t fromTreeNode, std::int32_t toTreeNode,
-               std::uint64_t payloadBytes);
+  /// Posts `b` from processor `src` (the host of the tree node it leaves)
+  /// to the host of `toTreeNode` on the tree context `b` carries.
+  void forward(AtBody&& b, NodeId src, std::int32_t toTreeNode, std::uint64_t payloadBytes);
+  /// The check behind tryEvict, given `x`'s entry in `p`'s cache: the
+  /// callback of the eviction scan (NodeCache::evictUntilFits). Costs one
+  /// compare while `x`'s generation still equals the one at which this
+  /// entry was last refused, O(copy nodes of `x` at `p`) otherwise.
+  bool tryEvict(NodeId p, VarId x, NodeCache::Entry& e);
   void maybeEvictAt(NodeId p);
 
   // --- state helpers ---
   void renew(VarState& vs) { vs.generation = ++lastGeneration_; }
-  TreeState& stateOf(VarId x, std::int32_t node) { return states_[x].nodes[node]; }
-  const TreeState* findState(VarId x, std::int32_t node) const;
-  /// The cluster tree of `x`'s current context: tree-node ids in the
-  /// variable's directory state are only meaningful against this tree.
-  const net::ClusterTree& treeOf(VarId x) const {
-    return *ctxs_[static_cast<std::size_t>(states_.at(x).ctx)];
+  TreeState* findState(VarId x, std::int32_t node) {
+    const auto it = nodeStates_.find(varNodeKey(x, node));
+    return it == nodeStates_.end() ? nullptr : &it->second;
   }
+  const TreeState* findState(VarId x, std::int32_t node) const {
+    const auto it = nodeStates_.find(varNodeKey(x, node));
+    return it == nodeStates_.end() ? nullptr : &it->second;
+  }
+  /// The state of `x` at `node`, created (Up) on first use.
+  TreeState& stateOf(VarState& vs, VarId x, std::int32_t node);
+  /// Drops `x`'s slot at `node` if it holds nothing but defaults.
+  void eraseIfDefault(VarState& vs, VarId x, std::int32_t node);
+  /// Drops every slot of `x` (its list becomes empty).
+  void eraseStates(VarState& vs, VarId x);
+  /// The cluster tree of a variable's current context: tree-node ids in
+  /// its directory state are only meaningful against this tree.
+  const net::ClusterTree& treeOf(const VarState& vs) const {
+    return *ctxs_[static_cast<std::size_t>(vs.ctx)];
+  }
+  const net::ClusterTree& treeOf(VarId x) const { return treeOf(states_.at(x)); }
   NodeId hostOf(std::int32_t node, VarId x) const {
     return treeOf(x).hostOf(node, x, params_.embedding, params_.seed);
   }
   /// The copy-edge rule: records in `node`'s state `st` whether tree
   /// neighbour `nb` (its parent, or one of its children) holds a copy.
-  void setCopyEdge(VarId x, TreeState& st, std::int32_t node, std::int32_t nb,
-                   bool held) const;
-  std::uint32_t childBit(VarId x, std::int32_t child) const;
-  void clearCopy(VarId x, std::int32_t node);
-  void eraseIfDefault(VarId x, std::int32_t node);
+  static void setCopyEdge(const net::ClusterTree& t, TreeState& st, std::int32_t node,
+                          std::int32_t nb, bool held);
+  static std::uint32_t childBit(const net::ClusterTree& t, std::int32_t child);
+  /// Drops tree node `node`'s copy from its host `at`'s cache entry,
+  /// erasing the entry with its last copy node.
+  void clearCopy(VarId x, std::int32_t node, NodeId at);
   /// Install the one-copy component at `owner`'s leaf and mark the root
   /// path — shared by free registration and reseed.
   void seedComponent(VarState& vs, VarId x, NodeId owner, Value init);
@@ -279,7 +320,13 @@ class AccessTreeStrategy final : public Strategy {
   /// trees. ctxs_[cur_] is the context new variables register on.
   std::vector<std::unique_ptr<net::ClusterTree>> ctxs_;
   int cur_ = 0;
+  /// Node-based, so a VarState's address (and its generation counter,
+  /// which cache entries point at) is stable until the variable is
+  /// destroyed.
   std::unordered_map<VarId, VarState> states_;
+  /// The protocol state of every (variable, tree node) that has any,
+  /// keyed by varNodeKey; VarState::nodes lists each variable's slots.
+  std::unordered_map<std::uint64_t, TreeState> nodeStates_;
   std::unordered_map<std::uint64_t, sim::OneShot<Value>*> pending_;  ///< txn → issuer
   DeferredWork deferred_;
   std::uint64_t nextTxn_ = 1;

@@ -99,7 +99,8 @@ sim::Task<void> FixedHomeStrategy::write(NodeId p, VarId x, Value v) {
 }
 
 void FixedHomeStrategy::maybeEvictAt(NodeId p) {
-  if (!caches_[p].evictUntilFits([&](VarId v) { return tryEvict(p, v); }))
+  if (!caches_[p].evictUntilFits(
+          [&](VarId v, const NodeCache::Entry& e) { return tryEvict(p, v, e); }))
     ++stats_.ops.evictionFailures;
 }
 
@@ -381,8 +382,12 @@ void FixedHomeStrategy::finishTransaction(VarId x) {
 // ---------------------------------------------------------------------------
 
 bool FixedHomeStrategy::tryEvict(NodeId p, VarId x) {
-  NodeCache::Entry* e = caches_[p].peek(x);
-  if (!e || e->owned) return false;
+  const NodeCache::Entry* e = caches_[p].peek(x);
+  return e && tryEvict(p, x, *e);
+}
+
+bool FixedHomeStrategy::tryEvict(NodeId p, VarId x, const NodeCache::Entry& e) {
+  if (e.owned) return false;
   const auto it = homes_.find(x);
   if (it == homes_.end()) return false;
   if (it->second.busy) return false;  // don't race an active transaction

@@ -116,6 +116,9 @@ class FixedHomeStrategy final : public Strategy {
   void finishTransaction(VarId x);
   /// Completes the write in flight: ownership passes to its writer.
   void grantWrite(HomeEntry& he, VarId x, NodeId home);
+  /// The check behind tryEvict, given `x`'s entry in `p`'s cache: the
+  /// callback of the eviction scan (NodeCache::evictUntilFits).
+  bool tryEvict(NodeId p, VarId x, const NodeCache::Entry& e);
   void maybeEvictAt(NodeId p);
   void sendBody(NodeId src, NodeId dst, FhBody&& b, std::uint64_t payloadBytes);
   void addCopyHolder(HomeEntry& he, NodeId p);

@@ -1,5 +1,8 @@
 #include "diva/lock.hpp"
 
+#include <algorithm>
+#include <utility>
+
 #include "net/graph_topology.hpp"
 #include "support/rng.hpp"
 
@@ -14,12 +17,6 @@ std::uint64_t waitKey(VarId lock, NodeId p) {
   constexpr std::uint64_t kMaxProcs = net::kMaxGraphNodes;
   DIVA_CHECK(static_cast<std::uint64_t>(p) < kMaxProcs);
   return lock * kMaxProcs + static_cast<std::uint64_t>(p);
-}
-
-/// Injective (lock, tree node) key of `TreeLockService::states_`.
-std::uint64_t stateKey(VarId lock, std::int32_t node) {
-  DIVA_CHECK(lock >> 32 == 0);
-  return lock << 32 | static_cast<std::uint32_t>(node);
 }
 }  // namespace
 
@@ -36,13 +33,30 @@ NodeId TreeLockService::hostOf(std::int32_t node, VarId lock) const {
   return tree_->hostOf(node, lock, embedding_, seed_);
 }
 
+void TreeLockService::RequestQueue::push(std::int32_t from) {
+  if (head_ > 0 && slots_.size() == slots_.capacity()) {
+    // Full with served slots at the front: slide the queued ones down.
+    std::copy(slots_.begin() + head_, slots_.end(), slots_.begin());
+    slots_.truncate(slots_.size() - head_);
+    head_ = 0;
+  }
+  slots_.push_back(from);
+}
+
+void TreeLockService::RequestQueue::pop() {
+  if (++head_ == slots_.size()) {
+    slots_.clear();
+    head_ = 0;
+  }
+}
+
 void TreeLockService::registerLockFree(VarId lock, NodeId creator) {
   locks_[lock].anchor = creator;
 }
 
 void TreeLockService::rebuild(const net::ClusterTree& tree) {
   for (const auto& [key, st] : states_)
-    DIVA_CHECK_MSG(st.reqQ.empty() && !st.inUse && !st.asked,
+    DIVA_CHECK_MSG(st.reqQ.empty() && !st.inUse && !st.asked && !st.waiter,
                    "lock " << (key >> 32) << " busy across a reconfiguration epoch");
   tree_ = &tree;
   states_.clear();  // holder pointers are rebuilt lazily against the new tree
@@ -66,7 +80,7 @@ std::int32_t TreeLockService::defaultHolderDir(NodeId anchor, std::int32_t node)
 }
 
 TreeLockService::NodeState& TreeLockService::stateOf(VarId lock, std::int32_t node) {
-  const std::uint64_t key = stateKey(lock, node);
+  const std::uint64_t key = varNodeKey(lock, node);
   if (const auto it = states_.find(key); it != states_.end()) return it->second;
   const auto rec = locks_.find(lock);
   DIVA_CHECK_MSG(rec != locks_.end(), "lock " << lock << " never registered");
@@ -80,16 +94,14 @@ TreeLockService::NodeState& TreeLockService::stateOf(VarId lock, std::int32_t no
 sim::Task<void> TreeLockService::acquire(NodeId p, VarId lock) {
   ++stats_.ops.locks;
   sim::OneShot<bool> granted(net_.engine());
-  const std::uint64_t key = waitKey(lock, p);
-  DIVA_CHECK_MSG(!waiting_.contains(key), "processor already acquiring this lock");
-  waiting_[key] = &granted;
-
   const std::int32_t leaf = tree_->leafOf(p);
   DIVA_CHECK_MSG(leaf >= 0, "requester " << p << " is not in the lock tree");
+  NodeState& st = stateOf(lock, leaf);
+  DIVA_CHECK_MSG(!st.waiter, "processor already acquiring this lock");
+  st.waiter = &granted;
   send(Body::K::Request, lock, kSelf, leaf);
 
   (void)co_await granted.wait();
-  waiting_.erase(key);
   co_return;
 }
 
@@ -136,7 +148,7 @@ void TreeLockService::send(Body::K k, VarId lock, std::int32_t fromNode,
 
 void TreeLockService::onRequest(VarId lock, std::int32_t node, std::int32_t from) {
   NodeState& st = stateOf(lock, node);
-  st.reqQ.push_back(from);
+  st.reqQ.push(from);
   if (st.holderDir == kSelf) {
     if (!st.inUse) grantNext(lock, node, st);
     return;
@@ -158,15 +170,13 @@ void TreeLockService::grantNext(VarId lock, std::int32_t node, NodeState& st) {
   DIVA_CHECK(st.holderDir == kSelf && !st.inUse);
   if (st.reqQ.empty()) return;
   const std::int32_t next = st.reqQ.front();
-  st.reqQ.pop_front();
+  st.reqQ.pop();
 
   if (next == kSelf) {
-    // Local grant: `node` must be the requester's leaf.
+    // Local grant: `node` is the requester's leaf, where acquire waits.
+    DIVA_CHECK_MSG(st.waiter, "token granted but nobody waits");
     st.inUse = true;
-    const NodeId p = tree_->procOfLeaf(node);
-    auto it = waiting_.find(waitKey(lock, p));
-    DIVA_CHECK_MSG(it != waiting_.end(), "token granted but nobody waits");
-    it->second->resolve(true);
+    std::exchange(st.waiter, nullptr)->resolve(true);
     return;
   }
 
@@ -182,10 +192,11 @@ void TreeLockService::checkIdle(VarId lock) const {
   const auto it = locks_.find(lock);
   if (it == locks_.end()) return;  // not a lock
   for (const std::int32_t node : it->second.nodes) {  // untouched nodes are idle
-    const NodeState& st = states_.at(stateKey(lock, node));
+    const NodeState& st = states_.at(varNodeKey(lock, node));
     DIVA_CHECK_MSG(st.reqQ.empty(), "pending lock request at tree node " << node);
     DIVA_CHECK_MSG(!st.inUse, "lock still held at tree node " << node);
     DIVA_CHECK_MSG(!st.asked, "dangling lock request at tree node " << node);
+    DIVA_CHECK_MSG(!st.waiter, "lock acquire still waiting at tree node " << node);
   }
 }
 

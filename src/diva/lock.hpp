@@ -11,6 +11,7 @@
 #include "net/topology.hpp"
 #include "sim/sync.hpp"
 #include "sim/task.hpp"
+#include "support/small_vec.hpp"
 
 namespace diva {
 
@@ -62,11 +63,31 @@ class TreeLockService final : public LockService {
  private:
   static constexpr std::int32_t kSelf = -2;  ///< holderDir: token is here / request is local
 
+  /// FIFO of pending requests (a neighbour tree node, or kSelf). A node
+  /// queues at most one request per tree neighbour plus its own: a
+  /// neighbour asks again only after the token it asked for has passed
+  /// it. So the queue never holds more than degree + 1 entries, which the
+  /// inline room covers for every node of a 4-ary tree; wider nodes spill
+  /// once and keep that capacity.
+  class RequestQueue {
+   public:
+    bool empty() const { return head_ == slots_.size(); }
+    std::int32_t front() const { return slots_[head_]; }
+    void push(std::int32_t from);
+    void pop();
+
+   private:
+    support::SmallVec<std::int32_t, 6> slots_;
+    std::uint32_t head_ = 0;  ///< slots_[head_..] are queued, oldest first
+  };
+
   struct NodeState {
     std::int32_t holderDir = kSelf;   ///< tree node toward token; kSelf if here
     bool asked = false;               ///< a request toward the token is outstanding
     bool inUse = false;               ///< leaf only: the local app holds the token
-    std::deque<std::int32_t> reqQ;    ///< pending requests (neighbor node or kSelf)
+    RequestQueue reqQ;                ///< pending requests
+    /// Leaf only: the local acquire waiting for the token.
+    sim::OneShot<bool>* waiter = nullptr;
   };
   struct Body {
     enum class K : std::uint8_t { Request, Token, Release } k = K::Request;
@@ -104,10 +125,9 @@ class TreeLockService final : public LockService {
   net::EmbeddingKind embedding_;
   std::uint64_t seed_;
   /// Raymond state of every (lock, tree node) touched since the last
-  /// rebuild, keyed by `stateKey`.
+  /// rebuild, keyed by `varNodeKey`.
   std::unordered_map<std::uint64_t, NodeState> states_;
   std::unordered_map<VarId, LockRecord> locks_;
-  std::unordered_map<std::uint64_t, sim::OneShot<bool>*> waiting_;  ///< (lock,proc) → acquire
 };
 
 /// Centralized lock manager at the variable's (random) home processor —

@@ -58,8 +58,9 @@ class Strategy {
   /// handler for `net::kProtocolChannel` on every node.
   virtual void handleMessage(net::Message&& msg) = 0;
 
-  /// LRU replacement hook: attempt to evict `x` from `p`'s memory module
-  /// if the strategy's invariants allow it. Returns true on success.
+  /// Attempt to evict `x` from `p`'s memory module if the strategy's
+  /// invariants allow it. Returns true on success. The same check the
+  /// strategy's LRU eviction scan applies to each candidate entry.
   virtual bool tryEvict(NodeId p, VarId x) = 0;
 
   /// Node `p` crashed: its application state (cached copies, directory

@@ -14,6 +14,13 @@ namespace diva {
 using VarId = std::uint64_t;
 inline constexpr VarId kInvalidVar = ~0ull;
 
+/// Injective (variable, tree node) key of the strategy-wide tables that
+/// hold per-(variable, tree node) state: variable ids stay below 2^32.
+inline std::uint64_t varNodeKey(VarId x, std::int32_t node) {
+  DIVA_CHECK(x >> 32 == 0);
+  return x << 32 | static_cast<std::uint32_t>(node);
+}
+
 /// Immutable variable value. Copies of a value at different simulated
 /// nodes share one host-memory buffer; the *simulated* size is
 /// `value->size()` bytes and drives all bandwidth/congestion accounting.

@@ -440,6 +440,59 @@ TEST(Alloc, WarmCacheReadHitsAllocateNothing) {
   EXPECT_EQ(bytes, (16u + 4096u) * 64u);
 }
 
+// A new cache entry costs one block, its map node: the LRU links live in
+// that node, so there is no separate list node to allocate or free.
+// Re-inserting a key after an erase keeps the map at a size it has held
+// before, so no bucket rehash is counted.
+TEST(Alloc, CacheInsertAllocatesOnlyItsEntry) {
+  NodeCache c;
+  const Value v = makeRawValue(64);
+  for (VarId x = 0; x < 32; ++x) c.put(x, v);
+  c.erase(7);
+
+  std::uint64_t before = allocCount();
+  const std::int64_t live = outstanding();
+  c.put(7, v);
+  EXPECT_EQ(allocCount() - before, 1u) << "inserting one entry";
+  EXPECT_EQ(outstanding(), live + 1);
+
+  before = allocCount();
+  c.put(7, v);  // update in place
+  (void)c.touch(3);
+  EXPECT_EQ(allocCount() - before, 0u) << "updating or touching an entry";
+
+  c.erase(7);
+  EXPECT_EQ(outstanding(), live) << "erasing an entry frees its one block";
+}
+
+// Raymond's lock on the access tree in steady state: once every
+// contender's tree path holds its per-node state and the coroutine frame
+// pool has its classes, acquiring and releasing under contention moves
+// requests through inline queues and waits without touching the heap.
+TEST(Alloc, TreeLockAcquireReleaseAllocatesNothing) {
+  Machine m(4, 4);
+  Runtime rt(m, RuntimeConfig::accessTree());
+  const VarId x = rt.createVarFree(0, makeRawValue(8), /*withLock=*/true);
+  auto loop = [](Runtime& r, NodeId p, VarId var, int n, int& done) -> sim::Task<> {
+    for (int i = 0; i < n; ++i) {
+      co_await r.lock(p, var);
+      co_await r.unlock(p, var);
+      ++done;
+    }
+  };
+  const NodeId contenders[] = {0, 5, 10, 15};
+  int done = 0;
+  for (NodeId p : contenders) sim::spawn(loop(rt, p, x, 64, done));  // warm-up
+  m.engine.run();
+
+  const std::uint64_t before = allocCount();
+  for (NodeId p : contenders) sim::spawn(loop(rt, p, x, 256, done));
+  m.engine.run();
+  EXPECT_EQ(allocCount() - before, 0u) << "lock acquire/release hit the heap";
+  EXPECT_EQ(done, 4 * (64 + 256));
+  rt.checkAllInvariants();
+}
+
 // A *disabled* tracer attached to the machine leaves the hot path
 // allocation-free: every record call compiled into the message pipeline,
 // the strategies and the workload drivers is one mask test and a return.

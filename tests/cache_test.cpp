@@ -3,10 +3,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <list>
+#include <map>
+
 #include "diva/access_tree_strategy.hpp"
 #include "diva/cache.hpp"
 #include "diva/machine.hpp"
 #include "diva/runtime.hpp"
+#include "support/rng.hpp"
 
 namespace diva {
 namespace {
@@ -41,7 +46,7 @@ TEST(NodeCache, LruOrderFollowsTouches) {
   c.put(3, makeRawValue(1));
   c.touch(1);  // order now: 2, 3, 1
   std::vector<VarId> order;
-  EXPECT_FALSE(c.evictUntilFits([&](VarId v) {
+  EXPECT_FALSE(c.evictUntilFits([&](VarId v, NodeCache::Entry&) {
     order.push_back(v);
     return false;
   }));
@@ -60,7 +65,7 @@ TEST(NodeCache, ScanStopsWhenHandled) {
   NodeCache c(4);  // five 1-byte entries: one eviction fits the module
   for (VarId v = 1; v <= 5; ++v) c.put(v, makeRawValue(1));
   int visited = 0;
-  const bool fits = c.evictUntilFits([&](VarId v) {
+  const bool fits = c.evictUntilFits([&](VarId v, NodeCache::Entry&) {
     ++visited;
     if (v != 3) return false;
     c.erase(v);
@@ -70,6 +75,95 @@ TEST(NodeCache, ScanStopsWhenHandled) {
   EXPECT_EQ(visited, 3);
   EXPECT_EQ(c.peek(3), nullptr);
   EXPECT_FALSE(c.overCapacity());
+}
+
+TEST(NodeCache, IntrusiveLruMatchesListModel) {
+  // Seeded differential of the intrusive LRU against a std::list model:
+  // random puts, touches, erases and eviction scans (some accepting a
+  // victim mid-pass) must offer entries in the model's order and leave
+  // the same contents and byte count. The caches live in a growing vector,
+  // so they are also moved mid-sequence, as Runtime's are.
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    support::SplitMix64 rng(seed);
+    std::vector<NodeCache> caches;
+    caches.emplace_back(24);
+    std::list<VarId> model;  // front = least recently used
+    std::map<VarId, std::uint64_t> bytes;
+    auto usedInModel = [&] {
+      std::uint64_t sum = 0;
+      for (const auto& [v, b] : bytes) sum += b;
+      return sum;
+    };
+    auto toBack = [&](VarId v) {
+      model.remove(v);
+      model.push_back(v);
+    };
+    for (int step = 0; step < 3000; ++step) {
+      NodeCache& c = caches.front();
+      const VarId v = rng.below(16);
+      switch (rng.below(4)) {
+        case 0: {
+          const std::uint64_t n = 1 + rng.below(8);
+          c.put(v, makeRawValue(n));
+          bytes[v] = n;
+          toBack(v);
+          break;
+        }
+        case 1:
+          ASSERT_EQ(c.touch(v) != nullptr, bytes.contains(v));
+          if (bytes.contains(v)) toBack(v);
+          break;
+        case 2:
+          c.erase(v);
+          bytes.erase(v);
+          model.remove(v);
+          break;
+        default: {
+          // Accept the candidates whose id matches this step's residue;
+          // the model runs the same passes over its list.
+          const VarId residue = static_cast<VarId>(step % 5);
+          std::vector<VarId> offered, expected;
+          const bool fits = c.evictUntilFits([&](VarId cand, NodeCache::Entry& e) {
+            offered.push_back(cand);
+            EXPECT_EQ(&e, c.peek(cand));
+            if (cand % 5 != residue) return false;
+            c.erase(cand);
+            return true;
+          });
+          bool modelFits = true;
+          while (usedInModel() > c.capacityBytes() && modelFits) {
+            modelFits = false;
+            for (VarId m : model) {
+              expected.push_back(m);
+              if (m % 5 == residue) {
+                model.remove(m);
+                bytes.erase(m);
+                modelFits = true;
+                break;
+              }
+            }
+          }
+          ASSERT_EQ(offered, expected) << "seed " << seed << " step " << step;
+          ASSERT_EQ(fits, modelFits);
+          break;
+        }
+      }
+      ASSERT_EQ(c.numEntries(), model.size()) << "seed " << seed << " step " << step;
+      ASSERT_EQ(c.usedBytes(), usedInModel());
+      if (step % 500 == 250)
+        for (int i = 0; i < 3; ++i) caches.emplace_back(1);  // reallocate: move caches[0]
+    }
+    // Full order check: a refuse-everything pass offers every entry.
+    NodeCache& c = caches.front();
+    c.put(100, makeRawValue(c.capacityBytes() + 1));
+    model.push_back(100);
+    std::vector<VarId> offered;
+    EXPECT_FALSE(c.evictUntilFits([&](VarId cand, NodeCache::Entry&) {
+      offered.push_back(cand);
+      return false;
+    }));
+    EXPECT_EQ(offered, std::vector<VarId>(model.begin(), model.end())) << "seed " << seed;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -170,6 +264,37 @@ TEST(Replacement, TryEvictRefusesOwnedAndPinnedEntries) {
   EXPECT_TRUE(rt.strategy().tryEvict(5, x)) << "ceded copy is evictable";
   rt.checkAllInvariants();
   EXPECT_EQ(rt.peek(x)->size(), 64u);
+}
+
+TEST(Replacement, DestroyingMemoRefusedVariablesLeavesNoDanglingMemo) {
+  // Sole copies at p are refused by a pressure scan, so their cache
+  // entries point at their variables' generation counters. Destroying
+  // those variables must take the entries with them; new variables (whose
+  // state may reuse the freed memory) and further pressure scans at p
+  // must then run clean. Under ASan a dangling memo pointer is a
+  // heap-use-after-free here.
+  Machine m(4, 4);
+  RuntimeConfig cfg = RuntimeConfig::accessTree(4, 1);
+  cfg.cacheCapacityBytes = 1500;
+  Runtime rt(m, cfg);
+  const NodeId p = 0;
+  std::vector<VarId> sole;
+  for (int i = 0; i < 3; ++i) sole.push_back(rt.createVarFree(p, makeRawValue(600)));
+  const VarId y = rt.createVarFree(15, makeRawValue(600));
+  (void)readOnce(m, rt, p, y);
+  ASSERT_GT(m.stats.ops.evictionFailures, 0u) << "the scan at p must have refused the sole copies";
+  for (VarId x : sole) {
+    rt.destroyVarFree(x);
+    EXPECT_EQ(rt.cacheOf(p).peek(x), nullptr) << "destroyed variable " << x << " left an entry";
+  }
+
+  std::vector<VarId> fresh;
+  for (int i = 0; i < 3; ++i) fresh.push_back(rt.createVarFree(p, makeRawValue(600)));
+  for (int i = 0; i < 4; ++i) (void)readOnce(m, rt, p, rt.createVarFree(15, makeRawValue(600)));
+  (void)readOnce(m, rt, p, y);
+  EXPECT_GT(m.stats.ops.evictions, 0u) << "the scans at p must have found victims";
+  rt.checkAllInvariants();
+  for (VarId x : fresh) EXPECT_EQ(rt.peek(x)->size(), 600u);
 }
 
 // ---------------------------------------------------------------------------
