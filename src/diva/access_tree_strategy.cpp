@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <sstream>
+#include <unordered_map>
 #include <utility>
 
 namespace diva {
@@ -28,23 +29,24 @@ std::string AccessTreeStrategy::name() const {
 
 AccessTreeStrategy::TreeState& AccessTreeStrategy::stateOf(VarState& vs, VarId x,
                                                            std::int32_t node) {
-  const auto [it, inserted] = nodeStates_.try_emplace(varNodeKey(x, node));
+  const auto [st, inserted] = nodeStates_.tryEmplace(varNodeKey(x, node));
   if (inserted) {
-    it->second.listPos = static_cast<std::uint32_t>(vs.nodes.size());
+    st->listPos = static_cast<std::uint32_t>(vs.nodes.size());
     vs.nodes.push_back(node);
   }
-  return it->second;
+  return *st;
 }
 
 void AccessTreeStrategy::eraseIfDefault(VarState& vs, VarId x, std::int32_t node) {
-  const auto it = nodeStates_.find(varNodeKey(x, node));
-  if (it == nodeStates_.end() || !it->second.isDefault()) return;
-  // Swap-remove from the variable's list, re-indexing the node moved in.
-  const std::uint32_t pos = it->second.listPos;
+  const TreeState* st = findState(x, node);
+  if (!st || !st->isDefault()) return;
+  // Swap-remove from the variable's list, re-indexing the node moved in
+  // (looked up after the erase, which may have moved its slot).
+  const std::uint32_t pos = st->listPos;
   const std::int32_t moved = vs.nodes.back();
   vs.nodes[pos] = moved;
   vs.nodes.truncate(vs.nodes.size() - 1);
-  nodeStates_.erase(it);
+  nodeStates_.erase(varNodeKey(x, node));
   if (moved != node) nodeStates_.at(varNodeKey(x, moved)).listPos = pos;
 }
 
@@ -78,7 +80,7 @@ void AccessTreeStrategy::clearCopy(VarId x, std::int32_t node, NodeId host) {
   DIVA_CHECK_MSG(it != nodes.end(), "clearCopy of a tree node the cache entry does not list");
   *it = nodes.back();  // the list is unordered: swap-remove
   nodes.truncate(nodes.size() - 1);
-  if (nodes.empty()) caches_[host].erase(x);
+  if (nodes.empty()) caches_[host].erase(*e);
 }
 
 // ---------------------------------------------------------------------------
@@ -106,7 +108,7 @@ sim::Task<void> AccessTreeStrategy::write(NodeId p, VarId x, Value v) {
 
 void AccessTreeStrategy::postClimb(NodeId p, VarId x, std::uint64_t txn, bool isWrite,
                                    Value v) {
-  VarState& vs = states_.at(x);
+  VarState& vs = varOf(x);
   ++vs.activeOps;
   renew(vs);
   AtBody b;
@@ -137,7 +139,7 @@ void AccessTreeStrategy::postClimb(NodeId p, VarId x, std::uint64_t txn, bool is
 
 void AccessTreeStrategy::retire(std::uint64_t txn, VarId x) {
   pending_.erase(txn);
-  VarState& vs = states_.at(x);
+  VarState& vs = varOf(x);
   renew(vs);
   if (--vs.activeOps == 0) drainDeferred(x);
 }
@@ -168,8 +170,10 @@ void AccessTreeStrategy::seedComponent(VarState& vs, VarId x, NodeId owner,
 }
 
 void AccessTreeStrategy::registerVarFree(VarId x, NodeId owner, Value init) {
-  DIVA_CHECK_MSG(!states_.contains(x), "variable registered twice");
-  VarState& vs = states_[x];
+  const auto [slot, inserted] = states_.tryEmplace(x);
+  DIVA_CHECK_MSG(inserted, "variable registered twice");
+  *slot = std::make_unique<VarState>();
+  VarState& vs = **slot;
   vs.ctx = cur_;
   seedComponent(vs, x, owner, std::move(init));
 }
@@ -192,7 +196,7 @@ bool AccessTreeStrategy::markRootPath(VarId x, NodeId owner) {
   m.k = AtBody::K::Mark;
   m.var = x;
   m.requester = owner;
-  m.ctx = states_.at(x).ctx;
+  m.ctx = varOf(x).ctx;
   m.atNode = t.parent(leaf);
   m.fromNode = leaf;
   net_.post(
@@ -201,23 +205,22 @@ bool AccessTreeStrategy::markRootPath(VarId x, NodeId owner) {
 }
 
 void AccessTreeStrategy::destroyVarFree(VarId x) {
-  auto it = states_.find(x);
-  if (it == states_.end()) return;
-  VarState& vs = it->second;
-  DIVA_CHECK_MSG(!vs.coord && vs.relays == 0, "destroying a variable with a write in flight");
-  for (std::int32_t node : vs.nodes)
+  VarState* vs = findVar(x);
+  if (!vs) return;
+  DIVA_CHECK_MSG(!vs->coord && vs->relays == 0, "destroying a variable with a write in flight");
+  for (std::int32_t node : vs->nodes)
     if (findState(x, node)->kind == TreeState::Kind::Copy) clearCopy(x, node, hostOf(node, x));
-  eraseStates(vs, x);
-  states_.erase(it);
+  eraseStates(*vs, x);
+  states_.erase(x);
   deferred_.erase(x);
 }
 
 std::int32_t AccessTreeStrategy::topCopy(VarId x) const {
-  const auto it = states_.find(x);
-  DIVA_CHECK_MSG(it != states_.end(), "peek of unregistered variable");
-  const net::ClusterTree& t = treeOf(it->second);
+  const VarState* vs = findVar(x);
+  DIVA_CHECK_MSG(vs, "peek of unregistered variable");
+  const net::ClusterTree& t = treeOf(*vs);
   std::int32_t top = -1;
-  for (std::int32_t node : it->second.nodes)
+  for (std::int32_t node : vs->nodes)
     if (findState(x, node)->kind == TreeState::Kind::Copy &&
         (top < 0 || t.depthOf(node) < t.depthOf(top)))
       top = node;
@@ -241,8 +244,7 @@ void AccessTreeStrategy::handleMessage(net::Message&& msg) {
   // Any protocol act on x may change whether x is evictable, so refusals
   // recorded before this handler or during it are not trusted after it.
   // (Handlers never erase variable state, so the pointer stays valid.)
-  const auto vit = states_.find(b.var);
-  VarState* vs = vit == states_.end() ? nullptr : &vit->second;
+  VarState* vs = findVar(b.var);
   if (vs) renew(*vs);
   // Climb, Data, Inval and InvalAck belong to an operation in flight,
   // which keeps its variable registered.
@@ -331,9 +333,9 @@ void AccessTreeStrategy::sendData(VarState& vs, NodeId at, VarId x, std::uint64_
   if (path.size() == 1) {
     // The server is the requester's entry leaf — a writer's own copy, or
     // a proxy leaf (read/write) that already holds one: nothing travels.
-    auto it = pending_.find(txn);
-    DIVA_CHECK(it != pending_.end());
-    it->second->resolve(std::move(v));
+    sim::OneShot<Value>* const* issuer = pending_.find(txn);
+    DIVA_CHECK(issuer);
+    (*issuer)->resolve(std::move(v));
     return;
   }
   const std::int32_t server = path.back();
@@ -365,13 +367,11 @@ void AccessTreeStrategy::depositCopy(VarState& vs, VarId x, std::int32_t node, N
   if (st.kind != TreeState::Kind::Copy) {
     st.kind = TreeState::Kind::Copy;
     st.downChild = -1;
-    NodeCache::Entry* e = caches_[host].peek(x);
-    if (e) {
-      e->value = v;
-      e->copyNodes.push_back(node);
-    } else {
-      caches_[host].put(x, v).copyNodes.push_back(node);
-    }
+    // Another tree node of x hosted here may hold a copy already: then
+    // the entry keeps its recency and only takes the new value.
+    const auto [e, inserted] = caches_[host].insert(x, v);
+    if (!inserted) e.value = v;
+    e.copyNodes.push_back(node);
   } else {
     NodeCache::Entry* e = caches_[host].peek(x);
     DIVA_CHECK(e);
@@ -396,9 +396,9 @@ void AccessTreeStrategy::onData(VarState& vs, NodeId at, AtBody&& b) {
   }
 
   if (b.idx == 0) {
-    auto it = pending_.find(b.txn);
-    DIVA_CHECK_MSG(it != pending_.end(), "data response for unknown transaction");
-    it->second->resolve(std::move(b.value));
+    sim::OneShot<Value>* const* issuer = pending_.find(b.txn);
+    DIVA_CHECK_MSG(issuer, "data response for unknown transaction");
+    (*issuer)->resolve(std::move(b.value));
     return;
   }
   --b.idx;
@@ -575,9 +575,9 @@ bool AccessTreeStrategy::tryEvict(NodeId p, VarId x, NodeCache::Entry& e) {
   // was last refused (see VarState::generation): the answer is unchanged.
   // The counter the entry points at is x's own, still alive.
   if (e.refusedGen && *e.refusedGen == e.refusedAt) return false;
-  auto vit = states_.find(x);
-  if (vit == states_.end()) return false;
-  VarState& vs = vit->second;
+  VarState* const vsp = findVar(x);
+  if (!vsp) return false;
+  VarState& vs = *vsp;
   auto refuse = [&] {
     e.refusedGen = &vs.generation;
     e.refusedAt = vs.generation;
@@ -657,7 +657,7 @@ bool AccessTreeStrategy::tryEvict(NodeId p, VarId x, NodeCache::Entry& e) {
   }
 
   const support::SmallVec<std::int32_t, 4> dropped = std::move(e.copyNodes);
-  caches_[p].erase(x);
+  caches_[p].erase(e);
   ++stats_.ops.evictions;
   renew(vs);  // the component changed shape: other hosts may now evict
 
@@ -703,15 +703,15 @@ void AccessTreeStrategy::onNodeDown(NodeId p) {
   // via a hosted Copy tree node or a stray cache entry — and repair in
   // sorted order so traffic is independent of hash-map iteration order.
   std::vector<VarId> affected;
-  for (const auto& [x, vs] : states_) {
+  states_.forEach([&](VarId x, const std::unique_ptr<VarState>& vs) {
     bool touches = caches_[p].peek(x) != nullptr;
-    for (auto it = vs.nodes.begin(); !touches && it != vs.nodes.end(); ++it)
+    for (auto it = vs->nodes.begin(); !touches && it != vs->nodes.end(); ++it)
       touches = findState(x, *it)->kind == TreeState::Kind::Copy && hostOf(*it, x) == p;
     if (touches) affected.push_back(x);
-  }
+  });
   std::sort(affected.begin(), affected.end());
   for (VarId x : affected)
-    deferred_.repair(x, p, varQuiet(states_.at(x)), [&] { repairVar(x, p); });
+    deferred_.repair(x, p, varQuiet(varOf(x)), [&] { repairVar(x, p); });
 }
 
 void AccessTreeStrategy::drainDeferred(VarId x) {
@@ -719,14 +719,14 @@ void AccessTreeStrategy::drainDeferred(VarId x) {
   // application state, so its pre-crash copies are scrubbed regardless.
   // The migration comes last because repair is defined on the old tree.
   deferred_.drain(
-      x, [&] { return varQuiet(states_.at(x)); }, [&](NodeId p) { repairVar(x, p); },
+      x, [&] { return varQuiet(varOf(x)); }, [&](NodeId p) { repairVar(x, p); },
       [&] { migrateVar(x); });
 }
 
 template <typename Post>
 void AccessTreeStrategy::reseed(VarId x, int ctx, NodeId owner, const Value& v, Handoff h,
                                 Post&& post) {
-  VarState& vs = states_.at(x);
+  VarState& vs = varOf(x);
   std::vector<std::int32_t> copies;
   for (std::int32_t n : vs.nodes)
     if (findState(x, n)->kind == TreeState::Kind::Copy) copies.push_back(n);
@@ -751,7 +751,7 @@ void AccessTreeStrategy::sendHandoff(Handoff h, VarId x, NodeId src, NodeId dst,
   AtBody b;
   b.k = h == Handoff::Repair ? AtBody::K::Recover : AtBody::K::Migrate;
   b.var = x;
-  b.ctx = states_.at(x).ctx;
+  b.ctx = varOf(x).ctx;
   net_.post(net::Message{src, dst, net::kProtocolChannel, bytes, std::move(b)});
 }
 
@@ -761,7 +761,7 @@ void AccessTreeStrategy::repairVar(VarId x, NodeId p) {
   // fault model), which justifies recovering a value whose topmost copy
   // sat at p.
   const Value v = peek(x);
-  const int ctx = states_.at(x).ctx;
+  const int ctx = varOf(x).ctx;
   const NodeId s = liveLeafFrom(treeOf(x), p + 1);
   ++stats_.ops.repairedVars;
 
@@ -797,14 +797,14 @@ void AccessTreeStrategy::onReconfig() {
   // are independent of hash-map layout.
   std::vector<VarId> vars;
   vars.reserve(states_.size());
-  for (const auto& [x, vs] : states_) vars.push_back(x);
+  states_.forEach([&](VarId x, const std::unique_ptr<VarState>&) { vars.push_back(x); });
   std::sort(vars.begin(), vars.end());
   for (VarId x : vars)
-    deferred_.migrate(x, varQuiet(states_.at(x)), [&] { migrateVar(x); });
+    deferred_.migrate(x, varQuiet(varOf(x)), [&] { migrateVar(x); });
 }
 
 void AccessTreeStrategy::migrateVar(VarId x) {
-  if (states_.at(x).ctx == cur_) return;  // already on the current tree
+  if (varOf(x).ctx == cur_) return;  // already on the current tree
   // Salvage the committed value from the topmost copy before wiping.
   const NodeId oldHost = hostOf(topCopy(x), x);
   const Value v = peek(x);
@@ -822,9 +822,9 @@ void AccessTreeStrategy::migrateVar(VarId x) {
 // ---------------------------------------------------------------------------
 
 void AccessTreeStrategy::checkInvariants(VarId x) const {
-  const auto vit = states_.find(x);
-  DIVA_CHECK_MSG(vit != states_.end(), "unregistered variable " << x);
-  const VarState& vs = vit->second;
+  const VarState* vsp = findVar(x);
+  DIVA_CHECK_MSG(vsp, "unregistered variable " << x);
+  const VarState& vs = *vsp;
   DIVA_CHECK_MSG(!vs.coord, "write still in flight");
   DIVA_CHECK_MSG(vs.relays == 0, "invalidation relays still in flight");
   DIVA_CHECK_MSG(vs.activeOps == 0, "operations still in flight");

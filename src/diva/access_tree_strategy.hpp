@@ -1,11 +1,9 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
-#include <unordered_map>
-#include <vector>
-
 #include <memory>
+#include <optional>
+#include <vector>
 
 #include "diva/cache.hpp"
 #include "diva/deferred_work.hpp"
@@ -14,6 +12,7 @@
 #include "net/network.hpp"
 #include "net/topology.hpp"
 #include "sim/sync.hpp"
+#include "support/flat_map.hpp"
 #include "support/small_vec.hpp"
 
 namespace diva {
@@ -93,7 +92,9 @@ class AccessTreeStrategy final : public Strategy {
   void onReconfig() override;
 
  private:
-  /// Per-(variable, tree-node) protocol state, one slot of nodeStates_.
+  /// Per-(variable, tree-node) protocol state, held inline in a slot of
+  /// nodeStates_. Like every FlatMap value it may move on any insert into
+  /// or erase from that table, so no reference to it is held across one.
   struct TreeState {
     enum class Kind : std::uint8_t { Up, Down, Copy };
     Kind kind = Kind::Up;
@@ -121,6 +122,9 @@ class AccessTreeStrategy final : public Strategy {
     std::vector<std::int32_t> path;
   };
 
+  /// Per-variable state, heap-allocated behind states_ so its address —
+  /// and the generation counter cache entries point at — stays fixed
+  /// while the table moves its slots.
   struct VarState {
     /// The tree nodes that have a slot in nodeStates_, in no particular
     /// (but deterministic) order; each slot's listPos indexes this list.
@@ -241,14 +245,24 @@ class AccessTreeStrategy final : public Strategy {
 
   // --- state helpers ---
   void renew(VarState& vs) { vs.generation = ++lastGeneration_; }
+  /// `x`'s state at `node`, or null (Up) — valid until the next insert
+  /// into or erase from nodeStates_.
   TreeState* findState(VarId x, std::int32_t node) {
-    const auto it = nodeStates_.find(varNodeKey(x, node));
-    return it == nodeStates_.end() ? nullptr : &it->second;
+    return nodeStates_.find(varNodeKey(x, node));
   }
   const TreeState* findState(VarId x, std::int32_t node) const {
-    const auto it = nodeStates_.find(varNodeKey(x, node));
-    return it == nodeStates_.end() ? nullptr : &it->second;
+    return nodeStates_.find(varNodeKey(x, node));
   }
+  VarState* findVar(VarId x) {
+    std::unique_ptr<VarState>* vs = states_.find(x);
+    return vs ? vs->get() : nullptr;
+  }
+  const VarState* findVar(VarId x) const {
+    const std::unique_ptr<VarState>* vs = states_.find(x);
+    return vs ? vs->get() : nullptr;
+  }
+  VarState& varOf(VarId x) { return *states_.at(x); }
+  const VarState& varOf(VarId x) const { return *states_.at(x); }
   /// The state of `x` at `node`, created (Up) on first use.
   TreeState& stateOf(VarState& vs, VarId x, std::int32_t node);
   /// Drops `x`'s slot at `node` if it holds nothing but defaults.
@@ -260,7 +274,7 @@ class AccessTreeStrategy final : public Strategy {
   const net::ClusterTree& treeOf(const VarState& vs) const {
     return *ctxs_[static_cast<std::size_t>(vs.ctx)];
   }
-  const net::ClusterTree& treeOf(VarId x) const { return treeOf(states_.at(x)); }
+  const net::ClusterTree& treeOf(VarId x) const { return treeOf(varOf(x)); }
   NodeId hostOf(std::int32_t node, VarId x) const {
     return treeOf(x).hostOf(node, x, params_.embedding, params_.seed);
   }
@@ -320,14 +334,16 @@ class AccessTreeStrategy final : public Strategy {
   /// trees. ctxs_[cur_] is the context new variables register on.
   std::vector<std::unique_ptr<net::ClusterTree>> ctxs_;
   int cur_ = 0;
-  /// Node-based, so a VarState's address (and its generation counter,
-  /// which cache entries point at) is stable until the variable is
-  /// destroyed.
-  std::unordered_map<VarId, VarState> states_;
+  /// Every registered variable's state. The table owns each VarState
+  /// through a pointer, so a VarState's address (and its generation
+  /// counter, which cache entries point at) is stable until the variable
+  /// is destroyed, however the table's slots move.
+  support::FlatMap<std::unique_ptr<VarState>> states_;
   /// The protocol state of every (variable, tree node) that has any,
-  /// keyed by varNodeKey; VarState::nodes lists each variable's slots.
-  std::unordered_map<std::uint64_t, TreeState> nodeStates_;
-  std::unordered_map<std::uint64_t, sim::OneShot<Value>*> pending_;  ///< txn → issuer
+  /// inline and keyed by varNodeKey; VarState::nodes lists each
+  /// variable's slots. Any insert or erase may move every TreeState.
+  support::FlatMap<TreeState> nodeStates_;
+  support::FlatMap<sim::OneShot<Value>*> pending_;  ///< txn → issuer
   DeferredWork deferred_;
   std::uint64_t nextTxn_ = 1;
   std::uint64_t lastGeneration_ = 0;  ///< strategy-wide; generation 0 is never issued

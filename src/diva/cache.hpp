@@ -1,9 +1,11 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
+#include <memory>
+#include <utility>
 
 #include "diva/types.hpp"
+#include "support/flat_map.hpp"
 #include "support/small_vec.hpp"
 
 namespace diva {
@@ -42,7 +44,7 @@ class NodeCache {
         head_(other.head_),
         tail_(other.tail_) {
     other.used_ = 0;
-    other.head_ = other.tail_ = nullptr;  // map nodes (and their links) moved with map_
+    other.head_ = other.tail_ = nullptr;  // the slots (and their links) moved with map_
   }
   NodeCache& operator=(NodeCache&&) = delete;
   NodeCache(const NodeCache&) = delete;
@@ -55,45 +57,57 @@ class NodeCache {
 
   /// Look up without touching recency (protocol bookkeeping).
   Entry* peek(VarId v) {
-    auto it = map_.find(v);
-    return it == map_.end() ? nullptr : &it->second.entry;
+    const std::unique_ptr<Slot>* s = map_.find(v);
+    return s ? s->get() : nullptr;
   }
   const Entry* peek(VarId v) const {
-    auto it = map_.find(v);
-    return it == map_.end() ? nullptr : &it->second.entry;
+    const std::unique_ptr<Slot>* s = map_.find(v);
+    return s ? s->get() : nullptr;
   }
 
   /// Look up and mark as most recently used (application access).
   Entry* touch(VarId v) {
-    auto it = map_.find(v);
-    if (it == map_.end()) return nullptr;
-    moveToBack(it->second);
-    return &it->second.entry;
+    const std::unique_ptr<Slot>* s = map_.find(v);
+    if (!s) return nullptr;
+    moveToBack(**s);
+    return s->get();
   }
 
-  /// Insert or update an entry; returns it. New entries start with no
-  /// copy nodes — callers record them as the protocol dictates.
-  Entry& put(VarId v, Value value) {
-    auto [it, inserted] = map_.try_emplace(v);
-    Slot& s = it->second;
+  /// Insert `v` holding `value` as the most recently used entry, unless
+  /// it is present: then its entry is returned as it is (same value, same
+  /// recency). Reports whether it inserted. New entries start with no copy
+  /// nodes — callers record them as the protocol dictates.
+  std::pair<Entry&, bool> insert(VarId v, const Value& value) {
+    const auto [s, inserted] = slotOf(v);
     if (inserted) {
-      s.var = v;
-      linkBack(s);
-    } else {
-      used_ -= bytesOf(s.entry);
+      s.value = value;
+      used_ += bytesOf(s);
+    }
+    return {s, inserted};
+  }
+
+  /// Insert or update an entry, marking it most recently used; returns it.
+  Entry& put(VarId v, Value value) {
+    const auto [s, inserted] = slotOf(v);
+    if (!inserted) {
+      used_ -= bytesOf(s);
       moveToBack(s);
     }
-    s.entry.value = std::move(value);
-    used_ += bytesOf(s.entry);
-    return s.entry;
+    s.value = std::move(value);
+    used_ += bytesOf(s);
+    return s;
   }
 
   void erase(VarId v) {
-    auto it = map_.find(v);
-    if (it == map_.end()) return;
-    used_ -= bytesOf(it->second.entry);
-    unlink(it->second);
-    map_.erase(it);
+    if (Entry* e = peek(v)) erase(*e);
+  }
+  /// Erases the entry `e` of this cache, which the caller already holds
+  /// (from peek, touch or an eviction scan): no search for its links.
+  void erase(Entry& e) {
+    Slot& s = static_cast<Slot&>(e);
+    used_ -= bytesOf(s);
+    unlink(s);
+    map_.erase(s.var);  // frees s
   }
 
   /// Evict until the module fits its capacity: the one eviction loop.
@@ -113,17 +127,29 @@ class NodeCache {
   }
 
  private:
-  /// A map node: the entry plus its place in the intrusive LRU list.
-  /// Node addresses are stable in an unordered_map, so the links need no
-  /// fix-up on rehash.
-  struct Slot {
-    Entry entry;
+  /// One heap block per entry: the entry plus its place in the intrusive
+  /// LRU list. The table holds the owning pointer, so moving table slots
+  /// (growth, an erase's backward shift) moves no Slot: the links and
+  /// every `Entry&` handed out stay valid until that entry is erased.
+  struct Slot : Entry {
     VarId var = kInvalidVar;
     Slot* prev = nullptr;  ///< toward the least recently used end
     Slot* next = nullptr;
   };
 
   static std::uint64_t bytesOf(const Entry& e) { return e.value ? e.value->size() : 0; }
+
+  /// `v`'s slot, or a new one (no value, most recently used); reports
+  /// whether it is new.
+  std::pair<Slot&, bool> slotOf(VarId v) {
+    const auto [s, inserted] = map_.tryEmplace(v);
+    if (inserted) {
+      *s = std::make_unique<Slot>();
+      (*s)->var = v;
+      linkBack(**s);
+    }
+    return {**s, inserted};
+  }
 
   void linkBack(Slot& s) {
     s.prev = tail_;
@@ -145,7 +171,7 @@ class NodeCache {
   bool scanLru(TryEvict& tryEvict) {
     for (Slot* s = head_; s;) {
       Slot* next = s->next;  // advance before tryEvict possibly erases s
-      if (tryEvict(s->var, s->entry)) return true;
+      if (tryEvict(s->var, static_cast<Entry&>(*s))) return true;
       s = next;
     }
     return false;
@@ -153,7 +179,7 @@ class NodeCache {
 
   std::uint64_t capacity_;
   std::uint64_t used_ = 0;
-  std::unordered_map<VarId, Slot> map_;
+  support::FlatMap<std::unique_ptr<Slot>> map_;
   Slot* head_ = nullptr;  ///< least recently used
   Slot* tail_ = nullptr;  ///< most recently used
 };

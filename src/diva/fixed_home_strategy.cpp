@@ -100,7 +100,7 @@ sim::Task<void> FixedHomeStrategy::write(NodeId p, VarId x, Value v) {
 
 void FixedHomeStrategy::maybeEvictAt(NodeId p) {
   if (!caches_[p].evictUntilFits(
-          [&](VarId v, const NodeCache::Entry& e) { return tryEvict(p, v, e); }))
+          [&](VarId v, NodeCache::Entry& e) { return tryEvict(p, v, e); }))
     ++stats_.ops.evictionFailures;
 }
 
@@ -174,7 +174,7 @@ void FixedHomeStrategy::handleMessage(net::Message&& msg) {
       const std::uint64_t bytes = e->value->size();
       sendBody(self, homeOf(b.var), std::move(r), bytes);
       // A retired owner cedes and keeps nothing behind.
-      if (!net_.nodeMember(self)) caches_[self].erase(b.var);
+      if (!net_.nodeMember(self)) caches_[self].erase(*e);
       return;
     }
     case FhBody::K::FetchData: {
@@ -210,7 +210,7 @@ void FixedHomeStrategy::handleMessage(net::Message&& msg) {
       NodeCache::Entry* e = caches_[self].peek(b.var);
       if (e) {
         DIVA_CHECK_MSG(!e->owned, "invalidating the owner");
-        caches_[self].erase(b.var);
+        caches_[self].erase(*e);
       }
       ++stats_.ops.invalidations;
       FhBody ack;
@@ -382,11 +382,11 @@ void FixedHomeStrategy::finishTransaction(VarId x) {
 // ---------------------------------------------------------------------------
 
 bool FixedHomeStrategy::tryEvict(NodeId p, VarId x) {
-  const NodeCache::Entry* e = caches_[p].peek(x);
+  NodeCache::Entry* e = caches_[p].peek(x);
   return e && tryEvict(p, x, *e);
 }
 
-bool FixedHomeStrategy::tryEvict(NodeId p, VarId x, const NodeCache::Entry& e) {
+bool FixedHomeStrategy::tryEvict(NodeId p, VarId x, NodeCache::Entry& e) {
   if (e.owned) return false;
   const auto it = homes_.find(x);
   if (it == homes_.end()) return false;
@@ -396,7 +396,7 @@ bool FixedHomeStrategy::tryEvict(NodeId p, VarId x, const NodeCache::Entry& e) {
     // data; dropping it would orphan the value. Keep it resident.
     return false;
   }
-  caches_[p].erase(x);
+  caches_[p].erase(e);
   // The home's directory is updated by the simulator state directly and
   // the (asynchronous) notification message cost is still charged — this
   // sidesteps transient directory/ack races without losing the traffic.

@@ -118,7 +118,7 @@ class FixedHomeStrategy final : public Strategy {
   void grantWrite(HomeEntry& he, VarId x, NodeId home);
   /// The check behind tryEvict, given `x`'s entry in `p`'s cache: the
   /// callback of the eviction scan (NodeCache::evictUntilFits).
-  bool tryEvict(NodeId p, VarId x, const NodeCache::Entry& e);
+  bool tryEvict(NodeId p, VarId x, NodeCache::Entry& e);
   void maybeEvictAt(NodeId p);
   void sendBody(NodeId src, NodeId dst, FhBody&& b, std::uint64_t payloadBytes);
   void addCopyHolder(HomeEntry& he, NodeId p);

@@ -3,22 +3,26 @@
 #include <algorithm>
 #include <utility>
 
-#include "net/graph_topology.hpp"
 #include "support/rng.hpp"
 
 namespace diva {
 
-namespace {
-/// Injective (lock, processor) key. A hash here is not good enough:
-/// XOR-combining dense lock ids with small processor ids collides, and a
-/// collision silently cross-wires two acquisitions.
-std::uint64_t waitKey(VarId lock, NodeId p) {
-  // Must admit every processor id a graph topology can produce.
-  constexpr std::uint64_t kMaxProcs = net::kMaxGraphNodes;
-  DIVA_CHECK(static_cast<std::uint64_t>(p) < kMaxProcs);
-  return lock * kMaxProcs + static_cast<std::uint64_t>(p);
+void RequestQueue::push(std::int32_t from) {
+  if (head_ > 0 && slots_.size() == slots_.capacity()) {
+    // Full with served slots at the front: slide the queued ones down.
+    std::copy(slots_.begin() + head_, slots_.end(), slots_.begin());
+    slots_.truncate(slots_.size() - head_);
+    head_ = 0;
+  }
+  slots_.push_back(from);
 }
-}  // namespace
+
+void RequestQueue::pop() {
+  if (++head_ == slots_.size()) {
+    slots_.clear();
+    head_ = 0;
+  }
+}
 
 // ===========================================================================
 // TreeLockService (Raymond's algorithm)
@@ -31,23 +35,6 @@ TreeLockService::TreeLockService(net::Network& net, Stats& stats,
 
 NodeId TreeLockService::hostOf(std::int32_t node, VarId lock) const {
   return tree_->hostOf(node, lock, embedding_, seed_);
-}
-
-void TreeLockService::RequestQueue::push(std::int32_t from) {
-  if (head_ > 0 && slots_.size() == slots_.capacity()) {
-    // Full with served slots at the front: slide the queued ones down.
-    std::copy(slots_.begin() + head_, slots_.end(), slots_.begin());
-    slots_.truncate(slots_.size() - head_);
-    head_ = 0;
-  }
-  slots_.push_back(from);
-}
-
-void TreeLockService::RequestQueue::pop() {
-  if (++head_ == slots_.size()) {
-    slots_.clear();
-    head_ = 0;
-  }
 }
 
 void TreeLockService::registerLockFree(VarId lock, NodeId creator) {
@@ -227,9 +214,13 @@ void CentralLockService::registerLockFree(VarId lock, NodeId /*creator*/) {
 sim::Task<void> CentralLockService::acquire(NodeId p, VarId lock) {
   ++stats_.ops.locks;
   sim::OneShot<bool> granted(net_.engine());
-  const std::uint64_t key = waitKey(lock, p);
-  DIVA_CHECK_MSG(!waiting_.contains(key), "processor already acquiring this lock");
-  waiting_[key] = &granted;
+  const auto slot = static_cast<std::size_t>(p);
+  if (slot >= waiting_.size())
+    waiting_.resize(std::max(slot + 1, static_cast<std::size_t>(net_.numNodes())), nullptr);
+  for (const Waiter* w = waiting_[slot]; w; w = w->next)
+    DIVA_CHECK_MSG(w->lock != lock, "processor already acquiring this lock");
+  Waiter self{lock, &granted, waiting_[slot]};
+  waiting_[slot] = &self;
 
   Body b;
   b.k = Body::K::Request;
@@ -237,8 +228,7 @@ sim::Task<void> CentralLockService::acquire(NodeId p, VarId lock) {
   b.requester = p;
   net_.post(net::Message{p, homeOf(lock), net::kLockChannel, 0, b});
 
-  (void)co_await granted.wait();
-  waiting_.erase(key);
+  (void)co_await granted.wait();  // the Grant unlinked `self`
   co_return;
 }
 
@@ -258,7 +248,7 @@ void CentralLockService::handleMessage(net::Message&& msg) {
     case Body::K::Request: {
       LockState& st = locks_.at(b.lock);
       if (st.held) {
-        st.queue.push_back(b.requester);
+        st.queue.push(b.requester);
         return;
       }
       st.held = true;
@@ -266,9 +256,13 @@ void CentralLockService::handleMessage(net::Message&& msg) {
       return;
     }
     case Body::K::Grant: {
-      auto it = waiting_.find(waitKey(b.lock, msg.dst));
-      DIVA_CHECK_MSG(it != waiting_.end(), "grant without a waiter");
-      it->second->resolve(true);
+      const auto slot = static_cast<std::size_t>(msg.dst);
+      Waiter** link = slot < waiting_.size() ? &waiting_[slot] : nullptr;
+      while (link && *link && (*link)->lock != b.lock) link = &(*link)->next;
+      DIVA_CHECK_MSG(link && *link, "grant without a waiter");
+      Waiter* const w = *link;
+      *link = w->next;
+      w->granted->resolve(true);
       return;
     }
     case Body::K::Release: {
@@ -279,7 +273,7 @@ void CentralLockService::handleMessage(net::Message&& msg) {
         return;
       }
       const NodeId next = st.queue.front();
-      st.queue.pop_front();
+      st.queue.pop();
       grant(b.lock, msg.dst, next);
       return;
     }

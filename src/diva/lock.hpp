@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <unordered_map>
 #include <vector>
 
@@ -16,6 +15,22 @@
 namespace diva {
 
 using net::NodeId;
+
+/// FIFO of lock requesters (tree nodes or processors) over inline storage.
+/// A queue that drains keeps the capacity it reached, so requests that
+/// queue and leave again allocate nothing in steady state; a queue longer
+/// than the inline room spills to the heap once.
+class RequestQueue {
+ public:
+  bool empty() const { return head_ == slots_.size(); }
+  std::int32_t front() const { return slots_[head_]; }
+  void push(std::int32_t from);
+  void pop();
+
+ private:
+  support::SmallVec<std::int32_t, 6> slots_;
+  std::uint32_t head_ = 0;  ///< slots_[head_..] are queued, oldest first
+};
 
 /// Mutual exclusion on global variables. Two implementations mirror the
 /// two data strategies: token passing on the variable's access tree
@@ -63,29 +78,16 @@ class TreeLockService final : public LockService {
  private:
   static constexpr std::int32_t kSelf = -2;  ///< holderDir: token is here / request is local
 
-  /// FIFO of pending requests (a neighbour tree node, or kSelf). A node
-  /// queues at most one request per tree neighbour plus its own: a
-  /// neighbour asks again only after the token it asked for has passed
-  /// it. So the queue never holds more than degree + 1 entries, which the
-  /// inline room covers for every node of a 4-ary tree; wider nodes spill
-  /// once and keep that capacity.
-  class RequestQueue {
-   public:
-    bool empty() const { return head_ == slots_.size(); }
-    std::int32_t front() const { return slots_[head_]; }
-    void push(std::int32_t from);
-    void pop();
-
-   private:
-    support::SmallVec<std::int32_t, 6> slots_;
-    std::uint32_t head_ = 0;  ///< slots_[head_..] are queued, oldest first
-  };
-
   struct NodeState {
     std::int32_t holderDir = kSelf;   ///< tree node toward token; kSelf if here
     bool asked = false;               ///< a request toward the token is outstanding
     bool inUse = false;               ///< leaf only: the local app holds the token
-    RequestQueue reqQ;                ///< pending requests
+    /// Pending requests (a neighbour tree node, or kSelf). A node queues
+    /// at most one request per tree neighbour plus its own: a neighbour
+    /// asks again only after the token it asked for has passed it. So the
+    /// queue never holds more than degree + 1 entries, which the inline
+    /// room covers for every node of a 4-ary tree.
+    RequestQueue reqQ;
     /// Leaf only: the local acquire waiting for the token.
     sim::OneShot<bool>* waiter = nullptr;
   };
@@ -151,7 +153,15 @@ class CentralLockService final : public LockService {
   static_assert(net::MessageBody::kInline<Body>, "lock bodies must travel inline");
   struct LockState {
     bool held = false;
-    std::deque<NodeId> queue;
+    RequestQueue queue;  ///< processors waiting for the lock
+  };
+  /// An acquire waiting for its grant. It lives in the acquiring
+  /// coroutine's frame and is chained from its processor's slot of
+  /// `waiting_` (usually alone: a processor runs one program).
+  struct Waiter {
+    VarId lock = kInvalidVar;
+    sim::OneShot<bool>* granted = nullptr;
+    Waiter* next = nullptr;
   };
 
   NodeId homeOf(VarId lock) const;
@@ -165,7 +175,8 @@ class CentralLockService final : public LockService {
   /// the base hash mapping must stay a pure function of the lock id.
   std::uint64_t baseProcs_;
   std::unordered_map<VarId, LockState> locks_;
-  std::unordered_map<std::uint64_t, sim::OneShot<bool>*> waiting_;
+  /// Per-processor chain of waiting acquires, sized on first use.
+  std::vector<Waiter*> waiting_;
 };
 
 }  // namespace diva

@@ -7,6 +7,7 @@
 
 #include "net/topology.hpp"
 #include "support/rng.hpp"
+#include "support/small_vec.hpp"
 
 namespace diva::net {
 
@@ -93,6 +94,7 @@ class BisectionTree final : public ClusterTree {
   static constexpr bool kFollows =
       requires(const Shape& s, const Cluster& c, NodeId h) { s.follow(c, h, c); };
   static constexpr int kMaxFoldDepth = 64;
+  using Children = support::SmallVec<Cluster, 16>;
 
   template <typename Bisect>
   int build(Cluster&& c, int parent, int indexInParent, int depth, const DecompParams& params,
@@ -102,7 +104,10 @@ class BisectionTree final : public ClusterTree {
     nodes_.push_back(Node{parent, indexInParent, {}, depth, size});
     leafProc_.push_back(size == 1 ? shape_.proc(c) : -1);
 
-    std::vector<Cluster> children;
+    // A node has at most max(arity, leafSize) children: inline room for
+    // 16 keeps the build's per-node scratch off the heap, and each child
+    // list is allocated once at its final size.
+    Children children;
     if (size > 1 && size <= params.leafSize) {
       children.reserve(static_cast<std::size_t>(size));
       for (int i = 0; i < size; ++i) children.push_back(shape_.unit(c, i));
@@ -112,6 +117,7 @@ class BisectionTree final : public ClusterTree {
     }
     clusters_.push_back(std::move(c));
 
+    nodes_[self].children.reserve(children.size());
     int idx = 0;
     for (Cluster& child : children) {
       const int n = build(std::move(child), self, idx++, depth + 1, params, bisect);
@@ -121,7 +127,7 @@ class BisectionTree final : public ClusterTree {
   }
 
   template <typename Bisect>
-  void split(Cluster&& c, int levels, std::vector<Cluster>& out, Bisect& bisect) const {
+  void split(Cluster&& c, int levels, Children& out, Bisect& bisect) const {
     const int size = shape_.size(c);
     if (levels == 0 || size == 1) {
       out.push_back(std::move(c));

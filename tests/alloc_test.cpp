@@ -29,6 +29,7 @@
 #include "obs/tracer.hpp"
 #include "serve/latency_histogram.hpp"
 #include "sim/engine.hpp"
+#include "support/flat_map.hpp"
 
 namespace {
 
@@ -440,10 +441,11 @@ TEST(Alloc, WarmCacheReadHitsAllocateNothing) {
   EXPECT_EQ(bytes, (16u + 4096u) * 64u);
 }
 
-// A new cache entry costs one block, its map node: the LRU links live in
-// that node, so there is no separate list node to allocate or free.
-// Re-inserting a key after an erase keeps the map at a size it has held
-// before, so no bucket rehash is counted.
+// A new cache entry costs one block, its slot: the LRU links live in that
+// block, so there is no separate list node to allocate or free.
+// Re-inserting a key after an erase keeps the table at a size it has held
+// before, so no growth is counted; an update looks the key up before the
+// table considers growing, so it allocates nothing even at the threshold.
 TEST(Alloc, CacheInsertAllocatesOnlyItsEntry) {
   NodeCache c;
   const Value v = makeRawValue(64);
@@ -491,6 +493,68 @@ TEST(Alloc, TreeLockAcquireReleaseAllocatesNothing) {
   EXPECT_EQ(allocCount() - before, 0u) << "lock acquire/release hit the heap";
   EXPECT_EQ(done, 4 * (64 + 256));
   rt.checkAllInvariants();
+}
+
+// The fixed home's central lock manager in steady state: a contender's
+// wait is chained from its processor's slot in the acquiring coroutine's
+// own frame, and the manager queues contenders inline, so acquiring and
+// releasing under contention allocates nothing.
+TEST(Alloc, CentralLockAcquireReleaseAllocatesNothing) {
+  Machine m(4, 4);
+  Runtime rt(m, RuntimeConfig::fixedHome());
+  const VarId x = rt.createVarFree(0, makeRawValue(8), /*withLock=*/true);
+  auto loop = [](Runtime& r, NodeId p, VarId var, int n, int& done) -> sim::Task<> {
+    for (int i = 0; i < n; ++i) {
+      co_await r.lock(p, var);
+      co_await r.unlock(p, var);
+      ++done;
+    }
+  };
+  const NodeId contenders[] = {0, 5, 10, 15};
+  int done = 0;
+  for (NodeId p : contenders) sim::spawn(loop(rt, p, x, 64, done));  // warm-up
+  m.engine.run();
+
+  const std::uint64_t before = allocCount();
+  for (NodeId p : contenders) sim::spawn(loop(rt, p, x, 256, done));
+  m.engine.run();
+  EXPECT_EQ(allocCount() - before, 0u) << "lock acquire/release hit the heap";
+  EXPECT_EQ(done, 4 * (64 + 256));
+  rt.checkAllInvariants();
+}
+
+// FlatMap allocates only when it grows: a default-constructed map holds
+// no table (100k idle caches must cost nothing), and inserts and erases
+// that keep the size at one it has held before reuse the table.
+TEST(Alloc, FlatMapSteadyStateAllocatesNothing) {
+  std::uint64_t before = allocCount();
+  {
+    support::FlatMap<std::uint64_t> idle;
+    EXPECT_EQ(idle.find(1), nullptr);
+    EXPECT_FALSE(idle.erase(1));
+    idle.forEach([](std::uint64_t, std::uint64_t) {});
+    support::FlatMap<std::uint64_t> moved(std::move(idle));
+    EXPECT_EQ(moved.size(), 0u);
+  }
+  EXPECT_EQ(allocCount() - before, 0u) << "an empty FlatMap allocated";
+
+  support::FlatMap<std::uint64_t> map;
+  constexpr std::uint64_t kLive = 1000;
+  for (std::uint64_t k = 0; k < kLive; ++k) map[k] = k;
+  const std::size_t capacity = map.capacity();
+  before = allocCount();
+  // Slide a window of kLive keys forward: every step erases the oldest key
+  // and inserts a fresh one, so the keys' homes keep changing.
+  for (std::uint64_t k = kLive; k < 50 * kLive; ++k) {
+    ASSERT_TRUE(map.erase(k - kLive));
+    map[k] = k;
+    map[k - 1] += 1;  // update in place
+  }
+  for (std::uint64_t k = 49 * kLive; k < 50 * kLive; ++k) ASSERT_TRUE(map.erase(k));
+  for (std::uint64_t k = 0; k < kLive; ++k) map[k << 32 | 7] = k;  // other homes, same size
+  EXPECT_EQ(allocCount() - before, 0u) << "steady-state FlatMap churn allocated";
+  EXPECT_EQ(map.capacity(), capacity);
+  EXPECT_EQ(map.size(), kLive);
 }
 
 // A *disabled* tracer attached to the machine leaves the hot path

@@ -79,10 +79,12 @@ TEST(NodeCache, ScanStopsWhenHandled) {
 
 TEST(NodeCache, IntrusiveLruMatchesListModel) {
   // Seeded differential of the intrusive LRU against a std::list model:
-  // random puts, touches, erases and eviction scans (some accepting a
-  // victim mid-pass) must offer entries in the model's order and leave
-  // the same contents and byte count. The caches live in a growing vector,
-  // so they are also moved mid-sequence, as Runtime's are.
+  // random puts, inserts (which leave a present entry alone), touches,
+  // erases by key and by entry, and eviction scans (some accepting a
+  // victim mid-pass, erasing it by key or through the entry the scan hands
+  // over) must offer entries in the model's order and leave the same
+  // contents and byte count. The caches live in a growing vector, so they
+  // are also moved mid-sequence, as Runtime's are.
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
     support::SplitMix64 rng(seed);
     std::vector<NodeCache> caches;
@@ -101,7 +103,7 @@ TEST(NodeCache, IntrusiveLruMatchesListModel) {
     for (int step = 0; step < 3000; ++step) {
       NodeCache& c = caches.front();
       const VarId v = rng.below(16);
-      switch (rng.below(4)) {
+      switch (rng.below(6)) {
         case 0: {
           const std::uint64_t n = 1 + rng.below(8);
           c.put(v, makeRawValue(n));
@@ -118,6 +120,27 @@ TEST(NodeCache, IntrusiveLruMatchesListModel) {
           bytes.erase(v);
           model.remove(v);
           break;
+        case 3: {
+          const std::uint64_t n = 1 + rng.below(8);
+          const Value val = makeRawValue(n);
+          const NodeCache::Entry* before = c.peek(v);
+          const auto [e, inserted] = c.insert(v, val);
+          ASSERT_EQ(inserted, !bytes.contains(v));
+          if (inserted) {
+            EXPECT_EQ(e.value, val);
+            bytes[v] = n;
+            model.push_back(v);
+          } else {
+            EXPECT_EQ(&e, before);
+            EXPECT_EQ(e.value->size(), bytes[v]) << "insert overwrote a present entry";
+          }
+          break;
+        }
+        case 4:
+          if (NodeCache::Entry* e = c.peek(v)) c.erase(*e);
+          bytes.erase(v);
+          model.remove(v);
+          break;
         default: {
           // Accept the candidates whose id matches this step's residue;
           // the model runs the same passes over its list.
@@ -127,7 +150,11 @@ TEST(NodeCache, IntrusiveLruMatchesListModel) {
             offered.push_back(cand);
             EXPECT_EQ(&e, c.peek(cand));
             if (cand % 5 != residue) return false;
-            c.erase(cand);
+            if (step % 2 == 0) {
+              c.erase(cand);
+            } else {
+              c.erase(e);
+            }
             return true;
           });
           bool modelFits = true;

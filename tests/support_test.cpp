@@ -4,17 +4,21 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <memory>
 #include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "support/check.hpp"
+#include "support/flat_map.hpp"
 #include "support/parallel.hpp"
 #include "support/rng.hpp"
 #include "support/table.hpp"
@@ -276,6 +280,157 @@ TEST(TextFile, ParseErrorsNameThePathAndWritesRoundTrip) {
                 .find("cannot open demo file"),
             std::string::npos);
   std::remove(path.c_str());
+}
+
+// ---------------------------------------------------------------------------
+// FlatMap — the open-addressing table behind the per-message protocol state
+// ---------------------------------------------------------------------------
+
+// Values own heap memory, so every move a rehash or a backward shift makes
+// is checked under ASan and a lost or doubled value shows as a leak or a
+// double free.
+using OwningMap = FlatMap<std::unique_ptr<std::uint64_t>>;
+using Model = std::unordered_map<std::uint64_t, std::uint64_t>;
+
+::testing::AssertionResult matchesModel(OwningMap& map, const Model& model) {
+  if (map.size() != model.size())
+    return ::testing::AssertionFailure() << "size " << map.size() << " vs " << model.size();
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> seen;
+  map.forEach([&](std::uint64_t k, std::unique_ptr<std::uint64_t>& v) {
+    seen.emplace_back(k, *v);
+  });
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> want(model.begin(), model.end());
+  std::sort(seen.begin(), seen.end());
+  std::sort(want.begin(), want.end());
+  if (seen != want) return ::testing::AssertionFailure() << "forEach differs from the model";
+  for (const auto& [k, v] : model) {
+    const std::unique_ptr<std::uint64_t>* got = map.find(k);
+    if (!got || **got != v) return ::testing::AssertionFailure() << "lost key " << k;
+  }
+  const std::size_t cap = map.capacity();
+  if (cap != 0 && ((cap & (cap - 1)) != 0 || 4 * map.size() > 3 * cap))
+    return ::testing::AssertionFailure() << "capacity " << cap << " for " << map.size();
+  return ::testing::AssertionSuccess();
+}
+
+/// One random step against the model: insert-or-update, find, or erase.
+void randomStep(OwningMap& map, Model& model, std::uint64_t key, SplitMix64& rng) {
+  switch (rng.below(3)) {
+    case 0: {
+      const std::uint64_t v = rng.next();
+      const auto [slot, inserted] = map.tryEmplace(key);
+      ASSERT_EQ(inserted, !model.contains(key)) << "key " << key;
+      ASSERT_EQ(inserted, *slot == nullptr) << "a fresh slot holds V{}";
+      *slot = std::make_unique<std::uint64_t>(v);
+      model[key] = v;
+      break;
+    }
+    case 1: {
+      const std::unique_ptr<std::uint64_t>* got = map.find(key);
+      const auto it = model.find(key);
+      ASSERT_EQ(got != nullptr, it != model.end()) << "key " << key;
+      if (got) {
+        ASSERT_EQ(**got, it->second);
+      }
+      break;
+    }
+    default:
+      ASSERT_EQ(map.erase(key), model.erase(key) == 1) << "key " << key;
+  }
+}
+
+TEST(FlatMap, MatchesUnorderedMapUnderRandomOperations) {
+  // Three key shapes: dense ids (variables, transactions), varNodeKey-style
+  // (id << 32 | tree node) and arbitrary 64-bit keys. Small key spaces
+  // make erases hit; the mix grows tables mid-sequence and shrinks them
+  // back, and every map is moved away and reused part way through.
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    SplitMix64 rng(seed);
+    OwningMap map;
+    Model model;
+    const std::uint64_t space = 64u << (seed % 4);
+    for (int step = 0; step < 6000; ++step) {
+      std::uint64_t key = rng.below(space);
+      if (seed % 3 == 1) key = (key / 16) << 32 | (key % 16);
+      if (seed % 3 == 2) key = mix64(key);
+      if (key == OwningMap::kEmpty) continue;
+      randomStep(map, model, key, rng);
+      if (HasFatalFailure()) return;
+      if (step % 1000 == 500) {
+        OwningMap moved(std::move(map));
+        EXPECT_EQ(map.size(), 0u);
+        EXPECT_EQ(map.capacity(), 0u) << "a moved-from map holds no table";
+        EXPECT_EQ(map.find(key), nullptr);
+        ASSERT_TRUE(map.tryEmplace(key).second) << "a moved-from map is usable";
+        map = std::move(moved);  // drops the one-entry table it held
+      }
+      if (step % 250 == 0) {
+        ASSERT_TRUE(matchesModel(map, model)) << "seed " << seed;
+      }
+    }
+    ASSERT_TRUE(matchesModel(map, model)) << "seed " << seed;
+    const std::size_t capacity = map.capacity();
+    for (const auto& [k, v] : model) ASSERT_TRUE(map.erase(k));
+    model.clear();
+    EXPECT_TRUE(matchesModel(map, model));
+    EXPECT_EQ(map.capacity(), capacity) << "an emptied map keeps its table";
+  }
+}
+
+TEST(FlatMap, ClusterWrappingPastTheTableEndSurvivesErases) {
+  // Keys whose home is one of the last two slots of a 32-slot table form
+  // one probe cluster that wraps to slot 0 and beyond. Erasing from any
+  // position of it must leave every other member reachable, including the
+  // wrapped ones whose home lies "after" the hole in index order.
+  constexpr std::size_t kCap = 32;
+  std::vector<std::uint64_t> tail;  // home = kCap - 2 or kCap - 1
+  for (std::uint64_t k = 0; tail.size() < 10; ++k)
+    if (OwningMap::homeSlot(k, kCap) >= kCap - 2) tail.push_back(k);
+  for (std::size_t victim = 0; victim < tail.size(); ++victim) {
+    OwningMap map;
+    Model model;
+    // A few keys homed elsewhere, then the cluster: 14 keys, a 32-slot table.
+    for (std::uint64_t k = 1000; map.size() < 4; ++k) {
+      if (OwningMap::homeSlot(k, kCap) < 8 || OwningMap::homeSlot(k, kCap) >= kCap - 2) continue;
+      *map.tryEmplace(k).first = std::make_unique<std::uint64_t>(k);
+      model[k] = k;
+    }
+    for (std::uint64_t k : tail) {
+      *map.tryEmplace(k).first = std::make_unique<std::uint64_t>(k + 1);
+      model[k] = k + 1;
+    }
+    ASSERT_EQ(map.capacity(), kCap);
+    ASSERT_TRUE(matchesModel(map, model));
+    // Erase one member, then the rest from the wrapped end backwards.
+    ASSERT_TRUE(map.erase(tail[victim]));
+    model.erase(tail[victim]);
+    ASSERT_TRUE(matchesModel(map, model)) << "after erasing cluster member " << victim;
+    for (auto it = tail.rbegin(); it != tail.rend(); ++it) {
+      if (*it == tail[victim]) continue;
+      ASSERT_TRUE(map.erase(*it));
+      model.erase(*it);
+      ASSERT_TRUE(matchesModel(map, model));
+    }
+    EXPECT_FALSE(map.erase(tail[victim])) << "erasing an absent key";
+  }
+}
+
+TEST(FlatMap, UpdatesNeverGrowAndTheReservedKeyIsRefused) {
+  FlatMap<int> map;
+  EXPECT_EQ(map.capacity(), 0u);
+  EXPECT_EQ(map.find(7), nullptr);
+  EXPECT_FALSE(map.erase(7));
+  for (std::uint64_t k = 0; k < 6; ++k) map[k] = static_cast<int>(k);  // 3/4 of 8
+  ASSERT_EQ(map.capacity(), 8u);
+  for (std::uint64_t k = 0; k < 6; ++k) EXPECT_FALSE(map.tryEmplace(k).second);
+  EXPECT_EQ(map.capacity(), 8u) << "an update of a full table grew it";
+  map[6] = 6;
+  EXPECT_EQ(map.capacity(), 16u);
+  EXPECT_EQ(map.at(3), 3);
+  EXPECT_THROW(map.at(99), CheckError);
+  EXPECT_THROW(map.tryEmplace(FlatMap<int>::kEmpty), CheckError);
+  EXPECT_EQ(map.find(FlatMap<int>::kEmpty), nullptr);
+  EXPECT_FALSE(map.erase(FlatMap<int>::kEmpty));
 }
 
 // ---------------------------------------------------------------------------
