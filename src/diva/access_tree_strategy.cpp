@@ -295,7 +295,6 @@ void AccessTreeStrategy::onClimb(VarState& vs, NodeId at, AtBody&& b) {
   if (kind == TreeState::Kind::Down) {
     const std::int32_t next = st->downChild;
     b.descending = true;
-    b.path.push_back(node);
     const std::uint64_t payload = b.isWrite ? b.value->size() : 0;
     forward(std::move(b), at, next, payload);
     return;
@@ -303,7 +302,9 @@ void AccessTreeStrategy::onClimb(VarState& vs, NodeId at, AtBody&& b) {
   // Kind::Up — no information here.
   if (b.descending) {
     // A pointer went stale under a concurrent transaction: resume climbing
-    // from this node. Bounded by kMaxRetries (races are transient).
+    // from this node. Bounded by kMaxRetries (races are transient). The
+    // climb may revisit nodes, but its Data returns by the simple tree
+    // path from the server to the entry leaf, not along the nodes visited.
     b.descending = false;
     ++b.retries;
     DIVA_CHECK_MSG(b.retries < kMaxRetries, "access tree climb livelock");
@@ -311,17 +312,15 @@ void AccessTreeStrategy::onClimb(VarState& vs, NodeId at, AtBody&& b) {
   const std::int32_t parent = treeOf(vs).parent(node);
   DIVA_CHECK_MSG(parent >= 0, "climb reached the root without finding data "
                                   << "(unregistered variable " << b.var << "?)");
-  b.path.push_back(node);
   const std::uint64_t payload = b.isWrite ? b.value->size() : 0;
   forward(std::move(b), at, parent, payload);
 }
 
 void AccessTreeStrategy::serveAt(VarState& vs, std::int32_t node, NodeId at, AtBody&& b) {
-  b.path.push_back(node);
   if (!b.isWrite) {
     NodeCache::Entry* e = caches_[at].touch(b.var);
     DIVA_CHECK_MSG(e && e->value, "copy holder without cached value");
-    sendData(vs, at, b.var, b.txn, b.requester, false, e->value, std::move(b.path));
+    sendData(vs, at, b.var, b.txn, b.requester, false, e->value, node);
     return;
   }
   startInvalidation(vs, node, at, std::move(b));
@@ -329,8 +328,10 @@ void AccessTreeStrategy::serveAt(VarState& vs, std::int32_t node, NodeId at, AtB
 
 void AccessTreeStrategy::sendData(VarState& vs, NodeId at, VarId x, std::uint64_t txn,
                                   NodeId requester, bool isWrite, Value v,
-                                  std::vector<std::int32_t> path) {
-  if (path.size() == 1) {
+                                  std::int32_t server) {
+  const net::ClusterTree& t = treeOf(vs);
+  const std::int32_t next = t.stepToward(server, requester);
+  if (next < 0) {
     // The server is the requester's entry leaf — a writer's own copy, or
     // a proxy leaf (read/write) that already holds one: nothing travels.
     sim::OneShot<Value>* const* issuer = pending_.find(txn);
@@ -338,24 +339,21 @@ void AccessTreeStrategy::sendData(VarState& vs, NodeId at, VarId x, std::uint64_
     (*issuer)->resolve(std::move(v));
     return;
   }
-  const std::int32_t server = path.back();
-  const std::int32_t next = path[path.size() - 2];
   // The server learns that its path neighbour is about to hold a copy —
   // unless a write is in flight, in which case the deposits downstream
   // will be skipped anyway (versioning) and no mark must be left.
-  if (!vs.coord) setCopyEdge(treeOf(vs), stateOf(vs, x, server), server, next, true);
+  if (!vs.coord) setCopyEdge(t, stateOf(vs, x, server), server, next, true);
 
   AtBody d;
   d.k = AtBody::K::Data;
   d.var = x;
   d.txn = txn;
   d.requester = requester;
+  d.fromNode = server;
   d.ctx = vs.ctx;
   d.isWrite = isWrite;
   d.version = vs.committedVersion;
   d.value = std::move(v);
-  d.idx = static_cast<std::int32_t>(path.size()) - 2;
-  d.path = std::move(path);
   const std::uint64_t payload = d.value->size();
   forward(std::move(d), at, next, payload);
 }
@@ -384,25 +382,20 @@ void AccessTreeStrategy::depositCopy(VarState& vs, VarId x, std::int32_t node, N
 }
 
 void AccessTreeStrategy::onData(VarState& vs, NodeId at, AtBody&& b) {
-  const std::int32_t node = b.path[b.idx];
-  DIVA_CHECK(node == b.atNode);
+  const std::int32_t node = b.atNode;
+  const std::int32_t next = treeOf(vs).stepToward(node, b.requester);
   // A read response that raced a write delivers its (old) value but must
   // not leave copies behind: the read linearizes before the write.
-  const bool depositsEnabled = b.version == vs.committedVersion && !vs.coord;
-  if (depositsEnabled) {
-    const std::int32_t towardServer = b.path[b.idx + 1];
-    const std::int32_t towardRequester = b.idx > 0 ? b.path[b.idx - 1] : -1;
-    depositCopy(vs, b.var, node, at, b.value, towardServer, towardRequester);
-  }
+  if (b.version == vs.committedVersion && !vs.coord)
+    depositCopy(vs, b.var, node, at, b.value, b.fromNode, next);
 
-  if (b.idx == 0) {
+  if (next < 0) {
     sim::OneShot<Value>* const* issuer = pending_.find(b.txn);
     DIVA_CHECK_MSG(issuer, "data response for unknown transaction");
     (*issuer)->resolve(std::move(b.value));
     return;
   }
-  --b.idx;
-  const std::int32_t next = b.path[b.idx];
+  b.fromNode = node;
   const std::uint64_t payload = b.value->size();
   forward(std::move(b), at, next, payload);
 }
@@ -417,8 +410,8 @@ void AccessTreeStrategy::startInvalidation(VarState& vs, std::int32_t uNode, Nod
   c.var = b.var;
   c.txn = b.txn;
   c.requester = b.requester;
+  c.server = uNode;
   c.value = std::move(b.value);
-  c.path = std::move(b.path);
   c.pendingAcks = floodInval(b.var, uNode, at, st, -1, b.ctx);
   st.parentCopy = false;
   st.childCopyMask = 0;
@@ -486,7 +479,7 @@ void AccessTreeStrategy::onInvalAck(VarState& vs, NodeId at, AtBody&& b) {
     }
     return;
   }
-  DIVA_CHECK_MSG(vs.coord && vs.coord->path.back() == node,
+  DIVA_CHECK_MSG(vs.coord && vs.coord->server == node,
                  "stray invalidation acknowledgement");
   if (--vs.coord->pendingAcks == 0) {
     InvalCoord c = std::move(*vs.coord);
@@ -537,7 +530,7 @@ void AccessTreeStrategy::finishWrite(VarState& vs, NodeId at, InvalCoord&& c) {
   NodeCache::Entry* e = caches_[at].touch(c.var);
   DIVA_CHECK_MSG(e && !e->copyNodes.empty(), "writer target lost its copy");
   e->value = c.value;
-  sendData(vs, at, c.var, c.txn, c.requester, true, std::move(c.value), std::move(c.path));
+  sendData(vs, at, c.var, c.txn, c.requester, true, std::move(c.value), c.server);
 }
 
 void AccessTreeStrategy::onMark(NodeId at, AtBody&& b) {

@@ -26,11 +26,11 @@ namespace diva {
 /// tree:
 ///
 ///  * READ: the requesting leaf climbs the tree to the nearest node
-///    holding a copy; the value returns along the same tree path and a
-///    copy is deposited on every tree node of the path.
+///    holding a copy; the value returns along the tree path to the
+///    requester's entry leaf, depositing a copy on every node of it.
 ///  * WRITE: the new value travels to the nearest copy; an invalidation
 ///    multicast (acknowledged) destroys every other copy; the updated
-///    value returns along the path, again depositing copies.
+///    value returns the same way, again depositing copies.
 ///
 /// Data tracking uses one state per (variable, tree node):
 ///   Copy          — this tree node holds a copy;
@@ -118,8 +118,8 @@ class AccessTreeStrategy final : public Strategy {
     VarId var = kInvalidVar;
     std::uint64_t txn = 0;
     NodeId requester = -1;
+    std::int32_t server = -1;  ///< the coordinating tree node (holds the nearest copy)
     Value value;
-    std::vector<std::int32_t> path;
   };
 
   /// Per-variable state, heap-allocated behind states_ so its address —
@@ -164,7 +164,7 @@ class AccessTreeStrategy final : public Strategy {
   struct AtBody {
     enum class K : std::uint8_t {
       Climb,     ///< read/write request walking the tree
-      Data,      ///< value travelling back along `path`, depositing copies
+      Data,      ///< value travelling to the requester's leaf, depositing copies
       Inval,     ///< invalidation flood edge
       InvalAck,  ///< flood acknowledgement edge
       Mark,      ///< creation: mark Down pointers on the root path
@@ -173,24 +173,22 @@ class AccessTreeStrategy final : public Strategy {
       Migrate,   ///< migration traffic: tree-to-tree handoff across an epoch
     };
     K k = K::Climb;
-    VarId var = kInvalidVar;
-    std::uint64_t txn = 0;
-    NodeId requester = -1;
-    std::int32_t atNode = -1;    ///< tree node this message is addressed to
-    std::int32_t fromNode = -1;  ///< tree-edge origin (Inval/InvalAck/Mark/CopyDrop)
     bool isWrite = false;
     bool descending = false;
-    Value value;
-    std::vector<std::int32_t> path;  ///< visited tree nodes, requester leaf first
-    std::int32_t idx = 0;            ///< Data: current position in path
+    bool ackHadCopy = true;      ///< InvalAck: sender actually held a copy
+    VarId var = kInvalidVar;
+    std::uint64_t txn = 0;
+    NodeId requester = -1;       ///< Climb/Data: the processor whose leaf entered the tree
+    std::int32_t atNode = -1;    ///< tree node this message is addressed to
+    std::int32_t fromNode = -1;  ///< tree-edge origin (Data: the neighbour toward the server)
     int retries = 0;
-    std::uint32_t version = 0;       ///< Data: committed version of `value`
-    bool ackHadCopy = true;          ///< InvalAck: sender actually held a copy
+    std::uint32_t version = 0;   ///< Data: committed version of `value`
     /// Tree context the tree-node ids in this message refer to. Carried
     /// so cost-only messages (Mark, CopyDrop) that survive a migration
     /// can be routed on — or recognised as stale — without consulting
     /// the (possibly already migrated or destroyed) variable state.
     std::int32_t ctx = 0;
+    Value value;
   };
   static_assert(net::MessageBody::kInline<AtBody>, "protocol bodies must travel inline");
 
@@ -218,12 +216,12 @@ class AccessTreeStrategy final : public Strategy {
 
   void serveAt(VarState& vs, std::int32_t node, NodeId at, AtBody&& b);
   void startInvalidation(VarState& vs, std::int32_t uNode, NodeId at, AtBody&& b);
-  /// Commits the write coordinated at tree node c.path.back(), hosted at `at`.
+  /// Commits the write coordinated at tree node c.server, hosted at `at`.
   void finishWrite(VarState& vs, NodeId at, InvalCoord&& c);
-  /// Sends the Data response from the serving tree node path.back(),
-  /// hosted at `at`, back along `path`.
+  /// Sends the Data response from the serving tree node `server`, hosted
+  /// at `at`, along the tree path to `requester`'s leaf.
   void sendData(VarState& vs, NodeId at, VarId x, std::uint64_t txn, NodeId requester,
-                bool isWrite, Value v, std::vector<std::int32_t> path);
+                bool isWrite, Value v, std::int32_t server);
   void depositCopy(VarState& vs, VarId x, std::int32_t node, NodeId at, const Value& v,
                    std::int32_t towardServer, std::int32_t towardRequester);
   /// Floods Inval from `node` (hosted at `at`, tree context `ctx`) along

@@ -62,8 +62,7 @@ std::int32_t TreeLockService::defaultHolderDir(NodeId anchor, std::int32_t node)
   if (leaf == node) return kSelf;
   // Token starts at the anchor's leaf: point into the subtree containing
   // it, or to the parent when it lies outside ours.
-  const int child = tree_->childToward(node, anchor);
-  return child >= 0 ? child : tree_->node(node).parent;
+  return tree_->stepToward(node, anchor);
 }
 
 TreeLockService::NodeState& TreeLockService::stateOf(VarId lock, std::int32_t node) {

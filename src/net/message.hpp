@@ -21,16 +21,17 @@ inline constexpr Channel kFirstAppChannel = 16;
 
 /// Move-only, type-erased message body with an inline buffer, on the
 /// pattern of `sim::EventFn`: an ops-table pointer plus `kInlineBytes` of
-/// storage sized to the largest library body (the access tree's
-/// `AtBody`). Every lock, barrier, fixed-home and access-tree body
-/// travels inline, so posting one allocates nothing; a larger,
-/// over-aligned or throwing-move body falls back to the heap.
+/// storage sized to the largest library body (the access tree's 64-byte
+/// `AtBody`; a whole `Message` is 96 bytes). Every lock, barrier,
+/// fixed-home and access-tree body travels inline, so posting one
+/// allocates nothing; a larger, over-aligned or throwing-move body falls
+/// back to the heap.
 ///
 /// The ops table's address is the type's identity: `get<T>` returns
 /// null unless the body holds exactly a `T`.
 class MessageBody {
  public:
-  static constexpr std::size_t kInlineBytes = 104;
+  static constexpr std::size_t kInlineBytes = 64;
 
   /// Does a `T` travel in the inline buffer?
   template <typename T>

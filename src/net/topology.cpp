@@ -70,14 +70,14 @@ void ClusterTree::finalize(int numProcs) {
     rankOfProc_[procOfLeaf(leafOrder_[w])] = w;
 }
 
-int ClusterTree::childToward(int treeNode, NodeId p) const {
+int ClusterTree::stepToward(int treeNode, NodeId p) const {
   int cur = leafOf(p);
-  while (cur >= 0) {
-    const int par = nodes_[cur].parent;
-    if (par == treeNode) return cur;
-    cur = par;
-  }
-  return -1;
+  DIVA_CHECK(cur >= 0);
+  if (cur == treeNode) return -1;
+  // Lift p's leaf to the depth just below treeNode: it is then
+  // treeNode's child exactly when treeNode's cluster holds p.
+  while (nodes_[cur].depth > nodes_[treeNode].depth + 1) cur = nodes_[cur].parent;
+  return nodes_[cur].parent == treeNode ? cur : nodes_[treeNode].parent;
 }
 
 std::unique_ptr<Topology> makeTopology(const TopologySpec& spec) {

@@ -215,10 +215,11 @@ class ClusterTree {
   /// Processor with logical rank w in leaf order.
   NodeId procOfRank(int w) const { return procOfLeaf(leafOrder_[w]); }
 
-  /// Child of `treeNode` whose subtree contains processor p, or -1 when
-  /// p lies outside `treeNode`'s cluster. Generic replacement for the
-  /// "which quadrant contains this coordinate" query.
-  int childToward(int treeNode, NodeId p) const;
+  /// The tree neighbour of `treeNode` on the path to processor p's leaf:
+  /// the child whose cluster holds p, else the parent; -1 at p's leaf.
+  /// Generic replacement for the "which quadrant contains this
+  /// coordinate" query. p must be covered by the tree.
+  int stepToward(int treeNode, NodeId p) const;
 
   /// Host processor of tree node `treeNode` in the access tree of the
   /// variable identified by `varKey`. Pure function of its arguments, so

@@ -467,6 +467,64 @@ TEST(Alloc, CacheInsertAllocatesOnlyItsEntry) {
   EXPECT_EQ(outstanding(), live) << "erasing an entry frees its one block";
 }
 
+// Remote reads and writes on the access tree in steady state. A read's
+// value returns along the tree path, which the tree itself gives, so no
+// message carries a route. Once a warm-up round of remote reads and owner
+// writes has grown the state tables and inline lists, a second round of
+// reads allocates exactly one block per cache entry its deposits create,
+// and owner writes that invalidate those copies allocate nothing.
+TEST(Alloc, RemoteReadsAllocateOnlyNewCacheEntriesAndWritesNothing) {
+  Machine m(16, 16);
+  Runtime rt(m, RuntimeConfig::accessTree());  // unbounded caches
+  const NodeId procs = static_cast<NodeId>(m.numProcs());
+  constexpr int kVars = 128;
+  std::vector<VarId> vars;
+  std::vector<NodeId> owners;
+  for (int i = 0; i < kVars; ++i) {
+    owners.push_back(static_cast<NodeId>(i * 37 % procs));
+    vars.push_back(rt.createVarFree(owners.back(), makeRawValue(64)));
+  }
+  std::vector<Value> values;  // every write's value, made before any count
+  for (int i = 0; i < 2 * kVars; ++i) values.push_back(makeRawValue(64));
+  auto entries = [&] {
+    std::size_t n = 0;
+    for (NodeId p = 0; p < procs; ++p) n += rt.cacheOf(p).numEntries();
+    return n;
+  };
+  auto readRound = [&] {
+    for (int i = 0; i < kVars; ++i) {
+      sim::spawn([](Runtime& r, NodeId p, VarId x) -> sim::Task<> {
+        (void)co_await r.read(p, x);
+      }(rt, static_cast<NodeId>((owners[i] + procs / 2) % procs), vars[i]));
+    }
+    m.engine.run();
+  };
+  auto writeRound = [&](int round) {
+    for (int i = 0; i < kVars; ++i) {
+      sim::spawn([](Runtime& r, NodeId p, VarId x, const Value& v) -> sim::Task<> {
+        co_await r.write(p, x, v);
+      }(rt, owners[i], vars[i], values[round * kVars + i]));
+    }
+    m.engine.run();
+  };
+  readRound();  // warm-up
+  writeRound(0);
+  ASSERT_EQ(entries(), static_cast<std::size_t>(kVars)) << "writes left stray copies";
+
+  const std::size_t entriesBefore = entries();
+  std::uint64_t before = allocCount();
+  readRound();
+  const std::size_t created = entries() - entriesBefore;
+  EXPECT_EQ(allocCount() - before, created) << "remote reads allocated beyond their entries";
+  EXPECT_GT(created, static_cast<std::size_t>(kVars));
+
+  before = allocCount();
+  writeRound(1);
+  EXPECT_EQ(allocCount() - before, 0u) << "owner writes hit the heap";
+  EXPECT_EQ(entries(), static_cast<std::size_t>(kVars));
+  rt.checkAllInvariants();
+}
+
 // Raymond's lock on the access tree in steady state: once every
 // contender's tree path holds its per-node state and the coroutine frame
 // pool has its classes, acquiring and releasing under contention moves

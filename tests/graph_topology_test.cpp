@@ -506,15 +506,15 @@ TEST(GraphDecomposition, TreesPartitionEmbedAndStayBalanced) {
         EXPECT_EQ(sum, nd.size) << g.name;
       }
 
-      // childToward agrees with the ancestor chain even when sibling
+      // stepToward agrees with the ancestor chain even when sibling
       // clusters have different sizes.
       for (NodeId p = 0; p < procs; ++p) {
         int cur = tree->leafOf(p);
         while (tree->parent(cur) >= 0) {
-          EXPECT_EQ(tree->childToward(tree->parent(cur), p), cur);
+          EXPECT_EQ(tree->stepToward(tree->parent(cur), p), cur);
           cur = tree->parent(cur);
         }
-        EXPECT_EQ(tree->childToward(tree->leafOf(p), p), -1);
+        EXPECT_EQ(tree->stepToward(tree->leafOf(p), p), -1);
       }
 
       // Embeddings host every tree node inside its own cluster,

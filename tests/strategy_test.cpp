@@ -5,11 +5,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
 #include <vector>
 
+#include "diva/access_tree_strategy.hpp"
 #include "diva/fixed_home_strategy.hpp"
 #include "diva/machine.hpp"
 #include "diva/runtime.hpp"
+#include "net/graph_topology.hpp"
 #include "support/rng.hpp"
 
 namespace diva {
@@ -243,18 +247,62 @@ INSTANTIATE_TEST_SUITE_P(All, StrategyTest, ::testing::ValuesIn(allStrategies())
 // ---------------------------------------------------------------------------
 
 TEST(AccessTree, ReadDepositsCopiesAlongTheTreePath) {
-  // After a read, the reader's whole root path region can serve later
-  // readers: a second reader in the same submesh must generate strictly
-  // less traffic than the first.
-  Machine m(8, 8);
-  Runtime rt(m, RuntimeConfig::accessTree(2, 1));
-  const VarId x = rt.createVarFree(m.mesh().nodeAt(7, 7), makeRawValue(4096));
-  readVar(m, rt, m.mesh().nodeAt(0, 0), x);
-  const auto afterFirst = m.stats.links.totalBytes();
-  readVar(m, rt, m.mesh().nodeAt(0, 1), x);  // same small submesh
-  const auto second = m.stats.links.totalBytes() - afterFirst;
-  EXPECT_LT(second, afterFirst / 2) << "nearby reader should be served locally";
-  rt.checkAllInvariants();
+  // A read deposits a copy on exactly the tree path from the owner's leaf
+  // to the reader's leaf. After it the reader's whole root path region can
+  // serve later readers: a second reader in the same lowest cluster must
+  // generate strictly less traffic than the first.
+  struct Case {
+    net::TopologySpec spec;
+    RuntimeConfig config;
+  };
+  const Case cases[] = {
+      {net::TopologySpec::mesh2d(8, 8), RuntimeConfig::accessTree(2, 1)},
+      {net::TopologySpec::mesh2d(8, 8), RuntimeConfig::accessTree(4, 16)},
+      {net::TopologySpec::graph(net::randomRegularGraph(64, 4, 3)),
+       RuntimeConfig::accessTree(2, 1)},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.spec.describe() + " " + std::to_string(c.config.arity) + "-" +
+                 std::to_string(c.config.leafSize));
+    Machine m(c.spec);
+    Runtime rt(m, c.config);
+    const auto& t = dynamic_cast<const AccessTreeStrategy&>(rt.strategy()).tree();
+    // The first two leaves in tree order share the lowest cluster; the
+    // owner sits at the far end of the tree.
+    const NodeId owner = t.procOfRank(t.numLeaves() - 1);
+    const NodeId reader = t.procOfRank(0);
+    const NodeId neighbour = t.procOfRank(1);
+    const VarId x = rt.createVarFree(owner, makeRawValue(4096));
+    readVar(m, rt, reader, x);
+    const auto afterFirst = m.stats.links.totalBytes();
+
+    std::vector<std::int32_t> copies;
+    for (NodeId p = 0; p < m.numProcs(); ++p) {
+      if (const NodeCache::Entry* e = rt.cacheOf(p).peek(x)) {
+        copies.insert(copies.end(), e->copyNodes.begin(), e->copyNodes.end());
+      }
+    }
+    std::vector<std::int32_t> ownerChain;  // the owner's leaf and its ancestors
+    for (int n = t.leafOf(owner); n >= 0; n = t.parent(n)) ownerChain.push_back(n);
+    std::vector<std::int32_t> path;
+    int lca = t.leafOf(reader);
+    for (; std::find(ownerChain.begin(), ownerChain.end(), lca) == ownerChain.end();
+         lca = t.parent(lca)) {
+      path.push_back(lca);
+    }
+    for (std::int32_t n : ownerChain) {
+      path.push_back(n);
+      if (n == lca) break;
+    }
+    std::sort(copies.begin(), copies.end());
+    std::sort(path.begin(), path.end());
+    EXPECT_EQ(copies, path);
+
+    readVar(m, rt, neighbour, x);
+    const auto second = m.stats.links.totalBytes() - afterFirst;
+    EXPECT_LT(second, afterFirst / 2) << "nearby reader should be served locally";
+    rt.checkAllInvariants();
+  }
 }
 
 TEST(AccessTree, FlatterTreesUseFewerMessagesButMoreTraffic) {

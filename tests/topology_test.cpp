@@ -237,14 +237,19 @@ TEST(TopologyDecomposition, TreesPartitionAndEmbedWithinClusters) {
         }
       }
 
-      // childToward agrees with the ancestor chain.
+      // stepToward agrees with the ancestor chain: down into the child
+      // holding p, up from a node whose cluster does not hold p.
       for (NodeId p = 0; p < procs; ++p) {
         int cur = tree->leafOf(p);
         while (tree->parent(cur) >= 0) {
-          EXPECT_EQ(tree->childToward(tree->parent(cur), p), cur);
+          EXPECT_EQ(tree->stepToward(tree->parent(cur), p), cur);
           cur = tree->parent(cur);
         }
-        EXPECT_EQ(tree->childToward(tree->leafOf(p), p), -1);  // leaf has no child
+        EXPECT_EQ(tree->stepToward(tree->leafOf(p), p), -1);  // the path ends at p's leaf
+        const int other = tree->leafOf((p + 1) % procs);
+        if (other != tree->leafOf(p)) {
+          EXPECT_EQ(tree->stepToward(other, p), tree->parent(other));
+        }
       }
     }
 
