@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -20,8 +21,34 @@ namespace diva::net {
 /// current search's epoch, so starting a search is O(1) and a search
 /// confined to a cluster costs O(|cluster|·degree), never O(numNodes).
 /// Results of the last search stay readable until the next one starts.
+///
+/// `shortestPaths` has two loops with one result. Graphs whose edges
+/// differ in weight (fat trees, weighted graph files) run a binary-heap
+/// Dijkstra that pops by (distance, id). Graphs whose edges all weigh
+/// the same w (`GraphAdjacency::uniformWeight`; every generated
+/// random-regular, grid and ring graph) run a level-synchronous BFS,
+/// which computes exactly the heap's results at BFS cost:
+///  - Every node at hop level k has the same distance, level k−1's
+///    distance + w: the same float for every node of the level, by
+///    induction from the root's 0. It rises strictly with k (the
+///    adjacency only takes w when that holds), so the heap pops level by
+///    level, ascending id within a level, and a node's distance and hops
+///    are fixed by the level that first reaches it.
+///  - The heap's tie-break leaves each node the lowest-id parent among
+///    its neighbours one level up, all of which pop before it. "Keep the
+///    minimum" does not depend on the order a level is expanded in, so
+///    the BFS never sorts a level: it only has to expand the whole level
+///    before popping the next, which FIFO order already does.
+///  - A `cap` that cuts a level pops that level's lowest ids, chosen by
+///    `nth_element` once the level is complete — the nodes the heap
+///    would pop.
+/// So the popped set, every popped node's parent, hops and distance,
+/// and the order of levels agree; only the order of pops within one
+/// level is unspecified on equal-weight graphs.
 class GraphSearch {
  public:
+  static constexpr std::size_t kNoCap = std::numeric_limits<std::size_t>::max();
+
   explicit GraphSearch(const GraphAdjacency& g)
       : g_(g),
         seen_(static_cast<std::size_t>(g.numNodes), 0),
@@ -30,53 +57,29 @@ class GraphSearch {
         hops_(static_cast<std::size_t>(g.numNodes)),
         parent_(static_cast<std::size_t>(g.numNodes)) {}
 
-  /// Deterministic Dijkstra from `root` over the edge weights. Ties
-  /// prefer fewer hops, then the lowest-id parent, so every node's path
-  /// to the root is unique. A non-null `scope` (sorted or not) confines
-  /// the search to those nodes. `onPop(u)` sees the nodes in pop order;
-  /// returning false ends the search before u's edges are relaxed.
-  /// Every relaxer of a node is strictly closer to the root (weights are
-  /// positive), hence already popped: a popped node's parent chain is
-  /// final, and so is the chain of every node a completed search reached.
+  /// Deterministic shortest paths from `root` over the edge weights.
+  /// Ties prefer fewer hops, then the lowest-id parent, so every node's
+  /// path to the root is unique. A non-null `scope` (sorted or not)
+  /// confines the search to those nodes. `onPop(u)` sees the nodes in
+  /// nondecreasing distance, ascending id among equal distances except
+  /// on equal-weight graphs, where that order is unspecified (see
+  /// above). Returning false ends the search before u's edges are
+  /// relaxed. At most `cap` nodes pop: the first `cap` in (distance, id)
+  /// order. Every relaxer of a node is strictly closer to the root
+  /// (weights are positive), hence already popped: a popped node's
+  /// parent chain is final, and so is the chain of every node a
+  /// completed search reached. After an early end only popped nodes'
+  /// results are specified.
   template <typename OnPop>
-  void shortestPaths(NodeId root, const std::vector<NodeId>* scope, OnPop&& onPop) {
+  void shortestPaths(NodeId root, const std::vector<NodeId>* scope, OnPop&& onPop,
+                     std::size_t cap = kNoCap) {
     restrictTo(scope);
     newEpoch();
     visit(root, 0.0, 0, -1);
-    using Entry = std::pair<double, NodeId>;  // pops by (distance, node id)
-    std::vector<Entry>& heap = heap_;
-    heap.clear();
-    heap.push_back({0.0, root});
-    while (!heap.empty()) {
-      std::pop_heap(heap.begin(), heap.end(), std::greater<Entry>());
-      const auto [du, u] = heap.back();
-      heap.pop_back();
-      if (du > dist_[u]) continue;  // stale entry
-      if (!onPop(u)) return;
-      for (int dir = 0; dir < g_.degree; ++dir) {
-        const NodeId v = g_.neighbor(u, dir);
-        if (v < 0) break;  // slots are packed: the first -1 ends the list
-        if (v == root || !inScope(v)) continue;
-        const double cand = du + g_.weightOf(u, dir);
-        const std::uint32_t candHops = hops_[u] + 1;
-        if (!reached(v)) {
-          visit(v, cand, candHops, u);
-          heap.push_back({cand, v});
-          std::push_heap(heap.begin(), heap.end(), std::greater<Entry>());
-        } else if (cand < dist_[v]) {
-          dist_[v] = cand;
-          hops_[v] = candHops;
-          parent_[v] = u;
-          heap.push_back({cand, v});
-          std::push_heap(heap.begin(), heap.end(), std::greater<Entry>());
-        } else if (cand == dist_[v] &&
-                   (candHops < hops_[v] || (candHops == hops_[v] && u < parent_[v]))) {
-          // Tie-break-only update: v keeps its distance and queue entry.
-          hops_[v] = candHops;
-          parent_[v] = u;
-        }
-      }
-    }
+    if (g_.uniformWeight > 0.0)
+      levelOrder(root, cap, onPop);
+    else
+      heapOrder(root, cap, onPop);
   }
 
   /// Start a breadth-first sweep of `cluster` (sorted or not): forgets
@@ -130,8 +133,89 @@ class GraphSearch {
   NodeId parent(NodeId v) const { return parent_[v]; }
   /// Hops of v's path from the search root (reached nodes only).
   std::uint32_t hops(NodeId v) const { return hops_[v]; }
+  /// Weighted length of v's path from the last `shortestPaths` root
+  /// (reached nodes only).
+  double distance(NodeId v) const { return dist_[v]; }
 
  private:
+  /// Dijkstra over a binary heap, popping by (distance, node id).
+  template <typename OnPop>
+  void heapOrder(NodeId root, std::size_t cap, OnPop& onPop) {
+    using Entry = std::pair<double, NodeId>;
+    std::vector<Entry>& heap = heap_;
+    heap.clear();
+    heap.push_back({0.0, root});
+    std::size_t popped = 0;
+    while (!heap.empty()) {
+      std::pop_heap(heap.begin(), heap.end(), std::greater<Entry>());
+      const auto [du, u] = heap.back();
+      heap.pop_back();
+      if (du > dist_[u]) continue;  // stale entry
+      if (popped == cap || !onPop(u)) return;
+      ++popped;
+      for (int dir = 0; dir < g_.degree; ++dir) {
+        const NodeId v = g_.neighbor(u, dir);
+        if (v < 0) break;  // slots are packed: the first -1 ends the list
+        if (v == root || !inScope(v)) continue;
+        const double cand = du + g_.weightOf(u, dir);
+        const std::uint32_t candHops = hops_[u] + 1;
+        if (!reached(v)) {
+          visit(v, cand, candHops, u);
+          heap.push_back({cand, v});
+          std::push_heap(heap.begin(), heap.end(), std::greater<Entry>());
+        } else if (cand < dist_[v]) {
+          dist_[v] = cand;
+          hops_[v] = candHops;
+          parent_[v] = u;
+          heap.push_back({cand, v});
+          std::push_heap(heap.begin(), heap.end(), std::greater<Entry>());
+        } else if (cand == dist_[v] &&
+                   (candHops < hops_[v] || (candHops == hops_[v] && u < parent_[v]))) {
+          // Tie-break-only update: v keeps its distance and queue entry.
+          hops_[v] = candHops;
+          parent_[v] = u;
+        }
+      }
+    }
+  }
+
+  /// Level-synchronous BFS for equal weights: FIFO order expands level k
+  /// completely before level k+1's first pop, and queue index = pops.
+  template <typename OnPop>
+  void levelOrder(NodeId root, std::size_t cap, OnPop& onPop) {
+    const double w = g_.uniformWeight;
+    std::vector<NodeId>& q = queue_;
+    q.clear();
+    q.push_back(root);
+    std::size_t levelEnd = 0;
+    for (std::size_t head = 0; head < q.size() && head < cap; ++head) {
+      if (head == levelEnd) {
+        // q[head, size) is now the whole next level, parents final.
+        levelEnd = q.size();
+        if (levelEnd > cap)  // the cap cuts it: pop its lowest ids only
+          std::nth_element(q.begin() + static_cast<std::ptrdiff_t>(head),
+                           q.begin() + static_cast<std::ptrdiff_t>(cap),
+                           q.begin() + static_cast<std::ptrdiff_t>(levelEnd));
+      }
+      const NodeId u = q[head];
+      if (!onPop(u)) return;
+      if (levelEnd > cap) continue;  // the last level pops; nothing follows
+      const std::uint32_t nextHops = hops_[u] + 1;
+      const double nextDist = dist_[u] + w;
+      for (int dir = 0; dir < g_.degree; ++dir) {
+        const NodeId v = g_.neighbor(u, dir);
+        if (v < 0) break;
+        if (!inScope(v)) continue;
+        if (!reached(v)) {
+          visit(v, nextDist, nextHops, u);
+          q.push_back(v);
+        } else if (hops_[v] == nextHops && u < parent_[v]) {
+          parent_[v] = u;  // keep the lowest-id parent one level up
+        }
+      }
+    }
+  }
+
   bool inScope(NodeId v) const { return !scoped_ || inScope_[v] == scopeEpoch_; }
 
   void restrictTo(const std::vector<NodeId>* scope) {

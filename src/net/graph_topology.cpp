@@ -46,6 +46,15 @@ GraphAdjacency::GraphAdjacency(const GraphSpec& spec) {
     nbrs[e.v].push_back(Nbr{e.u, e.weight, e.latency});
   }
 
+  // Equal weights let searches run in BFS level order
+  // (net/graph_search.hpp). Level k's distance is k < n additions of w:
+  // finite while 2·n·w stays below the largest double, and each addition
+  // raises it, since w is far above half an ulp of k·w for k < 2^52.
+  const double w = spec.edges.empty() ? 1.0 : spec.edges.front().weight;
+  const bool equal = std::all_of(spec.edges.begin(), spec.edges.end(),
+                                 [&](const GraphSpec::Edge& e) { return e.weight == w; });
+  uniformWeight = equal && w <= std::numeric_limits<double>::max() / (2.0 * n) ? w : 0.0;
+
   degree = 0;
   for (int u = 0; u < n; ++u) {
     auto& list = nbrs[u];

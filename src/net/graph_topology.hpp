@@ -43,10 +43,18 @@ struct GraphAdjacency {
   std::vector<NodeId> adj;             ///< [n * degree + dir] → neighbor or -1
   std::vector<double> weightOfSlot;    ///< [link slot] → edge weight (1.0 unused)
   std::vector<double> latencyOfSlot;   ///< [link slot] → edge latency (1.0 unused)
+  /// The one weight every edge carries (1.0 on an edgeless graph), or 0
+  /// when weights differ. It is also 0 when a path of numNodes such
+  /// edges could overflow, so a positive value guarantees that hop-level
+  /// distances rise strictly: `GraphSearch` then runs breadth-first.
+  double uniformWeight = 0.0;
 
   NodeId neighbor(NodeId n, int dir) const {
     return adj[static_cast<std::size_t>(n) * degree + dir];
   }
+  /// Link slot of direction `dir` at n: `Topology::linkIndex` without its
+  /// virtual `degree()` call, for the routing walks.
+  int linkSlot(NodeId n, int dir) const { return n * degree + dir; }
   double weightOf(NodeId n, int dir) const {
     return weightOfSlot[static_cast<std::size_t>(n) * degree + dir];
   }
@@ -149,7 +157,7 @@ class GraphTopology final : public Topology {
     while (cur != to) {
       const int dir = dirToward(cur, to);
       const NodeId next = neighborInDir(cur, dir);
-      out.push_back(Hop{linkIndex(cur, dir), next});
+      out.push_back(Hop{adj_.linkSlot(cur, dir), next});
       cur = next;
     }
   }

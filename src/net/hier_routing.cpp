@@ -152,22 +152,25 @@ void HierGraphTopology::buildBalls(GraphSearch& search) {
   const int tn = tree_->numNodes();
   ballBegin_.assign(static_cast<std::size_t>(tn) + 1, 0);
   const auto byNode = [](const BallEntry& a, const BallEntry& b) { return a.node < b.node; };
-  // Writes to `out` the first `cap` nodes the Dijkstra around `lm` pops,
-  // each with its first-hop direction toward lm, and returns how many.
-  // The ball is a prefix of the deterministic pop order, so every node's
-  // next hop toward the landmark (its parent, popped strictly earlier) is
-  // also in the ball — the persistence property routing relies on. The
+  // Writes to `out` the first `cap` nodes of the (distance, id) order
+  // around `lm`, each with its first-hop direction toward lm, and returns
+  // how many (the search pops exactly those, net/graph_search.hpp). The
+  // ball is a prefix of that deterministic order, so every node's next
+  // hop toward the landmark (its parent, strictly closer) is also in
+  // the ball — the persistence property routing relies on. The
   // cap is HARD: on expanders ball population grows exponentially with
   // radius, so reachability of anything outside the prefix is the spine
   // paths' job, never the prefix's.
   const auto growBall = [&](GraphSearch& s, NodeId lm, std::size_t cap, BallEntry* out) {
     std::size_t size = 0;
-    s.shortestPaths(lm, nullptr, [&](NodeId u) {
-      if (size >= cap) return false;
-      const NodeId up = s.parent(u);
-      out[size++] = BallEntry{u, static_cast<std::int16_t>(up < 0 ? -1 : adj_.dirTo(u, up))};
-      return true;
-    });
+    s.shortestPaths(
+        lm, nullptr,
+        [&](NodeId u) {
+          const NodeId up = s.parent(u);
+          out[size++] = BallEntry{u, static_cast<std::int16_t>(up < 0 ? -1 : adj_.dirTo(u, up))};
+          return true;
+        },
+        cap);
     return size;
   };
 
@@ -294,7 +297,7 @@ void HierGraphTopology::appendRoute(NodeId from, NodeId to, RouteVec& out) const
     for (int i = 0; i < chainLen && dir < 0; ++i) dir = findDir(chain[i], cur);
     DIVA_CHECK_MSG(dir >= 0, "hierarchical routing found no visible ball at node " << cur);
     const NodeId next = adj_.neighbor(cur, dir);
-    out.push_back(Hop{linkIndex(cur, dir), next});
+    out.push_back(Hop{adj_.linkSlot(cur, dir), next});
     cur = next;
     DIVA_CHECK_MSG(--budget >= 0,
                    "hierarchical route " << from << "→" << to << " did not converge");

@@ -576,6 +576,168 @@ TEST(GraphDecomposition, BfsBisectionIsBalancedToWithinOneNode) {
 }
 
 // ---------------------------------------------------------------------------
+// GraphSearch::shortestPaths against a heap-free Dijkstra oracle
+// ---------------------------------------------------------------------------
+
+/// The popped nodes of one search, in pop order, with each one's path.
+struct SearchResult {
+  std::vector<NodeId> order;
+  std::vector<NodeId> parent;         ///< by node; meaningful for popped nodes
+  std::vector<std::uint32_t> hops;
+  std::vector<double> dist;
+};
+
+/// Dijkstra by linear scan: pops the reached, unpopped node of least
+/// (distance, id); a relaxation that ties the distance prefers fewer hops,
+/// then the lower-id parent. Written straight from the GraphSpec, so it
+/// shares no code, heap or level order with `GraphSearch`.
+SearchResult oracleSearch(const GraphSpec& g, NodeId root, const std::vector<NodeId>* scope,
+                          std::size_t cap) {
+  const auto n = static_cast<std::size_t>(g.numNodes);
+  std::vector<std::vector<std::pair<NodeId, double>>> nbrs(n);
+  for (const GraphSpec::Edge& e : g.edges) {
+    nbrs[e.u].push_back({e.v, e.weight});
+    nbrs[e.v].push_back({e.u, e.weight});
+  }
+  std::vector<char> allowed(n, scope == nullptr ? 1 : 0), reached(n, 0), popped(n, 0);
+  if (scope != nullptr)
+    for (NodeId v : *scope) allowed[v] = 1;
+  SearchResult r{{}, std::vector<NodeId>(n, -1), std::vector<std::uint32_t>(n, 0),
+                 std::vector<double>(n, 0.0)};
+  reached[root] = 1;
+  while (r.order.size() < cap) {
+    NodeId u = -1;
+    for (NodeId v = 0; v < g.numNodes; ++v)
+      if (reached[v] && !popped[v] && (u < 0 || r.dist[v] < r.dist[u])) u = v;
+    if (u < 0) break;
+    popped[u] = 1;
+    r.order.push_back(u);
+    for (const auto& [v, w] : nbrs[u]) {
+      if (v == root || !allowed[v]) continue;
+      const double cand = r.dist[u] + w;
+      const std::uint32_t candHops = r.hops[u] + 1;
+      const bool better =
+          !reached[v] || cand < r.dist[v] ||
+          (cand == r.dist[v] &&
+           (candHops < r.hops[v] || (candHops == r.hops[v] && u < r.parent[v])));
+      if (!better) continue;
+      reached[v] = 1;
+      r.dist[v] = cand;
+      r.hops[v] = candHops;
+      r.parent[v] = u;
+    }
+  }
+  return r;
+}
+
+/// Runs `shortestPaths` and the oracle with the same arguments and
+/// compares the popped set, every popped node's parent, hops and
+/// distance, and the pop order: exactly on the heap path, level by level
+/// (distance never falls) on the equal-weight path.
+void expectSearchMatchesOracle(const GraphSpec& g, net::GraphSearch& search, NodeId root,
+                               const std::vector<NodeId>* scope, std::size_t cap) {
+  const SearchResult want = oracleSearch(g, root, scope, cap);
+  std::vector<NodeId> got;
+  search.shortestPaths(
+      root, scope,
+      [&](NodeId u) {
+        got.push_back(u);
+        return true;
+      },
+      cap);
+  SCOPED_TRACE(::testing::Message() << g.name << " root " << root << (scope ? " scoped" : "")
+                                    << " cap " << cap);
+  const bool levelOrder = net::GraphAdjacency(g).uniformWeight > 0.0;
+  if (!levelOrder) {
+    EXPECT_EQ(got, want.order);
+  }
+  for (std::size_t i = 1; i < got.size(); ++i) {
+    EXPECT_LE(search.distance(got[i - 1]), search.distance(got[i])) << "pop " << i;
+  }
+  std::vector<NodeId> gotSet = got, wantSet = want.order;
+  std::sort(gotSet.begin(), gotSet.end());
+  std::sort(wantSet.begin(), wantSet.end());
+  ASSERT_EQ(gotSet, wantSet);
+  for (NodeId v : got) {
+    EXPECT_EQ(search.parent(v), want.parent[v]) << "node " << v;
+    EXPECT_EQ(search.hops(v), want.hops[v]) << "node " << v;
+    EXPECT_EQ(search.distance(v), want.dist[v]) << "node " << v;
+  }
+}
+
+/// Caps that end a search strictly inside a level of equal distance
+/// (the last node popped and the first one left out tie), from the
+/// oracle's full pop order; one per level that has room for it.
+std::vector<std::size_t> capsInsideLevels(const SearchResult& full) {
+  std::vector<std::size_t> caps;
+  for (std::size_t begin = 0; begin < full.order.size();) {
+    std::size_t end = begin;
+    while (end < full.order.size() &&
+           full.dist[full.order[end]] == full.dist[full.order[begin]])
+      ++end;
+    if (end - begin >= 2) caps.push_back(begin + (end - begin) / 2);
+    begin = end;
+  }
+  return caps;
+}
+
+GraphSpec withWeight(GraphSpec g, double weight) {
+  for (GraphSpec::Edge& e : g.edges) e.weight = weight;
+  g.name += (::testing::Message() << "w" << weight).GetString();
+  return g;
+}
+
+TEST(GraphSearchOracle, EqualAndUnequalWeightSearchesMatchHeapDijkstra) {
+  std::vector<std::pair<GraphSpec, double>> graphs;  // graph, expected uniformWeight
+  for (const GraphSpec& g : {net::randomRegularGraph(120, 4, 3), net::gridGraph(9, 13),
+                             net::ringGraph(41)}) {
+    graphs.push_back({withWeight(g, 1.0), 1.0});
+    graphs.push_back({withWeight(g, 2.5), 2.5});
+  }
+  // Unequal weights, the heap path: a tree (unique paths), and a graph
+  // of 1.0 and 2.0 edges, where equal distances tie across hop counts
+  // and across parents, so the heap's tie-break decides.
+  graphs.push_back({net::fatTreeGraph(3, 4), 0.0});
+  GraphSpec mixed = net::randomRegularGraph(120, 4, 5);
+  mixed.name += "-mixed";
+  for (std::size_t i = 0; i < mixed.edges.size(); ++i)
+    mixed.edges[i].weight = i % 3 == 0 ? 2.0 : 1.0;
+  graphs.push_back({mixed, 0.0});
+  // Equal weights whose level distances overflow to infinity: ties
+  // across levels, so the adjacency must keep this graph on the heap.
+  graphs.push_back({withWeight(net::ringGraph(9), 1e308), 0.0});
+
+  for (const auto& [g, uniform] : graphs) {
+    const net::GraphAdjacency adj(g);
+    EXPECT_EQ(adj.uniformWeight, uniform) << g.name;
+    net::GraphSearch search(adj);
+    const auto tree = net::decomposeGraph(adj, net::DecompParams{2, 1});
+    std::size_t cuts = 0;
+    for (NodeId root : {NodeId{0}, static_cast<NodeId>(g.numNodes / 2),
+                        static_cast<NodeId>(g.numNodes - 1)}) {
+      expectSearchMatchesOracle(g, search, root, nullptr, net::GraphSearch::kNoCap);
+      for (std::size_t cap : capsInsideLevels(oracleSearch(g, root, nullptr, g.numNodes))) {
+        expectSearchMatchesOracle(g, search, root, nullptr, cap);
+        ++cuts;
+      }
+    }
+    // Cluster-scoped searches from a member of each of the tree's first
+    // few internal clusters, full and capped.
+    for (int t = 1; t < std::min(tree->numNodes(), 7); ++t) {
+      const std::vector<NodeId>& c = tree->cluster(t);
+      if (c.size() < 2) continue;
+      const NodeId root = c[c.size() / 2];
+      expectSearchMatchesOracle(g, search, root, &c, net::GraphSearch::kNoCap);
+      for (std::size_t cap : capsInsideLevels(oracleSearch(g, root, &c, c.size()))) {
+        expectSearchMatchesOracle(g, search, root, &c, cap);
+        ++cuts;
+      }
+    }
+    EXPECT_GT(cuts, 0u) << g.name << ": no cap cut a level";
+  }
+}
+
+// ---------------------------------------------------------------------------
 // End-to-end: strategies on irregular machines
 // ---------------------------------------------------------------------------
 
